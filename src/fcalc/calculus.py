@@ -275,7 +275,9 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
         raise PreconditionError("n must be nonnegative")
     if not x > a:
         raise PreconditionError("need x > a")
-    derivs = [differentiate(f, k) for k in range(n + 2)]
+    derivs = [f]
+    for _ in range(n + 1):
+        derivs.append(differentiate(derivs[-1], 1))
     h = x - a
     value = 0.0
     for k in range(n + 1):

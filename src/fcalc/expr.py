@@ -12,22 +12,36 @@ literals only, so symbolic differentiation stays closed form.  Trees are
 frozen dataclasses: structurally equal trees evaluate identically, and
 sharing between threads is safe.
 
-Evaluation accepts a float or a numpy array; the array path is what the
-grid-based integrators lean on.  There is no simplification pass, only
-local constant folding in the smart constructors so that repeated
-differentiation does not blow the tree up.
+Evaluation compiles a tree into a straight-line program, once per
+backend (Python floats via ``math``, or numpy arrays), and caches it on
+the root node outside the dataclass fields, so equality, hashing,
+printing and pickling never see it.  Where ``math`` raises instead of
+returning NaN or inf (sin of inf, exp overflow), a scalar point is
+evaluated on the numpy backend, so both backends follow IEEE 754.
+Compiling numbers values: every structurally distinct subtree gets one
+slot, keyed by its op and its operands' slots (constants by value and
+sign, so 0.0 and -0.0 differ).  The walk is memoised by object id, so it
+is linear in distinct objects; the 7th derivative of
+``sin(1.2*x)*exp(0-0.9*x^2) + ln(1+1.1*x^2)`` has 65,284 nodes and 3,715
+objects but 285 slots.  Integer powers become multiplications by
+repeated squaring.  Slots are packed into registers that are reused
+after a value's last reader, so few array temporaries are alive at once.
+Each backend is one op table; the domain checks are written once for
+both.  Smart constructors fold constants locally, and ``differentiate``
+memoises by object id, so shared subtrees stay shared.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, NonDifferentiableError, ParseError
+from .errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
@@ -73,6 +87,10 @@ class Expr:
 
     def __str__(self):
         return to_text(self)
+
+    def __getstate__(self):
+        # Compiled programs cached on the node by evaluate() are not state.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -127,6 +145,7 @@ class Func(Expr):
 
 
 X = Var()
+_ONE = Const(1.0)
 
 
 def _coerce(v) -> Expr:
@@ -203,7 +222,7 @@ def pow_(u: Expr, n: int) -> Expr:
     if n == 1:
         return u
     if isinstance(u, Const):
-        return Const(_pow_value(u.value, n))
+        return Const(_SCALAR.run(Pow(u, n), 0.0))
     return Pow(u, n)
 
 
@@ -214,15 +233,120 @@ def func(name: str, arg: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one compile step, one op table per backend
 
-def _pow_value(base: float, n: int) -> float:
-    if n < 0 and base == 0.0:
-        raise DomainError("0 raised to a negative power")
-    try:
-        return float(base) ** n
-    except OverflowError:
-        return math.inf if (base > 0 or n % 2 == 0) else -math.inf
+# Partial ops: the test that puts an argument outside the domain, and the
+# message.  The argument tested is the last one (the divisor of "div").
+_DOMAIN = {
+    "div": (lambda v: v == 0.0, "division by zero"),
+    "recip": (lambda v: v == 0.0, "0 raised to a negative power"),
+    "ln": (lambda v: v <= 0.0, "ln of a non-positive number"),
+    "sqrt": (lambda v: v < 0.0, "sqrt of a negative number"),
+}
+
+
+def _compile(root: Expr, ops: dict):
+    """Straight-line program (code, registers, result register) for root.
+
+    Values are x = 0, constants -1, -2, ... (held in register -v) and
+    instructions 1, 2, ...; an instruction is keyed by its op and operand
+    values, a constant by its value and sign.  Instruction (fn, i, j, k)
+    stores fn(r[i]), or fn(r[i], r[j]) when j >= 0, into register k, with
+    fn taken from the backend's op table; registers is r without r[0] = x.
+    """
+    consts, code, number, seen = [], [], {}, {}
+
+    def emit(op, a, b=None):
+        if op in ("add", "mul") and b < a:
+            a, b = b, a
+        v = number.setdefault((op, a, b), len(code) + 1)
+        if v > len(code):
+            code.append((op, a, b))
+        return v
+
+    def visit(e):
+        if id(e) in seen:
+            return seen[id(e)]
+        t = type(e)
+        if t in (Add, Sub, Mul, Div):
+            v = emit(t.__name__.lower(), visit(e.left), visit(e.right))
+        elif t is Const:
+            v = number.setdefault((e.value, math.copysign(1.0, e.value)), -len(consts) - 1)
+            if v < -len(consts):
+                consts.append(e.value)
+        elif t is Var:
+            v = 0
+        elif t is Neg or (t is Func and e.name in FUNCTIONS):
+            v = emit("neg" if t is Neg else e.name, visit(e.arg))
+        elif t is Pow:  # repeated squaring, of the reciprocal if n < 0
+            b, n = visit(e.base), e.exponent
+            if n < 0:
+                b, n = emit("recip", b), -n
+            v = visit(_ONE) if n == 0 else None
+            while n:
+                if n & 1:
+                    v = b if v is None else emit("mul", v, b)
+                n >>= 1
+                if n:
+                    b = emit("mul", b, b)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        seen[id(e)] = v
+        return v
+
+    root_value = visit(root)
+    # A temporary's register is reused once its last reader has run, so no
+    # more array intermediates are alive than the tree's shape needs.
+    last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
+    regs, reg, free, program = [None, *consts], {}, [], []
+    for t, (op, a, b) in enumerate(code, 1):
+        i, j = reg.get(a, -a), (-1 if b is None else reg.get(b, -b))
+        free += {reg[u] for u in (a, b) if u in reg and last[u] == t}
+        if not free:
+            free.append(len(regs))
+            regs.append(None)
+        reg[t] = k = free.pop()
+        program.append((ops[op], i, j, k))
+    return tuple(program), regs[1:], reg.get(root_value, -root_value)
+
+
+class _Backend:
+    """An op table over one number type, and the loop that runs programs.
+
+    hit reduces a domain test's result to a bool.  A tree is compiled once
+    per backend, and the program cached on the node outside its fields
+    (two threads may both store one; the copies are equal).
+    """
+
+    def __init__(self, name, functions, hit):
+        def guard(fn, bad, message):
+            def op(*args):
+                if hit(bad(args[-1])):
+                    raise DomainError(message)
+                return fn(*args)
+            return op
+
+        self.attr = "_code_" + name
+        self.ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+                    "mul": operator.mul, "div": operator.truediv,
+                    "recip": lambda v: 1.0 / v, **functions}
+        for op, (bad, message) in _DOMAIN.items():
+            self.ops[op] = guard(self.ops[op], bad, message)
+
+    def run(self, e: Expr, x):
+        code, regs, out = e.__dict__.get(self.attr) or e.__dict__.setdefault(
+            self.attr, _compile(e, self.ops))
+        r = [x, *regs]
+        for fn, i, j, k in code:
+            r[k] = fn(r[i]) if j < 0 else fn(r[i], r[j])
+        return r[out]
+
+
+_SCALAR = _Backend("scalar", {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                              "ln": math.log, "sqrt": math.sqrt, "abs": abs}, bool)
+# Constants stay Python floats, which numpy broadcasts.
+_ARRAY = _Backend("array", {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+                            "sqrt": np.sqrt, "abs": np.abs}, np.any)
 
 
 def evaluate(e: Expr, x: Number) -> Number:
@@ -230,101 +354,26 @@ def evaluate(e: Expr, x: Number) -> Number:
 
     Raises DomainError when the point leaves the natural domain:
     division by zero, ln of a non-positive number, sqrt of a negative
-    number, or zero raised to a negative power.
+    number, or zero raised to a negative power.  Overflow gives +-inf and
+    sin, cos of +-inf give NaN, silently, in both backends.
     """
     if isinstance(x, np.ndarray):
-        return _eval_array(e, np.asarray(x, dtype=float))
-    return _eval_scalar(e, float(x))
+        return _evaluate_array(e, np.asarray(x, dtype=float))
+    x = float(x)
+    try:
+        return _SCALAR.run(e, x)
+    except (ValueError, OverflowError):
+        # math raises at sin(+-inf), cos(+-inf) and exp overflow, where
+        # IEEE arithmetic (numpy) gives NaN or inf
+        return float(_evaluate_array(e, np.array([x]))[0])
 
 
-def _eval_scalar(e: Expr, x: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval_scalar(e.arg, x)
-    if isinstance(e, Add):
-        return _eval_scalar(e.left, x) + _eval_scalar(e.right, x)
-    if isinstance(e, Sub):
-        return _eval_scalar(e.left, x) - _eval_scalar(e.right, x)
-    if isinstance(e, Mul):
-        return _eval_scalar(e.left, x) * _eval_scalar(e.right, x)
-    if isinstance(e, Div):
-        den = _eval_scalar(e.right, x)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return _eval_scalar(e.left, x) / den
-    if isinstance(e, Pow):
-        return _pow_value(_eval_scalar(e.base, x), e.exponent)
-    if isinstance(e, Func):
-        v = _eval_scalar(e.arg, x)
-        if e.name == "sin":
-            return math.sin(v)
-        if e.name == "cos":
-            return math.cos(v)
-        if e.name == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if e.name == "ln":
-            if v <= 0.0:
-                raise DomainError("ln of a non-positive number")
-            return math.log(v)
-        if e.name == "sqrt":
-            if v < 0.0:
-                raise DomainError("sqrt of a negative number")
-            return math.sqrt(v)
-        if e.name == "abs":
-            return abs(v)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _eval_array(e: Expr, x: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full_like(x, e.value)
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, x)
-    if isinstance(e, Add):
-        return _eval_array(e.left, x) + _eval_array(e.right, x)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, x) - _eval_array(e.right, x)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, x) * _eval_array(e.right, x)
-    if isinstance(e, Div):
-        den = _eval_array(e.right, x)
-        if np.any(den == 0.0):
-            raise DomainError("division by zero")
-        return _eval_array(e.left, x) / den
-    if isinstance(e, Pow):
-        base = _eval_array(e.base, x)
-        if e.exponent < 0 and np.any(base == 0.0):
-            raise DomainError("0 raised to a negative power")
-        with np.errstate(over="ignore"):
-            return base ** float(e.exponent) if e.exponent >= 0 else base ** e.exponent
-    if isinstance(e, Func):
-        v = _eval_array(e.arg, x)
-        if e.name == "sin":
-            return np.sin(v)
-        if e.name == "cos":
-            return np.cos(v)
-        if e.name == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(v)
-        if e.name == "ln":
-            if np.any(v <= 0.0):
-                raise DomainError("ln of a non-positive number")
-            return np.log(v)
-        if e.name == "sqrt":
-            if np.any(v < 0.0):
-                raise DomainError("sqrt of a negative number")
-            return np.sqrt(v)
-        if e.name == "abs":
-            return np.abs(v)
-    raise TypeError(f"not an expression node: {e!r}")
+def _evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
+    # Overflow, inf - inf and sin(inf) give IEEE values without warnings;
+    # the guards have already raised for every division by zero.
+    with np.errstate(all="ignore"):
+        out = _ARRAY.run(e, x)
+    return out if isinstance(out, np.ndarray) else np.full_like(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,35 +385,43 @@ def differentiate(e: Expr, n: int = 1) -> Expr:
     abs is parseable but rejected here with NonDifferentiableError.
     """
     if n < 0:
-        raise ValueError("derivative order must be nonnegative")
+        raise PreconditionError("derivative order must be nonnegative")
     out = e
     for _ in range(int(n)):
-        out = _d(out)
+        out = _d(out, {})
     return out
 
 
-def _d(e: Expr) -> Expr:
+def _d(e: Expr, memo: dict) -> Expr:
+    """d/dx of e, once per distinct object: memo maps id(node) -> derivative."""
+    out = memo.get(id(e))
+    if out is None:
+        out = memo[id(e)] = _rule(e, memo)
+    return out
+
+
+def _rule(e: Expr, memo: dict) -> Expr:
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0)
     if isinstance(e, Neg):
-        return neg(_d(e.arg))
+        return neg(_d(e.arg, memo))
     if isinstance(e, Add):
-        return add(_d(e.left), _d(e.right))
+        return add(_d(e.left, memo), _d(e.right, memo))
     if isinstance(e, Sub):
-        return sub(_d(e.left), _d(e.right))
+        return sub(_d(e.left, memo), _d(e.right, memo))
     if isinstance(e, Mul):
         # product rule, f'g + g'f
-        return add(mul(_d(e.left), e.right), mul(_d(e.right), e.left))
+        return add(mul(_d(e.left, memo), e.right), mul(_d(e.right, memo), e.left))
     if isinstance(e, Div):
-        num = sub(mul(_d(e.left), e.right), mul(_d(e.right), e.left))
+        num = sub(mul(_d(e.left, memo), e.right), mul(_d(e.right, memo), e.left))
         return div(num, pow_(e.right, 2))
     if isinstance(e, Pow):
         inner = mul(const(e.exponent), pow_(e.base, e.exponent - 1))
-        return mul(inner, _d(e.base))
+        return mul(inner, _d(e.base, memo))
     if isinstance(e, Func):
-        u, du = e.arg, _d(e.arg)
+        u, du = e.arg, _d(e.arg, memo)
         if e.name == "sin":
             return mul(func("cos", u), du)
         if e.name == "cos":

@@ -179,10 +179,3 @@ def shrink_to_point(s: NestedSequence, tol: float, max_iter: int = 10**6) -> flo
             raise NestingError(f"interval {k} is not contained in interval {k - 1}")
         current = nxt
     return current.midpoint
-
-
-def grid_points(a: float, b: float, count: int) -> np.ndarray:
-    """Evenly spaced sample grid including both endpoints."""
-    if count < 2:
-        raise PreconditionError("grid needs at least 2 points")
-    return np.linspace(a, b, count)

@@ -114,7 +114,7 @@ def test_registry_every_op_has_exactly_one_subcommand():
     # one subcommand per operation, and no library module left out
     modules = {op.split(".")[0] for op in OP_REGISTRY}
     assert modules == {"expr", "interval", "sequences", "suprema", "calculus",
-                       "cover", "integrate", "graph", "cli"}
+                       "cover", "integrate", "stepfn", "graph", "cli"}
 
 
 def test_cover_pipeline(capsys):
@@ -185,3 +185,10 @@ def test_deriv_symbolic_and_numeric(capsys):
     payload = json.loads(out)
     assert abs(payload["result"] - 2.0) <= 1e-6
     assert payload["diagnostics"]["converged"]
+
+
+def test_negative_order_and_infinite_input_exit_cleanly(capsys):
+    code, out, err = run(capsys, "deriv", "--f", "x^2", "--order", "-1")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    code, out, _ = run(capsys, "eval", "--f", "sin(x)", "--x", "1e400")
+    assert code == 0 and out.strip() == "nan"

@@ -1,4 +1,6 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
-from fcalc.errors import DomainError, NonDifferentiableError, ParseError
+from fcalc.errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
 from helpers import random_smooth_expr
 
 
@@ -128,3 +130,152 @@ def test_alternate_variable_name():
 
 def test_negative_integer_exponent():
     assert E.evaluate(E.parse("x^-2"), 2.0) == 0.25
+
+
+def test_negative_derivative_order_is_a_precondition_error():
+    with pytest.raises(PreconditionError):
+        E.differentiate(E.parse("x^2"), -1)
+
+
+def test_integer_powers():
+    x0 = E.parse("x^0")
+    for t in (0.0, -0.0, math.inf, math.nan, -2.5):
+        assert E.evaluate(x0, t) == 1.0
+        assert E.evaluate(x0, np.array([t]))[0] == 1.0
+    # repeated squaring, with a reciprocal first for negative exponents
+    b = -1.7
+    assert E.evaluate(E.parse("x^5"), b) == ((b * b) * (b * b)) * b
+    assert E.evaluate(E.parse("x^-3"), b) == (1.0 / b) * ((1.0 / b) * (1.0 / b))
+    xs = np.array([-3.0, -0.5, 0.25, 2.0])
+    assert np.array_equal(E.evaluate(E.parse("x^7"), xs),
+                          np.array([E.evaluate(E.parse("x^7"), float(t)) for t in xs]))
+    assert E.evaluate(E.parse("x^2"), 1e300) == math.inf
+    assert E.evaluate(E.parse("x^-2"), 1e-300) == math.inf
+    for point in (0.0, np.array([1.0, -0.0])):
+        with pytest.raises(DomainError, match="negative power"):
+            E.evaluate(E.parse("x^-2"), point)
+
+
+def test_sin_and_cos_of_infinity_are_nan():
+    for text in ("sin(x)", "cos(x)"):
+        e = E.parse(text)
+        for t in (math.inf, -math.inf):
+            assert math.isnan(E.evaluate(e, t))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(E.evaluate(e, np.array([t, 0.0]))[0])
+
+
+# Constants and points are short decimals: math and numpy may round exp and
+# ln differently in the last place, and a random tree that cancels such a
+# result against a nearby value would amplify that without bound.
+_CONSTS = (0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0, 1.2)
+_EDGES = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, -1e300)
+
+
+def _node(children):
+    return st.one_of(
+        st.builds(E.Neg, children),
+        *[st.builds(node, children, children) for node in (E.Add, E.Sub, E.Mul, E.Div)],
+        st.builds(E.Pow, children, st.integers(-3, 5)),
+        st.builds(E.Func, st.sampled_from(E.FUNCTIONS), children),
+    )
+
+
+_trees = st.recursive(st.one_of(st.just(E.Var()), st.sampled_from(_CONSTS).map(E.Const)),
+                      _node, max_leaves=10)
+
+
+def _walk(e, x):
+    """Direct recursive evaluation with Python floats: the reference."""
+    t = type(e)
+    if t is E.Const:
+        return e.value
+    if t is E.Var:
+        return x
+    if t is E.Neg:
+        return -_walk(e.arg, x)
+    if t is E.Pow:
+        b, n = _walk(e.base, x), e.exponent
+        if n < 0 and b == 0.0:
+            raise DomainError("0 raised to a negative power")
+        try:
+            return b**n
+        except OverflowError:
+            return math.copysign(math.inf, b) if n % 2 else math.inf
+    if t is E.Func:
+        v = _walk(e.arg, x)
+        if (e.name == "ln" and v <= 0.0) or (e.name == "sqrt" and v < 0.0):
+            raise DomainError(e.name)
+        fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
+              "sqrt": math.sqrt, "abs": abs}[e.name]
+        try:
+            return fn(v)
+        except ValueError:  # sin, cos of +-inf
+            return math.nan
+        except OverflowError:  # exp
+            return math.inf
+    a, b = _walk(e.left, x), _walk(e.right, x)
+    if t is E.Div:
+        if b == 0.0:
+            raise DomainError("division by zero")
+        return a / b
+    return {E.Add: a + b, E.Sub: a - b, E.Mul: a * b}[t]
+
+
+def _outcome(evaluate, e, x):
+    try:
+        out = evaluate(e, x)
+    except DomainError:
+        return "domain"
+    return float(out[0]) if isinstance(out, np.ndarray) else out
+
+
+def _agree(u, v):
+    if u == "domain" or v == "domain":
+        return u == v
+    return (math.isnan(u) and math.isnan(v)) or u == v or math.isclose(
+        u, v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.one_of(st.sampled_from(_EDGES), st.integers(-16, 16).map(lambda k: k / 4)))
+def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
+    s = _outcome(E.evaluate, e, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = _outcome(E.evaluate, e, np.array([x]))
+    assert _agree(s, _outcome(_walk, e, x))
+    assert _agree(s, a)
+
+
+def _tree_size(e, memo):
+    if id(e) not in memo:
+        memo[id(e)] = 1 + sum(_tree_size(getattr(e, f), memo)
+                              for f in ("arg", "left", "right", "base") if hasattr(e, f))
+    return memo[id(e)]
+
+
+def test_compiled_program_has_one_value_per_distinct_subtree():
+    wave = E.parse("sin(1.2*x)*exp(0-0.9*x^2) + ln(1+1.1*x^2)")
+    top = E.differentiate(wave, 7)
+    assert _tree_size(top, {}) == 65284
+    code, regs, _ = E._compile(top, E._SCALAR.ops)
+    constants = sum(r is not None for r in regs)
+    assert 1 + constants + len(code) <= 400
+    # registers are reused after a value's last reader
+    assert 1 + len(regs) < 64
+    assert math.isclose(E.evaluate(top, np.array([0.3]))[0], E.evaluate(top, 0.3), rel_tol=1e-9)
+    # 0.0 and -0.0 are distinct constants: -0.0 - -0.0 is +0.0, -0.0 - 0.0 is -0.0
+    zero, minus_zero = E.Const(0.0), E.Const(-0.0)
+    for e in (E.Sub(E.Neg(zero), minus_zero), E.Sub(minus_zero, E.Neg(zero))):
+        assert math.copysign(1.0, E.evaluate(e, 0.0)) == 1.0
+
+
+def test_compiled_programs_are_cached_outside_the_value():
+    e = E.parse("sin(x) + x^2")
+    before = (repr(e), hash(e), E.to_text(e))
+    assert E.evaluate(e, 1.0) == E.evaluate(e, np.array([1.0]))[0]
+    assert (repr(e), hash(e), E.to_text(e)) == before
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and E.evaluate(back, 1.0) == E.evaluate(e, 1.0)
