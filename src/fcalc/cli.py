@@ -58,10 +58,10 @@ OP_REGISTRY: Dict[str, str] = {
     "cover.lebesgue_number": "lebesgue",
     "cover.uniform_modulus": "modulus",
     "cover.step_approximation": "stepapprox",
-    "stepfn.step_integral": "stepint",
-    "stepfn.step_reexpress": "stepint",
-    "stepfn.step_combine": "stepint",
-    "stepfn.step_split": "stepint",
+    "integrate.step_integral": "stepint",
+    "integrate.step_reexpress": "stepint",
+    "integrate.step_combine": "stepint",
+    "integrate.step_split": "stepint",
     "integrate.darboux_bounds": "darboux",
     "integrate.riemann_sum": "riemann",
     "integrate.riemann_integral": "integrate",

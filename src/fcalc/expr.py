@@ -12,23 +12,18 @@ literals only, so symbolic differentiation stays closed form.  Trees are
 frozen dataclasses: structurally equal trees evaluate identically, and
 sharing between threads is safe.
 
-Evaluation compiles a tree into a straight-line program, once per
-backend (Python floats via ``math``, or numpy arrays), and caches it on
-the root node outside the dataclass fields, so equality, hashing,
-printing and pickling never see it.  Where ``math`` raises instead of
-returning NaN or inf (sin of inf, exp overflow), a scalar point is
-evaluated on the numpy backend, so both backends follow IEEE 754.
-Compiling numbers values: every structurally distinct subtree gets one
-slot, keyed by its op and its operands' slots (constants by value and
-sign, so 0.0 and -0.0 differ).  The walk is memoised by object id, so it
-is linear in distinct objects; the 7th derivative of
-``sin(1.2*x)*exp(0-0.9*x^2) + ln(1+1.1*x^2)`` has 65,284 nodes and 3,715
-objects but 285 slots.  Integer powers become multiplications by
-repeated squaring.  Slots are packed into registers that are reused
-after a value's last reader, so few array temporaries are alive at once.
-Each backend is one op table; the domain checks are written once for
-both.  Smart constructors fold constants locally, and ``differentiate``
-memoises by object id, so shared subtrees stay shared.
+Evaluation compiles a tree once per backend (``math`` floats, numpy
+arrays) into a straight-line program cached on the root node outside the
+dataclass fields, so equality, hashing, printing and pickling never see
+it.  Compiling numbers values: each structurally distinct subtree gets
+one slot, keyed by its op and its operands' slots (constants by value and
+sign, so 0.0 and -0.0 differ), in a walk memoised by object id.  Integer
+powers become repeated squaring, and registers are reused after a value's
+last reader, so few array temporaries are alive at once.  Each backend is
+an op table sharing one set of domain checks; a scalar point where
+``math`` raises instead of giving NaN or inf is re-run on numpy, so both
+follow IEEE 754.  ``differentiate`` memoises by object id, so shared
+subtrees stay shared.
 """
 
 from __future__ import annotations
@@ -296,8 +291,11 @@ def _compile(root: Expr, ops: dict):
 
     root_value = visit(root)
     # A temporary's register is reused once its last reader has run, so no
-    # more array intermediates are alive than the tree's shape needs.
+    # more array intermediates are alive than the tree's shape needs.  The
+    # root lives to the end: it need not be the last instruction, as the
+    # dead base of x^0 may precede it and contain it.
     last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
+    last[root_value] = len(code) + 1
     regs, reg, free, program = [None, *consts], {}, [], []
     for t, (op, a, b) in enumerate(code, 1):
         i, j = reg.get(a, -a), (-1 if b is None else reg.get(b, -b))
@@ -394,10 +392,9 @@ def differentiate(e: Expr, n: int = 1) -> Expr:
 
 def _d(e: Expr, memo: dict) -> Expr:
     """d/dx of e, once per distinct object: memo maps id(node) -> derivative."""
-    out = memo.get(id(e))
-    if out is None:
-        out = memo[id(e)] = _rule(e, memo)
-    return out
+    if id(e) not in memo:
+        memo[id(e)] = _rule(e, memo)
+    return memo[id(e)]
 
 
 def _rule(e: Expr, memo: dict) -> Expr:

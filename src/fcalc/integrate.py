@@ -6,6 +6,9 @@ candidate and the upper bound comes from negation duality.  The
 certified integral refines dyadically and declares convergence when the
 Darboux gap closes below tol and four choice-function Riemann sums land
 inside the (tol-cushioned) bracket; its value is the bracket midpoint.
+
+Step-function algebra is re-exported from stepfn so this module offers
+the whole integration surface.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ import numpy as np
 from .errors import IterationCapError, PreconditionError
 from .expr import Expr, differentiate, evaluate
 from .interval import Partition
+from .stepfn import (  # noqa: F401  (re-exported step algebra)
+    StepFunction,
+    step_combine,
+    step_integral,
+    step_reexpress,
+    step_split,
+)
 
 _CHUNK_CELLS = 1 << 18
 

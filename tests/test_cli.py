@@ -114,7 +114,7 @@ def test_registry_every_op_has_exactly_one_subcommand():
     # one subcommand per operation, and no library module left out
     modules = {op.split(".")[0] for op in OP_REGISTRY}
     assert modules == {"expr", "interval", "sequences", "suprema", "calculus",
-                       "cover", "integrate", "stepfn", "graph", "cli"}
+                       "cover", "integrate", "graph", "cli"}
 
 
 def test_cover_pipeline(capsys):

@@ -238,15 +238,39 @@ def _agree(u, v):
         u, v, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_trees, st.one_of(st.sampled_from(_EDGES), st.integers(-16, 16).map(lambda k: k / 4)))
-def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
+_points = st.one_of(st.sampled_from(_EDGES), st.integers(-16, 16).map(lambda k: k / 4))
+
+
+def _check_backends(e, x):
     s = _outcome(E.evaluate, e, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a = _outcome(E.evaluate, e, np.array([x]))
     assert _agree(s, _outcome(_walk, e, x))
     assert _agree(s, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _points)
+def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
+    _check_backends(e, x)
+
+
+def test_root_inside_the_dead_base_of_a_zeroth_power():
+    # u^0 compiles to the constant 1 after u's instructions, so the root
+    # 1 + x gets the slot of the 1 + x inside sin(1 + x), whose register
+    # sin then reuses unless the root is kept alive to the end.
+    e = E.parse("sin(1+x)^0 + x")
+    assert E.evaluate(e, 0.5) == 1.5
+    assert E.evaluate(e, np.array([0.5, 2.0])).tolist() == [1.5, 3.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees, st.sampled_from([E.Add, E.Mul]), st.sampled_from(E.FUNCTIONS), _points)
+def test_zeroth_power_whose_base_contains_its_sibling(s, t, op, name, x):
+    # op(u^0, s) is op(1, s), a value the dead base u computes and reads
+    base = E.Mul(E.Func(name, op(E.Const(1.0), s)), t)
+    _check_backends(op(E.Pow(base, 0), s), x)
 
 
 def _tree_size(e, memo):
