@@ -3,9 +3,10 @@
 Every library operation is reachable through exactly one subcommand
 (see OP_REGISTRY).  Exit codes: 0 success, 1 the mathematics said no
 (bad bracket, divergence, a check that came back false), 2 bad usage or
-unparseable input.  With --output json a single object with "result"
-and "diagnostics" is emitted; identical argv and seed give
-byte-identical output.
+unparseable input.  With --output json a single strict-JSON object with
+"result" and "diagnostics" is emitted (a non-finite value there is an
+exit-1 error object); identical argv and seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ def _h_ival(args, cfg):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="default tolerance (1e-9)")
+                        help="default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for all randomized checks (0; FC_SEED overrides)")
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
@@ -593,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="midpoint")
     p.add_argument("--points", default=None, help="explicit choice points, JSON")
 
-    p = cmd("integrate", _h_integrate, help="certified Riemann integral")
+    p = cmd("integrate", _h_integrate, help="certified Riemann integral (--tol defaults to 1e-6)")
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -602,12 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="check_additivity_at")
     p.add_argument("--bounds", type=float, nargs=2, default=None, metavar=("LO", "HI"))
 
-    p = cmd("ftc2", _h_ftc2, help="integral of F' equals F(b) - F(a)")
+    p = cmd("ftc2", _h_ftc2, help="integral of F' equals F(b) - F(a) (--tol defaults to 1e-6)")
     p.add_argument("--F", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
 
-    p = cmd("imvt", _h_imvt, help="integral mean-value witness")
+    p = cmd("imvt", _h_imvt, help="integral mean-value witness (--tol defaults to 1e-6)")
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -667,13 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(result, diagnostics, lines, cfg) -> None:
-    if cfg.output == "json":
-        payload = {"result": result, "diagnostics": diagnostics}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _json(payload) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise MathError("result is not finite; JSON has no inf or nan") from None
 
 
 def main(argv=None) -> int:
@@ -692,21 +691,22 @@ def main(argv=None) -> int:
         parser.error("--tol must be positive")
     try:
         result, diagnostics, code, lines = args.handler(args, cfg)
+        if cfg.output == "json":
+            lines = [_json({"result": result, "diagnostics": diagnostics})]
     except ParseError as e:
         if cfg.output == "json":
-            print(json.dumps({"result": None, "diagnostics": {"error": str(e)}},
-                             sort_keys=True))
+            print(_json({"result": None, "diagnostics": {"error": str(e)}}))
         else:
             print(f"parse error: {e}", file=sys.stderr)
         return 2
     except MathError as e:
         if cfg.output == "json":
-            print(json.dumps({"result": None, "diagnostics": {"error": str(e)}},
-                             sort_keys=True))
+            print(_json({"result": None, "diagnostics": {"error": str(e)}}))
         else:
             print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(result, diagnostics, lines, cfg)
+    for line in lines:
+        print(line)
     return code
 
 

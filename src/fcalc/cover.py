@@ -1,11 +1,18 @@
 """Finite open covers of closed intervals.
 
-verify_cover is an exact sweep over the endpoint structure, never a
-sampling argument.  The exact Lebesgue number comes from the same
-structure: for every breakpoint x the nearest unreachable partner is
-the largest right endpoint over pieces containing x, so the minimum
-slack over breakpoints and cells is the maximal valid delta.  The
-conservative min-half-radius formula is kept as `paper` mode.
+Every cover query goes through one structure, `_Reach`: the pieces
+sorted by left endpoint with a running maximum of their right
+endpoints.  reach(x) is the largest right endpoint over pieces with
+lo < x (lo <= x for closed cell queries), attained by the lowest-index
+such piece.  Some piece contains x exactly when reach(x) > x, and two
+points x <= y share a piece exactly when reach(x) > y.
+
+verify_cover and finite_subcover are one greedy walk from the left end
+of the target along reach: an exact constructive Heine-Borel sweep,
+never a sampling argument.  The exact Lebesgue number is the minimum
+slack reach - x over breakpoints and reach - q over cells (p, q)
+between them, all answered by one vectorised query.  The conservative
+min-half-radius formula is kept as `paper` mode.
 """
 
 from __future__ import annotations
@@ -39,36 +46,59 @@ class OpenCover:
         return {"target": self.target.to_json(), "pieces": [p.to_json() for p in self.pieces]}
 
 
-def _reach(cover: OpenCover, x: float) -> float:
-    """Largest right endpoint over pieces strictly containing x; -inf if none."""
-    best = -math.inf
-    for p in cover.pieces:
-        if p.lo < x < p.hi and p.hi > best:
-            best = p.hi
-    return best
+class _Reach:
+    """Pieces sorted by left endpoint with a running maximum of right endpoints.
+
+    Calling it with x (a float or an array) returns the largest right
+    endpoint over pieces with lo < x, or lo <= x when closed, and the
+    lowest index attaining it; -inf and -1 where there is none.
+    """
+
+    def __init__(self, pieces: List[OpenInterval]):
+        los = np.array([p.lo for p in pieces], dtype=float)
+        his = np.array([p.hi for p in pieces], dtype=float)
+        by_lo = np.argsort(los, kind="stable")
+        by_hi = np.argsort(-his, kind="stable")  # highest first, ties by index
+        rank = np.empty_like(by_hi)
+        rank[by_hi] = np.arange(len(his))
+        best = by_hi[np.minimum.accumulate(rank[by_lo])]
+        self.los = los[by_lo]
+        self.his = np.concatenate(([-math.inf], his[best]))
+        self.idx = np.concatenate(([-1], best))
+
+    def __call__(self, x, closed: bool = False):
+        k = np.searchsorted(self.los, x, side="right" if closed else "left")
+        return self.his[k], self.idx[k]
 
 
-def verify_cover(cover: OpenCover, grid: int = 16) -> Tuple[bool, Optional[float]]:
+def _greedy_walk(cover: OpenCover) -> Tuple[List[int], Optional[float]]:
+    """Chain of pieces from the left end of the target, each reaching
+    furthest right from the current reach r, and the first uncovered
+    point (None once a piece passes the right end).  r strictly
+    increases through right endpoints, so the walk ends within
+    len(pieces) steps."""
+    reach = _Reach(cover.pieces)
+    r, b = cover.target.lo, cover.target.hi
+    chain: List[int] = []
+    while True:
+        hi, i = reach(r)
+        if not hi > r:
+            return chain, r
+        chain.append(int(i))
+        if hi > b:
+            return chain, None
+        r = float(hi)
+
+
+def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
     """Exact covering check by sweeping reachability left to right.
 
     Returns (True, None) or (False, witness) with an uncovered point.
     The verdict is cached on the cover.
     """
-    if grid < 2:
-        raise PreconditionError("grid must be at least 2")
-    a, b = cover.target.lo, cover.target.hi
-    r = a
-    for _ in range(len(cover.pieces) + 1):
-        reach = _reach(cover, r)
-        if reach == -math.inf:
-            cover.verified = False
-            return False, r
-        if reach > b:
-            cover.verified = True
-            return True, None
-        r = reach
-    cover.verified = False
-    return False, r
+    _, gap = _greedy_walk(cover)
+    cover.verified = gap is None
+    return cover.verified, gap
 
 
 def length_inequality(cover: OpenCover) -> bool:
@@ -82,21 +112,10 @@ def finite_subcover(cover: OpenCover) -> List[int]:
     """Greedy left-to-right subcover; minimal cardinality for interval covers."""
     if cover.verified is not True:
         raise CoverError("cover must be verified before extracting a subcover")
-    a, b = cover.target.lo, cover.target.hi
-    chosen: List[int] = []
-    r = a
-    for _ in range(len(cover.pieces) + 1):
-        best_i, best_hi = -1, -math.inf
-        for i, p in enumerate(cover.pieces):
-            if p.lo < r < p.hi and p.hi > best_hi:
-                best_i, best_hi = i, p.hi
-        if best_i < 0:
-            raise CoverError(f"sweep stalled at {r}; endpoint pathology in a verified cover")
-        chosen.append(best_i)
-        if best_hi > b:
-            return chosen
-        r = best_hi
-    raise CoverError("sweep failed to terminate")
+    chain, gap = _greedy_walk(cover)
+    if gap is not None:
+        raise CoverError(f"sweep stalled at {gap}; endpoint pathology in a verified cover")
+    return chain
 
 
 def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) -> float:
@@ -119,75 +138,72 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _lebesgue_exact(cover: OpenCover) -> float:
+def _breakpoints(cover: OpenCover) -> np.ndarray:
+    """Sorted distinct target ends and piece endpoints inside the target."""
     a, b = cover.target.lo, cover.target.hi
-    pts = {a, b}
-    for p in cover.pieces:
-        for v in (p.lo, p.hi):
-            if a <= v <= b:
-                pts.add(v)
-    breaks = sorted(pts)
-    best = math.inf
-    for x in breaks:
-        reach = _reach(cover, x)
-        if reach == -math.inf:
-            raise CoverError(f"point {x} of a verified cover is uncovered")
-        if reach <= b:
-            best = min(best, reach - x)
-    for p, q in zip(breaks, breaks[1:]):
-        covering = [piece.hi for piece in cover.pieces if piece.lo <= p and piece.hi >= q]
-        if not covering:
-            raise CoverError(f"cell ({p}, {q}) of a verified cover is uncovered")
-        reach = max(covering)
-        if reach <= b:
-            best = min(best, reach - q)
-    return cover.target.length if best == math.inf else best
+    v = np.array([a, b] + [e for p in cover.pieces for e in (p.lo, p.hi)])
+    # stable, so of equal values such as 0.0 and -0.0 the first listed stays
+    v = np.sort(v[(v >= a) & (v <= b)], kind="stable")
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def _lebesgue_exact(cover: OpenCover) -> float:
+    b = cover.target.hi
+    breaks = _breakpoints(cover)
+    reach = _Reach(cover.pieces)
+    at, _ = reach(breaks)
+    uncovered = breaks[~(at > breaks)]
+    if uncovered.size:
+        raise CoverError(f"point {float(uncovered[0])} of a verified cover is uncovered")
+    # no endpoint lies inside a cell, so the piece holding its left end
+    # holds the whole closed cell
+    over, _ = reach(breaks[:-1], closed=True)
+    slack = np.concatenate(((at - breaks)[at <= b], (over - breaks[1:])[over <= b]))
+    return float(slack.min()) if slack.size else cover.target.length
 
 
 def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]]:
     """A target pair within delta sharing no piece, or None.
 
     Directed search at the binding overlap: checks each breakpoint both
-    exactly and from just inside the cell to its left.
+    exactly and from just inside the cell to its left, pairing x with
+    its reach (capped at the target end) and with x + delta less a hair.
     """
-    a, b = cover.target.lo, cover.target.hi
-    pts = {a, b}
-    for p in cover.pieces:
-        for v in (p.lo, p.hi):
-            if a <= v <= b:
-                pts.add(v)
-    breaks = sorted(pts)
-    candidates = list(breaks)
-    for p, q in zip(breaks, breaks[1:]):
-        eps = min(delta * 1e-3, (q - p) / 2)
-        candidates.append(q - eps)
-    for x in candidates:
-        reach = _reach(cover, x)
-        if reach == -math.inf:
-            continue
-        y = min(reach, b)
-        for cand in (y, x + delta * (1 - 1e-12)):
-            if cand > b or cand - x >= delta or cand < x:
-                continue
-            if not any(p.lo < x < p.hi and p.lo < cand < p.hi for p in cover.pieces):
-                return (x, cand)
-    return None
+    b = cover.target.hi
+    breaks = _breakpoints(cover)
+    p, q = breaks[:-1], breaks[1:]
+    xs = np.concatenate((breaks, q - np.minimum(delta * 1e-3, (q - p) / 2)))
+    reach, _ = _Reach(cover.pieces)(xs)
+    inside = reach > xs
+
+    def free(cs):
+        return inside & (cs >= xs) & (cs - xs < delta) & (cs <= b) & ~(reach > cs)
+
+    ys, zs = np.minimum(reach, b), xs + delta * (1 - 1e-12)
+    hit_y, hit_z = free(ys), free(zs)
+    hits = np.flatnonzero(hit_y | hit_z)
+    if not hits.size:
+        return None
+    k = hits[0]
+    return float(xs[k]), float(ys[k] if hit_y[k] else zs[k])
 
 
 def _lebesgue_half_radius(cover: OpenCover, sample: int, max_sample: int = 1 << 20) -> float:
     a, b = cover.target.lo, cover.target.hi
+    los = np.array([p.lo for p in cover.pieces], dtype=float)
+    his = np.array([p.hi for p in cover.pieces], dtype=float)
     n = max(2, sample)
     while True:
         ts = np.linspace(a, b, n)
-        radii = np.empty(n)
-        for i, t in enumerate(ts):
-            best = 0.0
-            for p in cover.pieces:
-                if p.lo < t < p.hi:
-                    best = max(best, min(t - p.lo, p.hi - t))
-            if best == 0.0:
-                raise CoverError(f"sample point {t} of a verified cover is uncovered")
-            radii[i] = best
+        radii = np.zeros(n)
+        # the samples strictly inside a piece are one slice of ts
+        starts, stops = np.searchsorted(ts, los, "right"), np.searchsorted(ts, his, "left")
+        for lo, hi, i, j in zip(los, his, starts, stops):
+            t = ts[i:j]
+            np.maximum(radii[i:j], np.minimum(t - lo, hi - t), out=radii[i:j])
+        if not radii.all():
+            raise CoverError(f"sample point {float(ts[radii == 0][0])} of a verified cover "
+                             "is uncovered")
         spacing = (b - a) / (n - 1)
         # every target point must sit within half a radius of some sample
         if spacing < float(radii.min()):
@@ -197,21 +213,20 @@ def _lebesgue_half_radius(cover: OpenCover, sample: int, max_sample: int = 1 << 
         n *= 2
 
 
+def _random_pairs(a: float, b: float, delta: float, pairs: int, seed: int):
+    """Seeded target pairs (xs, cs) and the mask of those within delta."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(a, b, pairs)
+    cs = np.clip(xs + rng.uniform(-delta, delta, pairs) * (1 - 1e-12), a, b)
+    return xs, cs, np.abs(xs - cs) < delta
+
+
 def validate_lebesgue(cover: OpenCover, delta: float, pairs: int = 10**4,
                       seed: int = 0) -> int:
     """Count violations of the defining property over random pairs."""
-    rng = np.random.default_rng(seed)
-    a, b = cover.target.lo, cover.target.hi
-    xs = rng.uniform(a, b, pairs)
-    offs = rng.uniform(-delta, delta, pairs)
-    cs = np.clip(xs + offs * (1 - 1e-12), a, b)
-    los = np.array([p.lo for p in cover.pieces])
-    his = np.array([p.hi for p in cover.pieces])
-    in_x = (los[None, :] < xs[:, None]) & (xs[:, None] < his[None, :])
-    in_c = (los[None, :] < cs[:, None]) & (cs[:, None] < his[None, :])
-    shared = (in_x & in_c).any(axis=1)
-    close = np.abs(xs - cs) < delta
-    return int(np.sum(close & ~shared))
+    xs, cs, close = _random_pairs(cover.target.lo, cover.target.hi, delta, pairs, seed)
+    reach, _ = _Reach(cover.pieces)(np.minimum(xs, cs))
+    return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
 
 
 def _window_radius(f: Expr, t: float, a: float, b: float, half_eps: float,
@@ -272,14 +287,8 @@ def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256,
                 f"window cover misses {witness}; raise the grid for this function"
             )
         delta = lebesgue_number(cover, "exact")
-        bad = 0
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(a, b, 10**4)
-        cs = np.clip(xs + rng.uniform(-delta, delta, 10**4) * (1 - 1e-12), a, b)
-        fx = evaluate(f, xs)
-        fc = evaluate(f, cs)
-        bad = int(np.sum((np.abs(xs - cs) < delta) & (np.abs(fx - fc) >= eps)))
-        if bad == 0:
+        xs, cs, close = _random_pairs(a, b, delta, 10**4, seed)
+        if not np.any(close & (np.abs(evaluate(f, xs) - evaluate(f, cs)) >= eps)):
             return delta
         radii = [r * 0.7 for r in radii]
     raise MathError("modulus validation kept failing; windows under-sampled")

@@ -467,7 +467,8 @@ def to_text(e: Expr, var_name: str = "x") -> str:
     if isinstance(e, Var):
         return var_name
     if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, _PREC_NEG + 1)}"
+        # the grammar binds unary minus tighter than ^, so -x^2 reads (-x)^2
+        return f"-{_wrap(e.arg, _PREC_ATOM)}"
     if isinstance(e, Add):
         return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
     if isinstance(e, Sub):

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or via
-scripts/run_acceptance.py) to see the per-criterion report.
+Run with `pytest tests/test_acceptance.py -v -s` to see the
+per-criterion report.
 """
 
 import math

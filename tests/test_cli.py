@@ -192,3 +192,17 @@ def test_negative_order_and_infinite_input_exit_cleanly(capsys):
     assert code == 1 and out == "" and err.startswith("error: ")
     code, out, _ = run(capsys, "eval", "--f", "sin(x)", "--x", "1e400")
     assert code == 0 and out.strip() == "nan"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--f", "exp(1000)", "--x", "0"],
+                                  ["eval", "--f", "sin(x)", "--x", "1e400"]])
+def test_json_output_is_strict_for_non_finite_results(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and payload["result"] is None and "error" in payload["diagnostics"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() in ("inf", "nan")

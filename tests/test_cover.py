@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.cover import (
@@ -186,3 +190,130 @@ def test_cover_json_round_trip():
     data = cov.to_json()
     back = OpenCover.from_json(data)
     assert back.target == cov.target and back.pieces == cov.pieces
+
+
+# Brute-force reference: the direct definitions, rescanning every piece
+# for every query point.
+
+
+def _containing(cov, x):
+    """(largest right endpoint, lowest index attaining it) over pieces
+    containing x, or (-inf, -1)."""
+    best = (-math.inf, -1)
+    for i, p in enumerate(cov.pieces):
+        if p.lo < x < p.hi and p.hi > best[0]:
+            best = (p.hi, i)
+    return best
+
+
+def _oracle_verify(cov):
+    # the least uncovered target point, if any, is the left end or a right endpoint
+    a, b = cov.target.lo, cov.target.hi
+    for x in sorted({a} | {p.hi for p in cov.pieces if a <= p.hi <= b}):
+        if _containing(cov, x)[1] < 0:
+            return False, x
+    return True, None
+
+
+def _oracle_subcover(cov):
+    chosen, r = [], cov.target.lo
+    while True:
+        hi, i = _containing(cov, r)
+        chosen.append(i)
+        if hi > cov.target.hi:
+            return chosen
+        r = hi
+
+
+def _oracle_breaks(cov):
+    a, b = cov.target.lo, cov.target.hi
+    return sorted({a, b} | {v for p in cov.pieces for v in (p.lo, p.hi) if a <= v <= b})
+
+
+def _oracle_lebesgue(cov):
+    # inf of y - x over target pairs x < y sharing no piece: y is x's reach,
+    # taken at each breakpoint and at the right end of each open cell
+    breaks = _oracle_breaks(cov)
+    ends = [(_containing(cov, x)[0], x) for x in breaks]
+    ends += [(max(c.hi for c in cov.pieces if c.lo <= p and c.hi >= q), q)
+             for p, q in zip(breaks, breaks[1:])]
+    gaps = [reach - x for reach, x in ends if reach <= cov.target.hi]
+    return min(gaps) if gaps else cov.target.length
+
+
+def _shared(cov, x, y):
+    return any(p.lo < x < p.hi and p.lo < y < p.hi for p in cov.pieces)
+
+
+def _oracle_binding_pair(cov, delta):
+    b = cov.target.hi
+    breaks = _oracle_breaks(cov)
+    xs = breaks + [q - min(delta * 1e-3, (q - p) / 2) for p, q in zip(breaks, breaks[1:])]
+    for x in xs:
+        reach, i = _containing(cov, x)
+        if i < 0:
+            continue
+        for y in (min(reach, b), x + delta * (1 - 1e-12)):
+            if x <= y <= b and y - x < delta and not _shared(cov, x, y):
+                return (x, y)
+    return None
+
+
+def _oracle_half_radius(cov, sample):
+    a, b = cov.target.lo, cov.target.hi
+    n = sample
+    while True:
+        ts = np.linspace(a, b, n)
+        radii = [max(min(t - p.lo, p.hi - t) if p.lo < t < p.hi else 0.0 for p in cov.pieces)
+                 for t in ts]
+        if (b - a) / (n - 1) < min(radii):
+            return min(radii) / 2
+        n *= 2
+
+
+def _oracle_validate(cov, delta, pairs, seed):
+    rng = np.random.default_rng(seed)
+    a, b = cov.target.lo, cov.target.hi
+    xs = rng.uniform(a, b, pairs)
+    cs = np.clip(xs + rng.uniform(-delta, delta, pairs) * (1 - 1e-12), a, b)
+    return sum(1 for x, c in zip(xs, cs) if abs(x - c) < delta and not _shared(cov, x, c))
+
+
+@st.composite
+def _grid_covers(draw):
+    """Covers with endpoints on a 0.1 grid: ties, shared endpoints, empty
+    and degenerate pieces and targets, non-covers, and (half the time) a
+    shuffled chain that covers the target."""
+    a = draw(st.integers(-5, 5))
+    b = a + draw(st.integers(0, 10))
+    pieces = draw(st.lists(st.tuples(st.integers(-8, 18), st.integers(0, 8)), max_size=8))
+    pieces = [(lo, lo + w) for lo, w in pieces]
+    if draw(st.booleans()):
+        lo = a - draw(st.integers(1, 3))
+        while True:
+            w = draw(st.integers(2, 6))
+            pieces.append((lo, lo + w))
+            if lo + w > b:
+                break
+            lo += w - draw(st.integers(1, w - 1))
+    pieces = draw(st.permutations(pieces))
+    return cover_of([a / 10, b / 10], [(lo / 10, hi / 10) for lo, hi in pieces])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_covers())
+def test_cover_queries_match_brute_force_oracle(cov):
+    assert verify_cover(cov) == _oracle_verify(cov)
+    assert binding_pair(cov, 0.25) == _oracle_binding_pair(cov, 0.25)
+    assert validate_lebesgue(cov, 0.25, 300, 1) == _oracle_validate(cov, 0.25, 300, 1)
+    if not cov.verified:
+        return
+    assert finite_subcover(cov) == _oracle_subcover(cov)
+    if cov.target.lo == cov.target.hi:
+        return
+    delta = lebesgue_number(cov, "exact")
+    assert delta == _oracle_lebesgue(cov)
+    for factor in (1.0, 1.01, 1.5):
+        assert binding_pair(cov, factor * delta) == _oracle_binding_pair(cov, factor * delta)
+    assert validate_lebesgue(cov, delta, 300, 2) == _oracle_validate(cov, delta, 300, 2) == 0
+    assert lebesgue_number(cov, "paper", sample=8) == _oracle_half_radius(cov, 8)

@@ -256,6 +256,13 @@ def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
     _check_backends(e, x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_trees, _points)
+def test_printed_text_parses_back_to_the_same_values(e, x):
+    # Neg over Pow must print as -(x^2): the grammar reads -x^2 as (-x)^2
+    assert _agree(_outcome(E.evaluate, E.parse(E.to_text(e)), x), _outcome(_walk, e, x))
+
+
 def test_root_inside_the_dead_base_of_a_zeroth_power():
     # u^0 compiles to the constant 1 after u's instructions, so the root
     # 1 + x gets the slot of the 1 + x inside sin(1 + x), whose register
