@@ -6,6 +6,12 @@ geometric schedule of punctured windows: delta0 * shrink^j for j up to
 `steps`, with a fixed number of samples per window.  Witness finders
 prefer exact symbolic derivatives and fall back to numeric ones with a
 100x widened tolerance.
+
+Rolle's theorem and the Taylor remainder locate their witness the same
+way, through `_grid_crossing`: evaluate the function once on an interior
+grid (one array call), take the first grid point where it equals the
+target exactly, else polish the first sign change of the residual with
+`bisect_root`, else report no crossing.
 """
 
 from __future__ import annotations
@@ -168,20 +174,40 @@ def extreme_point(f: Expr, a: float, b: float, grid: int = 256,
     return c, fc
 
 
-def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable[[float], float]:
-    def d(t: float) -> float:
+def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable:
+    def d(t):
         return (evaluate(f, t + h) - evaluate(f, t - h)) / (2 * h)
 
     return d
 
 
-def _derivative_fn(f: Expr) -> Tuple[Callable[[float], float], bool]:
-    """Exact derivative when the tree allows it, else a central difference."""
+def _derivative_fn(f: Expr) -> Tuple[Callable, bool]:
+    """Exact derivative when the tree allows it, else a central difference;
+    either one takes a float or an array."""
     try:
         df = differentiate(f, 1)
         return (lambda t: evaluate(df, t)), True
     except NonDifferentiableError:
         return _numeric_diff(f), False
+
+
+def _grid_crossing(fn: Callable, xs: np.ndarray, vals: np.ndarray, k: float,
+                   tol: float) -> Optional[float]:
+    """First point of the grid xs where fn = k, given vals = fn(xs).
+
+    An exact grid hit wins; otherwise the first sign change of vals - k
+    is polished by bisect_root to tol; with neither, None.
+    """
+    resid = vals - k
+    hit = np.flatnonzero(resid == 0.0)
+    if hit.size:
+        return float(xs[hit[0]])
+    signs = np.sign(resid)
+    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    if not flips.size:
+        return None
+    i = int(flips[0])
+    return bisect_root(fn, float(xs[i]), float(xs[i + 1]), k, tol=tol).root
 
 
 def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8,
@@ -198,20 +224,13 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8,
     dfn, symbolic = _derivative_fn(f)
     eff_tol = tol if symbolic else 100 * tol
     xs = np.linspace(a, b, scan + 2)[1:-1]
-    dvals = np.array([dfn(float(t)) for t in xs])
+    dvals = dfn(xs)
     if float(np.max(np.abs(dvals))) <= eff_tol:
         warnings.warn("derivative flat to tolerance; returning the midpoint", RuntimeWarning)
         return a + (b - a) / 2
-    zero_hits = np.nonzero(dvals == 0.0)[0]
-    if zero_hits.size:
-        return float(xs[zero_hits[0]])
-    signs = np.sign(dvals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size:
-        i = int(flips[0])
-        res = bisect_root(dfn, float(xs[i]), float(xs[i + 1]), 0.0,
-                          tol=max(1e-13, (b - a) * 1e-13))
-        return res.root
+    c = _grid_crossing(dfn, xs, dvals, 0.0, max(1e-13, (b - a) * 1e-13))
+    if c is not None:
+        return c
     candidates = []
     for g in (f, mul(const(-1.0), f)):
         c, _ = extreme_point(g, a, b, grid=scan, refinements=4)
@@ -286,20 +305,9 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
     top = derivs[n + 1]
 
-    witness = None
     xs = np.linspace(a, x, 258)[1:-1]
-    resid = evaluate(top, xs) - rho
-    hit = np.nonzero(resid == 0.0)[0]
-    if hit.size:
-        witness = float(xs[hit[0]])
-    else:
-        flips = np.nonzero(resid[:-1] * resid[1:] < 0)[0]
-        if flips.size:
-            i = int(flips[0])
-            witness = bisect_root(
-                lambda t: evaluate(top, t), float(xs[i]), float(xs[i + 1]), rho,
-                tol=max(1e-14, h * 1e-14),
-            ).root
+    witness = _grid_crossing(lambda t: evaluate(top, t), xs, evaluate(top, xs), rho,
+                             max(1e-14, h * 1e-14))
     if witness is not None:
         remainder = evaluate(top, witness) / math.factorial(n + 1) * h ** (n + 1)
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -59,10 +60,10 @@ OP_REGISTRY: Dict[str, str] = {
     "cover.lebesgue_number": "lebesgue",
     "cover.uniform_modulus": "modulus",
     "cover.step_approximation": "stepapprox",
-    "integrate.step_integral": "stepint",
-    "integrate.step_reexpress": "stepint",
-    "integrate.step_combine": "stepint",
-    "integrate.step_split": "stepint",
+    "stepfn.step_integral": "stepint",
+    "stepfn.step_reexpress": "stepint",
+    "stepfn.step_combine": "stepint",
+    "stepfn.step_split": "stepint",
     "integrate.darboux_bounds": "darboux",
     "integrate.riemann_sum": "riemann",
     "integrate.riemann_integral": "integrate",
@@ -103,12 +104,50 @@ def parse_predicate(text: str) -> Callable[[float], bool]:
     raise ParseError("predicate needs a comparison (<, <=, >, >=)", 0)
 
 
-def _json_list(text: str):
+_FLOATS = [float]
+_PAIR = (float, float)
+_COVER = {"target": _PAIR, "pieces": [_PAIR]}
+
+
+def _json_arg(text: str, shape):
+    """A JSON argument as finite floats in the given shape, else ParseError.
+
+    A shape is float (a finite number), a tuple of shapes (a list of
+    exactly that many items), a one-item list [s] (a list of any length
+    whose items have shape s) or a dict (an object with exactly its
+    keys).  Lists come back as tuples.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", e.pos)
-    return data
+
+    def fail(where, what):
+        raise ParseError(f"JSON argument {text!r}: {where} must be {what}", 0)
+
+    def check(value, shape, where):
+        if shape is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                fail(where, "a number")
+            try:
+                value = float(value)
+            except OverflowError:  # an integer literal beyond the double range
+                value = math.inf
+            if not math.isfinite(value):
+                fail(where, "finite")
+            return value
+        if isinstance(shape, dict):
+            if not isinstance(value, dict) or set(value) != set(shape):
+                fail(where, "an object with keys " + ", ".join(shape))
+            return {key: check(value[key], sub, f"{where}.{key}") for key, sub in shape.items()}
+        if not isinstance(value, list):
+            fail(where, "a list")
+        if isinstance(shape, tuple) and len(value) != len(shape):
+            fail(where, f"a list of {len(shape)} items")
+        subs = shape if isinstance(shape, tuple) else shape * len(value)
+        return tuple(check(v, sub, f"{where}[{i}]") for i, (v, sub) in enumerate(zip(value, subs)))
+
+    return check(data, shape, "value")
 
 
 def _fmt(value) -> str:
@@ -140,7 +179,7 @@ def _h_deriv(args, cfg):
     if args.order != 1:
         value = expr.evaluate(expr.differentiate(f, args.order), args.at)
         return value, {"order": args.order}, 0, [_fmt(value)]
-    rep = calculus.derivative(f, args.at, tol=max(cfg.tol, 1e-10))
+    rep = calculus.derivative(f, args.at, tol=max(getattr(args, "tol", 1e-6), 1e-10))
     diag = dataclasses.asdict(rep)
     return rep.estimate, diag, 0, [_fmt(rep.estimate)]
 
@@ -231,7 +270,7 @@ def _h_shape(args, cfg):
 
 
 def _load_cover(text: str) -> cover.OpenCover:
-    return cover.OpenCover.from_json(_json_list(text))
+    return cover.OpenCover.from_json(_json_arg(text, _COVER))
 
 
 def _h_cover_verify(args, cfg):
@@ -282,10 +321,8 @@ def _h_stepapprox(args, cfg):
 
 
 def _step_from_args(ptext: str, vtext: str) -> stepfn.StepFunction:
-    nodes = _json_list(ptext)
-    values = _json_list(vtext)
-    return stepfn.StepFunction(interval.Partition(tuple(map(float, nodes))),
-                               tuple(map(float, values)))
+    return stepfn.StepFunction(interval.Partition(_json_arg(ptext, _FLOATS)),
+                               _json_arg(vtext, _FLOATS))
 
 
 def _h_stepint(args, cfg):
@@ -295,7 +332,7 @@ def _h_stepint(args, cfg):
         result = {"left": stepfn.step_integral(left), "right": stepfn.step_integral(right)}
         return result, {}, 0, [f"left {_fmt(result['left'])} right {_fmt(result['right'])}"]
     if args.reexpress is not None:
-        omega = interval.Partition(tuple(map(float, _json_list(args.reexpress))))
+        omega = interval.Partition(_json_arg(args.reexpress, _FLOATS))
         phi = stepfn.step_reexpress(phi, omega)
     if args.combine is not None:
         psi = None
@@ -317,8 +354,8 @@ def _h_darboux(args, cfg):
 
 def _h_riemann(args, cfg):
     f = expr.parse(args.f)
-    part = interval.Partition(tuple(map(float, _json_list(args.partition))))
-    points = tuple(map(float, _json_list(args.points))) if args.points else None
+    part = interval.Partition(_json_arg(args.partition, _FLOATS))
+    points = _json_arg(args.points, _FLOATS) if args.points else None
     choice = integrate.ChoiceFunction(args.choice, seed=cfg.seed, points=points)
     value = integrate.riemann_sum(f, part, choice)
     return value, {}, 0, [_fmt(value)]
@@ -383,9 +420,8 @@ def _h_affine(args, cfg):
 
 
 def _h_pwl(args, cfg):
-    nodes = list(map(float, _json_list(args.nodes)))
-    values = list(map(float, _json_list(args.values)))
-    fn = calculus.piecewise_linear(nodes, values)
+    fn = calculus.piecewise_linear(_json_arg(args.nodes, _FLOATS),
+                                   _json_arg(args.values, _FLOATS))
     value = fn(args.x)
     return value, {}, 0, [_fmt(value)]
 
@@ -428,7 +464,7 @@ def _h_seq(args, cfg):
 
 def _h_ival(args, cfg):
     if args.op == "bisect":
-        iv = interval.Interval(*map(float, _json_list(args.interval)))
+        iv = interval.Interval(*_json_arg(args.interval, _PAIR))
         left, right = interval.bisect(iv)
         result = {"left": left.to_json(), "right": right.to_json()}
         return result, {}, 0, [f"left {left.to_json()} right {right.to_json()}"]
@@ -436,8 +472,8 @@ def _h_ival(args, cfg):
         part = interval.uniform_partition(args.a, args.b, args.n)
         return part.to_json(), {}, 0, [_fmt(part.to_json())]
     if args.op == "refine":
-        p = interval.Partition(tuple(map(float, _json_list(args.p))))
-        q = interval.Partition(tuple(map(float, _json_list(args.q))))
+        p = interval.Partition(_json_arg(args.p, _FLOATS))
+        q = interval.Partition(_json_arg(args.q, _FLOATS))
         return interval.refine(p, q).to_json(), {}, 0, [_fmt(interval.refine(p, q).to_json())]
     if args.op == "shrink":
         lo_rule = expr.parse(args.lo_expr, var_name="n")
@@ -456,7 +492,7 @@ def _h_ival(args, cfg):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt)")
+                        help="default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for all randomized checks (0; FC_SEED overrides)")
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
@@ -478,10 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--x", type=float, required=True)
 
-    p = cmd("deriv", _h_deriv, help="symbolic or numeric derivative")
+    p = cmd("deriv", _h_deriv,
+            help="symbolic or numeric derivative (--tol defaults to 1e-6 with --at)")
     p.add_argument("--f", required=True)
     p.add_argument("--order", type=int, default=1)
-    p.add_argument("--at", type=float, default=None)
+    p.add_argument("--at", type=float, default=None,
+                   help="point for a numeric first derivative, a limit to within --tol")
 
     p = cmd("limit", _h_limit, help="filter-base limit at a point")
     p.add_argument("--f", required=True)

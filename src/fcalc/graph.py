@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 
@@ -122,52 +122,28 @@ def path(g: PrincipleGraph, src: str, dst: str) -> List[ImplicationEdge]:
     return chain
 
 
+def _reachable(start: str, neighbours: Callable[[str], List[str]]) -> set:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in neighbours(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def check_equivalence(g: PrincipleGraph) -> bool:
-    """True iff every principle sits in one strongly connected component."""
-    ids = list(g.nodes)
-    if len(ids) <= 1:
+    """True iff every principle sits in one strongly connected component,
+    i.e. every node is reachable from one node, forwards and backwards."""
+    if not g.nodes:
         return True
-    order: List[str] = []
-    seen = set()
-    for start in ids:  # iterative Kosaraju, first pass
-        if start in seen:
-            continue
-        stack = [(start, iter(g.successors(start)))]
-        seen.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append((v, iter(g.successors(v))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    reverse: Dict[str, List[str]] = {nid: [] for nid in ids}
+    reverse: Dict[str, List[str]] = {nid: [] for nid in g.nodes}
     for e in g.edges:
         reverse[e.dst].append(e.src)
-    seen = set()
-    first_component = None
-    for start in reversed(order):
-        if start in seen:
-            continue
-        if first_component is not None:
-            return False  # a second component exists
-        component = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in reverse[u]:
-                if v not in seen:
-                    seen.add(v)
-                    component.add(v)
-                    stack.append(v)
-        first_component = component
-    return first_component == set(ids)
+    root = next(iter(g.nodes))
+    return all(len(_reachable(root, step)) == len(g.nodes)
+               for step in (g.successors, reverse.__getitem__))
 
 
 def export_dot(g: PrincipleGraph) -> str:

@@ -2,13 +2,12 @@
 
 Per-cell extrema are sampled at m+1 evenly spaced points (endpoints
 included), so the lower bound is the integral of a sampled minorant
-candidate and the upper bound comes from negation duality.  The
+candidate and the upper bound comes from negation duality; one
+evaluation of f per chunk of cells gives both.  The
 certified integral refines dyadically and declares convergence when the
 Darboux gap closes below tol and four choice-function Riemann sums land
 inside the (tol-cushioned) bracket; its value is the bracket midpoint.
-
-Step-function algebra is re-exported from stepfn so this module offers
-the whole integration surface.
+Step-function algebra lives in stepfn.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ import numpy as np
 from .errors import IterationCapError, PreconditionError
 from .expr import Expr, differentiate, evaluate
 from .interval import Partition
-from .stepfn import (  # noqa: F401  (re-exported step algebra)
-    StepFunction,
-    step_combine,
-    step_integral,
-    step_reexpress,
-    step_split,
-)
 
 _CHUNK_CELLS = 1 << 18
 
@@ -90,10 +82,12 @@ class IntegralCertificate:
         }
 
 
-def _cell_min_sum(f: Expr, a: float, b: float, n: int, m: int) -> float:
-    """Integral of the sampled per-cell minimum step function."""
+def _cell_min_sums(f: Expr, a: float, b: float, n: int, m: int) -> Tuple[float, float]:
+    """Integrals of the sampled per-cell minimum step functions of f and
+    of -f, from one evaluation of f (negation is exact, so min(-f) is
+    -max(f) bit for bit)."""
     width = (b - a) / n
-    total = 0.0
+    low = neg_low = 0.0
     offsets = np.arange(m + 1) / m  # in [0, 1], endpoints included
     for start in range(0, n, _CHUNK_CELLS):
         stop = min(start + _CHUNK_CELLS, n)
@@ -101,8 +95,9 @@ def _cell_min_sum(f: Expr, a: float, b: float, n: int, m: int) -> float:
         lo = a + k * (b - a) / n
         pts = lo[:, None] + offsets[None, :] * width
         vals = evaluate(f, pts.astype(float))
-        total += float(np.sum(vals.min(axis=1))) * width
-    return total
+        low += float(np.sum(vals.min(axis=1))) * width
+        neg_low += float(np.sum(-vals.max(axis=1))) * width
+    return low, neg_low
 
 
 def darboux_bounds(f: Expr, a: float, b: float, n: int, m: int = 8) -> Tuple[float, float]:
@@ -117,9 +112,8 @@ def darboux_bounds(f: Expr, a: float, b: float, n: int, m: int = 8) -> Tuple[flo
         raise PreconditionError("need a <= b")
     if a == b:
         return 0.0, 0.0
-    lower = _cell_min_sum(f, a, b, n, m)
-    upper = -_cell_min_sum(-f, a, b, n, m)
-    return lower, upper
+    lower, neg_upper = _cell_min_sums(f, a, b, n, m)
+    return lower, -neg_upper
 
 
 def riemann_sum(f: Expr, p: Partition, choice: ChoiceFunction) -> float:

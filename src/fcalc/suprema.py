@@ -2,6 +2,18 @@
 downward-closed predicates, intermediate-value root finding, and the
 affine interval map.
 
+All three constructions are one argument, carried out by one kernel,
+`_bisect`: halve a bracket [lo, hi] whose left end satisfies a predicate
+and whose right end does not, keeping that invariant.  The kernel stops
+once hi - lo < tol, or earlier when no double lies strictly between lo
+and hi (so a tol below the double spacing returns a bracket of two
+adjacent doubles), and raises IterationCapError after max_iter halvings.
+A predicate may also report an exact hit, which collapses the bracket to
+a point (a root's residual can be exactly zero).  The public functions
+only check preconditions, choose the predicate and package the result:
+the supremum keeps "is a member", the cut "is below", the root "has the
+sign of the left end".
+
 A membership oracle cannot decide "is an upper bound", so midpoints
 that test non-member are *treated* as upper bounds.  That is sound for
 downward-closed or interval-like sets; for a general set the result is
@@ -11,7 +23,7 @@ the supremum of the connected component of the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,11 +68,40 @@ class RootResult:
     residual: float
 
 
+def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float,
+            max_iter: int) -> Tuple[float, float, int, List[Tuple[float, float]]]:
+    """Halve [lo, hi] keeping inside(lo) true and inside(hi) false.
+
+    Returns the final bracket, the number of halvings and the trace of
+    brackets (the initial one first).  inside(m) returning None is an
+    exact hit: the bracket becomes [m, m] and the loop ends.
+    """
+    trace = [(lo, hi)]
+    iterations = 0
+    while hi - lo >= tol:
+        if iterations >= max_iter:
+            raise IterationCapError(f"bisection exceeded {max_iter} iterations")
+        m = lo + (hi - lo) / 2
+        if m <= lo or m >= hi:
+            break  # no double lies strictly between lo and hi
+        side = inside(m)
+        iterations += 1
+        if side is None:
+            lo = hi = m
+        elif side:
+            lo = m
+        else:
+            hi = m
+        trace.append((lo, hi))
+    return lo, hi, iterations, trace
+
+
 def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = 200) -> SupremumResult:
     """Supremum by midpoint-membership bisection.
 
     Keeps [a_k, b_k] with a_k a member and b_k treated as an upper
-    bound, halving until b_k - a_k < tol; returns a_k.  If the declared
+    bound, halving until b_k - a_k < tol or the two are adjacent
+    doubles; returns a_k.  If the declared
     bound is itself a member it is the supremum and is returned at once.
     """
     if tol <= 0:
@@ -71,19 +112,9 @@ def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = 200) -> Supr
         raise PreconditionError("seed is not a member of the set")
     if pset.member(pset.bound):
         return SupremumResult(pset.bound, 0, [(pset.bound, pset.bound)])
-    a, b = pset.seed, pset.bound
-    trace = [(a, b)]
-    iterations = 0
-    while b - a >= tol:
-        if iterations >= max_iter:
-            raise IterationCapError(f"supremum bisection exceeded {max_iter} iterations")
-        m = a + (b - a) / 2
-        if pset.member(m):
-            a = m
-        else:
-            b = m
-        trace.append((a, b))
-        iterations += 1
+    # bool(): an oracle's None means "not a member", never an exact hit
+    a, _, iterations, trace = _bisect(lambda m: bool(pset.member(m)), pset.seed, pset.bound,
+                                      tol, max_iter)
     return SupremumResult(a, iterations, trace)
 
 
@@ -140,17 +171,8 @@ def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = 200) -> fl
         raise NonCutError(
             f"predicate holds at {grid[last_true]} but fails below it at {grid[first_false]}"
         )
-    a, b = float(grid[last_true]), float(grid[first_false])
-    iterations = 0
-    while b - a >= tol:
-        if iterations >= max_iter:
-            raise IterationCapError(f"cut bisection exceeded {max_iter} iterations")
-        m = a + (b - a) / 2
-        if cut.below(m):
-            a = m
-        else:
-            b = m
-        iterations += 1
+    a, b, _, _ = _bisect(lambda m: bool(cut.below(m)), float(grid[last_true]),
+                         float(grid[first_false]), tol, max_iter)
     return a + (b - a) / 2
 
 
@@ -164,8 +186,9 @@ def bisect_root(
 ) -> RootResult:
     """Sign-change bisection for fn(x) = k on [a, b].
 
-    Exact hits terminate immediately.  Raises BracketError when both
-    endpoint residuals share a sign.
+    Halves until the bracket is narrower than tol or made of adjacent
+    doubles and returns its midpoint; exact hits terminate immediately.
+    Raises BracketError when both endpoint residuals share a sign.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -177,24 +200,15 @@ def bisect_root(
         return RootResult(b, 0, (b, b), 0.0)
     if (fa > 0) == (fb > 0):
         raise BracketError(f"no sign change on [{a}, {b}]: f-k = {fa} and {fb}")
-    lo, hi, flo = a, b, fa
-    iterations = 0
-    while hi - lo > tol:
-        if iterations >= max_iter:
-            raise IterationCapError(f"root bisection exceeded {max_iter} iterations")
-        m = lo + (hi - lo) / 2
-        if m <= lo or m >= hi:
-            break  # interval no longer splittable in doubles
+    positive_left = fa > 0
+
+    def same_side_as_a(m: float) -> Optional[bool]:
         fm = fn(m) - k
-        if fm == 0.0:
-            return RootResult(m, iterations + 1, (m, m), 0.0)
-        if (fm > 0) == (flo > 0):
-            lo, flo = m, fm
-        else:
-            hi = m
-        iterations += 1
+        return None if fm == 0.0 else (fm > 0) == positive_left
+
+    lo, hi, iterations, _ = _bisect(same_side_as_a, a, b, tol, max_iter)
     root = lo + (hi - lo) / 2
-    return RootResult(root, iterations, (lo, hi), fn(root) - k)
+    return RootResult(root, iterations, (lo, hi), 0.0 if lo == hi else fn(root) - k)
 
 
 def ivt_root_result(f: Expr, a: float, b: float, k: float, tol: float, max_iter: int = 200) -> RootResult:

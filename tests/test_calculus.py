@@ -19,9 +19,11 @@ from fcalc.calculus import (
 )
 from fcalc.errors import (
     DivergenceError,
+    NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
 )
+from fcalc.suprema import bisect_root
 from helpers import random_smooth_expr
 
 
@@ -120,6 +122,40 @@ def test_rolle_examples():
         rolle_witness(E.parse("x"), 0.0, 1.0, 1e-8)
 
 
+def _rolle_by_scalar_scan(f, a, b, scan=512, h=1e-6):
+    """Reference: Rolle's grid scan with one scalar derivative call per point."""
+    try:
+        df = E.differentiate(f, 1)
+        dfn = lambda t: E.evaluate(df, t)
+    except NonDifferentiableError:
+        dfn = lambda t: (E.evaluate(f, t + h) - E.evaluate(f, t - h)) / (2 * h)
+    xs = np.linspace(a, b, scan + 2)[1:-1]
+    dvals = [dfn(float(t)) for t in xs]
+    for i, (u, v) in enumerate(zip(dvals, dvals[1:])):
+        if u == 0.0:
+            return float(xs[i])
+        if u * v < 0:
+            return bisect_root(dfn, float(xs[i]), float(xs[i + 1]), 0.0,
+                               tol=max(1e-13, (b - a) * 1e-13)).root
+    return None
+
+
+def test_rolle_array_scan_matches_scalar_scan():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for k in range(60):
+        a = round(float(rng.uniform(-2, 1)), 3)
+        b = round(a + float(rng.uniform(0.2, 3)), 3)
+        p, q = (round(float(v), 3) for v in rng.uniform(0.3, 3, 2))
+        h = [f"sin({p}*x + {q})", f"exp({p}*x) - {q}*x^2", f"abs(x - {q}) + {p}*x^2"][k % 3]
+        f = E.parse(f"(x - {a})*(x - {b})*({h})")
+        want = _rolle_by_scalar_scan(f, a, b)
+        if want is not None:
+            assert rolle_witness(f, a, b) == want
+            checked += 1
+    assert checked >= 40
+
+
 def test_mvt_examples():
     assert abs(mvt_witness(E.parse("x^2"), 0.0, 2.0, 1e-8) - 1.0) <= 1e-8
     c = mvt_witness(E.parse("x^3"), -1.0, 1.0, 1e-8)
@@ -179,6 +215,12 @@ def test_taylor_cubic_witness():
     assert abs(rep.rho - 2.0) <= 1e-12
     assert rep.witness is not None
     assert abs(rep.witness - 1.0 / 3.0) <= 1e-9
+
+
+def test_taylor_witness_takes_an_exact_grid_hit():
+    # f'' = 2 = rho everywhere: the first interior scan point is a witness
+    rep = taylor(E.parse("x^2"), 0.0, 1, 1.0)
+    assert rep.rho == 2.0 and rep.witness == float(np.linspace(0.0, 1.0, 258)[1])
 
 
 def test_taylor_identity_on_random_cases():

@@ -114,7 +114,7 @@ def test_registry_every_op_has_exactly_one_subcommand():
     # one subcommand per operation, and no library module left out
     modules = {op.split(".")[0] for op in OP_REGISTRY}
     assert modules == {"expr", "interval", "sequences", "suprema", "calculus",
-                       "cover", "integrate", "graph", "cli"}
+                       "cover", "integrate", "stepfn", "graph", "cli"}
 
 
 def test_cover_pipeline(capsys):
@@ -206,3 +206,31 @@ def test_json_output_is_strict_for_non_finite_results(capsys, argv):
     assert code == 1 and payload["result"] is None and "error" in payload["diagnostics"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip() in ("inf", "nan")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover-verify", "--cover", '{"target": [0, 1]}'],
+    ["cover-verify", "--cover", "[1]"],
+    ["cover-verify", "--cover", '{"target": [0, 1], "pieces": [[NaN, 2]]}'],
+    ["cover-verify", "--cover", '{"target": [0, 1], "pieces": [[0]]}'],
+    ["lebesgue", "--cover", '{"target": [0, 1e400], "pieces": [[-1, 2]]}'],
+    ["stepint", "--partition", '["a"]', "--values", "[1]"],
+    ["stepint", "--partition", "[0, 1]", "--values", "[true]"],
+    ["riemann", "--f", "x", "--partition", "{}"],
+    ["pwl", "--nodes", "[0, Infinity]", "--values", "[0, 1]", "--x", "0.5"],
+    ["ival", "--op", "bisect", "--interval", "[0, 1, 2]"],
+])
+def test_malformed_json_arguments_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("parse error: ")
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 2 and payload["result"] is None and "error" in payload["diagnostics"]
+
+
+def test_deriv_at_a_point_defaults_to_the_derivative_tolerance(capsys):
+    import math
+
+    code, out, _ = run(capsys, "deriv", "--f", "sin(x)", "--at", "0.5")
+    assert code == 0 and abs(float(out) - math.cos(0.5)) <= 1e-6

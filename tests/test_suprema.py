@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcalc.errors import BracketError, NonCutError, PreconditionError
 from fcalc.expr import evaluate, parse, to_text
@@ -9,6 +11,7 @@ from fcalc.suprema import (
     Cut,
     PredicateSet,
     affine_map,
+    bisect_root,
     bisect_supremum,
     cut_point,
     ivt_root,
@@ -113,6 +116,46 @@ def test_ivt_root_iteration_count_matches_halving():
 def test_ivt_root_exact_hit_terminates():
     res = ivt_root_result(parse("x"), -1.0, 1.0, 0.0, 1e-12)
     assert res.root == 0.0 and res.residual == 0.0
+
+
+def _boundary(c):
+    """Least double t >= 0 with t*t >= c in floating point: the point all
+    three bisections of x*x < c close in on."""
+    t = math.sqrt(c)
+    while t * t >= c:
+        t = math.nextafter(t, 0.0)
+    while t * t < c:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _tight(lo, hi, tol):
+    return hi - lo < tol or math.nextafter(lo, math.inf) >= hi
+
+
+_TOLS = st.one_of(
+    st.integers(16, 300).map(lambda e: 10.0 ** -e),   # below the double spacing
+    st.integers(1, 1074).map(lambda k: 2.0 ** -k),    # dyadic, landing on exact widths
+    st.floats(1e-15, 0.5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.25, 4.0), _TOLS)
+def test_sup_cut_and_root_share_one_stopping_rule(c, tol):
+    below = lambda x: x * x < c
+    sup = bisect_supremum(PredicateSet(below, 0.0, c + 1.0), tol)
+    cut = cut_point(Cut(below, 0.0, c + 1.0), tol)
+    root = bisect_root(lambda x: x * x - c, 0.0, c + 1.0, 0.0, tol)
+    assert _tight(*sup.trace[-1], tol) and _tight(*root.bracket, tol)
+    # every bracket is narrower than tol or one double spacing near the boundary
+    width = max(tol, math.ulp(2.0 * math.sqrt(c)))
+    t = _boundary(c)
+    for value in (sup.value, cut, root.root):
+        assert abs(value - t) <= width
+    assert sup.value < t <= sup.trace[-1][1]
+    for x, y in ((sup.value, cut), (sup.value, root.root), (cut, root.root)):
+        assert abs(x - y) <= 2 * width
 
 
 def test_affine_map_examples():
