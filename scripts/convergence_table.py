@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print the dyadic refinement trail of the certified integral for a few
-integrands: cells, Darboux bracket, and where the four choice-function
-sums fall inside it.
+"""Print the refinement trail of the certified integral for a few
+integrands: per round, the cells of the adaptive partition and the
+bracket on the integral, which nests and closes below --tol.
 
 Usage: python3 scripts/convergence_table.py [--tol 1e-6]
 """

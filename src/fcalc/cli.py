@@ -5,8 +5,8 @@ Every library operation is reachable through exactly one subcommand
 (bad bracket, divergence, a check that came back false), 2 bad usage or
 unparseable input.  With --output json a single strict-JSON object with
 "result" and "diagnostics" is emitted (a non-finite value there is an
-exit-1 error object); identical argv and seed give byte-identical
-output.
+exit-1 error object, and a usage error an exit-2 one); identical argv
+and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from . import calculus, cover, expr, graph, integrate, interval, sequences, stepfn, suprema
 from .errors import MathError, ParseError
@@ -86,7 +86,10 @@ class Config:
     tol: float = 1e-9
     seed: int = 0
     output: str = "text"
-    max_iter: int = 10**6
+    max_iter: Optional[int] = None  # None: each operation's own cap
+
+    def cap(self, default: int) -> int:
+        return default if self.max_iter is None else self.max_iter
 
 
 _COMPARATORS = (("<=", lambda u, v: u <= v), (">=", lambda u, v: u >= v),
@@ -194,7 +197,7 @@ def _h_limit(args, cfg):
 
 def _h_sup(args, cfg):
     pset = suprema.PredicateSet(parse_predicate(args.member), args.seed_point, args.bound)
-    res = suprema.bisect_supremum(pset, cfg.tol)
+    res = suprema.bisect_supremum(pset, cfg.tol, cfg.cap(suprema.MAX_HALVINGS))
     diag = {"iterations": res.iterations}
     lines = [_fmt(res.value)]
     if args.witnesses:
@@ -206,13 +209,14 @@ def _h_sup(args, cfg):
 
 def _h_cut(args, cfg):
     c = suprema.Cut(parse_predicate(args.below), args.in_point, args.out_point)
-    value = suprema.cut_point(c, cfg.tol)
+    value = suprema.cut_point(c, cfg.tol, max_iter=cfg.cap(suprema.MAX_HALVINGS))
     return value, {}, 0, [_fmt(value)]
 
 
 def _h_root(args, cfg):
     f = expr.parse(args.f)
-    res = suprema.ivt_root_result(f, args.a, args.b, args.k, cfg.tol)
+    res = suprema.ivt_root_result(f, args.a, args.b, args.k, cfg.tol,
+                                  cfg.cap(suprema.MAX_HALVINGS))
     diag = {"iterations": res.iterations, "bracket": list(res.bracket),
             "residual": res.residual}
     return res.root, diag, 0, [_fmt(res.root)]
@@ -348,7 +352,7 @@ def _h_stepint(args, cfg):
 
 def _h_darboux(args, cfg):
     f = expr.parse(args.f)
-    lower, upper = integrate.darboux_bounds(f, args.a, args.b, args.n, args.m)
+    lower, upper = integrate.darboux_bounds(f, args.a, args.b, args.n)
     return {"lower": lower, "upper": upper}, {}, 0, [f"lower {_fmt(lower)} upper {_fmt(upper)}"]
 
 
@@ -371,7 +375,7 @@ def _h_integrate(args, cfg):
     if args.bounds is not None:
         ok = integrate.bounds_check(f, args.a, args.b, args.bounds[0], args.bounds[1], tol)
         return ok, {}, 0 if ok else 1, [f"bounds: {str(ok).lower()}"]
-    cert = integrate.riemann_integral(f, args.a, args.b, tol, seed=cfg.seed)
+    cert = integrate.riemann_integral(f, args.a, args.b, tol)
     diag = cert.to_json() if args.certificate else {"converged": cert.converged,
                                                     "levels": len(cert.levels)}
     return cert.value, diag, 0, [_fmt(cert.value)]
@@ -450,7 +454,7 @@ def _h_seq(args, cfg):
     if args.op == "limit":
         if args.upper is None:
             raise ParseError("seq --op limit needs --upper", 0)
-        value = sequences.monotone_limit(s, args.upper, max(cfg.tol, 1e-12), cfg.max_iter)
+        value = sequences.monotone_limit(s, args.upper, max(cfg.tol, 1e-12), cfg.cap(10**6))
         return value, {}, 0, [_fmt(value)]
     if args.op == "diverge":
         sel = sequences.divergence_witness(s, args.eps, args.count, args.budget)
@@ -482,24 +486,47 @@ def _h_ival(args, cfg):
             lambda k: interval.Interval(expr.evaluate(lo_rule, float(k)),
                                         expr.evaluate(hi_rule, float(k)))
         )
-        value = interval.shrink_to_point(seq, max(cfg.tol, 1e-15), cfg.max_iter)
+        value = interval.shrink_to_point(seq, max(cfg.tol, 1e-15), cfg.cap(10**6))
         return value, {}, 0, [_fmt(value)]
     raise ParseError(f"unknown interval op {args.op!r}", 0)
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors keep their message on the SystemExit."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as e:
+            e.usage_error = message
+            raise
+
+
+def _asks_for_json(argv) -> bool:
+    """Does argv select --output json?  Read by hand after argparse failed."""
+    mode = None
+    for flag, value in zip(argv, [*argv[1:], None]):
+        if flag == "--output":
+            mode = value
+        elif flag.startswith("--output="):
+            mode = flag.partition("=")[2]
+    return mode == "json"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                         help="default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for all randomized checks (0; FC_SEED overrides)")
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--max-iter", type=int, default=argparse.SUPPRESS, dest="max_iter")
+    common.add_argument("--max-iter", type=int, default=argparse.SUPPRESS, dest="max_iter",
+                        help="iteration cap of sup, cut, root (2099 halvings), seq --op "
+                             "limit and ival --op shrink (10^6)")
 
-    top = argparse.ArgumentParser(prog="fc", parents=[common],
-                                  description="constructive real-analysis toolkit")
+    top = _Parser(prog="fc", parents=[common], description="constructive real-analysis toolkit")
     subs = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, **kwargs):
@@ -618,12 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other-values", default=None, dest="other_values")
     p.add_argument("--factor", type=float, default=None)
 
-    p = cmd("darboux", _h_darboux, help="sampled Darboux bounds")
+    p = cmd("darboux", _h_darboux, help="Darboux bounds from interval enclosures")
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=8)
 
     p = cmd("riemann", _h_riemann, help="Riemann sum for a choice function")
     p.add_argument("--f", required=True)
@@ -714,8 +740,17 @@ def _json(payload) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if not 0 < getattr(args, "tol", 1e-9) < math.inf:
+            parser.error("--tol must be positive and finite")
+    except SystemExit as e:
+        # argparse has printed usage to stderr; JSON output still gets its object
+        if hasattr(e, "usage_error") and _asks_for_json(argv):
+            print(_json({"result": None, "diagnostics": {"error": e.usage_error}}))
+        raise
     seed = getattr(args, "seed", 0)
     if "FC_SEED" in os.environ:
         seed = int(os.environ["FC_SEED"])
@@ -723,10 +758,8 @@ def main(argv=None) -> int:
         tol=getattr(args, "tol", 1e-9),
         seed=seed,
         output=getattr(args, "output", "text"),
-        max_iter=getattr(args, "max_iter", 10**6),
+        max_iter=getattr(args, "max_iter", None),
     )
-    if cfg.tol <= 0:
-        parser.error("--tol must be positive")
     try:
         result, diagnostics, code, lines = args.handler(args, cfg)
         if cfg.output == "json":

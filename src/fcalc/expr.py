@@ -4,26 +4,30 @@ Grammar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' integer)?
-    base   := number | 'x' | ident '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' integer)?
+    base   := number | 'x' | ident '(' expr ')' | '(' expr ')'
 
-with ident one of sin, cos, exp, ln, sqrt, abs.  Exponents are integer
-literals only, so symbolic differentiation stays closed form.  Trees are
-frozen dataclasses: structurally equal trees evaluate identically, and
-sharing between threads is safe.
+with ident one of sin, cos, exp, ln, sqrt, abs.  Unary minus binds looser
+than ``^``, as usual: -x^2 is -(x^2), and (-x)^2 reads as written.
+Exponents are integer literals only, so symbolic differentiation stays
+closed form.  Trees are frozen dataclasses: structurally equal trees
+evaluate identically, and sharing between threads is safe.
 
 Evaluation compiles a tree once per backend (``math`` floats, numpy
-arrays) into a straight-line program cached on the root node outside the
-dataclass fields, so equality, hashing, printing and pickling never see
-it.  Compiling numbers values: each structurally distinct subtree gets
-one slot, keyed by its op and its operands' slots (constants by value and
+arrays, and pairs of numpy arrays for interval enclosures) into a
+straight-line program cached on the root node outside the dataclass
+fields, so equality, hashing, printing and pickling never see it.
+Compiling numbers values: each structurally distinct subtree gets one
+slot, keyed by its op and its operands' slots (constants by value and
 sign, so 0.0 and -0.0 differ), in a walk memoised by object id.  Integer
-powers become repeated squaring, and registers are reused after a value's
-last reader, so few array temporaries are alive at once.  Each backend is
-an op table sharing one set of domain checks; a scalar point where
-``math`` raises instead of giving NaN or inf is re-run on numpy, so both
-follow IEEE 754.  ``differentiate`` memoises by object id, so shared
-subtrees stay shared.
+powers become repeated squaring (u^0 an op that reads u and gives 1, so
+u's domain still counts), and registers are reused after a value's last
+reader, so few array temporaries are alive at once.  Each backend is an
+op table.  The two point backends share one set of domain checks, and a
+scalar point where ``math`` raises instead of giving NaN or inf is re-run
+on numpy, so both follow IEEE 754; the interval backend (``enclose``)
+marks a cell where an op leaves its domain instead of raising.
+``differentiate`` memoises by object id, so shared subtrees stay shared.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -140,7 +144,6 @@ class Func(Expr):
 
 
 X = Var()
-_ONE = Const(1.0)
 
 
 def _coerce(v) -> Expr:
@@ -277,7 +280,7 @@ def _compile(root: Expr, ops: dict):
             b, n = visit(e.base), e.exponent
             if n < 0:
                 b, n = emit("recip", b), -n
-            v = visit(_ONE) if n == 0 else None
+            v = emit("one", b) if n == 0 else None  # 1, read from the base
             while n:
                 if n & 1:
                     v = b if v is None else emit("mul", v, b)
@@ -292,8 +295,7 @@ def _compile(root: Expr, ops: dict):
     root_value = visit(root)
     # A temporary's register is reused once its last reader has run, so no
     # more array intermediates are alive than the tree's shape needs.  The
-    # root lives to the end: it need not be the last instruction, as the
-    # dead base of x^0 may precede it and contain it.
+    # root's register is never handed on, whichever instruction computes it.
     last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
     last[root_value] = len(code) + 1
     regs, reg, free, program = [None, *consts], {}, [], []
@@ -311,40 +313,154 @@ def _compile(root: Expr, ops: dict):
 class _Backend:
     """An op table over one number type, and the loop that runs programs.
 
-    hit reduces a domain test's result to a bool.  A tree is compiled once
-    per backend, and the program cached on the node outside its fields
-    (two threads may both store one; the copies are equal).
+    lift turns a constant into the backend's number type.  A tree is
+    compiled once per backend, and the program cached on the node outside
+    its fields (two threads may both store one; the copies are equal).
     """
 
-    def __init__(self, name, functions, hit):
-        def guard(fn, bad, message):
-            def op(*args):
-                if hit(bad(args[-1])):
-                    raise DomainError(message)
-                return fn(*args)
-            return op
+    def __init__(self, name, ops, lift=float):
+        self.attr, self.ops, self.lift = "_code_" + name, ops, lift
 
-        self.attr = "_code_" + name
-        self.ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
-                    "mul": operator.mul, "div": operator.truediv,
-                    "recip": lambda v: 1.0 / v, **functions}
-        for op, (bad, message) in _DOMAIN.items():
-            self.ops[op] = guard(self.ops[op], bad, message)
+    def _program(self, e: Expr):
+        code, regs, out = _compile(e, self.ops)
+        return code, [r if r is None else self.lift(r) for r in regs], out
 
     def run(self, e: Expr, x):
         code, regs, out = e.__dict__.get(self.attr) or e.__dict__.setdefault(
-            self.attr, _compile(e, self.ops))
+            self.attr, self._program(e))
         r = [x, *regs]
         for fn, i, j, k in code:
             r[k] = fn(r[i]) if j < 0 else fn(r[i], r[j])
         return r[out]
 
 
-_SCALAR = _Backend("scalar", {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                              "ln": math.log, "sqrt": math.sqrt, "abs": abs}, bool)
+def _point_ops(functions, hit):
+    """Op table over floats or arrays; hit reduces a domain test to a bool."""
+    def guard(fn, bad, message):
+        def op(*args):
+            if hit(bad(args[-1])):
+                raise DomainError(message)
+            return fn(*args)
+        return op
+
+    ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": operator.truediv, "recip": lambda v: 1.0 / v,
+           "one": lambda v: 1.0,
+           **functions}
+    for op, (bad, message) in _DOMAIN.items():
+        ops[op] = guard(ops[op], bad, message)
+    return ops
+
+
+_SCALAR = _Backend("scalar", _point_ops({"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                                         "ln": math.log, "sqrt": math.sqrt, "abs": abs}, bool))
 # Constants stay Python floats, which numpy broadcasts.
-_ARRAY = _Backend("array", {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
-                            "sqrt": np.sqrt, "abs": np.abs}, np.any)
+_ARRAY = _Backend("array", _point_ops({"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                                       "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}, np.any))
+
+
+# Interval backend.  A value is a pair (lo, hi) of arrays (of numpy scalars,
+# for constants) enclosing a function over cells.  Every result is rounded
+# outward by one ulp with np.nextafter, which is rigorous for the correctly
+# rounded + - * / sqrt and for exp, ln, sin, cos as long as numpy's are
+# faithfully rounded (error below one ulp).  Inputs are not widened, and
+# neg and abs are exact.  NaN marks "undefined somewhere on the cell": an
+# op that leaves its domain on part of a cell yields NaN, and every op maps
+# a NaN bound to a NaN bound, so the mark survives to the end, where
+# enclose() turns the cell into (-inf, inf).
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+def _hull(p, q, r, s):
+    return (_down(np.minimum(np.minimum(p, q), np.minimum(r, s))),
+            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
+
+
+def iadd(u, v):
+    """Enclosure of u + v for (lo, hi) pairs."""
+    return _down(u[0] + v[0]), _up(u[1] + v[1])
+
+
+def isub(u, v):
+    """Enclosure of u - v for (lo, hi) pairs."""
+    return _down(u[0] - v[1]), _up(u[1] - v[0])
+
+
+def imul(u, v):
+    """Enclosure of u * v for (lo, hi) pairs; u * u (the same object) is a
+    square, which is never negative."""
+    (a, b), (c, d) = u, v
+    if u is v:
+        # even-power rule: x*x on a cell straddling 0 starts at 0, not at -a*b
+        lo = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(a * a, b * b))
+        return np.maximum(_down(lo), 0.0), _up(np.maximum(a * a, b * b))
+    return _hull(a * c, a * d, b * c, b * d)
+
+
+def _idiv(u, v):
+    (a, b), (c, d) = u, v
+    c = np.where((c <= 0.0) & (d >= 0.0), np.nan, c)  # the divisor reaches 0
+    return _hull(a / c, a / d, b / c, b / d)
+
+
+def _iabs(u):
+    a, b = u
+    return np.where(a > 0.0, a, np.where(b < 0.0, -b, 0.0)), np.maximum(-a, b)
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _may_contain(a, b, phase):
+    """Might [a, b] contain phase + 2*pi*k for an integer k?
+
+    math.pi is not pi and the quotients round, so the test widens both
+    ends by far more than the error (a few ulps of the quotient): it may
+    answer yes wrongly, never no.  NaN ends answer no.
+    """
+    qa, qb = (a - phase) / _TWO_PI, (b - phase) / _TWO_PI
+    return (np.floor(qb + 1e-15 * (1.0 + np.abs(qb)))
+            >= np.ceil(qa - 1e-15 * (1.0 + np.abs(qa))))
+
+
+def _periodic(fn, peak):
+    """Interval sin or cos: maxima at peak + 2 pi k, minima half a period on."""
+    def op(u):
+        a, b = u
+        fa, fb = fn(a), fn(b)
+        lo = np.where(_may_contain(a, b, peak + math.pi), -1.0,
+                      np.maximum(_down(np.minimum(fa, fb)), -1.0))
+        hi = np.where(_may_contain(a, b, peak), 1.0, np.minimum(_up(np.maximum(fa, fb)), 1.0))
+        return lo, hi
+    return op
+
+
+def _pair(c):
+    c = np.float64(c)  # numpy scalars, so constant-only ops give inf, not ZeroDivisionError
+    return (c, c)
+
+
+_INTERVAL = _Backend("interval", {
+    "neg": lambda u: (-u[1], -u[0]),
+    "add": iadd,
+    "sub": isub,
+    "mul": imul,
+    "div": _idiv,
+    "recip": lambda v: _idiv((1.0, 1.0), v),
+    "one": lambda u: (np.where(np.isnan(u[0]) | np.isnan(u[1]), np.nan, 1.0),) * 2,
+    "sin": _periodic(np.sin, math.pi / 2),
+    "cos": _periodic(np.cos, 0.0),
+    "exp": lambda u: (np.maximum(_down(np.exp(u[0])), 0.0), _up(np.exp(u[1]))),
+    "ln": lambda u: (_down(np.log(np.where(u[0] > 0.0, u[0], np.nan))), _up(np.log(u[1]))),
+    "sqrt": lambda u: (np.maximum(_down(np.sqrt(u[0])), 0.0), _up(np.sqrt(u[1]))),
+    "abs": _iabs,
+}, _pair)
 
 
 def evaluate(e: Expr, x: Number) -> Number:
@@ -372,6 +488,23 @@ def _evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = _ARRAY.run(e, x)
     return out if isinstance(out, np.ndarray) else np.full_like(x, out)
+
+
+def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Enclosures of e over the cells [lo[i], hi[i]] (arrays, lo <= hi).
+
+    Returns arrays (inf, sup) with inf <= e(x) <= sup for every x in a
+    cell: the natural interval extension of the tree, rounded outward.
+    A cell on which some op leaves its domain (a divisor reaching 0, ln
+    reaching <= 0, sqrt reaching < 0, 0 to a negative power) gets the
+    unbounded enclosure (-inf, inf) instead of raising.  Negation is
+    exact, so enclose(-e) is (-sup, -inf) bit for bit.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    with np.errstate(all="ignore"):
+        inf, sup = _INTERVAL.run(e, (lo, hi))
+    undefined = np.broadcast_to(np.isnan(inf) | np.isnan(sup), lo.shape)
+    return np.where(undefined, -np.inf, inf), np.where(undefined, np.inf, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +600,8 @@ def to_text(e: Expr, var_name: str = "x") -> str:
     if isinstance(e, Var):
         return var_name
     if isinstance(e, Neg):
-        # the grammar binds unary minus tighter than ^, so -x^2 reads (-x)^2
-        return f"-{_wrap(e.arg, _PREC_ATOM)}"
+        # unary minus binds looser than ^, so Neg(Pow(x, 2)) prints -x^2
+        return f"-{_wrap(e.arg, _PREC_NEG)}"
     if isinstance(e, Add):
         return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
     if isinstance(e, Sub):
@@ -570,6 +703,10 @@ def _parse_term(toks, var_name):
 
 
 def _parse_factor(toks, var_name):
+    kind, value, _ = toks.peek()
+    if kind == "op" and value == "-":
+        toks.next()
+        return Neg(_parse_factor(toks, var_name))
     base = _parse_base(toks, var_name)
     kind, value, _ = toks.peek()
     if kind == "op" and value == "^":
@@ -608,6 +745,4 @@ def _parse_base(toks, var_name):
         inner = _parse_expr(toks, var_name)
         toks.expect_op(")")
         return inner
-    if kind == "op" and value == "-":
-        return Neg(_parse_base(toks, var_name))
     raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)

@@ -1,27 +1,40 @@
-"""Darboux bounds, Riemann sums and a convergence-certified integral.
+"""Darboux bounds, Riemann sums and a certified integral, from interval
+enclosures.
 
-Per-cell extrema are sampled at m+1 evenly spaced points (endpoints
-included), so the lower bound is the integral of a sampled minorant
-candidate and the upper bound comes from negation duality; one
-evaluation of f per chunk of cells gives both.  The
-certified integral refines dyadically and declares convergence when the
-Darboux gap closes below tol and four choice-function Riemann sums land
-inside the (tol-cushioned) bracket; its value is the bracket midpoint.
-Step-function algebra lives in stepfn.
+Both integrals rest on expr.enclose, which bounds f over whole cells in
+outward-rounded interval arithmetic (see expr).  Darboux bounds on the
+uniform n-partition sum the per-cell infimum and supremum enclosures
+times the cell width; negation is exact, so lower(-f) = -upper(f) bit for
+bit.  The certified integral refines adaptively: each cell's integral is
+enclosed by the midpoint rule with its remainder, w f(m) + w^3/24 f''(xi),
+using the symbolic second derivative (or w F(cell) where that is
+unavailable or unbounded); cells whose enclosure is narrow enough are
+frozen and the rest bisected, until the summed bracket is at most tol
+wide.  Its value is the bracket midpoint.
+
+Rounding: per-cell enclosures are rounded outward, and the certified
+bracket sums them exactly (math.fsum) and then moves one ulp outward, so
+it encloses the integral (given faithfully rounded elementary functions;
+see expr).  The Darboux sums use ordinary rounding over cells of the
+nominal width (b - a)/n, so exact cases stay exact (x on four cells of
+[0, 1] gives 0.375 and 0.625) and each bound may be off by a few ulps of
+the sum.  Step-function algebra lives in stepfn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import IterationCapError, PreconditionError
-from .expr import Expr, differentiate, evaluate
+from .errors import IterationCapError, NonDifferentiableError, PreconditionError
+from .expr import Expr, differentiate, enclose, evaluate, iadd, imul, isub
 from .interval import Partition
 
 _CHUNK_CELLS = 1 << 18
+_ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
 @dataclass(frozen=True)
@@ -59,10 +72,12 @@ class ChoiceFunction:
 
 @dataclass
 class CertificateLevel:
+    """One refinement round: the partition's cell count and the bracket
+    [lower, upper] on the integral (intersected with earlier rounds')."""
+
     cells: int
     lower: float
     upper: float
-    sums: Dict[str, float]
 
 
 @dataclass
@@ -75,45 +90,49 @@ class IntegralCertificate:
         return {
             "value": self.value,
             "converged": self.converged,
-            "levels": [
-                {"cells": l.cells, "lower": l.lower, "upper": l.upper, "sums": l.sums}
-                for l in self.levels
-            ],
+            "levels": [{"cells": l.cells, "lower": l.lower, "upper": l.upper}
+                       for l in self.levels],
         }
 
 
-def _cell_min_sums(f: Expr, a: float, b: float, n: int, m: int) -> Tuple[float, float]:
-    """Integrals of the sampled per-cell minimum step functions of f and
-    of -f, from one evaluation of f (negation is exact, so min(-f) is
-    -max(f) bit for bit)."""
-    width = (b - a) / n
-    low = neg_low = 0.0
-    offsets = np.arange(m + 1) / m  # in [0, 1], endpoints included
-    for start in range(0, n, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, n)
-        k = np.arange(start, stop, dtype=float)
-        lo = a + k * (b - a) / n
-        pts = lo[:, None] + offsets[None, :] * width
-        vals = evaluate(f, pts.astype(float))
-        low += float(np.sum(vals.min(axis=1))) * width
-        neg_low += float(np.sum(-vals.max(axis=1))) * width
-    return low, neg_low
-
-
-def darboux_bounds(f: Expr, a: float, b: float, n: int, m: int = 8) -> Tuple[float, float]:
-    """Sampled lower and upper Darboux bounds on the uniform n-partition.
-
-    The upper bound is obtained by negation duality, so the identities
-    lower(-f) = -upper(f) and upper(-f) = -lower(f) hold exactly.
-    """
-    if n < 1 or m < 1:
-        raise PreconditionError("need n >= 1 and m >= 1")
+def _check_interval(a: float, b: float) -> None:
+    if not math.isfinite(b - a):
+        raise PreconditionError("need a finite interval [a, b]")
     if a > b:
         raise PreconditionError("need a <= b")
+
+
+def _nodes(a: float, b: float, n: int, start: int, stop: int) -> np.ndarray:
+    """Nodes start..stop of the uniform n-partition, a + k*(b-a)/n, with b last."""
+    nodes = a + np.arange(start, stop + 1, dtype=float) * (b - a) / n
+    if stop == n:
+        nodes[-1] = b
+    return nodes
+
+
+def darboux_bounds(f: Expr, a: float, b: float, n: int) -> Tuple[float, float]:
+    """Lower and upper Darboux bounds of f on the uniform n-partition.
+
+    The sums of (b-a)/n times the enclosed infimum and supremum of f over
+    each cell, so lower <= integral <= upper up to the rounding of the
+    sums (see the module docstring); -inf or inf where f is unbounded or
+    undefined on a cell.  lower(-f) = -upper(f) and upper(-f) = -lower(f)
+    hold exactly.
+    """
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    _check_interval(a, b)
     if a == b:
         return 0.0, 0.0
-    lower, neg_upper = _cell_min_sums(f, a, b, n, m)
-    return lower, -neg_upper
+    width = (b - a) / n
+    lower = upper = 0.0
+    for start in range(0, n, _CHUNK_CELLS):
+        nodes = _nodes(a, b, n, start, min(start + _CHUNK_CELLS, n))
+        inf, sup = enclose(f, nodes[:-1], nodes[1:])
+        with np.errstate(over="ignore"):  # a sum past the double range is inf
+            lower += float(np.sum(inf)) * width
+            upper += float(np.sum(sup)) * width
+    return lower, upper
 
 
 def riemann_sum(f: Expr, p: Partition, choice: ChoiceFunction) -> float:
@@ -124,50 +143,98 @@ def riemann_sum(f: Expr, p: Partition, choice: ChoiceFunction) -> float:
     return float(np.dot(evaluate(f, pts), p.widths()))
 
 
-def _uniform_sums(f: Expr, a: float, b: float, n: int, seed: int) -> Dict[str, float]:
-    """Left/right/midpoint/random Riemann sums on the uniform n-partition,
-    computed without materializing the partition."""
-    width = (b - a) / n
-    k = np.arange(n, dtype=float)
-    lo = a + k * (b - a) / n
-    hi = np.concatenate([lo[1:], [float(b)]])
-    rng = np.random.default_rng(seed)
-    pts = {
-        "left": lo,
-        "right": hi,
-        "midpoint": lo + (hi - lo) / 2,
-        "random": lo + rng.uniform(0.0, 1.0, n) * (hi - lo),
-    }
-    return {kind: float(np.sum(evaluate(f, xs)) * width) for kind, xs in pts.items()}
+def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
+                    hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Enclosures of the integral of f over each cell [lo, hi].
+
+    w f(m) + w^3/24 f''(cell) for the true width w and midpoint m, both
+    enclosed in interval arithmetic since hi - lo and lo + w/2 round;
+    w f(cell) where f'' is unavailable (f2 None) or unbounded.  Raises
+    DomainError or PreconditionError when f is undefined or infinite at a
+    midpoint, where no refinement could help.
+    """
+    with np.errstate(all="ignore"):  # overflow gives inf, as in enclose
+        w = isub((hi, hi), (lo, lo))
+        m = iadd((lo, lo), imul(w, (0.5, 0.5)))
+        fm = enclose(f, *m)
+        bad = ~(np.isfinite(fm[0]) & np.isfinite(fm[1]))
+        if bad.any():
+            xs = lo[bad] + (hi[bad] - lo[bad]) / 2
+            infinite = ~np.isfinite(evaluate(f, xs))  # DomainError where undefined
+            if infinite.any():
+                raise PreconditionError(
+                    f"integrand is not finite at x = {float(xs[infinite][0])!r}")
+        if f2 is None:
+            return imul(w, enclose(f, lo, hi))
+        low, high = iadd(imul(w, fm), imul(imul(imul(imul(w, w), w), _ONE_24TH),
+                                           enclose(f2, lo, hi)))
+        bad = ~(np.isfinite(low) & np.isfinite(high))
+        if bad.any():
+            low[bad], high[bad] = imul((w[0][bad], w[1][bad]), enclose(f, lo[bad], hi[bad]))
+    return low, high
+
+
+def _sum_bound(values, toward: float) -> float:
+    """Bound on the exact sum of values, toward -inf or inf: the correctly
+    rounded sum moved one ulp outward (no information if not finite)."""
+    try:
+        return math.nextafter(math.fsum(values), toward)
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum overflowed
+        return toward
 
 
 def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
-                     min_level: int = 4, max_level: int = 24, m: int = 8,
-                     seed: int = 0) -> IntegralCertificate:
-    """Dyadically refined certified integral.
+                     min_level: int = 4, max_level: int = 24) -> IntegralCertificate:
+    """Adaptively refined certified integral of f over [a, b].
 
-    Raises IterationCapError at the level cap; an unbounded or wildly
-    oscillatory integrand never closes its Darboux gap (an integrable
-    function is bounded).
+    Starts from the uniform 2^min_level-partition.  Each round encloses
+    the integral over every unfrozen cell (see _cell_integrals), records
+    the bracket [sum of lower ends, sum of upper ends] over all cells
+    intersected with the previous one, and stops once it is at most tol
+    wide.  Otherwise a cell whose enclosure is at most tol*w/(b-a) wide
+    is frozen and the others are bisected.  Raises IterationCapError when
+    cells of depth max_level (width (b-a)/2^max_level) are still too
+    wide: an unbounded or wildly oscillatory integrand never closes its
+    bracket.  Raises DomainError or PreconditionError at once when f is
+    undefined or not finite at a cell midpoint.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    if a > b:
-        raise PreconditionError("need a <= b")
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
+    _check_interval(a, b)
     if a == b:
         return IntegralCertificate(0.0, [], True)
+    try:
+        f2: Optional[Expr] = differentiate(f, 2)
+    except NonDifferentiableError:
+        f2 = None
+    nodes = _nodes(a, b, 1 << min_level, 0, 1 << min_level)
+    lo, hi = nodes[:-1], nodes[1:]
+    frozen, frozen_low, frozen_high = 0, 0.0, 0.0
+    lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
-    for j in range(min_level, max_level + 1):
-        n = 1 << j
-        lower, upper = darboux_bounds(f, a, b, n, m)
-        sums = _uniform_sums(f, a, b, n, seed)
-        levels.append(CertificateLevel(n, lower, upper, sums))
-        inside = all(lower - tol <= s <= upper + tol for s in sums.values())
-        if upper - lower < tol and inside:
+    for _ in range(min_level, max_level + 1):
+        # in chunks, so the temporaries stay small however many cells are open
+        parts = [_cell_integrals(f, f2, lo[i:i + _CHUNK_CELLS], hi[i:i + _CHUNK_CELLS])
+                 for i in range(0, lo.size, _CHUNK_CELLS)]
+        low, high = (np.concatenate(side) for side in zip(*parts))
+        lower = max(lower, _sum_bound(np.append(low, frozen_low), -math.inf))
+        upper = min(upper, _sum_bound(np.append(high, frozen_high), math.inf))
+        levels.append(CertificateLevel(frozen + lo.size, lower, upper))
+        if upper - lower <= tol:
             return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
+        done = high - low <= tol * (hi - lo) / (b - a)
+        if done.any():
+            frozen += int(np.count_nonzero(done))
+            frozen_low = _sum_bound(np.append(low[done], frozen_low), -math.inf)
+            frozen_high = _sum_bound(np.append(high[done], frozen_high), math.inf)
+            lo, hi = lo[~done], hi[~done]
+        if lo.size == 0:
+            break
+        mid = lo + (hi - lo) / 2
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     raise IterationCapError(
-        f"Darboux gap {levels[-1].upper - levels[-1].lower} still above {tol} at "
-        f"2^{max_level} cells; integrand may be unbounded or wildly oscillatory"
+        f"bracket width {upper - lower} still above {tol} with cells of depth "
+        f"{max_level}; integrand may be unbounded or wildly oscillatory"
     )
 
 

@@ -8,11 +8,14 @@ and whose right end does not, keeping that invariant.  The kernel stops
 once hi - lo < tol, or earlier when no double lies strictly between lo
 and hi (so a tol below the double spacing returns a bracket of two
 adjacent doubles), and raises IterationCapError after max_iter halvings.
-A predicate may also report an exact hit, which collapses the bracket to
-a point (a root's residual can be exactly zero).  The public functions
-only check preconditions, choose the predicate and package the result:
-the supremum keeps "is a member", the cut "is below", the root "has the
-sign of the left end".
+The bracket must be finite, with a width that is a double, so the
+default cap, MAX_HALVINGS, is never reached: the width is below 2^1024
+and doubles are at least 2^-1074 apart, so 1025 + 1074 halvings leave
+two adjacent doubles.  A predicate may also report an exact hit, which
+collapses the bracket to a point (a root's residual can be exactly
+zero).  The public functions only check preconditions, choose the
+predicate and package the result: the supremum keeps "is a member", the
+cut "is below", the root "has the sign of the left end".
 
 A membership oracle cannot decide "is an upper bound", so midpoints
 that test non-member are *treated* as upper bounds.  That is sound for
@@ -22,6 +25,7 @@ the supremum of the connected component of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -29,6 +33,9 @@ import numpy as np
 
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
 from .expr import Expr, Var, add, const, evaluate, mul, sub
+
+
+MAX_HALVINGS = 1025 + 1074
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,11 @@ class RootResult:
     residual: float
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    if not math.isfinite(hi - lo):
+        raise PreconditionError(f"bisection needs a finite bracket, got [{lo}, {hi}]")
+
+
 def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float,
             max_iter: int) -> Tuple[float, float, int, List[Tuple[float, float]]]:
     """Halve [lo, hi] keeping inside(lo) true and inside(hi) false.
@@ -76,6 +88,7 @@ def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol
     brackets (the initial one first).  inside(m) returning None is an
     exact hit: the bracket becomes [m, m] and the loop ends.
     """
+    _check_bracket(lo, hi)
     trace = [(lo, hi)]
     iterations = 0
     while hi - lo >= tol:
@@ -96,7 +109,7 @@ def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol
     return lo, hi, iterations, trace
 
 
-def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = 200) -> SupremumResult:
+def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS) -> SupremumResult:
     """Supremum by midpoint-membership bisection.
 
     Keeps [a_k, b_k] with a_k a member and b_k treated as an upper
@@ -118,7 +131,7 @@ def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = 200) -> Supr
     return SupremumResult(a, iterations, trace)
 
 
-def supremum(pset: PredicateSet, tol: float, max_iter: int = 200) -> float:
+def supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS) -> float:
     return bisect_supremum(pset, tol, max_iter).value
 
 
@@ -148,7 +161,7 @@ def sup_witnesses(pset: PredicateSet, sup_value: float, count: int) -> List[floa
     return witnesses
 
 
-def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = 200) -> float:
+def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = MAX_HALVINGS) -> float:
     """Boundary point of a downward-closed predicate, by bisection.
 
     A probe grid checks downward closure first: a `below` hit above a
@@ -163,6 +176,7 @@ def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = 200) -> fl
     lo, hi = cut.sample_in, cut.sample_out
     if lo >= hi:
         raise NonCutError("sample_in above sample_out contradicts downward closure")
+    _check_bracket(lo, hi)
     grid = np.linspace(lo, hi, max(2, probes))
     flags = [bool(cut.below(float(t))) for t in grid]
     last_true = max(i for i, f in enumerate(flags) if f)
@@ -182,7 +196,7 @@ def bisect_root(
     b: float,
     k: float = 0.0,
     tol: float = 1e-12,
-    max_iter: int = 200,
+    max_iter: int = MAX_HALVINGS,
 ) -> RootResult:
     """Sign-change bisection for fn(x) = k on [a, b].
 
@@ -211,7 +225,7 @@ def bisect_root(
     return RootResult(root, iterations, (lo, hi), 0.0 if lo == hi else fn(root) - k)
 
 
-def ivt_root_result(f: Expr, a: float, b: float, k: float, tol: float, max_iter: int = 200) -> RootResult:
+def ivt_root_result(f: Expr, a: float, b: float, k: float, tol: float, max_iter: int = MAX_HALVINGS) -> RootResult:
     return bisect_root(lambda t: evaluate(f, t), a, b, k, tol, max_iter)
 
 

@@ -1,6 +1,7 @@
 """Shared generators for the numerical property tests."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fcalc import expr as E
 
@@ -36,3 +37,17 @@ def random_partition(rng, a=0.0, b=1.0, max_interior=8):
             nodes.append(float(v))
     nodes.append(b)
     return tuple(nodes)
+
+
+def expr_trees(consts, max_leaves):
+    """Hypothesis strategy for arbitrary trees over x and the given constants."""
+    def node(children):
+        return st.one_of(
+            st.builds(E.Neg, children),
+            *[st.builds(n, children, children) for n in (E.Add, E.Sub, E.Mul, E.Div)],
+            st.builds(E.Pow, children, st.integers(-3, 5)),
+            st.builds(E.Func, st.sampled_from(E.FUNCTIONS), children),
+        )
+
+    leaves = st.one_of(st.just(E.Var()), st.sampled_from(consts).map(E.Const))
+    return st.recursive(leaves, node, max_leaves=max_leaves)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcalc import expr as E
 from fcalc.cli import OP_REGISTRY, build_parser, main
+from helpers import expr_trees
 
 
 def run(capsys, *argv):
@@ -234,3 +240,107 @@ def test_deriv_at_a_point_defaults_to_the_derivative_tolerance(capsys):
 
     code, out, _ = run(capsys, "deriv", "--f", "sin(x)", "--at", "0.5")
     assert code == 0 and abs(float(out) - math.cos(0.5)) <= 1e-6
+
+
+def test_bisection_reaches_adjacent_doubles_below_a_tiny_tol(capsys):
+    # near 0 doubles are 5e-324 apart: about 1075 halvings, past a cap of 200
+    code, out, err = run(capsys, "root", "--f", "x^3 - x", "--a", "-0.5", "--b", "0.3",
+                         "--tol", "1e-300")
+    assert code == 0, err
+    assert abs(float(out)) <= 1e-300
+
+
+@pytest.mark.parametrize("argv", [
+    ["sup", "--member", "x*x<2", "--seed-point", "0", "--bound", "2"],
+    ["cut", "--below", "x*x<2", "--in-point", "0", "--out-point", "2"],
+    ["root", "--f", "x^2 - 2", "--a", "0", "--b", "2"],
+])
+def test_max_iter_caps_sup_cut_and_root(capsys, argv):
+    code, out, _ = run(capsys, "--output", "json", *argv, "--max-iter", "3")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and payload["result"] is None
+    assert payload["diagnostics"]["error"] == "bisection exceeded 3 iterations"
+    code, out, _ = run(capsys, "--output", "json", *argv)
+    assert code == 0 and isinstance(json.loads(out)["result"], float)
+
+
+def test_unbounded_darboux_bound_is_a_json_error_object(capsys):
+    code, out, _ = run(capsys, "--output", "json", "darboux", "--f", "1/x", "--a", "-1",
+                       "--b", "1", "--n", "4")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and payload["result"] is None and "error" in payload["diagnostics"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the CLI contract: exit code 0, 1 or 2, no traceback, strict JSON
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:   # argparse usage errors
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_EXPRS = st.one_of(
+    expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6).map(E.to_text),
+    st.sampled_from(["x", "-x^2", "exp(-x^2)", "1/x", "ln(x)", "sqrt(x)", "abs(x)",
+                     "sin(1/x)", "x^-2", "exp(1000*x)", "0/0", "sqrt(0-1)", "1e400*x",
+                     "x^", "", "(x", "sin()", "2^x", "--x", "x $ 1"]),
+)
+# endpoints near domain edges (0) for the integrals; anything for the rest
+_ENDS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-2", "2", "1e-300", "-1e-300"])
+_ANY = st.one_of(_ENDS, st.sampled_from(["1e300", "-1e300", "inf", "-inf", "nan", "1e400",
+                                         "abc", ""]))
+_TOLS = st.sampled_from(["1e-2", "1e-3", "0.5", "0", "-1", "nan", "inf"])
+_JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}",
+                         "[0, 1e400]", "[0, NaN]", "[0, 1", "[0.25, 0.75]"])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["integrate", "darboux", "riemann", "imvt", "ftc2", "sup",
+                                "cut", "root", "parse", "eval"]))
+    f, a, b = draw(_EXPRS), draw(_ENDS), draw(_ENDS)
+    if cmd in ("integrate", "imvt", "ftc2"):
+        argv = [cmd, "--F" if cmd == "ftc2" else "--f", f, "--a", a, "--b", b]
+        argv += draw(st.sampled_from([[], ["--certificate"], ["--check-additivity-at", a],
+                                      ["--bounds", "-1", "1"]])) if cmd == "integrate" else []
+        argv += ["--tol", draw(_TOLS)]   # never the 1e-6 default: keeps each run short
+    elif cmd == "darboux":
+        argv = [cmd, "--f", f, "--a", a, "--b", b, "--n", draw(st.sampled_from(
+            ["1", "7", "64", "0", "-3", "x"]))]
+    elif cmd == "riemann":
+        argv = [cmd, "--f", f, "--partition", draw(_JSON)]
+        argv += draw(st.sampled_from([[], ["--choice", "random"], ["--choice", "left"],
+                                      ["--choice", "explicit", "--points", "[0.25, 0.75]"]]))
+    elif cmd in ("sup", "cut"):
+        pred = f"{f} < {draw(_ANY)}"
+        argv = (["sup", "--member", pred, "--seed-point", draw(_ANY), "--bound", draw(_ANY)]
+                if cmd == "sup" else
+                ["cut", "--below", pred, "--in-point", draw(_ANY), "--out-point", draw(_ANY)])
+    elif cmd == "root":
+        argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY), "--k", draw(_ANY)]
+        argv += ["--tol", draw(st.sampled_from(["1e-300", "1e-9", "0.1"]))]
+    elif cmd == "parse":
+        argv = [cmd, "--text", f]
+    else:
+        argv = [cmd, "--f", f, "--x", draw(_ANY)]
+    if draw(st.booleans()):
+        argv += ["--max-iter", draw(st.sampled_from(["0", "3", "50"]))]
+    return argv + draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_cli_contract_holds_for_generated_argv(argv):
+    code, out, err = _cli(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if argv[-2:] == ["--output", "json"]:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert set(payload) == {"result", "diagnostics"}
+        failed = "error" in payload["diagnostics"]
+        assert failed == (code == 2 or payload["result"] is None and code == 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
-from helpers import random_smooth_expr
+from helpers import expr_trees, random_smooth_expr
 
 
 def test_parse_examples():
@@ -173,17 +173,7 @@ _CONSTS = (0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0, 1.2)
 _EDGES = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, -1e300)
 
 
-def _node(children):
-    return st.one_of(
-        st.builds(E.Neg, children),
-        *[st.builds(node, children, children) for node in (E.Add, E.Sub, E.Mul, E.Div)],
-        st.builds(E.Pow, children, st.integers(-3, 5)),
-        st.builds(E.Func, st.sampled_from(E.FUNCTIONS), children),
-    )
-
-
-_trees = st.recursive(st.one_of(st.just(E.Var()), st.sampled_from(_CONSTS).map(E.Const)),
-                      _node, max_leaves=10)
+_trees = expr_trees(_CONSTS, max_leaves=10)
 
 
 def _walk(e, x):
@@ -259,14 +249,13 @@ def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
 @settings(max_examples=300, deadline=None)
 @given(_trees, _points)
 def test_printed_text_parses_back_to_the_same_values(e, x):
-    # Neg over Pow must print as -(x^2): the grammar reads -x^2 as (-x)^2
+    # Neg over Pow prints -x^2 and Pow over Neg (-x)^2; both must read back
     assert _agree(_outcome(E.evaluate, E.parse(E.to_text(e)), x), _outcome(_walk, e, x))
 
 
 def test_root_inside_the_dead_base_of_a_zeroth_power():
-    # u^0 compiles to the constant 1 after u's instructions, so the root
-    # 1 + x gets the slot of the 1 + x inside sin(1 + x), whose register
-    # sin then reuses unless the root is kept alive to the end.
+    # when u^0 compiled to the constant 1, the root 1 + x took the slot of
+    # the 1 + x inside sin(1 + x), whose register sin then reused
     e = E.parse("sin(1+x)^0 + x")
     assert E.evaluate(e, 0.5) == 1.5
     assert E.evaluate(e, np.array([0.5, 2.0])).tolist() == [1.5, 3.0]
@@ -310,3 +299,59 @@ def test_compiled_programs_are_cached_outside_the_value():
     assert (repr(e), hash(e), E.to_text(e)) == before
     back = pickle.loads(pickle.dumps(e))
     assert back == e and E.evaluate(back, 1.0) == E.evaluate(e, 1.0)
+
+
+def test_unary_minus_binds_looser_than_power():
+    assert E.evaluate(E.parse("-x^2"), 3.0) == -9.0
+    assert E.evaluate(E.parse("exp(-x^2)"), 1.0) == math.exp(-1.0)
+    assert E.evaluate(E.parse("(-x)^2"), 3.0) == 9.0
+    assert E.evaluate(E.parse("2*-x^2"), 3.0) == -18.0
+    assert E.parse("-x^2") == E.Neg(E.Pow(E.Var(), 2))
+    assert E.to_text(E.Neg(E.Pow(E.Var(), 2))) == "-x^2"
+    assert E.to_text(E.Pow(E.Neg(E.Var()), 2)) == "(-x)^2"
+
+
+# ---------------------------------------------------------------------------
+# interval enclosures
+
+_ENDS = st.integers(-16, 16).map(lambda k: k / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _ENDS, _ENDS)
+def test_enclosures_contain_every_point_value(e, u, v):
+    lo, hi = min(u, v), max(u, v)
+    xs = np.linspace(lo, hi, 33)
+    inf, sup = E.enclose(e, np.array([lo]), np.array([hi]))
+    assert inf[0] <= sup[0]
+    if not (math.isfinite(inf[0]) and math.isfinite(sup[0])):
+        return
+    # a finite enclosure means every op stayed in its domain on the whole cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = E.evaluate(e, xs)
+    assert np.all((inf[0] <= values) & (values <= sup[0]))
+
+
+def test_enclosure_rules():
+    lo, hi = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 1.0, 3.0])
+    inf, sup = E.enclose(E.parse("x^2"), lo, hi)
+    assert inf[0] == 0.0 and inf[1] <= 0.25 <= sup[1]   # even-power rule
+    inf, sup = E.enclose(E.parse("x*x - x*x"), lo, hi)
+    assert np.all(inf <= 0.0) and np.all(sup >= 0.0)
+    for text in ("1/x", "ln(x)", "sqrt(x)", "x^-1"):    # domain left on part of a cell
+        inf, sup = E.enclose(E.parse(text), lo, hi)
+        assert inf[0] == -math.inf and sup[0] == math.inf
+        assert math.isfinite(inf[2]) and math.isfinite(sup[2])
+    inf, sup = E.enclose(E.parse("sin(ln(x))"), lo, hi)  # undefined stays undefined
+    assert inf[0] == -math.inf and sup[0] == math.inf
+    f = E.parse("sin(3*x) + exp(x)/(1 + x^2)")
+    inf, sup = E.enclose(f, lo, hi)
+    neg_inf, neg_sup = E.enclose(E.neg(f), lo, hi)
+    assert np.array_equal(neg_inf, -sup) and np.array_equal(neg_sup, -inf)  # exact
+    # sin reaches 1 at pi/2 and cos -1 at pi, though math.pi is not pi
+    assert E.enclose(E.parse("sin(x)"), np.array([1.5]), np.array([1.6]))[1][0] == 1.0
+    assert E.enclose(E.parse("cos(x)"), np.array([3.1]), np.array([3.2]))[0][0] == -1.0
+    assert E.enclose(E.parse("cos(x)"), np.array([0.1]), np.array([3.0]))[1][0] < 1.0
+    x = np.array([math.pi / 2])
+    assert E.enclose(E.parse("sin(x)"), x, x)[1][0] == 1.0

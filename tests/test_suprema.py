@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fcalc.errors import BracketError, NonCutError, PreconditionError
 from fcalc.expr import evaluate, parse, to_text
 from fcalc.suprema import (
+    MAX_HALVINGS,
     Cut,
     PredicateSet,
     affine_map,
@@ -178,3 +179,22 @@ def test_affine_map_composes_to_identity():
         assert abs(evaluate(back, evaluate(fwd, t)) - t) <= 1e-12
     # the expression is grammar-conformant text too
     assert evaluate(parse(to_text(fwd)), 0.5) == evaluate(fwd, 0.5)
+
+
+def test_bisection_needs_a_finite_bracket():
+    below = lambda x: x < 1.0
+    big = 1e308   # finite ends whose distance overflows
+    with pytest.raises(PreconditionError):
+        cut_point(Cut(below, 0.0, math.inf), 1e-9)
+    with pytest.raises(PreconditionError):
+        bisect_supremum(PredicateSet(below, -big, big), 1e-9)
+    with pytest.raises(PreconditionError):
+        bisect_root(lambda x: x, -big, big, 0.0, 1e-9)
+
+
+def test_default_cap_reaches_adjacent_doubles_from_any_finite_bracket():
+    # the widest finite bracket, closing on the smallest subnormal
+    big = 2.0 ** 1023 * (1 - 2.0 ** -53)   # big - -big is the largest double
+    res = bisect_supremum(PredicateSet(lambda x: x < 5e-324, -big, big), 5e-324)
+    assert res.value == 0.0 and res.trace[-1] == (0.0, 5e-324)
+    assert res.iterations <= MAX_HALVINGS
