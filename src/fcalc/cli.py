@@ -319,8 +319,8 @@ def _h_stepapprox(args, cfg):
                                    grid=args.grid, seed=cfg.seed)
     err = cover.sup_error(f, phi)
     result = {"partition": phi.partition.to_json(), "values": list(phi.cell_values),
-              "sup_error": err}
-    lines = [f"cells {phi.partition.cell_count} sup_error {_fmt(err)}"]
+              "sup_error_bound": err}
+    lines = [f"cells {phi.partition.cell_count} sup_error_bound {_fmt(err)}"]
     return result, {}, 0, lines
 
 
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=int, default=256, help="initial window centres")
 
     p = cmd("stepapprox", _h_stepapprox, help="uniform step-function approximation")
     p.add_argument("--f", required=True)
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=int, default=256, help="initial window centres")
 
     p = cmd("stepint", _h_stepint, help="step-function integral and algebra")
     p.add_argument("--partition", required=True, help="JSON array of nodes")
@@ -739,6 +739,15 @@ def _json(payload) -> str:
         raise MathError("result is not finite; JSON has no inf or nan") from None
 
 
+def _fail(cfg: Config, kind: str, message: str, code: int) -> int:
+    """Report an error as the JSON error object or one stderr line."""
+    if cfg.output == "json":
+        print(_json({"result": None, "diagnostics": {"error": message}}))
+    else:
+        print(f"{kind}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -765,17 +774,12 @@ def main(argv=None) -> int:
         if cfg.output == "json":
             lines = [_json({"result": result, "diagnostics": diagnostics})]
     except ParseError as e:
-        if cfg.output == "json":
-            print(_json({"result": None, "diagnostics": {"error": str(e)}}))
-        else:
-            print(f"parse error: {e}", file=sys.stderr)
-        return 2
+        return _fail(cfg, "parse error", str(e), 2)
+    except RecursionError:
+        # the parser, compiler and printer recurse once per nesting level
+        return _fail(cfg, "parse error", "expression nested too deeply", 2)
     except MathError as e:
-        if cfg.output == "json":
-            print(_json({"result": None, "diagnostics": {"error": str(e)}}))
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _fail(cfg, "error", str(e), 1)
     for line in lines:
         print(line)
     return code

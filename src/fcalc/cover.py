@@ -13,6 +13,9 @@ never a sampling argument.  The exact Lebesgue number is the minimum
 slack reach - x over breakpoints and reach - q over cells (p, q)
 between them, all answered by one vectorised query.  The conservative
 min-half-radius formula is kept as `paper` mode.
+
+uniform_modulus (a certified window cover) and sup_error decide from
+interval enclosures (expr.enclose), never from samples.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import CoverError, MathError, PreconditionError
-from .expr import Expr, evaluate
+from .expr import Expr, enclose, evaluate
 from .interval import Interval, OpenInterval, uniform_partition
 from .stepfn import StepFunction
 
@@ -229,100 +232,96 @@ def validate_lebesgue(cover: OpenCover, delta: float, pairs: int = 10**4,
     return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
 
 
-def _window_radius(f: Expr, t: float, a: float, b: float, half_eps: float,
-                   w0: float, probe: int = 33) -> float:
-    """Largest sampled radius w with sup |f - f(t)| < half_eps on
-    (t - w, t + w) clipped to [a, b], found by doubling then bisection."""
-    ft = evaluate(f, t)
+# A radius below 2^-46 of max(b - a, |a|, |b|) collapses (so that midpoints stay
+# distinct doubles); at most _MAX_CENTRES windows, and _MAX_CELLS step cells.
+_FLOOR_BITS, _ROUNDS, _MAX_CENTRES, _MAX_CELLS = 46, 14, 1 << 16, 1 << 20
+
+
+def _window_radii(f: Expr, ts: np.ndarray, a: float, b: float, half_eps: float) -> np.ndarray:
+    """Certified radii for the window centres ts, searched all at once: w
+    fits at t when enclose(f) over [t - w, t + w] clipped to [a, b] lies
+    within half_eps of the enclosure of f(t) both ways, which proves
+    |f(x) - f(t)| < half_eps there.  Enclosures are inclusion isotone, so
+    after w = b - a each round bisects k in w = (b - a) 2^-k, one enclose."""
     cap = b - a
+    depth = max(0, _FLOOR_BITS + math.floor(math.log2(cap / max(cap, abs(a), abs(b)))))
+    flo, fhi = enclose(f, ts, ts)
 
-    def ok(w: float) -> bool:
-        pts = np.clip(np.linspace(t - w, t + w, probe), a, b)
-        return bool(np.max(np.abs(evaluate(f, pts) - ft)) < half_eps)
+    def fits(w):
+        lo, hi = enclose(f, np.maximum(a, ts - w), np.minimum(b, ts + w))
+        return (hi - flo < half_eps) & (fhi - lo < half_eps)
 
-    w = w0
-    while not ok(w):
-        w /= 2
-        if w < 1e-14:
-            raise MathError(f"window collapsed near {t}: discontinuity at probe scale")
-    if ok(cap):
-        return cap
-    lo = w
-    while ok(lo * 2) and lo * 2 < cap:
-        lo *= 2
-    hi = min(lo * 2, cap)
-    for _ in range(20):
-        mid = (lo + hi) / 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * 0.95
+    # k fits at hi and fails at lo, except where both are 0 (w = b - a fits)
+    lo, hi = np.zeros(ts.size), np.where(fits(cap), 0.0, depth + 1.0)
+    for _ in range(_ROUNDS):
+        k = (lo + hi) / 2
+        ok = fits(cap * np.exp2(-k))
+        lo, hi = np.where(ok, lo, k), np.where(ok, k, hi)
+    if np.any(hi > depth):
+        raise MathError(f"no window fits near {float(ts[hi > depth][0])}: "
+                        "f is undefined, unbounded or too steep there")
+    return cap * np.exp2(-hi)
 
 
 def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256,
                     seed: int = 0) -> float:
-    """Uniform-continuity modulus via a window cover and its exact
-    Lebesgue number.
+    """Uniform-continuity modulus: the exact Lebesgue number of a cover by
+    windows on which enclosures prove |f(x) - f(t)| < eps/2 about the
+    centre t, so two points sharing a window differ by less than eps.
 
-    Windows use eps/2 so that two points sharing a window differ by
-    less than eps.  The returned delta is re-validated on 10^4 random
-    pairs; persistent failures (under-sampled windows) raise.
+    The grid initial centres gain a midpoint wherever neighbours lie
+    further apart than the smaller radius, until none do.  Raises
+    MathError where a radius collapses (f undefined, unbounded or too
+    steep; this floors the spacing too) or past _MAX_CENTRES windows.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    if grid < 16:
-        raise PreconditionError("grid must be at least 16")
-    if not a < b:
-        raise PreconditionError("need a < b")
+    if not (eps > 0 and 2 <= grid <= _MAX_CENTRES):
+        raise PreconditionError(f"need eps > 0 and 2 <= grid <= {_MAX_CENTRES}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise PreconditionError("need finite a < b")
     ts = np.linspace(a, b, grid)
-    w0 = (b - a) / grid
-    radii = [_window_radius(f, float(t), a, b, eps / 2, w0) for t in ts]
-    for attempt in range(4):
-        pieces = [OpenInterval(float(t) - r, float(t) + r) for t, r in zip(ts, radii)]
-        cover = OpenCover(Interval(a, b), pieces)
-        ok, witness = verify_cover(cover)
-        if not ok:
-            raise CoverError(
-                f"window cover misses {witness}; raise the grid for this function"
-            )
-        delta = lebesgue_number(cover, "exact")
-        xs, cs, close = _random_pairs(a, b, delta, 10**4, seed)
-        if not np.any(close & (np.abs(evaluate(f, xs) - evaluate(f, cs)) >= eps)):
-            return delta
-        radii = [r * 0.7 for r in radii]
-    raise MathError("modulus validation kept failing; windows under-sampled")
+    r = _window_radii(f, ts, a, b, eps / 2)
+    while (gap := np.flatnonzero(np.diff(ts) > np.minimum(r[:-1], r[1:]))).size:
+        if ts.size + gap.size > _MAX_CENTRES:
+            raise MathError(f"window collapsed near {float(ts[gap[np.argmin(r[gap])]])}: "
+                            f"more than {_MAX_CENTRES} windows needed")
+        mids = ts[gap] + (ts[gap + 1] - ts[gap]) / 2
+        ts = np.insert(ts, gap + 1, mids)
+        r = np.insert(r, gap + 1, _window_radii(f, mids, a, b, eps / 2))
+    cover = OpenCover(Interval(a, b), [OpenInterval(float(t - w), float(t + w))
+                                       for t, w in zip(ts, r)])
+    ok, witness = verify_cover(cover)
+    if not ok:
+        raise CoverError(f"certified windows miss {witness}")
+    delta = lebesgue_number(cover, "exact")
+    xs, cs, close = _random_pairs(a, b, delta, 10**4, seed)  # a cross-check
+    bad = close & (np.abs(evaluate(f, xs) - evaluate(f, cs)) >= eps)
+    if bad.any():
+        raise MathError(f"modulus {delta} fails at {float(xs[bad][0])}, {float(cs[bad][0])}")
+    return delta
 
 
 def step_approximation(f: Expr, a: float, b: float, eps: float,
                        delta: float = None, grid: int = 256, seed: int = 0) -> StepFunction:
-    """Step function within eps of f, built on a uniform partition finer
-    than the uniform-continuity modulus.
+    """Step function within eps of f on a uniform partition finer than the
+    uniform-continuity modulus, each cell valued at its left node.
 
-    Each cell carries the value of f at its left node.  Passing delta
-    skips the modulus computation (useful when a modulus is known).
-    """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    if not a < b:
-        raise PreconditionError("need a < b")
+    Passing delta skips the modulus; grid is its number of initial centres."""
     if delta is None:
         delta = uniform_modulus(f, a, b, eps, grid=grid, seed=seed)
-    if delta >= b - a:
-        n = 1
-    else:
-        n = int(math.floor((b - a) / delta)) + 1
+    if not (eps > 0 and a < b and math.isfinite(b - a) and delta > 0):
+        raise PreconditionError("need eps > 0, finite a < b and delta > 0")
+    n = 1 if delta >= b - a else math.floor((b - a) / delta) + 1
+    if n > _MAX_CELLS:
+        raise PreconditionError(f"delta {delta} needs more than {_MAX_CELLS} cells")
     part = uniform_partition(a, b, n)
-    lefts = np.asarray(part.nodes[:-1])
-    values = evaluate(f, lefts)
+    values = evaluate(f, np.asarray(part.nodes[:-1]))
     return StepFunction(part, tuple(float(v) for v in values))
 
 
-def sup_error(f: Expr, phi: StepFunction, factor: int = 10) -> float:
-    """Measured sup |f - phi| over a factor-times-finer grid (nodes included)."""
+def sup_error(f: Expr, phi: StepFunction) -> float:
+    """Upper bound on sup |f - phi|: the largest max(sup - v, v - inf)
+    over cells, (inf, sup) enclosing f on the cell and v its value."""
     nodes = np.asarray(phi.partition.nodes)
-    fine = [nodes]
-    for lo, hi in phi.partition.cells():
-        fine.append(np.linspace(lo, hi, factor + 1))
-    xs = np.unique(np.concatenate(fine))
-    return float(np.max(np.abs(evaluate(f, xs) - phi.sample(xs))))
+    inf, sup = enclose(f, nodes[:-1], nodes[1:])
+    v = np.asarray(phi.cell_values)
+    return float(np.max(np.maximum(sup - v, v - inf), initial=0.0))

@@ -581,7 +581,7 @@ def _prec(e: Expr) -> int:
         return _PREC_NEG
     if isinstance(e, Pow):
         return _PREC_POW
-    if isinstance(e, Const) and e.value < 0:
+    if isinstance(e, Const) and math.copysign(1.0, e.value) < 0:  # -0.0 prints a minus too
         return _PREC_NEG
     return _PREC_ATOM
 

@@ -149,7 +149,9 @@ def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
 
     w f(m) + w^3/24 f''(cell) for the true width w and midpoint m, both
     enclosed in interval arithmetic since hi - lo and lo + w/2 round;
-    w f(cell) where f'' is unavailable (f2 None) or unbounded.  Raises
+    w f(cell) where f'' is unavailable (f2 None), and its intersection
+    with the former where the f'' term is unbounded or outweighs the
+    cell's estimate (as for sqrt just right of 0).  Raises
     DomainError or PreconditionError when f is undefined or infinite at a
     midpoint, where no refinement could help.
     """
@@ -166,11 +168,12 @@ def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
                     f"integrand is not finite at x = {float(xs[infinite][0])!r}")
         if f2 is None:
             return imul(w, enclose(f, lo, hi))
-        low, high = iadd(imul(w, fm), imul(imul(imul(imul(w, w), w), _ONE_24TH),
-                                           enclose(f2, lo, hi)))
-        bad = ~(np.isfinite(low) & np.isfinite(high))
+        rest = imul(imul(imul(imul(w, w), w), _ONE_24TH), enclose(f2, lo, hi))
+        low, high = iadd(imul(w, fm), rest)
+        bad = ~(rest[1] - rest[0] <= w[1] * np.abs(fm[0] + fm[1]))
         if bad.any():
-            low[bad], high[bad] = imul((w[0][bad], w[1][bad]), enclose(f, lo[bad], hi[bad]))
+            first = imul((w[0][bad], w[1][bad]), enclose(f, lo[bad], hi[bad]))
+            low[bad], high[bad] = np.fmax(low[bad], first[0]), np.fmin(high[bad], first[1])
     return low, high
 
 

@@ -204,6 +204,37 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def test_modulus_certifies_sin_and_fails_cleanly_at_a_pole(capsys):
+    code, out, _ = run(capsys, "modulus", "--f", "sin(x)", "--a", "0", "--b", "3",
+                       "--eps", "0.01")
+    assert code == 0 and 0 < float(out) < 0.01
+    code, out, err = run(capsys, "modulus", "--f", "1/x", "--a", "-1", "--b", "1",
+                         "--eps", "0.1")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["modulus", "stepapprox"])
+def test_grid_help_says_initial_window_centres(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert "initial window centres" in " ".join(capsys.readouterr().out.split())
+
+
+# The parser and compiler recurse once per nesting level; until they are
+# loops, input nested past Python's recursion limit is a parse error.
+@pytest.mark.parametrize("argv", [["parse", "--text", "(" * 300 + "x" + ")" * 300],
+                                  ["eval", "--x", "1", "--f", "+".join(["x"] * 3000)]])
+def test_deeply_nested_input_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "parse error: expression nested too deeply\n")
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 2
+    assert payload == {"result": None, "diagnostics": {"error": "expression nested too deeply"}}
+
+
 @pytest.mark.parametrize("argv", [["eval", "--f", "exp(1000)", "--x", "0"],
                                   ["eval", "--f", "sin(x)", "--x", "1e400"]])
 def test_json_output_is_strict_for_non_finite_results(capsys, argv):
@@ -302,7 +333,7 @@ _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}
 @st.composite
 def _argv(draw):
     cmd = draw(st.sampled_from(["integrate", "darboux", "riemann", "imvt", "ftc2", "sup",
-                                "cut", "root", "parse", "eval"]))
+                                "cut", "root", "parse", "eval", "modulus", "stepapprox"]))
     f, a, b = draw(_EXPRS), draw(_ENDS), draw(_ENDS)
     if cmd in ("integrate", "imvt", "ftc2"):
         argv = [cmd, "--F" if cmd == "ftc2" else "--f", f, "--a", a, "--b", b]
@@ -326,6 +357,12 @@ def _argv(draw):
         argv += ["--tol", draw(st.sampled_from(["1e-300", "1e-9", "0.1"]))]
     elif cmd == "parse":
         argv = [cmd, "--text", f]
+    elif cmd in ("modulus", "stepapprox"):
+        argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY), "--eps",
+                draw(st.sampled_from(["0.5", "0.05", "0", "nan", "inf"]))]
+        argv += draw(st.sampled_from([[], ["--delta", "0.25"], ["--delta", "0"],
+                                      ["--delta", "nan"], ["--delta", "1e-300"]])
+                     ) if cmd == "stepapprox" else []
     else:
         argv = [cmd, "--f", f, "--x", draw(_ANY)]
     if draw(st.booleans()):

@@ -18,8 +18,9 @@ from fcalc.cover import (
     validate_lebesgue,
     verify_cover,
 )
-from fcalc.errors import CoverError
+from fcalc.errors import CoverError, MathError, PreconditionError
 from fcalc.interval import Interval, OpenInterval
+from helpers import expr_trees
 
 
 def cover_of(target, pieces):
@@ -183,6 +184,65 @@ def test_step_approximation_sin():
     f = E.parse("sin(x)")
     phi = step_approximation(f, 0.0, 3.0, 0.01, grid=1024)
     assert sup_error(f, phi) < 0.01
+
+
+@pytest.mark.parametrize("eps,grid,b", [(0.0, 256, 1.0), (math.nan, 256, 1.0), (0.1, 1, 1.0),
+                                        (0.1, 10**8, 1.0), (0.1, 256, math.inf)])
+def test_uniform_modulus_rejects_bad_arguments_at_once(eps, grid, b):
+    with pytest.raises(PreconditionError):
+        uniform_modulus(E.parse("x"), 0.0, b, eps, grid=grid)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, 1e-300])
+def test_step_approximation_rejects_a_bad_delta_at_once(delta):
+    with pytest.raises(PreconditionError):
+        step_approximation(E.parse("x"), 0.0, 1.0, 0.1, delta=delta)
+
+
+def _pairs_within(f, xs, delta, a, b):
+    """Largest |f(x) - f(y)| over y = x + s, s a few fractions of delta."""
+    fx = E.evaluate(f, xs)
+    worst = 0.0
+    for s in (0.1, 0.5, 0.9, 1 - 1e-9):
+        ys = np.clip(xs + s * delta, a, b)
+        worst = max(worst, float(np.max(np.abs(E.evaluate(f, ys) - fx))))
+    return worst
+
+
+def test_uniform_modulus_sin_at_the_default_grid():
+    delta = uniform_modulus(E.parse("sin(x)"), 0.0, 3.0, 0.01)
+    assert 0 < delta and 2 * math.sin(delta / 2) < 0.01  # |sin x - sin y| <= 2 sin(|x-y|/2)
+
+
+def test_uniform_modulus_certifies_a_narrow_spike():
+    f = E.parse("exp(-((x-0.3)*100000)^2)")
+    delta = uniform_modulus(f, 0.0, 1.0, 0.1)
+    assert 0 < delta < 2e-6
+    xs = np.linspace(0.3 - 5e-5, 0.3 + 5e-5, 20001)
+    assert _pairs_within(f, xs, delta, 0.0, 1.0) < 0.1
+
+
+@pytest.mark.parametrize("text,a,b", [("1/x", -1.0, 1.0), ("ln(x)", 0.0, 1.0)])
+def test_uniform_modulus_fails_fast_where_f_blows_up(text, a, b):
+    import time
+
+    start = time.process_time()
+    with pytest.raises(MathError):
+        uniform_modulus(E.parse(text), a, b, 0.1)
+    assert time.process_time() - start < 1.0
+
+
+@settings(max_examples=60, deadline=5000)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6),
+       st.floats(-2.0, 2.0), st.floats(0.01, 2.0), st.sampled_from([0.05, 0.2, 1.0]))
+def test_uniform_modulus_is_a_modulus_or_raises(f, a, width, eps):
+    b = a + width
+    try:
+        delta = uniform_modulus(f, a, b, eps)
+    except MathError:
+        return
+    assert 0 < delta <= b - a
+    assert _pairs_within(f, np.linspace(a, b, 4001), delta, a, b) < eps
 
 
 def test_cover_json_round_trip():

@@ -309,6 +309,9 @@ def test_unary_minus_binds_looser_than_power():
     assert E.parse("-x^2") == E.Neg(E.Pow(E.Var(), 2))
     assert E.to_text(E.Neg(E.Pow(E.Var(), 2))) == "-x^2"
     assert E.to_text(E.Pow(E.Neg(E.Var()), 2)) == "(-x)^2"
+    # -0.0 prints with a minus sign, so as a base it needs parentheses too
+    assert E.to_text(E.Pow(E.Const(-0.0), 0)) == "(-0.0)^0"
+    assert E.evaluate(E.parse(E.to_text(E.Pow(E.Const(-0.0), 0))), 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------

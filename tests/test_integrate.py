@@ -322,6 +322,15 @@ def test_enclosures_contain_the_mpmath_integral(seed, extra, c, a, length, log_t
     assert cert.levels[-1].lower <= cert.value <= cert.levels[-1].upper
 
 
+@pytest.mark.parametrize("a", [0.0, 1e-300, 1e-92, 1e-20])
+def test_sqrt_closes_just_right_of_its_domain_edge(a):
+    # f'' = -x^-1.5/4 is finite but huge on the first cell when 0 < a << 1;
+    # the first-order enclosure must take over there
+    cert = riemann_integral(E.parse("sqrt(x)"), a, 1.0, 1e-3)
+    assert cert.converged
+    assert cert.levels[-1].lower <= 2 / 3 * (1 - a**1.5) <= cert.levels[-1].upper
+
+
 _SPIKE = "1000*exp(0-((x-0.3)*100000)^2)"
 _SPIKE_INTEGRAL = 0.017724538509055159   # 1000 sqrt(pi)/1e5 (erf(7e4) + erf(3e4))/2
 
