@@ -326,6 +326,10 @@ def polynomial_check(f: Expr, a: float, b: float, n: int, samples: int = 128,
     """
     if samples < 2:
         raise PreconditionError("samples must be at least 2")
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError("polynomial_check needs finite a and b")
     top = differentiate(f, n + 1)
     xs = np.linspace(a, b, samples)
     if np.max(np.abs(evaluate(top, xs))) > tol:

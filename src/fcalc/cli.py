@@ -7,6 +7,13 @@ unparseable input.  With --output json a single strict-JSON object with
 "result" and "diagnostics" is emitted (a non-finite value there is an
 exit-1 error object, and a usage error an exit-2 one); identical argv
 and seed give byte-identical output.
+
+Start-up pays only for the subcommand that runs: this module imports
+the standard library and `errors` alone, so the parser, --help and
+usage errors load no library module, and each handler imports its
+modules when it runs.  `expr` imports numpy only for an array or
+interval call and `suprema` never does, so parse, eval, deriv (without
+--at), sup, cut, root, affine and graph run without it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from . import calculus, cover, expr, graph, integrate, interval, sequences, stepfn, suprema
 from .errors import MathError, ParseError
 
 # library operation -> owning subcommand
@@ -98,6 +104,7 @@ _COMPARATORS = (("<=", lambda u, v: u <= v), (">=", lambda u, v: u >= v),
 
 def parse_predicate(text: str) -> Callable[[float], bool]:
     """Comparison over the expression grammar, e.g. 'x*x < 2'."""
+    from . import expr
     for sym, op in _COMPARATORS:
         pos = text.find(sym)
         if pos >= 0:
@@ -165,16 +172,19 @@ def _fmt(value) -> str:
 # handlers: each returns (result, diagnostics, exit_code, text_lines)
 
 def _h_parse(args, cfg):
+    from . import expr
     text = expr.to_text(expr.parse(args.text))
     return text, {}, 0, [text]
 
 
 def _h_eval(args, cfg):
+    from . import expr
     value = expr.evaluate(expr.parse(args.f), args.x)
     return value, {}, 0, [_fmt(value)]
 
 
 def _h_deriv(args, cfg):
+    from . import expr
     f = expr.parse(args.f)
     if args.at is None:
         text = expr.to_text(expr.differentiate(f, args.order))
@@ -182,12 +192,14 @@ def _h_deriv(args, cfg):
     if args.order != 1:
         value = expr.evaluate(expr.differentiate(f, args.order), args.at)
         return value, {"order": args.order}, 0, [_fmt(value)]
+    from . import calculus  # numeric, and numpy-backed: only with --at at order 1
     rep = calculus.derivative(f, args.at, tol=max(getattr(args, "tol", 1e-6), 1e-10))
     diag = dataclasses.asdict(rep)
     return rep.estimate, diag, 0, [_fmt(rep.estimate)]
 
 
 def _h_limit(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     sched = calculus.LimitSchedule(mode=args.mode)
     rep = calculus.limit(f, args.at, sched, tol=max(cfg.tol, 1e-10))
@@ -196,6 +208,7 @@ def _h_limit(args, cfg):
 
 
 def _h_sup(args, cfg):
+    from . import suprema
     pset = suprema.PredicateSet(parse_predicate(args.member), args.seed_point, args.bound)
     res = suprema.bisect_supremum(pset, cfg.tol, cfg.cap(suprema.MAX_HALVINGS))
     diag = {"iterations": res.iterations}
@@ -208,12 +221,14 @@ def _h_sup(args, cfg):
 
 
 def _h_cut(args, cfg):
+    from . import suprema
     c = suprema.Cut(parse_predicate(args.below), args.in_point, args.out_point)
     value = suprema.cut_point(c, cfg.tol, max_iter=cfg.cap(suprema.MAX_HALVINGS))
     return value, {}, 0, [_fmt(value)]
 
 
 def _h_root(args, cfg):
+    from . import expr, suprema
     f = expr.parse(args.f)
     res = suprema.ivt_root_result(f, args.a, args.b, args.k, cfg.tol,
                                   cfg.cap(suprema.MAX_HALVINGS))
@@ -223,30 +238,35 @@ def _h_root(args, cfg):
 
 
 def _h_extremum(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     c, fc = calculus.extreme_point(f, args.a, args.b, args.grid, args.refinements)
     return {"argmax": c, "max": fc}, {}, 0, [f"argmax {_fmt(c)} max {_fmt(fc)}"]
 
 
 def _h_rolle(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     c = calculus.rolle_witness(f, args.a, args.b, max(cfg.tol, 1e-12))
     return c, {}, 0, [_fmt(c)]
 
 
 def _h_mvt(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     c = calculus.mvt_witness(f, args.a, args.b, max(cfg.tol, 1e-12))
     return c, {}, 0, [_fmt(c)]
 
 
 def _h_emvt(args, cfg):
+    from . import calculus, expr
     f, g = expr.parse(args.f), expr.parse(args.g)
     c = calculus.emvt_witness(f, g, args.a, args.b, max(cfg.tol, 1e-12))
     return c, {}, 0, [_fmt(c)]
 
 
 def _h_taylor(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     rep = calculus.taylor(f, args.at, args.n, args.x, max(cfg.tol, 1e-12))
     diag = dataclasses.asdict(rep)
@@ -257,12 +277,14 @@ def _h_taylor(args, cfg):
 
 
 def _h_polycheck(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     ok = calculus.polynomial_check(f, args.a, args.b, args.n, args.samples, cfg.tol)
     return ok, {}, 0 if ok else 1, [f"polynomial of degree <= {args.n}: {str(ok).lower()}"]
 
 
 def _h_shape(args, cfg):
+    from . import calculus, expr
     f = expr.parse(args.f)
     ok, ce = calculus.shape_checks(f, args.a, args.b, args.kind, args.samples,
                                    cfg.tol, seed=cfg.seed)
@@ -274,10 +296,12 @@ def _h_shape(args, cfg):
 
 
 def _load_cover(text: str) -> cover.OpenCover:
+    from . import cover
     return cover.OpenCover.from_json(_json_arg(text, _COVER))
 
 
 def _h_cover_verify(args, cfg):
+    from . import cover
     c = _load_cover(args.cover)
     ok, witness = cover.verify_cover(c)
     diag = {"witness": witness}
@@ -290,6 +314,7 @@ def _h_cover_verify(args, cfg):
 
 
 def _h_subcover(args, cfg):
+    from . import cover
     c = _load_cover(args.cover)
     ok, witness = cover.verify_cover(c)
     if not ok:
@@ -299,6 +324,7 @@ def _h_subcover(args, cfg):
 
 
 def _h_lebesgue(args, cfg):
+    from . import cover
     c = _load_cover(args.cover)
     ok, witness = cover.verify_cover(c)
     if not ok:
@@ -308,12 +334,14 @@ def _h_lebesgue(args, cfg):
 
 
 def _h_modulus(args, cfg):
+    from . import cover, expr
     f = expr.parse(args.f)
     delta = cover.uniform_modulus(f, args.a, args.b, args.eps, args.grid, seed=cfg.seed)
     return delta, {}, 0, [_fmt(delta)]
 
 
 def _h_stepapprox(args, cfg):
+    from . import cover, expr
     f = expr.parse(args.f)
     phi = cover.step_approximation(f, args.a, args.b, args.eps, delta=args.delta,
                                    grid=args.grid, seed=cfg.seed)
@@ -325,11 +353,13 @@ def _h_stepapprox(args, cfg):
 
 
 def _step_from_args(ptext: str, vtext: str) -> stepfn.StepFunction:
+    from . import interval, stepfn
     return stepfn.StepFunction(interval.Partition(_json_arg(ptext, _FLOATS)),
                                _json_arg(vtext, _FLOATS))
 
 
 def _h_stepint(args, cfg):
+    from . import interval, stepfn
     phi = _step_from_args(args.partition, args.values)
     if args.split_at is not None:
         left, right = stepfn.step_split(phi, args.split_at)
@@ -351,12 +381,14 @@ def _h_stepint(args, cfg):
 
 
 def _h_darboux(args, cfg):
+    from . import expr, integrate
     f = expr.parse(args.f)
     lower, upper = integrate.darboux_bounds(f, args.a, args.b, args.n)
     return {"lower": lower, "upper": upper}, {}, 0, [f"lower {_fmt(lower)} upper {_fmt(upper)}"]
 
 
 def _h_riemann(args, cfg):
+    from . import expr, integrate, interval
     f = expr.parse(args.f)
     part = interval.Partition(_json_arg(args.partition, _FLOATS))
     points = _json_arg(args.points, _FLOATS) if args.points else None
@@ -366,6 +398,7 @@ def _h_riemann(args, cfg):
 
 
 def _h_integrate(args, cfg):
+    from . import expr, integrate
     f = expr.parse(args.f)
     tol = getattr(args, "tol", 1e-6)
     if args.check_additivity_at is not None:
@@ -382,6 +415,7 @@ def _h_integrate(args, cfg):
 
 
 def _h_ftc2(args, cfg):
+    from . import expr, integrate
     F = expr.parse(args.F)
     tol = getattr(args, "tol", 1e-6)
     ok = integrate.ftc2_check(F, args.a, args.b, tol)
@@ -389,6 +423,7 @@ def _h_ftc2(args, cfg):
 
 
 def _h_imvt(args, cfg):
+    from . import expr, integrate
     f = expr.parse(args.f)
     tol = getattr(args, "tol", 1e-6)
     xi = integrate.imvt_witness(f, args.a, args.b, tol)
@@ -396,12 +431,14 @@ def _h_imvt(args, cfg):
 
 
 def _h_adt(args, cfg):
+    from . import expr, integrate
     F, G = expr.parse(args.F), expr.parse(args.G)
     ok = integrate.adt_check(F, G, args.a, args.b, args.samples, max(cfg.tol, 1e-12))
     return ok, {}, 0 if ok else 1, [f"adt: {str(ok).lower()}"]
 
 
 def _h_graph(args, cfg):
+    from . import graph
     g = graph.build()
     if args.gcmd == "scc":
         ok = graph.check_equivalence(g)
@@ -418,12 +455,14 @@ def _h_graph(args, cfg):
 
 
 def _h_affine(args, cfg):
+    from . import expr, suprema
     e = suprema.affine_map(args.from_a, args.from_b, args.to_a, args.to_b)
     text = expr.to_text(e)
     return text, {}, 0, [text]
 
 
 def _h_pwl(args, cfg):
+    from . import calculus
     fn = calculus.piecewise_linear(_json_arg(args.nodes, _FLOATS),
                                    _json_arg(args.values, _FLOATS))
     value = fn(args.x)
@@ -431,6 +470,7 @@ def _h_pwl(args, cfg):
 
 
 def _h_seq(args, cfg):
+    from . import expr, interval, sequences
     rule_expr = expr.parse(args.s, var_name="n")
     s = sequences.Sequence(lambda k: expr.evaluate(rule_expr, float(k)))
     if args.op == "monotone":
@@ -467,6 +507,7 @@ def _h_seq(args, cfg):
 
 
 def _h_ival(args, cfg):
+    from . import expr, interval
     if args.op == "bisect":
         iv = interval.Interval(*_json_arg(args.interval, _PAIR))
         left, right = interval.bisect(iv)

@@ -28,6 +28,11 @@ scalar point where ``math`` raises instead of giving NaN or inf is re-run
 on numpy, so both follow IEEE 754; the interval backend (``enclose``)
 marks a cell where an op leaves its domain instead of raising.
 ``differentiate`` memoises by object id, so shared subtrees stay shared.
+
+numpy is imported on first use: by an array or interval call, or by the
+scalar re-run on numpy.  The grammar, the printer, ``differentiate`` and
+the scalar backend never need it, so ``fc parse`` and ``fc eval`` start
+without it.
 """
 
 from __future__ import annotations
@@ -35,16 +40,28 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
-
-import numpy as np
 
 from .errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
-Number = Union[float, np.ndarray]
+
+class _Numpy:
+    """Stands for numpy until the first attribute read, which imports numpy
+    and rebinds this module's np to it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
+
+Number = Union[float, "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -313,13 +330,20 @@ def _compile(root: Expr, ops: dict):
 class _Backend:
     """An op table over one number type, and the loop that runs programs.
 
+    ops is the table, or a function that builds it on the first compile.
     lift turns a constant into the backend's number type.  A tree is
     compiled once per backend, and the program cached on the node outside
     its fields (two threads may both store one; the copies are equal).
     """
 
     def __init__(self, name, ops, lift=float):
-        self.attr, self.ops, self.lift = "_code_" + name, ops, lift
+        self.attr, self._ops, self.lift = "_code_" + name, ops, lift
+
+    @property
+    def ops(self) -> dict:
+        if callable(self._ops):
+            self._ops = self._ops()
+        return self._ops
 
     def _program(self, e: Expr):
         code, regs, out = _compile(e, self.ops)
@@ -355,8 +379,9 @@ def _point_ops(functions, hit):
 _SCALAR = _Backend("scalar", _point_ops({"sin": math.sin, "cos": math.cos, "exp": math.exp,
                                          "ln": math.log, "sqrt": math.sqrt, "abs": abs}, bool))
 # Constants stay Python floats, which numpy broadcasts.
-_ARRAY = _Backend("array", _point_ops({"sin": np.sin, "cos": np.cos, "exp": np.exp,
-                                       "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}, np.any))
+_ARRAY = _Backend("array", lambda: _point_ops({"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                                               "ln": np.log, "sqrt": np.sqrt, "abs": np.abs},
+                                              np.any))
 
 
 # Interval backend.  A value is a pair (lo, hi) of arrays (of numpy scalars,
@@ -446,7 +471,7 @@ def _pair(c):
     return (c, c)
 
 
-_INTERVAL = _Backend("interval", {
+_INTERVAL = _Backend("interval", lambda: {
     "neg": lambda u: (-u[1], -u[0]),
     "add": iadd,
     "sub": isub,
@@ -471,8 +496,10 @@ def evaluate(e: Expr, x: Number) -> Number:
     number, or zero raised to a negative power.  Overflow gives +-inf and
     sin, cos of +-inf give NaN, silently, in both backends.
     """
-    if isinstance(x, np.ndarray):
-        return _evaluate_array(e, np.asarray(x, dtype=float))
+    if not isinstance(x, float):
+        numpy = sys.modules.get("numpy")  # while numpy is not loaded, x is no array
+        if numpy is not None and isinstance(x, numpy.ndarray):
+            return _evaluate_array(e, numpy.asarray(x, dtype=float))
     x = float(x)
     try:
         return _SCALAR.run(e, x)

@@ -311,6 +311,8 @@ def imvt_witness(f: Expr, a: float, b: float, tol: float = 1e-6) -> float:
 def adt_check(F: Expr, G: Expr, a: float, b: float, samples: int = 128,
               tol: float = 1e-9) -> bool:
     """Two antiderivatives of one function differ by a constant."""
+    if samples < 2:
+        raise PreconditionError("samples must be at least 2")
     xs = np.linspace(a, b, samples)
     dF = evaluate(differentiate(F, 1), xs)
     dG = evaluate(differentiate(G, 1), xs)

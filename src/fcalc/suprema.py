@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
 from .expr import Expr, Var, add, const, evaluate, mul, sub
 
@@ -177,17 +175,28 @@ def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = MAX_HALVIN
     if lo >= hi:
         raise NonCutError("sample_in above sample_out contradicts downward closure")
     _check_bracket(lo, hi)
-    grid = np.linspace(lo, hi, max(2, probes))
-    flags = [bool(cut.below(float(t))) for t in grid]
+    grid = _linspace(lo, hi, max(2, probes))
+    flags = [bool(cut.below(t)) for t in grid]
     last_true = max(i for i, f in enumerate(flags) if f)
     first_false = min(i for i, f in enumerate(flags) if not f)
     if first_false < last_true:
         raise NonCutError(
             f"predicate holds at {grid[last_true]} but fails below it at {grid[first_false]}"
         )
-    a, b, _, _ = _bisect(lambda m: bool(cut.below(m)), float(grid[last_true]),
-                         float(grid[first_false]), tol, max_iter)
+    a, b, _, _ = _bisect(lambda m: bool(cut.below(m)), grid[last_true], grid[first_false],
+                         tol, max_iter)
     return a + (b - a) / 2
+
+
+def _linspace(lo: float, hi: float, n: int) -> List[float]:
+    """n >= 2 evenly spaced floats from lo to hi, bit for bit numpy.linspace."""
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:  # the span underflowed when divided: scale i/(n-1) instead
+        grid = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 def bisect_root(

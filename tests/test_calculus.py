@@ -243,6 +243,17 @@ def test_polynomial_check_examples():
     assert polynomial_check(E.parse("42"), 0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("a, b, n, message", [
+    (0.0, 1.0, -1, "n must be nonnegative"),
+    (-math.inf, 1.0, 1, "finite a and b"),
+    (0.0, math.nan, 1, "finite a and b"),
+])
+def test_polynomial_check_rejects_bad_arguments(a, b, n, message):
+    # a NaN node used to reach polyfit, whose SVD raised LinAlgError
+    with pytest.raises(PreconditionError, match=message):
+        polynomial_check(E.parse("x"), a, b, n)
+
+
 def test_shape_checks_examples():
     ok, ce = shape_checks(E.parse("x^2"), -1.0, 1.0, "convex")
     assert ok and ce is None

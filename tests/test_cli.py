@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcalc
 from fcalc import expr as E
 from fcalc.cli import OP_REGISTRY, build_parser, main
 from helpers import expr_trees
@@ -326,6 +330,7 @@ _ENDS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-2", "2", "1e-300", "-1e-
 _ANY = st.one_of(_ENDS, st.sampled_from(["1e300", "-1e300", "inf", "-inf", "nan", "1e400",
                                          "abc", ""]))
 _TOLS = st.sampled_from(["1e-2", "1e-3", "0.5", "0", "-1", "nan", "inf"])
+_COUNTS = st.sampled_from(["-1", "0", "1", "2"])   # sample and grid counts at the edge
 _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}",
                          "[0, 1e400]", "[0, NaN]", "[0, 1", "[0.25, 0.75]"])
 
@@ -333,7 +338,8 @@ _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}
 @st.composite
 def _argv(draw):
     cmd = draw(st.sampled_from(["integrate", "darboux", "riemann", "imvt", "ftc2", "sup",
-                                "cut", "root", "parse", "eval", "modulus", "stepapprox"]))
+                                "cut", "root", "parse", "eval", "modulus", "stepapprox",
+                                "adt", "polycheck", "shape", "extremum"]))
     f, a, b = draw(_EXPRS), draw(_ENDS), draw(_ENDS)
     if cmd in ("integrate", "imvt", "ftc2"):
         argv = [cmd, "--F" if cmd == "ftc2" else "--f", f, "--a", a, "--b", b]
@@ -363,6 +369,15 @@ def _argv(draw):
         argv += draw(st.sampled_from([[], ["--delta", "0.25"], ["--delta", "0"],
                                       ["--delta", "nan"], ["--delta", "1e-300"]])
                      ) if cmd == "stepapprox" else []
+    elif cmd == "adt":
+        argv = [cmd, "--F", f, "--G", draw(_EXPRS), "--a", draw(_ANY), "--b", draw(_ANY)]
+        argv += ["--samples", draw(_COUNTS)]
+    elif cmd in ("polycheck", "shape", "extremum"):
+        argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY)]
+        argv += {"polycheck": ["--n", draw(st.sampled_from(["0", "2", "-1"]))],
+                 "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"]))],
+                 "extremum": []}[cmd]
+        argv += ["--grid" if cmd == "extremum" else "--samples", draw(_COUNTS)]
     else:
         argv = [cmd, "--f", f, "--x", draw(_ANY)]
     if draw(st.booleans()):
@@ -381,3 +396,68 @@ def test_cli_contract_holds_for_generated_argv(argv):
         assert set(payload) == {"result", "diagnostics"}
         failed = "error" in payload["diagnostics"]
         assert failed == (code == 2 or payload["result"] is None and code == 1)
+
+
+# ---------------------------------------------------------------------------
+# start-up: what a fresh process imports
+
+def _fresh(*args):
+    """Run the interpreter with args in a fresh process importing this fcalc."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fcalc.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("f, x, text", [("sin(x)", "1e400", "nan"), ("exp(1000)", "0", "inf")])
+def test_non_finite_eval_in_a_fresh_process(f, x, text):
+    # the scalar backend's fallback to IEEE arithmetic, in a process that has
+    # not loaded numpy before the command runs
+    proc = _fresh("-m", "fcalc.cli", "eval", "--f", f, "--x", x)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text + "\n", "")
+    proc = _fresh("-m", "fcalc.cli", "eval", "--f", f, "--x", x, "--output", "json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout, parse_constant=_reject_constant) == {
+        "result": None, "diagnostics": {"error": "result is not finite; JSON has no inf or nan"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--text", "sin(x)^2 - 1/x"],
+    ["eval", "--f", "exp(x)/(1+x^2)", "--x", "0.5"],
+    ["deriv", "--f", "sin(x)*x^3", "--order", "2"],
+    ["sup", "--member", "x*x < 2", "--seed-point", "0", "--bound", "2", "--witnesses", "3"],
+    ["cut", "--below", "x*x < 2", "--in-point", "0", "--out-point", "2"],
+    ["root", "--f", "x^3 - x - 2", "--a", "1", "--b", "2"],
+    ["affine", "--from-a", "0", "--from-b", "1", "--to-a", "2", "--to-b", "5"],
+    ["graph", "path", "MVT", "CVT"],
+    ["graph", "dot"],
+    ["graph", "scc"],
+    ["--help"],
+], ids=" ".join)
+def test_subcommands_without_arrays_never_import_numpy(argv):
+    proc = _fresh("-c", f"""
+import contextlib, io, sys
+from fcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main({argv!r})
+    except SystemExit as e:
+        code = e.code
+assert code == 0, code
+assert "numpy" not in sys.modules, "numpy was imported"
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fcalc_loads_each_submodule_on_first_use():
+    proc = _fresh("-c", """
+import sys
+import fcalc
+loaded = [m for m in sys.modules if m.startswith("fcalc.")]
+assert loaded == [], loaded
+assert "numpy" not in sys.modules
+for name in fcalc.__all__:
+    assert getattr(fcalc, name) is not None and name in dir(fcalc), name
+assert fcalc.expr is sys.modules["fcalc.expr"]
+assert not hasattr(fcalc, "numpy")
+""")
+    assert proc.returncode == 0, proc.stderr

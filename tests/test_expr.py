@@ -166,6 +166,22 @@ def test_sin_and_cos_of_infinity_are_nan():
                 assert np.isnan(E.evaluate(e, np.array([t, 0.0]))[0])
 
 
+@pytest.mark.parametrize("text", ["x", "2.5", "sin(x) + x^2", "exp(x)/(1+x)"])
+def test_evaluate_dispatches_on_the_type_of_x(text):
+    # a scalar of any kind gives a Python float; an array of any shape an array
+    e = E.parse(text)
+    expected = E.evaluate(e, 2.0)
+    assert type(expected) is float
+    for x in (2, True, 2.0, np.float64(2.0), np.int64(2)):
+        out = E.evaluate(e, x)
+        assert type(out) is float
+        assert out == (expected if x is not True else E.evaluate(e, 1.0))
+    for x in (np.array(2.0), np.array([2.0, 2.0, 2.0]), np.array([2, 2])):
+        out = E.evaluate(e, x)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        assert np.allclose(out, expected, rtol=1e-15, atol=0.0)  # math and numpy may differ
+
+
 # Constants and points are short decimals: math and numpy may round exp and
 # ln differently in the last place, and a random tree that cancels such a
 # result against a nearby value would amplify that without bound.

@@ -255,6 +255,13 @@ def test_adt_examples():
         adt_check(E.parse("x^2"), E.parse("x^3"), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_adt_needs_two_samples(samples):
+    with pytest.raises(PreconditionError, match="samples must be at least 2"):
+        adt_check(E.parse("x^2"), E.parse("x^2 + 7"), 0.0, 1.0, samples)
+    assert adt_check(E.parse("x^2"), E.parse("x^2 + 7"), 0.0, 1.0, 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
 def test_constant_integral_any_partition(n1, n2):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fcalc.errors import BracketError, NonCutError, PreconditionError
@@ -11,6 +11,7 @@ from fcalc.suprema import (
     MAX_HALVINGS,
     Cut,
     PredicateSet,
+    _linspace,
     affine_map,
     bisect_root,
     bisect_supremum,
@@ -85,6 +86,37 @@ def test_cut_point_detects_non_monotone_predicate():
     # samples ordered against downward closure are rejected outright
     with pytest.raises(NonCutError):
         cut_point(Cut(lambda x: math.sin(x) > 0, 7.0, -1.0), 1e-6)
+
+
+@st.composite
+def _brackets(draw):
+    """Finite lo < hi with a finite span: any, a few ulps, or subnormal."""
+    kind = draw(st.sampled_from(["any", "ulps", "subnormal"]))
+    if kind == "subnormal":
+        lo = draw(st.floats(-1e-300, 1e-300))
+        hi = lo + draw(st.floats(5e-324, 1e-306))
+    else:
+        lo = draw(st.floats(allow_nan=False, allow_infinity=False))
+        if kind == "any":
+            hi = draw(st.floats(min_value=lo, allow_nan=False, allow_infinity=False))
+        else:
+            hi = lo
+            for _ in range(draw(st.integers(1, 70))):
+                hi = math.nextafter(hi, math.inf)
+    assume(lo < hi and math.isfinite(hi - lo))
+    return lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(_brackets(), st.integers(2, 300))
+@example((0.0, 5e-324), 64)          # the span divided by n - 1 underflows to 0
+@example((-1e-308, 1e-308), 300)
+@example((-8.98e307, 8.98e307), 2)
+def test_cut_probe_grid_is_numpy_linspace_bit_for_bit(bracket, n):
+    lo, hi = bracket
+    with np.errstate(over="ignore"):  # (n-1)*step may round past the largest double
+        theirs = np.linspace(lo, hi, n)
+    assert np.array(_linspace(lo, hi, n)).view(np.int64).tolist() == theirs.view(np.int64).tolist()
 
 
 def test_cut_point_random_rationals():
