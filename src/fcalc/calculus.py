@@ -34,6 +34,9 @@ from .errors import (
 from .expr import Expr, Var, const, differentiate, evaluate, mul, sub
 from .suprema import bisect_root
 
+SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
+ROLLE_SCAN = 512       # interior grid points Rolle's witness search scans for f'
+
 
 @dataclass(frozen=True)
 class LimitSchedule:
@@ -43,7 +46,6 @@ class LimitSchedule:
     delta0: float = 1e-2
     shrink: float = 0.5
     steps: int = 30
-    samples_per_step: int = 8
 
     def __post_init__(self):
         if self.mode not in ("left", "right", "two-sided"):
@@ -88,7 +90,7 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
     left_est = right_est = None
     for j in range(sched.steps):
         delta = sched.delta0 * sched.shrink**j
-        pts = c + _window_offsets(delta, sched.mode, sched.samples_per_step)
+        pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
         pts = pts[pts != c]  # puncture survives rounding
         if pts.size == 0:
             break
@@ -210,8 +212,7 @@ def _grid_crossing(fn: Callable, xs: np.ndarray, vals: np.ndarray, k: float,
     return bisect_root(fn, float(xs[i]), float(xs[i + 1]), k, tol=tol).root
 
 
-def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8,
-                  scan: int = 512) -> float:
+def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Interior point where f' vanishes, given equal endpoint values.
 
     Scans f' for a sign change and polishes with bisection; with no sign
@@ -223,7 +224,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8,
         raise PreconditionError(f"endpoint values differ: f({a})={fa}, f({b})={fb}")
     dfn, symbolic = _derivative_fn(f)
     eff_tol = tol if symbolic else 100 * tol
-    xs = np.linspace(a, b, scan + 2)[1:-1]
+    xs = np.linspace(a, b, ROLLE_SCAN + 2)[1:-1]
     dvals = dfn(xs)
     if float(np.max(np.abs(dvals))) <= eff_tol:
         warnings.warn("derivative flat to tolerance; returning the midpoint", RuntimeWarning)
@@ -233,7 +234,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8,
         return c
     candidates = []
     for g in (f, mul(const(-1.0), f)):
-        c, _ = extreme_point(g, a, b, grid=scan, refinements=4)
+        c, _ = extreme_point(g, a, b, grid=ROLLE_SCAN, refinements=4)
         if a + (b - a) * 1e-9 < c < b - (b - a) * 1e-9:
             candidates.append(c)
     candidates.sort(key=lambda t: abs(dfn(t)))
@@ -330,6 +331,9 @@ def polynomial_check(f: Expr, a: float, b: float, n: int, samples: int = 128,
         raise PreconditionError("n must be nonnegative")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError("polynomial_check needs finite a and b")
+    if a == b:  # on one point f is a constant, once it is defined there
+        evaluate(f, a)
+        return True
     top = differentiate(f, n + 1)
     xs = np.linspace(a, b, samples)
     if np.max(np.abs(evaluate(top, xs))) > tol:

@@ -131,6 +131,8 @@ def _json_arg(text: str, shape):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", e.pos)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ParseError("bad JSON: nested too deeply", 0) from None
 
     def fail(where, what):
         raise ParseError(f"JSON argument {text!r}: {where} must be {what}", 0)
@@ -816,9 +818,6 @@ def main(argv=None) -> int:
             lines = [_json({"result": result, "diagnostics": diagnostics})]
     except ParseError as e:
         return _fail(cfg, "parse error", str(e), 2)
-    except RecursionError:
-        # the parser, compiler and printer recurse once per nesting level
-        return _fail(cfg, "parse error", "expression nested too deeply", 2)
     except MathError as e:
         return _fail(cfg, "error", str(e), 1)
     for line in lines:

@@ -31,6 +31,8 @@ from .expr import Expr, enclose, evaluate
 from .interval import Interval, OpenInterval, uniform_partition
 from .stepfn import StepFunction
 
+MAX_SAMPLE = 1 << 20   # most sample points the paper-mode Lebesgue number tries
+
 
 @dataclass
 class OpenCover:
@@ -191,7 +193,7 @@ def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]
     return float(xs[k]), float(ys[k] if hit_y[k] else zs[k])
 
 
-def _lebesgue_half_radius(cover: OpenCover, sample: int, max_sample: int = 1 << 20) -> float:
+def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
     a, b = cover.target.lo, cover.target.hi
     los = np.array([p.lo for p in cover.pieces], dtype=float)
     his = np.array([p.hi for p in cover.pieces], dtype=float)
@@ -211,7 +213,7 @@ def _lebesgue_half_radius(cover: OpenCover, sample: int, max_sample: int = 1 << 
         # every target point must sit within half a radius of some sample
         if spacing < float(radii.min()):
             return float(radii.min()) / 2
-        if n >= max_sample:
+        if n >= MAX_SAMPLE:
             raise CoverError("sampling limit reached before half-radius coverage held")
         n *= 2
 
@@ -310,9 +312,9 @@ def step_approximation(f: Expr, a: float, b: float, eps: float,
         delta = uniform_modulus(f, a, b, eps, grid=grid, seed=seed)
     if not (eps > 0 and a < b and math.isfinite(b - a) and delta > 0):
         raise PreconditionError("need eps > 0, finite a < b and delta > 0")
-    n = 1 if delta >= b - a else math.floor((b - a) / delta) + 1
-    if n > _MAX_CELLS:
+    if (b - a) / delta >= _MAX_CELLS:  # also where the quotient overflows to inf
         raise PreconditionError(f"delta {delta} needs more than {_MAX_CELLS} cells")
+    n = 1 if delta >= b - a else math.floor((b - a) / delta) + 1
     part = uniform_partition(a, b, n)
     values = evaluate(f, np.asarray(part.nodes[:-1]))
     return StepFunction(part, tuple(float(v) for v in values))

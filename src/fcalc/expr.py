@@ -10,24 +10,32 @@ Grammar (whitespace insignificant)::
 with ident one of sin, cos, exp, ln, sqrt, abs.  Unary minus binds looser
 than ``^``, as usual: -x^2 is -(x^2), and (-x)^2 reads as written.
 Exponents are integer literals only, so symbolic differentiation stays
-closed form.  Trees are frozen dataclasses: structurally equal trees
-evaluate identically, and sharing between threads is safe.
+closed form.
+
+Nodes are frozen and interned: building one returns the live node with
+the same class and fields, so equal trees are one object, ``==`` is
+identity and ``hash`` is O(1).  Constants are keyed by their bit pattern
+(0.0 and -0.0 are two nodes).  The table holds nodes weakly, and inserts
+and removals take a lock, so threads building the same tree get one
+object.  No walk recurses: ``_postorder`` (an explicit stack) serves
+compiling, differentiating and printing, and the parser is one
+precedence-climbing loop, so nesting depth is bounded by memory alone.
 
 Evaluation compiles a tree once per backend (``math`` floats, numpy
 arrays, and pairs of numpy arrays for interval enclosures) into a
 straight-line program cached on the root node outside the dataclass
 fields, so equality, hashing, printing and pickling never see it.
-Compiling numbers values: each structurally distinct subtree gets one
-slot, keyed by its op and its operands' slots (constants by value and
-sign, so 0.0 and -0.0 differ), in a walk memoised by object id.  Integer
-powers become repeated squaring (u^0 an op that reads u and gives 1, so
-u's domain still counts), and registers are reused after a value's last
-reader, so few array temporaries are alive at once.  Each backend is an
-op table.  The two point backends share one set of domain checks, and a
-scalar point where ``math`` raises instead of giving NaN or inf is re-run
-on numpy, so both follow IEEE 754; the interval backend (``enclose``)
-marks a cell where an op leaves its domain instead of raising.
-``differentiate`` memoises by object id, so shared subtrees stay shared.
+Compiling numbers values: each node gets one slot, and an instruction is
+keyed by its op and its operands' slots, so a+b and b+a share one.
+Integer powers become repeated squaring (u^0 an op that reads u and gives
+1, so u's domain still counts), and registers are reused after a value's
+last reader, so few array temporaries are alive at once.  Each backend is
+an op table.  The two point backends share one set of domain checks, and
+a scalar point where ``math`` raises instead of giving NaN or inf is
+re-run on numpy, so both follow IEEE 754; the interval backend
+(``enclose``) marks a cell where an op leaves its domain instead of
+raising.  ``differentiate`` caches d/dx on each node in the same way, so
+shared subtrees stay shared and a derivative is taken once.
 
 numpy is imported on first use: by an array or interval call, or by the
 scalar re-run on numpy.  The grammar, the printer, ``differentiate`` and
@@ -37,10 +45,14 @@ without it.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 import re
+import struct
 import sys
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -64,36 +76,54 @@ np = _Numpy()
 Number = Union[float, "np.ndarray"]
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base node; concrete nodes are the dataclasses below."""
+    """Base node; concrete nodes are the dataclasses below.
+
+    Nodes are built only through __new__, which returns the live node for
+    (class, fields) or sets the fields of a new one and records it.
+    """
+
+    def __new__(cls, *fields):
+        names = cls.__dataclass_fields__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+        # Children are keyed by id: a node keeps them alive, so their ids are
+        # theirs while its entry stands, and the table holds no node.
+        kids = fields
+        if cls is Const:
+            fields, kids = (float(fields[0]),), ()
+            key = (cls, _DOUBLE.pack(fields[0]))  # the bit pattern: -0.0 is not 0.0
+        elif cls is Pow:
+            fields, kids = (fields[0], operator.index(fields[1])), fields[:1]
+            key = (cls, id(fields[0]), fields[1])
+        elif cls is Func:
+            kids = fields[1:]
+            key = (cls, fields[0], id(fields[1]))
+        else:  # Var, Neg and the binary nodes
+            key = (cls, id(fields[0]), id(fields[-1])) if fields else (cls,)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(names, fields), _kids=kids)
+            new = _Ref(node, _forget)
+            new.key = key
+            ref = _NODES.setdefault(key, new)  # atomic: of racing threads, one inserts
+            if ref is not new:
+                with _LOCK:  # taken by a racing thread, or by a dead node not yet forgotten
+                    ref = _NODES.get(key)
+                    winner = ref and ref()
+                    if winner is not None:  # another thread's node
+                        return winner
+                    _NODES[key] = new
+        return node
+
+    def __reduce__(self):
+        # unpickling calls the class, which re-interns; cached programs are not state
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def __call__(self, x: Number) -> Number:
         return evaluate(self, x)
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -104,57 +134,70 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
-    def __getstate__(self):
-        # Compiled programs cached on the node by evaluate() are not state.
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+_node = dataclass(frozen=True, eq=False, init=False)
+_NODES = {}  # (class, fields) -> weak reference to the live node
+_LOCK = threading.RLock()  # reentrant: a collection inside the lock may run _forget
+_DOUBLE = struct.Struct("d")
 
 
-@dataclass(frozen=True)
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    """Drop a dead node's entry, unless a new node has taken its key."""
+    with _LOCK:
+        if _NODES.get(ref.key) is ref:
+            del _NODES[ref.key]
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Func(Expr):
     name: str
     arg: Expr
@@ -164,16 +207,41 @@ X = Var()
 
 
 def _coerce(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return Const(float(v))
+    return v if isinstance(v, Expr) else Const(v)
+
+
+# ---------------------------------------------------------------------------
+# the one walk
+
+def _postorder(root, cached: str = None):
+    """Each distinct node under root once, children first, left before right.
+
+    The one tree traversal, from an explicit stack, so depth is bounded by
+    memory alone.  A node holding the attribute `cached` is not yielded,
+    and neither is its subtree (unless reached another way).
+    """
+    seen, stack = set(), [(None, iter((root,)))]  # a stand-in parent above root
+    while stack:
+        node, kids = stack[-1]
+        for kid in kids:
+            if kid not in seen and not (cached and hasattr(kid, cached)):
+                seen.add(kid)
+                try:
+                    stack.append((kid, iter(kid._kids)))
+                except AttributeError:
+                    raise TypeError(f"not an expression node: {kid!r}") from None
+                break
+        else:
+            stack.pop()
+            if stack:  # not the stand-in
+                yield node
 
 
 # ---------------------------------------------------------------------------
 # smart constructors (local constant folding only)
 
 def const(v: float) -> Const:
-    return Const(float(v))
+    return Const(v)
 
 
 def add(u: Expr, v: Expr) -> Expr:
@@ -199,16 +267,9 @@ def sub(u: Expr, v: Expr) -> Expr:
 def mul(u: Expr, v: Expr) -> Expr:
     if isinstance(u, Const) and isinstance(v, Const):
         return Const(u.value * v.value)
-    if isinstance(u, Const):
-        if u.value == 0.0:
-            return Const(0.0)
-        if u.value == 1.0:
-            return v
-    if isinstance(v, Const):
-        if v.value == 0.0:
-            return Const(0.0)
-        if v.value == 1.0:
-            return u
+    for c, other in ((u, v), (v, u)):
+        if isinstance(c, Const) and c.value in (0.0, 1.0):
+            return Const(0.0) if c.value == 0.0 else other
     return Mul(u, v)
 
 
@@ -247,6 +308,12 @@ def func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
+# e + 2, 2 * e and so on: the smart constructors, with numbers as constants
+for _op, _fn in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div)):
+    setattr(Expr, f"__{_op}__", lambda u, v, fn=_fn: fn(u, _coerce(v)))
+    setattr(Expr, f"__r{_op}__", lambda u, v, fn=_fn: fn(_coerce(v), u))
+
+
 # ---------------------------------------------------------------------------
 # evaluation: one compile step, one op table per backend
 
@@ -260,16 +327,20 @@ _DOMAIN = {
 }
 
 
+_OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+
+
 def _compile(root: Expr, ops: dict):
     """Straight-line program (code, registers, result register) for root.
 
     Values are x = 0, constants -1, -2, ... (held in register -v) and
-    instructions 1, 2, ...; an instruction is keyed by its op and operand
-    values, a constant by its value and sign.  Instruction (fn, i, j, k)
+    instructions 1, 2, ...; each node gets one value, and an instruction
+    is keyed by its op and operand values, so a+b and b+a, and the products
+    repeated squaring builds, are computed once.  Instruction (fn, i, j, k)
     stores fn(r[i]), or fn(r[i], r[j]) when j >= 0, into register k, with
     fn taken from the backend's op table; registers is r without r[0] = x.
     """
-    consts, code, number, seen = [], [], {}, {}
+    consts, code, number, value = [], [], {}, {}
 
     def emit(op, a, b=None):
         if op in ("add", "mul") and b < a:
@@ -279,22 +350,19 @@ def _compile(root: Expr, ops: dict):
             code.append((op, a, b))
         return v
 
-    def visit(e):
-        if id(e) in seen:
-            return seen[id(e)]
+    for e in _postorder(root):
         t = type(e)
-        if t in (Add, Sub, Mul, Div):
-            v = emit(t.__name__.lower(), visit(e.left), visit(e.right))
+        if t in _OPS:
+            v = emit(_OPS[t], value[e.left], value[e.right])
         elif t is Const:
-            v = number.setdefault((e.value, math.copysign(1.0, e.value)), -len(consts) - 1)
-            if v < -len(consts):
-                consts.append(e.value)
+            consts.append(e.value)
+            v = -len(consts)
         elif t is Var:
             v = 0
         elif t is Neg or (t is Func and e.name in FUNCTIONS):
-            v = emit("neg" if t is Neg else e.name, visit(e.arg))
+            v = emit("neg" if t is Neg else e.name, value[e.arg])
         elif t is Pow:  # repeated squaring, of the reciprocal if n < 0
-            b, n = visit(e.base), e.exponent
+            b, n = value[e.base], e.exponent
             if n < 0:
                 b, n = emit("recip", b), -n
             v = emit("one", b) if n == 0 else None  # 1, read from the base
@@ -306,10 +374,9 @@ def _compile(root: Expr, ops: dict):
                     b = emit("mul", b, b)
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        seen[id(e)] = v
-        return v
+        value[e] = v
 
-    root_value = visit(root)
+    root_value = value[root]
     # A temporary's register is reused once its last reader has run, so no
     # more array intermediates are alive than the tree's shape needs.  The
     # root's register is never handed on, whichever instruction computes it.
@@ -541,154 +608,124 @@ def differentiate(e: Expr, n: int = 1) -> Expr:
     """Symbolic n-th derivative.  n=0 returns the expression itself.
 
     abs is parseable but rejected here with NonDifferentiableError.
+    d/dx is cached on each node, so shared subtrees stay shared and a
+    derivative already taken costs nothing.
     """
     if n < 0:
         raise PreconditionError("derivative order must be nonnegative")
-    out = e
     for _ in range(int(n)):
-        out = _d(out, {})
-    return out
+        for node in _postorder(e, "_deriv"):
+            node.__dict__["_deriv"] = _rule(node)
+        e = e._deriv
+    return e
 
 
-def _d(e: Expr, memo: dict) -> Expr:
-    """d/dx of e, once per distinct object: memo maps id(node) -> derivative."""
-    if id(e) not in memo:
-        memo[id(e)] = _rule(e, memo)
-    return memo[id(e)]
+_CHAIN = {  # d/dx of name(u), from u and du
+    "sin": lambda u, du: mul(func("cos", u), du),
+    "cos": lambda u, du: neg(mul(func("sin", u), du)),
+    "exp": lambda u, du: mul(func("exp", u), du),
+    "ln": lambda u, du: div(du, u),
+    "sqrt": lambda u, du: div(du, mul(const(2.0), func("sqrt", u))),
+}
 
 
-def _rule(e: Expr, memo: dict) -> Expr:
+def _rule(e: Expr) -> Expr:
+    """d/dx of e, from the derivatives cached on its children."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0)
     if isinstance(e, Neg):
-        return neg(_d(e.arg, memo))
+        return neg(e.arg._deriv)
     if isinstance(e, Add):
-        return add(_d(e.left, memo), _d(e.right, memo))
+        return add(e.left._deriv, e.right._deriv)
     if isinstance(e, Sub):
-        return sub(_d(e.left, memo), _d(e.right, memo))
+        return sub(e.left._deriv, e.right._deriv)
     if isinstance(e, Mul):
         # product rule, f'g + g'f
-        return add(mul(_d(e.left, memo), e.right), mul(_d(e.right, memo), e.left))
+        return add(mul(e.left._deriv, e.right), mul(e.right._deriv, e.left))
     if isinstance(e, Div):
-        num = sub(mul(_d(e.left, memo), e.right), mul(_d(e.right, memo), e.left))
+        num = sub(mul(e.left._deriv, e.right), mul(e.right._deriv, e.left))
         return div(num, pow_(e.right, 2))
     if isinstance(e, Pow):
         inner = mul(const(e.exponent), pow_(e.base, e.exponent - 1))
-        return mul(inner, _d(e.base, memo))
-    if isinstance(e, Func):
-        u, du = e.arg, _d(e.arg, memo)
-        if e.name == "sin":
-            return mul(func("cos", u), du)
-        if e.name == "cos":
-            return neg(mul(func("sin", u), du))
-        if e.name == "exp":
-            return mul(func("exp", u), du)
-        if e.name == "ln":
-            return div(du, u)
-        if e.name == "sqrt":
-            return div(du, mul(const(2.0), func("sqrt", u)))
+        return mul(inner, e.base._deriv)
+    if e.name not in _CHAIN:  # a Func
         raise NonDifferentiableError(f"cannot differentiate node {e.name!r}")
-    raise TypeError(f"not an expression node: {e!r}")
+    return _CHAIN[e.name](e.arg, e.arg._deriv)
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# How tightly each node binds, for parenthesising: atoms 5
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_INFIX = {cls: op if op in "*/" else f" {op} " for op, cls in _BINARY.items()}
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
     if isinstance(e, Const) and math.copysign(1.0, e.value) < 0:  # -0.0 prints a minus too
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    text = to_text(e)
-    if _prec(e) < minimum:
-        return f"({text})"
-    return text
+        return _PREC[Neg]
+    return _PREC.get(type(e), 5)
 
 
 def to_text(e: Expr, var_name: str = "x") -> str:
-    """Render to grammar-conformant text; parse(to_text(e)) evaluates like e."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return var_name
-    if isinstance(e, Neg):
-        # unary minus binds looser than ^, so Neg(Pow(x, 2)) prints -x^2
-        return f"-{_wrap(e.arg, _PREC_NEG)}"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Func):
-        return f"{e.name}({to_text(e.arg, var_name)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Render to grammar-conformant text; parse(to_text(e)) evaluates like e.
+
+    Each node's text is built from its children's, which are dropped
+    after their last reader.
+    """
+    nodes = list(_postorder(e))
+    readers = collections.Counter(kid for node in nodes for kid in node._kids)
+    texts = {}
+
+    def wrap(child, minimum):
+        readers[child] -= 1
+        text = texts[child] if readers[child] else texts.pop(child)
+        return f"({text})" if _prec(child) < minimum else text
+
+    for node in nodes:
+        t = type(node)
+        if t is Const:
+            text = repr(node.value)
+        elif t is Var:
+            text = var_name
+        elif t is Neg:
+            # unary minus binds looser than ^, so Neg(Pow(x, 2)) prints -x^2
+            text = f"-{wrap(node.arg, _PREC[Neg])}"
+        elif t in _INFIX:
+            text = wrap(node.left, _PREC[t]) + _INFIX[t] + wrap(node.right, _PREC[t] + 1)
+        elif t is Pow:
+            text = f"{wrap(node.base, 5)}^{node.exponent}"
+        else:  # Func
+            text = f"{node.name}({wrap(node.arg, 0)})"
+        texts[node] = text
+    return texts[e]
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
+# parser: one precedence-climbing loop
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    \s*(?:
+      (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_]+)
     | (?P<op>[-+*/^()])
+    | (?P<bad>\S))
     """,
     re.VERBOSE,
 )
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", offset)
-        return self.next()
+def _tokens(text: str) -> list:
+    """(kind, text, offset) for each token, then ("eof", "", len(text))."""
+    tokens = [(kind := m.lastgroup, m[kind], m.start(kind)) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
+    return tokens + [("eof", "", len(text))]
 
 
 def parse(text: str, var_name: str = "x") -> Expr:
@@ -696,80 +733,74 @@ def parse(text: str, var_name: str = "x") -> Expr:
 
     var_name lets the sequence front end reuse the grammar with `n` as
     the variable.  Raises ParseError with the byte offset on bad input.
+
+    One loop over the tokens with an operand stack and a stack of pending
+    operators: node classes for binary operators and prefix minus (Neg),
+    and "(" or a function name for each open group.  A prefix minus
+    applies once its factor, with any ^ exponent, is complete; a binary
+    operator first applies the pending ones that bind at least as tightly.
+    Only operator tokens have the texts - + * / ^ ( ), so a token's text
+    alone identifies them.
     """
-    toks = _Tokens(text)
-    e = _parse_expr(toks, var_name)
-    kind, value, offset = toks.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", offset)
-    return e
+    tokens, i, operands, pending, depth = _tokens(text), 0, [], [], 0
 
+    def reduce(prec):
+        while pending and pending[-1] in _INFIX and _PREC[pending[-1]] >= prec:
+            right = operands.pop()
+            operands[-1] = pending.pop()(operands[-1], right)
 
-def _parse_expr(toks, var_name):
-    e = _parse_term(toks, var_name)
     while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in "+-":
-            toks.next()
-            rhs = _parse_term(toks, var_name)
-            e = Add(e, rhs) if value == "+" else Sub(e, rhs)
+        # operand position: prefix minuses and group openers, then one atom
+        kind, value, offset = tokens[i]
+        i += 1
+        if value in ("-", "("):
+            pending.append(Neg if value == "-" else "(")
+            depth += value == "("
+            continue
+        if kind == "ident" and value != var_name and value in FUNCTIONS:
+            if tokens[i][1] != "(":
+                raise ParseError("expected '('", tokens[i][2])
+            i += 1
+            pending.append(value)
+            depth += 1
+            continue
+        if kind == "num":
+            operands.append(Const(float(value)))
+        elif kind == "ident" and value == var_name:
+            operands.append(X)
+        elif kind == "ident":
+            raise ParseError(f"unknown identifier {value!r}", offset)
         else:
-            return e
-
-
-def _parse_term(toks, var_name):
-    e = _parse_factor(toks, var_name)
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in "*/":
-            toks.next()
-            rhs = _parse_factor(toks, var_name)
-            e = Mul(e, rhs) if value == "*" else Div(e, rhs)
-        else:
-            return e
-
-
-def _parse_factor(toks, var_name):
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "-":
-        toks.next()
-        return Neg(_parse_factor(toks, var_name))
-    base = _parse_base(toks, var_name)
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "^":
-        toks.next()
-        base = Pow(base, _parse_integer(toks))
-    return base
-
-
-def _parse_integer(toks):
-    sign = 1
-    kind, value, offset = toks.peek()
-    if kind == "op" and value == "-":
-        toks.next()
-        sign = -1
-        kind, value, offset = toks.peek()
-    if kind != "num" or not value.isdigit():
-        raise ParseError("expected integer exponent", offset)
-    toks.next()
-    return sign * int(value)
-
-
-def _parse_base(toks, var_name):
-    kind, value, offset = toks.next()
-    if kind == "num":
-        return Const(float(value))
-    if kind == "ident":
-        if value == var_name:
-            return Var()
-        if value in FUNCTIONS:
-            toks.expect_op("(")
-            inner = _parse_expr(toks, var_name)
-            toks.expect_op(")")
-            return Func(value, inner)
-        raise ParseError(f"unknown identifier {value!r}", offset)
-    if kind == "op" and value == "(":
-        inner = _parse_expr(toks, var_name)
-        toks.expect_op(")")
-        return inner
-    raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
+            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
+                             offset)
+        # operator position: a base is complete, so take its exponent and the
+        # prefix minuses before it, then close a group or read an operator
+        while True:
+            if tokens[i][1] == "^":
+                minus = tokens[i + 1][1] == "-"
+                kind, value, offset = tokens[i + 1 + minus]
+                if kind != "num" or not value.isdigit():
+                    raise ParseError("expected integer exponent", offset)
+                i += 2 + minus
+                operands[-1] = Pow(operands[-1], -int(value) if minus else int(value))
+            while pending and pending[-1] is Neg:
+                operands[-1] = pending.pop()(operands[-1])
+            kind, value, offset = tokens[i]
+            i += 1
+            if value in _BINARY:
+                reduce(_PREC[_BINARY[value]])
+                pending.append(_BINARY[value])
+                break
+            if depth and value == ")":
+                reduce(0)
+                opener = pending.pop()
+                if opener != "(":
+                    operands[-1] = Func(opener, operands[-1])
+                depth -= 1
+                continue
+            if depth:
+                raise ParseError("expected ')'", offset)
+            if kind != "eof":
+                raise ParseError(f"trailing input {value!r}", offset)
+            reduce(0)
+            return operands[0]

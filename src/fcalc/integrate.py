@@ -34,6 +34,7 @@ from .expr import Expr, differentiate, enclose, evaluate, iadd, imul, isub
 from .interval import Partition
 
 _CHUNK_CELLS = 1 << 18
+MIN_LEVEL = 4   # riemann_integral starts from 2^MIN_LEVEL equal cells
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
@@ -140,7 +141,8 @@ def riemann_sum(f: Expr, p: Partition, choice: ChoiceFunction) -> float:
     if p.cell_count == 0:
         return 0.0
     pts = choice.points_for(p)
-    return float(np.dot(evaluate(f, pts), p.widths()))
+    with np.errstate(all="ignore"):  # inf - inf is nan, as in the evaluation itself
+        return float(np.dot(evaluate(f, pts), p.widths()))
 
 
 def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
@@ -187,10 +189,10 @@ def _sum_bound(values, toward: float) -> float:
 
 
 def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
-                     min_level: int = 4, max_level: int = 24) -> IntegralCertificate:
+                     max_level: int = 24) -> IntegralCertificate:
     """Adaptively refined certified integral of f over [a, b].
 
-    Starts from the uniform 2^min_level-partition.  Each round encloses
+    Starts from the uniform 2^MIN_LEVEL-partition.  Each round encloses
     the integral over every unfrozen cell (see _cell_integrals), records
     the bracket [sum of lower ends, sum of upper ends] over all cells
     intersected with the previous one, and stops once it is at most tol
@@ -210,12 +212,12 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         f2: Optional[Expr] = differentiate(f, 2)
     except NonDifferentiableError:
         f2 = None
-    nodes = _nodes(a, b, 1 << min_level, 0, 1 << min_level)
+    nodes = _nodes(a, b, 1 << MIN_LEVEL, 0, 1 << MIN_LEVEL)
     lo, hi = nodes[:-1], nodes[1:]
     frozen, frozen_low, frozen_high = 0, 0.0, 0.0
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
-    for _ in range(min_level, max_level + 1):
+    for _ in range(MIN_LEVEL, max_level + 1):
         # in chunks, so the temporaries stay small however many cells are open
         parts = [_cell_integrals(f, f2, lo[i:i + _CHUNK_CELLS], hi[i:i + _CHUNK_CELLS])
                  for i in range(0, lo.size, _CHUNK_CELLS)]

@@ -34,6 +34,7 @@ from .expr import Expr, Var, add, const, evaluate, mul, sub
 
 
 MAX_HALVINGS = 1025 + 1074
+CUT_PROBES = 64   # grid points on which cut_point checks downward closure
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def sup_witnesses(pset: PredicateSet, sup_value: float, count: int) -> List[floa
     return witnesses
 
 
-def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = MAX_HALVINGS) -> float:
+def cut_point(cut: Cut, tol: float, max_iter: int = MAX_HALVINGS) -> float:
     """Boundary point of a downward-closed predicate, by bisection.
 
     A probe grid checks downward closure first: a `below` hit above a
@@ -175,7 +176,7 @@ def cut_point(cut: Cut, tol: float, probes: int = 64, max_iter: int = MAX_HALVIN
     if lo >= hi:
         raise NonCutError("sample_in above sample_out contradicts downward closure")
     _check_bracket(lo, hi)
-    grid = _linspace(lo, hi, max(2, probes))
+    grid = _linspace(lo, hi, CUT_PROBES)
     flags = [bool(cut.below(t)) for t in grid]
     last_true = max(i for i, f in enumerate(flags) if f)
     first_false = min(i for i, f in enumerate(flags) if not f)

@@ -19,6 +19,7 @@ from fcalc.calculus import (
 )
 from fcalc.errors import (
     DivergenceError,
+    DomainError,
     NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
@@ -252,6 +253,14 @@ def test_polynomial_check_rejects_bad_arguments(a, b, n, message):
     # a NaN node used to reach polyfit, whose SVD raised LinAlgError
     with pytest.raises(PreconditionError, match=message):
         polynomial_check(E.parse("x"), a, b, n)
+
+
+@pytest.mark.parametrize("text", ["x", "sin(x)", "abs(x)", "x^7 - exp(x)"])
+def test_every_function_is_a_constant_on_one_point(text):
+    for n in (0, 3):
+        assert polynomial_check(E.parse(text), 0.5, 0.5, n)
+    with pytest.raises(DomainError):   # unless it is undefined there
+        polynomial_check(E.parse(f"({text})/(x - 0.5)"), 0.5, 0.5, 0)
 
 
 def test_shape_checks_examples():

@@ -218,6 +218,13 @@ def test_modulus_certifies_sin_and_fails_cleanly_at_a_pole(capsys):
     assert "Traceback" not in err
 
 
+def test_a_step_approximation_past_the_cell_cap_fails_cleanly(capsys):
+    # (b - a) / delta overflows to inf here; math.floor(inf) raised OverflowError
+    code, out, err = run(capsys, "stepapprox", "--f", "x", "--a", "0", "--b", "1e300",
+                         "--eps", "0.5", "--delta", "1e-300")
+    assert code == 1 and out == "" and "needs more than" in err
+
+
 @pytest.mark.parametrize("cmd", ["modulus", "stepapprox"])
 def test_grid_help_says_initial_window_centres(capsys, cmd):
     with pytest.raises(SystemExit) as exc:
@@ -226,17 +233,32 @@ def test_grid_help_says_initial_window_centres(capsys, cmd):
     assert "initial window centres" in " ".join(capsys.readouterr().out.split())
 
 
-# The parser and compiler recurse once per nesting level; until they are
-# loops, input nested past Python's recursion limit is a parse error.
-@pytest.mark.parametrize("argv", [["parse", "--text", "(" * 300 + "x" + ")" * 300],
-                                  ["eval", "--x", "1", "--f", "+".join(["x"] * 3000)]])
-def test_deeply_nested_input_is_a_parse_error(capsys, argv):
+# Nothing on the expression path recurses, so nesting depth is unlimited.
+_DEEP_SUM = "+".join(["x"] * 10**4)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["parse", "--text", "(" * 10**4 + "x" + ")" * 10**4], "x"),
+    (["eval", "--x", "1", "--f", _DEEP_SUM], "10000.0"),
+    (["deriv", "--f", _DEEP_SUM], "10000.0"),
+], ids=["parse", "eval", "deriv"])
+def test_deeply_nested_input_is_accepted(capsys, argv, text):
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "parse error: expression nested too deeply\n")
+    assert (code, out, err) == (0, text + "\n", "")
     code, out, _ = run(capsys, *argv, "--output", "json")
     payload = json.loads(out, parse_constant=_reject_constant)
-    assert code == 2
-    assert payload == {"result": None, "diagnostics": {"error": "expression nested too deeply"}}
+    assert code == 0 and payload["result"] == (10000.0 if argv[0] == "eval" else text)
+
+
+# json's decoder does recurse: past Python's recursion limit it is bad JSON
+@pytest.mark.parametrize("cover", ["[" * 5000, "[" * 5000 + "]" * 5000], ids=["open", "closed"])
+def test_deeply_nested_json_is_a_parse_error(capsys, cover):
+    message = "bad JSON: nested too deeply (at offset 0)"
+    code, out, err = run(capsys, "cover-verify", "--cover", cover)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+    code, out, _ = run(capsys, "cover-verify", "--cover", cover, "--output", "json")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 2 and payload == {"result": None, "diagnostics": {"error": message}}
 
 
 @pytest.mark.parametrize("argv", [["eval", "--f", "exp(1000)", "--x", "0"],
@@ -319,6 +341,17 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _nest(form, depth, cut):
+    """form ("-{}", "sin({})", ...) applied depth times to x, less cut chars."""
+    before, after = form.split("{}")
+    text = before * depth + "x" + after * depth
+    return text[:len(text) - cut]
+
+
+# deep chains: nested groups, prefix minuses, calls, powers, products and
+# sums, for parse and eval (the numerical commands cost tree size times cells)
+_DEEP = st.builds(_nest, st.sampled_from(["({})", "-{}", "sin({})", "({})^2", "x*{}", "{}+x"]),
+                  st.integers(1, 2000), st.sampled_from([0, 0, 1]))
 _EXPRS = st.one_of(
     expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6).map(E.to_text),
     st.sampled_from(["x", "-x^2", "exp(-x^2)", "1/x", "ln(x)", "sqrt(x)", "abs(x)",
@@ -362,7 +395,7 @@ def _argv(draw):
         argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY), "--k", draw(_ANY)]
         argv += ["--tol", draw(st.sampled_from(["1e-300", "1e-9", "0.1"]))]
     elif cmd == "parse":
-        argv = [cmd, "--text", f]
+        argv = [cmd, "--text", draw(st.one_of(st.just(f), _DEEP))]
     elif cmd in ("modulus", "stepapprox"):
         argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY), "--eps",
                 draw(st.sampled_from(["0.5", "0.05", "0", "nan", "inf"]))]
@@ -379,7 +412,7 @@ def _argv(draw):
                  "extremum": []}[cmd]
         argv += ["--grid" if cmd == "extremum" else "--samples", draw(_COUNTS)]
     else:
-        argv = [cmd, "--f", f, "--x", draw(_ANY)]
+        argv = [cmd, "--f", draw(st.one_of(st.just(f), _DEEP)), "--x", draw(_ANY)]
     if draw(st.booleans()):
         argv += ["--max-iter", draw(st.sampled_from(["0", "3", "50"]))]
     return argv + draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
@@ -418,6 +451,12 @@ def test_non_finite_eval_in_a_fresh_process(f, x, text):
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout, parse_constant=_reject_constant) == {
         "result": None, "diagnostics": {"error": "result is not finite; JSON has no inf or nan"}}
+
+
+def test_a_nan_riemann_sum_warns_nothing():
+    # f is inf and -inf on the two cells, so the weighted sum is inf - inf
+    proc = _fresh("-m", "fcalc.cli", "riemann", "--f", "1e400*x", "--partition", "[-1, 0, 1]")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "nan\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,10 @@
+import gc
 import math
 import pickle
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -374,3 +378,177 @@ def test_enclosure_rules():
     assert E.enclose(E.parse("cos(x)"), np.array([0.1]), np.array([3.0]))[1][0] < 1.0
     x = np.array([math.pi / 2])
     assert E.enclose(E.parse("sin(x)"), x, x)[1][0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# parse errors: message and offset for each kind of malformed input
+
+_MALFORMED = [
+    ("", "unexpected end of input", 0),
+    (" ", "unexpected end of input", 1),
+    ("x^", "expected integer exponent", 2),
+    ("x^-", "expected integer exponent", 3),
+    ("x^1.5", "expected integer exponent", 2),
+    ("x^(2)", "expected integer exponent", 2),
+    ("x^--2", "expected integer exponent", 3),
+    ("x^1e2", "expected integer exponent", 2),
+    ("sqrt(x)^", "expected integer exponent", 8),
+    ("x^2^3", "trailing input '^'", 3),
+    ("(x^2^3)", "expected ')'", 4),
+    ("foo(x)", "unknown identifier 'foo'", 0),
+    ("e^x", "unknown identifier 'e'", 0),
+    ("x + ", "unexpected end of input", 4),
+    ("x + )", "unexpected token ')'", 4),
+    ("x +* 1", "unexpected token '*'", 3),
+    ("*2", "unexpected token '*'", 0),
+    ("(x + 1", "expected ')'", 6),
+    ("((x)", "expected ')'", 4),
+    ("sin(x", "expected ')'", 5),
+    ("sin x", "expected '('", 4),
+    ("sin", "expected '('", 3),
+    ("sin()", "unexpected token ')'", 4),
+    ("exp(-)", "unexpected token ')'", 5),
+    ("x 1", "trailing input '1'", 2),
+    ("x)", "trailing input ')'", 1),
+    ("ln(x))", "trailing input ')'", 5),
+    ("x (", "trailing input '('", 2),
+    ("x^ 2 3", "trailing input '3'", 5),
+    ("1e", "trailing input 'e'", 1),
+    ("1.5.2", "trailing input '.2'", 3),
+    ("()", "unexpected token ')'", 1),
+    ("(", "unexpected end of input", 1),
+    ("-(", "unexpected end of input", 2),
+    ("--", "unexpected end of input", 2),
+    ("x/-", "unexpected end of input", 3),
+    ("x $ 1", "unexpected character '$'", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", _MALFORMED)
+def test_malformed_input_gives_its_message_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        E.parse(text)
+    assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
+def test_the_variable_name_is_the_only_identifier_besides_functions():
+    with pytest.raises(ParseError, match=r"unknown identifier 'x' \(at offset 2\)"):
+        E.parse("1/x", var_name="n")
+    with pytest.raises(ParseError, match=r"unknown identifier 'n' \(at offset 0\)"):
+        E.parse("n")
+
+
+# ---------------------------------------------------------------------------
+# interning: one live node per structure
+
+def test_parsing_the_same_text_twice_gives_the_same_object():
+    text = "sin(x)*exp(-(x^2)) + ln(1+x^2)"
+    assert E.parse(text) is E.parse(text)
+    assert E.differentiate(E.parse(text), 7) is E.differentiate(E.parse(text), 7)
+    assert E.Const(1) is E.Const(1.0) and type(E.Const(1).value) is float
+    assert E.Pow(E.Var(), np.int64(2)) is E.Pow(E.Var(), 2)
+    assert E.Const(math.nan) is E.Const(float("nan"))
+
+
+def test_signed_zeros_stay_distinct_nodes():
+    zero, minus_zero = E.Const(0.0), E.Const(-0.0)
+    assert zero is not minus_zero and zero != minus_zero
+    assert math.copysign(1.0, minus_zero.value) == -1.0
+    assert E.Neg(zero) is not E.Neg(minus_zero)
+
+
+def test_a_pickle_round_trip_returns_the_same_object():
+    e = E.differentiate(E.parse("sin(x)/(1 + x^2)"), 2)
+    E.evaluate(e, 0.5)
+    data = pickle.dumps(e)
+    assert pickle.loads(data) is e
+    assert b"_code_" not in data and b"_deriv" not in data   # caches are not state
+
+
+def test_threads_building_the_same_tree_get_one_object():
+    # constants no other test uses, so every node is new and the threads race
+    text = " + ".join(f"sin({k}.0625*x)^2/(1 + {k}.1875*x)" for k in range(300))
+    barrier = threading.Barrier(8, timeout=60)
+    trees = [None] * 8
+
+    def build(k):
+        barrier.wait()
+        trees[k] = E.parse(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, inside the table lookups too
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert trees[0] is not None and all(t is trees[0] for t in trees)
+
+
+def test_a_dropped_tree_leaves_the_intern_table():
+    e = E.differentiate(E.parse("exp(3.40625*x) / (1 + 7.59375*x^2)"), 3)
+    E.evaluate(e, np.array([0.5]))
+    ref = weakref.ref(e)
+    constants = [E.Const(3.40625), E.Const(7.59375)]
+    keys = [key for key, node in E._NODES.items() if any(node() is c for c in constants)]
+    assert len(keys) == 2
+    del e, constants
+    gc.collect()   # a node whose derivative contains it (exp) is a cycle
+    assert ref() is None
+    assert not any(key in E._NODES for key in keys)
+
+
+# ---------------------------------------------------------------------------
+# deep chains: nothing recurses, so depth is bounded by memory alone
+
+# (node, value, derivative) for each step applied to the chain so far.  The
+# constants are positive, so the printed text reads back as the same tree,
+# and no step grows the value by more than 1.5, so math never overflows.
+_STEPS = {
+    "add": (lambda e, c: E.Add(e, E.Const(c)), lambda v, c: v + c, lambda v, d, c: d),
+    "radd": (lambda e, c: E.Add(E.Const(c), e), lambda v, c: c + v, lambda v, d, c: d),
+    "rsub": (lambda e, c: E.Sub(E.Const(c), e), lambda v, c: c - v, lambda v, d, c: -d),
+    "mul": (lambda e, c: E.Mul(e, E.Const(c / 2)), lambda v, c: v * (c / 2),
+            lambda v, d, c: d * (c / 2)),
+    "div": (lambda e, c: E.Div(E.Const(c), E.Add(E.Const(c), E.Pow(e, 2))),
+            lambda v, c: c / (c + v * v), lambda v, d, c: -c * 2 * v * d / (c + v * v) ** 2),
+    "neg": (lambda e, c: E.Neg(e), lambda v, c: -v, lambda v, d, c: -d),
+    "sin": (lambda e, c: E.Func("sin", e), lambda v, c: math.sin(v),
+            lambda v, d, c: math.cos(v) * d),
+    "cos": (lambda e, c: E.Func("cos", e), lambda v, c: math.cos(v),
+            lambda v, d, c: -math.sin(v) * d),
+}
+_chains = st.lists(st.tuples(st.sampled_from(sorted(_STEPS)), st.sampled_from([0.25, 0.5, 1.5])),
+                   min_size=500, max_size=3000)
+
+
+def _build(steps, x):
+    """The chain of steps over x, its value at x and its derivative there,
+    the value in the scalar backend's order of operations."""
+    e, v, d = E.Var(), x, 1.0
+    for name, c in steps:
+        node, value, slope = _STEPS[name]
+        e, v, d = node(e, c), value(v, c), slope(v, d, c)
+    return e, v, d
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chains, st.sampled_from([-1.5, -0.25, 0.0, 0.75, 2.0]))
+def test_deep_chains_parse_print_evaluate_and_differentiate(steps, x):
+    e, value, slope = _build(steps, x)
+    assert E.parse(E.to_text(e)) is e
+    assert E.evaluate(e, x) == value
+    assert E.evaluate(e, np.array([x]))[0] == pytest.approx(value, rel=1e-9, abs=1e-9)
+    got = E.evaluate(E.differentiate(e, 1), x)
+    if abs(slope) < 1e300:
+        assert got == pytest.approx(slope, rel=1e-9, abs=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr_trees((0.0, 0.5, 1.0, 2.0, 1.2), max_leaves=10))
+def test_printed_text_reads_back_as_the_same_tree(e):
+    assert E.parse(E.to_text(e)) is e

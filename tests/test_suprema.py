@@ -82,7 +82,7 @@ def test_cut_point_detects_non_monotone_predicate():
     # sin > 0 holds again on (2pi, 3pi), so the probe grid sees a hit
     # above a miss: not downward closed
     with pytest.raises(NonCutError):
-        cut_point(Cut(lambda x: math.sin(x) > 0, 1.0, 11.0), 1e-6, probes=64)
+        cut_point(Cut(lambda x: math.sin(x) > 0, 1.0, 11.0), 1e-6)
     # samples ordered against downward closure are rejected outright
     with pytest.raises(NonCutError):
         cut_point(Cut(lambda x: math.sin(x) > 0, 7.0, -1.0), 1e-6)
