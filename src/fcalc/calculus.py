@@ -32,6 +32,7 @@ from .errors import (
     PreconditionError,
 )
 from .expr import Expr, Var, const, differentiate, evaluate, mul, sub
+from .interval import require_finite
 from .suprema import bisect_root
 
 SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
@@ -156,6 +157,7 @@ def extreme_point(f: Expr, a: float, b: float, grid: int = 256,
     """Grid argmax with local 10x refinements; smallest x wins ties."""
     if grid < 2:
         raise PreconditionError("grid must be at least 2")
+    require_finite(a, b)
     if a > b:
         raise PreconditionError("need a <= b")
     if a == b:
@@ -200,7 +202,8 @@ def _grid_crossing(fn: Callable, xs: np.ndarray, vals: np.ndarray, k: float,
     An exact grid hit wins; otherwise the first sign change of vals - k
     is polished by bisect_root to tol; with neither, None.
     """
-    resid = vals - k
+    with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
+        resid = vals - k
     hit = np.flatnonzero(resid == 0.0)
     if hit.size:
         return float(xs[hit[0]])
@@ -219,6 +222,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     change, falls back to an interior extremum of f or -f.  A function
     that is flat to within tol yields the midpoint plus a warning.
     """
+    require_finite(a, b)
     fa, fb = evaluate(f, a), evaluate(f, b)
     if abs(fa - fb) > tol * max(1.0, abs(fa)):
         raise PreconditionError(f"endpoint values differ: f({a})={fa}, f({b})={fb}")
@@ -245,6 +249,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
 
 def mvt_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Point c in (a, b) where f' matches the secant slope."""
+    require_finite(a, b)
     if not a < b:
         raise PreconditionError("need a < b")
     slope = (evaluate(f, b) - evaluate(f, a)) / (b - a)
@@ -259,6 +264,7 @@ def mvt_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
 
 def emvt_witness(f: Expr, g: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Cauchy mean-value witness: f'(c)/g'(c) equals the increment ratio."""
+    require_finite(a, b)
     if not a < b:
         raise PreconditionError("need a < b")
     dg = differentiate(g, 1)
@@ -293,12 +299,19 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
+    require_finite(a, x)
     if not x > a:
         raise PreconditionError("need x > a")
+    h = x - a
+    try:  # Python's ** raises past the double range, and so does int / float
+        weight = h ** (n + 1) / math.factorial(n + 1)
+    except OverflowError:
+        weight = math.inf
+    if not 0.0 < weight < math.inf:
+        raise PreconditionError(f"(x - a)^{n + 1}/{n + 1}! is outside the double range")
     derivs = [f]
     for _ in range(n + 1):
         derivs.append(differentiate(derivs[-1], 1))
-    h = x - a
     value = 0.0
     for k in range(n + 1):
         value += evaluate(derivs[k], a) / math.factorial(k) * h**k
@@ -356,31 +369,38 @@ def shape_checks(f: Expr, a: float, b: float, kind: str, samples: int = 64,
     """
     if samples < 3:
         raise PreconditionError("samples must be at least 3")
+    if kind not in ("convex", "increasing", "constant"):
+        raise PreconditionError(f"unknown kind {kind!r}")
+    require_finite(a, b)
+    if a > b:
+        raise PreconditionError("need a <= b")
+    if a == b:  # on one point every shape holds, once f is defined there
+        evaluate(f, a)
+        return True, None
     rng = np.random.default_rng(seed)
+    # Python floats from here: their sums overflow to inf without a warning
     if kind == "convex":
         for _ in range(samples):
-            c, t, x = np.sort(rng.uniform(a, b, 3))
+            c, t, x = np.sort(rng.uniform(a, b, 3)).tolist()
             if not (c < t < x):
                 continue
             chord = evaluate(f, c) + (t - c) * (evaluate(f, x) - evaluate(f, c)) / (x - c)
             if evaluate(f, t) > chord + tol:
-                return False, (float(c), float(t), float(x))
+                return False, (c, t, x)
         return True, None
     if kind == "increasing":
         for _ in range(samples):
-            c, x = np.sort(rng.uniform(a, b, 2))
+            c, x = np.sort(rng.uniform(a, b, 2)).tolist()
             if not c < x:
                 continue
             if evaluate(f, c) > evaluate(f, x) + tol:
-                return False, (float(c), float(x))
+                return False, (c, x)
         return True, None
-    if kind == "constant":
-        xs = np.linspace(a, b, samples)
-        vals = evaluate(f, xs)
-        if float(np.max(vals) - np.min(vals)) <= tol:
-            return True, None
-        return False, (float(xs[np.argmin(vals)]), float(xs[np.argmax(vals)]))
-    raise PreconditionError(f"unknown kind {kind!r}")
+    xs = np.linspace(a, b, samples)
+    vals = evaluate(f, xs)
+    if float(np.max(vals)) - float(np.min(vals)) <= tol:
+        return True, None
+    return False, (float(xs[np.argmin(vals)]), float(xs[np.argmax(vals)]))
 
 
 def piecewise_linear(nodes, values) -> Callable[[float], float]:

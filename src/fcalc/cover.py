@@ -1,18 +1,25 @@
 """Finite open covers of closed intervals.
 
-Every cover query goes through one structure, `_Reach`: the pieces
-sorted by left endpoint with a running maximum of their right
-endpoints.  reach(x) is the largest right endpoint over pieces with
-lo < x (lo <= x for closed cell queries), attained by the lowest-index
-such piece.  Some piece contains x exactly when reach(x) > x, and two
-points x <= y share a piece exactly when reach(x) > y.
+Every cover query goes through one structure, `_Reach`: keys sorted
+with a running maximum of their values.  Keyed by the pieces' left
+endpoints with their right endpoints as values, reach(x) is the largest
+right endpoint over pieces with lo < x (lo <= x for closed cell
+queries), attained by the lowest-index such piece.  Some piece contains
+x exactly when reach(x) > x, and two points x <= y share a piece
+exactly when reach(x) > y.
 
 verify_cover and finite_subcover are one greedy walk from the left end
 of the target along reach: an exact constructive Heine-Borel sweep,
 never a sampling argument.  The exact Lebesgue number is the minimum
 slack reach - x over breakpoints and reach - q over cells (p, q)
-between them, all answered by one vectorised query.  The conservative
-min-half-radius formula is kept as `paper` mode.
+between them, all answered by one vectorised query.
+
+The conservative min-half-radius formula is kept as `paper` mode.  A
+sample t is bound by t - lo on pieces whose split key (the last double
+where t - lo <= hi - t after rounding) is at least t, and by hi - t on
+the others, so two more reach structures keyed by split key, one giving
+the largest hi and one the smallest lo, answer every sample of a round
+with two searchsorted calls.
 
 uniform_modulus (a certified window cover) and sup_error decide from
 interval enclosures (expr.enclose), never from samples.
@@ -22,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -42,38 +51,42 @@ class OpenCover:
 
     @classmethod
     def from_json(cls, data) -> "OpenCover":
-        return cls(
-            Interval(*map(float, data["target"])),
-            [OpenInterval(float(lo), float(hi)) for lo, hi in data["pieces"]],
-        )
+        return cls(Interval(*map(float, data["target"])),
+                   list(starmap(OpenInterval, data["pieces"])))
 
     def to_json(self):
-        return {"target": self.target.to_json(), "pieces": [p.to_json() for p in self.pieces]}
+        return {"target": self.target.to_json(),
+                "pieces": list(map(OpenInterval.to_json, self.pieces))}
+
+
+def _ends(pieces: List[OpenInterval]) -> Tuple[np.ndarray, np.ndarray]:
+    """The pieces' left and right endpoints, as two float arrays."""
+    n = len(pieces)
+    return (np.fromiter(map(attrgetter("lo"), pieces), float, n),
+            np.fromiter(map(attrgetter("hi"), pieces), float, n))
 
 
 class _Reach:
-    """Pieces sorted by left endpoint with a running maximum of right endpoints.
+    """Keys sorted with a running maximum of their values.
 
-    Calling it with x (a float or an array) returns the largest right
-    endpoint over pieces with lo < x, or lo <= x when closed, and the
-    lowest index attaining it; -inf and -1 where there is none.
+    Calling it with x (a float or an array) returns the largest value
+    over keys < x, or keys <= x when closed, and the lowest index
+    attaining it; -inf and -1 where there is none.
     """
 
-    def __init__(self, pieces: List[OpenInterval]):
-        los = np.array([p.lo for p in pieces], dtype=float)
-        his = np.array([p.hi for p in pieces], dtype=float)
-        by_lo = np.argsort(los, kind="stable")
-        by_hi = np.argsort(-his, kind="stable")  # highest first, ties by index
-        rank = np.empty_like(by_hi)
-        rank[by_hi] = np.arange(len(his))
-        best = by_hi[np.minimum.accumulate(rank[by_lo])]
-        self.los = los[by_lo]
-        self.his = np.concatenate(([-math.inf], his[best]))
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        by_key = np.argsort(keys, kind="stable")
+        by_value = np.argsort(-values, kind="stable")  # highest first, ties by index
+        rank = np.empty_like(by_value)
+        rank[by_value] = np.arange(len(values))
+        best = by_value[np.minimum.accumulate(rank[by_key])]
+        self.keys = keys[by_key]
+        self.values = np.concatenate(([-math.inf], values[best]))
         self.idx = np.concatenate(([-1], best))
 
     def __call__(self, x, closed: bool = False):
-        k = np.searchsorted(self.los, x, side="right" if closed else "left")
-        return self.his[k], self.idx[k]
+        k = np.searchsorted(self.keys, x, side="right" if closed else "left")
+        return self.values[k], self.idx[k]
 
 
 def _greedy_walk(cover: OpenCover) -> Tuple[List[int], Optional[float]]:
@@ -82,7 +95,7 @@ def _greedy_walk(cover: OpenCover) -> Tuple[List[int], Optional[float]]:
     point (None once a piece passes the right end).  r strictly
     increases through right endpoints, so the walk ends within
     len(pieces) steps."""
-    reach = _Reach(cover.pieces)
+    reach = _Reach(*_ends(cover.pieces))
     r, b = cover.target.lo, cover.target.hi
     chain: List[int] = []
     while True:
@@ -110,7 +123,8 @@ def length_inequality(cover: OpenCover) -> bool:
     """Total piece length strictly exceeds the covered length."""
     if cover.verified is not True:
         raise CoverError("cover must be verified before using length_inequality")
-    return sum(p.length for p in cover.pieces) > cover.target.length
+    los, his = _ends(cover.pieces)
+    return sum((his - los).tolist()) > cover.target.length
 
 
 def finite_subcover(cover: OpenCover) -> List[int]:
@@ -143,10 +157,10 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _breakpoints(cover: OpenCover) -> np.ndarray:
+def _breakpoints(target: Interval, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Sorted distinct target ends and piece endpoints inside the target."""
-    a, b = cover.target.lo, cover.target.hi
-    v = np.array([a, b] + [e for p in cover.pieces for e in (p.lo, p.hi)])
+    a, b = target.lo, target.hi
+    v = np.concatenate(([a, b], np.stack((los, his), 1).ravel()))
     # stable, so of equal values such as 0.0 and -0.0 the first listed stays
     v = np.sort(v[(v >= a) & (v <= b)], kind="stable")
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
@@ -154,8 +168,9 @@ def _breakpoints(cover: OpenCover) -> np.ndarray:
 
 def _lebesgue_exact(cover: OpenCover) -> float:
     b = cover.target.hi
-    breaks = _breakpoints(cover)
-    reach = _Reach(cover.pieces)
+    ends = _ends(cover.pieces)
+    breaks = _breakpoints(cover.target, *ends)
+    reach = _Reach(*ends)
     at, _ = reach(breaks)
     uncovered = breaks[~(at > breaks)]
     if uncovered.size:
@@ -175,10 +190,11 @@ def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]
     its reach (capped at the target end) and with x + delta less a hair.
     """
     b = cover.target.hi
-    breaks = _breakpoints(cover)
+    ends = _ends(cover.pieces)
+    breaks = _breakpoints(cover.target, *ends)
     p, q = breaks[:-1], breaks[1:]
     xs = np.concatenate((breaks, q - np.minimum(delta * 1e-3, (q - p) / 2)))
-    reach, _ = _Reach(cover.pieces)(xs)
+    reach, _ = _Reach(*ends)(xs)
     inside = reach > xs
 
     def free(cs):
@@ -193,19 +209,64 @@ def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]
     return float(xs[k]), float(ys[k] if hit_y[k] else zs[k])
 
 
+_SIGN = np.int64(-1 << 63)  # the sign bit alone
+
+
+def _flip(k: np.ndarray) -> np.ndarray:
+    """Bit patterns of doubles <-> integers in the doubles' order (both
+    zeros map to 0); the map is its own inverse."""
+    return np.where(k < 0, _SIGN - k, k)
+
+
+def _split_keys(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """For pieces lo < hi, the largest double t with fl(t - lo) <= fl(hi - t).
+
+    The test is monotone in t, true at lo and false at hi, so each key
+    is bisected over the doubles' ordered bit patterns (at most 64
+    rounds).  The first bracket is the midpoint plus or minus a few ulps
+    of hi - lo and of the midpoint, or the part of [lo, hi] beyond that
+    bracket where the key lies outside it.  An infinite lo gives key
+    -inf (every finite t is bound by hi - t), otherwise an infinite hi
+    gives +inf.
+    """
+    finite = np.isfinite(los) & np.isfinite(his)
+    lo, hi = np.where(finite, los, 0.0), np.where(finite, his, 1.0)
+
+    def ok(t):
+        return t - lo <= hi - t
+
+    mid = lo / 2 + hi / 2
+    w = (hi / 2 - lo / 2) * 2.0 ** -48 + 4 * np.abs(np.spacing(mid))
+    below, above = mid - w, mid + w
+    ok_below, ok_above = ok(below), ok(above)
+    left = np.where(ok_above, above, np.where(ok_below, below, lo))
+    right = np.where(ok_above, hi, np.where(ok_below, above, below))
+    left, right = _flip(left.view(np.int64)), _flip(right.view(np.int64))
+    while True:  # ok at left, not at right
+        m = (left >> 1) + (right >> 1) + (left & right & 1)
+        if np.array_equal(m, left):
+            break
+        good = ok(_flip(m).view(float))
+        left, right = np.where(good, m, left), np.where(good, right, m)
+    keys = _flip(left).view(float)
+    return np.where(los == -math.inf, -math.inf, np.where(his == math.inf, math.inf, keys))
+
+
 def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
     a, b = cover.target.lo, cover.target.hi
-    los = np.array([p.lo for p in cover.pieces], dtype=float)
-    his = np.array([p.hi for p in cover.pieces], dtype=float)
+    los, his = _ends(cover.pieces)
+    keep = los < his  # an empty or NaN piece contains no sample
+    los, his = los[keep], his[keep]
+    keys = _split_keys(los, his)
+    # a sample's radius is its largest tent min(t - lo, hi - t) over the
+    # pieces, which is positive exactly on pieces containing t
+    by_hi, by_lo = _Reach(keys, his), _Reach(-keys, -los)
     n = max(2, sample)
     while True:
         ts = np.linspace(a, b, n)
-        radii = np.zeros(n)
-        # the samples strictly inside a piece are one slice of ts
-        starts, stops = np.searchsorted(ts, los, "right"), np.searchsorted(ts, his, "left")
-        for lo, hi, i, j in zip(los, his, starts, stops):
-            t = ts[i:j]
-            np.maximum(radii[i:j], np.minimum(t - lo, hi - t), out=radii[i:j])
+        hi, _ = by_hi(ts)                   # largest hi over keys < t
+        lo = -by_lo(-ts, closed=True)[0]    # smallest lo over keys >= t
+        radii = np.maximum(np.maximum(ts - lo, hi - ts), 0.0)
         if not radii.all():
             raise CoverError(f"sample point {float(ts[radii == 0][0])} of a verified cover "
                              "is uncovered")
@@ -230,7 +291,7 @@ def validate_lebesgue(cover: OpenCover, delta: float, pairs: int = 10**4,
                       seed: int = 0) -> int:
     """Count violations of the defining property over random pairs."""
     xs, cs, close = _random_pairs(cover.target.lo, cover.target.hi, delta, pairs, seed)
-    reach, _ = _Reach(cover.pieces)(np.minimum(xs, cs))
+    reach, _ = _Reach(*_ends(cover.pieces))(np.minimum(xs, cs))
     return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
 
 
@@ -289,8 +350,8 @@ def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256,
         mids = ts[gap] + (ts[gap + 1] - ts[gap]) / 2
         ts = np.insert(ts, gap + 1, mids)
         r = np.insert(r, gap + 1, _window_radii(f, mids, a, b, eps / 2))
-    cover = OpenCover(Interval(a, b), [OpenInterval(float(t - w), float(t + w))
-                                       for t, w in zip(ts, r)])
+    cover = OpenCover(Interval(a, b),
+                      list(map(OpenInterval, (ts - r).tolist(), (ts + r).tolist())))
     ok, witness = verify_cover(cover)
     if not ok:
         raise CoverError(f"certified windows miss {witness}")

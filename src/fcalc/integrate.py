@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import IterationCapError, NonDifferentiableError, PreconditionError
 from .expr import Expr, differentiate, enclose, evaluate, iadd, imul, isub
-from .interval import Partition
+from .interval import Partition, require_finite
 
 _CHUNK_CELLS = 1 << 18
 MIN_LEVEL = 4   # riemann_integral starts from 2^MIN_LEVEL equal cells
@@ -97,8 +97,7 @@ class IntegralCertificate:
 
 
 def _check_interval(a: float, b: float) -> None:
-    if not math.isfinite(b - a):
-        raise PreconditionError("need a finite interval [a, b]")
+    require_finite(a, b)
     if a > b:
         raise PreconditionError("need a <= b")
 
@@ -257,6 +256,7 @@ def integral_additivity_check(f: Expr, a: float, c: float, b: float,
 def bounds_check(f: Expr, a: float, b: float, lo: float, hi: float,
                  tol: float = 1e-6, samples: int = 1024) -> bool:
     """m(b-a) <= integral <= M(b-a), with the envelope grid-verified first."""
+    require_finite(a, b)
     xs = np.linspace(a, b, samples)
     vals = evaluate(f, xs)
     if np.any(vals < lo) or np.any(vals > hi):
@@ -315,16 +315,18 @@ def adt_check(F: Expr, G: Expr, a: float, b: float, samples: int = 128,
     """Two antiderivatives of one function differ by a constant."""
     if samples < 2:
         raise PreconditionError("samples must be at least 2")
+    require_finite(a, b)
     xs = np.linspace(a, b, samples)
     dF = evaluate(differentiate(F, 1), xs)
     dG = evaluate(differentiate(G, 1), xs)
     scale = float(np.max(np.abs(dF)))
-    mism = np.abs(dF - dG)
-    if np.any(mism > tol * (1 + scale)):
-        k = int(np.argmax(mism))
-        raise PreconditionError(
-            f"derivatives differ at x={xs[k]}: {dF[k]} vs {dG[k]}"
-        )
-    diff = evaluate(F, xs) - evaluate(G, xs)
-    spread = float(np.max(diff) - np.min(diff))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails both tests
+        mism = np.abs(dF - dG)
+        if np.any(mism > tol * (1 + scale)):
+            k = int(np.argmax(mism))
+            raise PreconditionError(
+                f"derivatives differ at x={xs[k]}: {dF[k]} vs {dG[k]}"
+            )
+        diff = evaluate(F, xs) - evaluate(G, xs)
+        spread = float(np.max(diff) - np.min(diff))
     return spread <= tol * (1 + float(np.max(np.abs(diff))))

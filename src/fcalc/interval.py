@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 from .errors import IterationCapError, NestingError, PreconditionError
 
 
@@ -45,16 +43,18 @@ class Interval:
         return [self.lo, self.hi]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OpenInterval:
     """Open bounded interval (lo, hi); membership is strict."""
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+    def __init__(self, lo: float, hi: float):
+        # the slot setters write through the frozen __setattr__, one
+        # float() per end: covers build thousands of pieces
+        _SET_LO(self, float(lo))
+        _SET_HI(self, float(hi))
 
     @property
     def length(self) -> float:
@@ -65,6 +65,9 @@ class OpenInterval:
 
     def to_json(self) -> List[float]:
         return [self.lo, self.hi]
+
+
+_SET_LO, _SET_HI = OpenInterval.lo.__set__, OpenInterval.hi.__set__
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,7 @@ class Partition:
         return len(self.nodes) - 1
 
     def widths(self) -> np.ndarray:
+        import numpy as np
         arr = np.asarray(self.nodes)
         return arr[1:] - arr[:-1]
 
@@ -121,6 +125,12 @@ class NestedSequence:
 
     def __call__(self, k: int) -> Interval:
         return self.rule(k)
+
+
+def require_finite(a: float, b: float) -> None:
+    """PreconditionError unless a, b and the length b - a are finite."""
+    if not math.isfinite(b - a):
+        raise PreconditionError("need a finite interval [a, b]")
 
 
 def bisect(i: Interval) -> Tuple[Interval, Interval]:

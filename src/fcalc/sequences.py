@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 from .errors import BudgetError, IterationCapError, PreconditionError
 from .interval import Interval, bisect
+from .suprema import _linspace
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,7 @@ def bound_prefix(s, n: int) -> float:
 
 
 def _cache_values(rule, budget: int) -> np.ndarray:
+    import numpy as np
     return np.fromiter((float(rule(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
 
 
@@ -136,6 +136,7 @@ def bw_extract(
     N_k with s(N_k) in interval k.  Interval k has length
     length(box)/2^(k-1).
     """
+    import numpy as np
     if depth < 1 or depth > 60:
         raise PreconditionError("depth must be in 1..60")
     if budget < depth:
@@ -171,8 +172,8 @@ def bw_extract(
 def _scan_indices(lo: int, hi: int, limit: int = 4096) -> List[int]:
     if hi - lo + 1 <= limit:
         return list(range(lo, hi + 1))
-    idx = np.unique(np.linspace(lo, hi, limit).astype(int))
-    return [int(i) for i in idx]
+    # the grid never decreases, so dropping repeats keeps it sorted
+    return list(dict.fromkeys(map(int, _linspace(lo, hi, limit))))
 
 
 def monotone_limit(s, upper: float, tol: float, max_index: int = 10**6) -> float:

@@ -238,6 +238,23 @@ def test_taylor_identity_on_random_cases():
             assert a < rep.witness < x
 
 
+@pytest.mark.parametrize("a, n, x", [(0.0, 2, 1e300), (-1e200, 2, 1e200), (0.0, 30, 1e-300),
+                                     (0.0, 171, 1.0)])
+def test_taylor_rejects_a_step_whose_top_power_leaves_the_double_range(a, n, x):
+    # h^(n+1) overflowed with a traceback, or underflowed to a division by zero
+    with pytest.raises(PreconditionError, match="outside the double range"):
+        taylor(E.parse("x"), a, n, x)
+
+
+def test_shape_checks_on_one_point_and_on_a_reversed_interval():
+    for kind in ("convex", "increasing", "constant"):
+        assert shape_checks(E.parse("x"), 0.0, -0.0, kind) == (True, None)
+        with pytest.raises(PreconditionError, match="need a <= b"):
+            shape_checks(E.parse("x"), 1.0, 0.0, kind)
+    with pytest.raises(PreconditionError, match="unknown kind"):
+        shape_checks(E.parse("x"), 0.0, 1.0, "concave")
+
+
 def test_polynomial_check_examples():
     assert polynomial_check(E.parse("3*x^2 - x"), -1.0, 1.0, 2)
     assert not polynomial_check(E.parse("exp(x)"), 0.0, 1.0, 5, tol=1e-9)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -332,12 +333,18 @@ def test_unbounded_darboux_bound_is_a_json_error_object(capsys):
 # fuzzing the CLI contract: exit code 0, 1 or 2, no traceback, strict JSON
 
 def _cli(argv):
+    """Exit code, stdout and stderr of one in-process run; warnings are
+    written to stderr, as a fresh process would print them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(list(argv))
         except SystemExit as e:   # argparse usage errors
             code = e.code
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                   for w in caught)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -363,7 +370,8 @@ _ENDS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-2", "2", "1e-300", "-1e-
 _ANY = st.one_of(_ENDS, st.sampled_from(["1e300", "-1e300", "inf", "-inf", "nan", "1e400",
                                          "abc", ""]))
 _TOLS = st.sampled_from(["1e-2", "1e-3", "0.5", "0", "-1", "nan", "inf"])
-_COUNTS = st.sampled_from(["-1", "0", "1", "2"])   # sample and grid counts at the edge
+# sample and grid counts at the edge, and valid ones that reach the endpoint checks
+_COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "64"])
 _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}",
                          "[0, 1e400]", "[0, NaN]", "[0, 1", "[0.25, 0.75]"])
 
@@ -372,7 +380,7 @@ _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}
 def _argv(draw):
     cmd = draw(st.sampled_from(["integrate", "darboux", "riemann", "imvt", "ftc2", "sup",
                                 "cut", "root", "parse", "eval", "modulus", "stepapprox",
-                                "adt", "polycheck", "shape", "extremum"]))
+                                "adt", "polycheck", "shape", "extremum", "taylor"]))
     f, a, b = draw(_EXPRS), draw(_ENDS), draw(_ENDS)
     if cmd in ("integrate", "imvt", "ftc2"):
         argv = [cmd, "--F" if cmd == "ftc2" else "--f", f, "--a", a, "--b", b]
@@ -411,6 +419,9 @@ def _argv(draw):
                  "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"]))],
                  "extremum": []}[cmd]
         argv += ["--grid" if cmd == "extremum" else "--samples", draw(_COUNTS)]
+    elif cmd == "taylor":
+        argv = [cmd, "--f", f, "--n", draw(st.sampled_from(["0", "2", "-1"])),
+                "--at", draw(_ANY), "--x", draw(_ANY)]
     else:
         argv = [cmd, "--f", draw(st.one_of(st.just(f), _DEEP)), "--x", draw(_ANY)]
     if draw(st.booleans()):
@@ -424,6 +435,7 @@ def test_cli_contract_holds_for_generated_argv(argv):
     code, out, err = _cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err, (argv, err)
     if argv[-2:] == ["--output", "json"]:
         payload = json.loads(out, parse_constant=_reject_constant)
         assert set(payload) == {"result", "diagnostics"}
@@ -453,6 +465,37 @@ def test_non_finite_eval_in_a_fresh_process(f, x, text):
         "result": None, "diagnostics": {"error": "result is not finite; JSON has no inf or nan"}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["shape", "--f", "x", "--a", "0", "--b", "inf", "--kind", "increasing"],
+    ["extremum", "--f", "x", "--a", "nan", "--b", "1"],
+    ["extremum", "--f", "x", "--a", "0", "--b", "inf"],
+    ["taylor", "--f", "exp(x)", "--n", "2", "--at", "0", "--x", "inf"],
+    ["rolle", "--f", "x^2", "--a=-inf", "--b", "inf"],
+    ["mvt", "--f", "x^2", "--a", "0", "--b", "inf"],
+    ["emvt", "--f", "x^2", "--g", "x", "--a", "0", "--b", "inf"],
+    ["adt", "--F", "x^2", "--G", "x^2+1", "--a", "0", "--b", "inf"],
+], ids=lambda argv: argv[0] + " " + " ".join(argv[-4:]))
+def test_a_non_finite_interval_is_a_precondition_error(argv):
+    proc = _fresh("-m", "fcalc.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: need a finite interval [a, b]\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["shape", "--f", "x", "--a", "0", "--b", "1e300", "--kind", "convex", "--samples", "3"],
+     "convex: true\n"),
+    (["shape", "--f", "x", "--a", "0", "--b", "-0", "--kind", "convex", "--samples", "3"],
+     "convex: true\n"),
+    (["adt", "--F", "1e400*x", "--G", "1e400*x", "--a", "0", "--b", "1"], "adt: false\n"),
+    (["taylor", "--f", "exp(1000*x)", "--n", "2", "--at", "0", "--x", "1"],
+     "value 501001.0 rho inf witness none remainder inf\n"),
+], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf"])
+def test_overflowing_sums_warn_nothing(argv, out):
+    # numpy scalars warned on overflow and inf - inf; [0, -0] raised in rng.uniform
+    proc = _fresh("-m", "fcalc.cli", *argv)
+    assert (proc.stdout, proc.stderr) == (out, "")
+
+
 def test_a_nan_riemann_sum_warns_nothing():
     # f is inf and -inf on the two cells, so the weighted sum is inf - inf
     proc = _fresh("-m", "fcalc.cli", "riemann", "--f", "1e400*x", "--partition", "[-1, 0, 1]")
@@ -470,6 +513,8 @@ def test_a_nan_riemann_sum_warns_nothing():
     ["graph", "path", "MVT", "CVT"],
     ["graph", "dot"],
     ["graph", "scc"],
+    ["seq", "--op", "limit", "--s", "1 - 1/n", "--upper", "1", "--tol", "1e-5"],
+    ["ival", "--op", "bisect", "--interval", "[0, 1]"],
     ["--help"],
 ], ids=" ".join)
 def test_subcommands_without_arrays_never_import_numpy(argv):

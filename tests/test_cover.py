@@ -138,6 +138,82 @@ def test_lebesgue_paper_mode_conservative_and_valid():
         assert validate_lebesgue(cov, paper, pairs=2000, seed=6) == 0
 
 
+@pytest.mark.parametrize("target, pieces, sample, delta", [
+    ([0, 1], [(-0.1, 0.4), (0.8, 1.5), (0.5, 1.2), (0.8, 1.6), (0.6, 0.6), (0.9, 1.2),
+              (0.3, 0.5), (0.3, 1.0), (-0.3, -0.2), (-0.0, 0.5)], 256, 0.05),
+    ([0.2, 0.5], [(0.3, 0.5), (-0.1, 0.5), (0.1, 0.4), (0.0, 0.2), (0.1, 0.9), (0.4, 0.9)],
+     2, 0.1),
+    ([0.2, 0.35], [(0.15, 0.45), (0.1, 0.3), (0.55, 0.7), (0.1, 0.25), (-0.3, 0.1)],
+     2, 0.04999999999999999),
+])
+def test_lebesgue_paper_mode_on_tie_covers_is_exact(target, pieces, sample, delta):
+    # samples fall on pieces' midpoints, where t - lo and hi - t tie up to
+    # rounding; keying each piece on its rounded midpoint instead of the exact
+    # split moves the last two answers (to 0.15000000000000002 and 0.05)
+    cov = cover_of(target, pieces)
+    assert verify_cover(cov)[0]
+    assert lebesgue_number(cov, "paper", sample=sample) == delta
+
+
+def test_lebesgue_paper_mode_splits_a_piece_centred_on_zero_quickly():
+    # for (-0.1, 0.1), t + 0.1 and 0.1 - t both round to 0.1 over about 2^56
+    # doubles around 0, so a one-ulp walk from the midpoint never ends
+    import time
+
+    cov = cover_of([-0.5, 0.5], [(0.1, 0.7), (0.7, 0.9), (0.0, 0.6), (0.8, 1.2), (-0.7, -0.4),
+                                 (-0.6, -0.3), (-0.4, 0.1), (-0.2, 0.0), (-0.1, 0.1),
+                                 (0.0, 0.3), (0.1, 0.5), (0.2, 0.5), (0.4, 0.9)])
+    assert verify_cover(cov)[0]
+    start = time.process_time()
+    assert lebesgue_number(cov, "paper", sample=8) == 0.03333333333333334
+    assert time.process_time() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_infinity=True, allow_nan=True, width=64),
+                          st.floats(allow_infinity=True, allow_nan=True, width=64)),
+                max_size=12))
+def test_split_keys_are_the_last_doubles_bound_by_the_left_end(pieces):
+    from fcalc.cover import _split_keys
+
+    pieces += [(-0.1, 0.1), (-1e308, 1.7e308), (5e-324, 1e-323), (1.0, math.nextafter(1, 2))]
+    los, his = (np.array(v, dtype=float) for v in zip(*pieces))
+    keep = los < his
+    los, his = los[keep], his[keep]
+    keys = _split_keys(los, his)
+    for lo, hi, s in zip(los.tolist(), his.tolist(), keys.tolist()):
+        if lo == -math.inf:
+            assert s == -math.inf
+        elif hi == math.inf:
+            assert s == math.inf
+        else:
+            assert s - lo <= hi - s
+            after = math.nextafter(s, math.inf)
+            assert not after - lo <= hi - after
+
+
+@st.composite
+def _odd_covers(draw):
+    """Grid covers with some pieces given an infinite end, emptied or made NaN."""
+    cov = draw(_grid_covers())
+    inf, nan = math.inf, math.nan
+    pieces = []
+    for p in cov.pieces:
+        lo, hi = p.lo, p.hi
+        pieces.append(draw(st.sampled_from([
+            (lo, hi), (lo, hi), (lo, hi), (-inf, hi), (lo, inf), (-inf, inf), (nan, hi),
+            (lo, nan), (hi, lo), (lo, lo), (inf, inf), (-inf, -inf)])))
+    return OpenCover(cov.target, [OpenInterval(lo, hi) for lo, hi in pieces])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_odd_covers(), st.sampled_from([2, 8, 256]))
+def test_lebesgue_paper_mode_with_infinite_and_empty_pieces_matches_oracle(cov, sample):
+    if not verify_cover(cov)[0] or cov.target.lo == cov.target.hi:
+        return
+    assert lebesgue_number(cov, "paper", sample=sample) == _oracle_half_radius(cov, sample)
+
+
 def test_uniform_modulus_identity():
     delta = uniform_modulus(E.parse("x"), 0.0, 1.0, 0.25)
     assert delta >= 0.1
@@ -376,4 +452,5 @@ def test_cover_queries_match_brute_force_oracle(cov):
     for factor in (1.0, 1.01, 1.5):
         assert binding_pair(cov, factor * delta) == _oracle_binding_pair(cov, factor * delta)
     assert validate_lebesgue(cov, delta, 300, 2) == _oracle_validate(cov, delta, 300, 2) == 0
-    assert lebesgue_number(cov, "paper", sample=8) == _oracle_half_radius(cov, 8)
+    for sample in (2, 8, 256):
+        assert lebesgue_number(cov, "paper", sample=sample) == _oracle_half_radius(cov, sample)
