@@ -342,8 +342,7 @@ def polynomial_check(f: Expr, a: float, b: float, n: int, samples: int = 128,
         raise PreconditionError("samples must be at least 2")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise PreconditionError("polynomial_check needs finite a and b")
+    require_finite(a, b)
     if a == b:  # on one point f is a constant, once it is defined there
         evaluate(f, a)
         return True

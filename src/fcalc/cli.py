@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -536,8 +537,19 @@ def _h_ival(args, cfg):
 
 # ---------------------------------------------------------------------------
 
+# what float() reads as a negative number; argparse's own pattern has no
+# exponent, inf or nan, so it took --a -2.5e-1 for a missing value
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors keep their message on the SystemExit."""
+    """ArgumentParser whose usage errors keep their message on the SystemExit,
+    and which reads every negative number float() accepts as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         try:

@@ -453,20 +453,52 @@ _ARRAY = _Backend("array", lambda: _point_ops({"sin": np.sin, "cos": np.cos, "ex
 
 # Interval backend.  A value is a pair (lo, hi) of arrays (of numpy scalars,
 # for constants) enclosing a function over cells.  Every result is rounded
-# outward by one ulp with np.nextafter, which is rigorous for the correctly
-# rounded + - * / sqrt and for exp, ln, sin, cos as long as numpy's are
-# faithfully rounded (error below one ulp).  Inputs are not widened, and
-# neg and abs are exact.  NaN marks "undefined somewhere on the cell": an
-# op that leaves its domain on part of a cell yields NaN, and every op maps
-# a NaN bound to a NaN bound, so the mark survives to the end, where
-# enclose() turns the cell into (-inf, inf).
+# outward by one ulp, which is rigorous for the correctly rounded + - * /
+# sqrt and for exp, ln, sin, cos as long as numpy's are faithfully rounded
+# (error below one ulp).  The step gives np.nextafter's results bit for bit:
+# on arrays of at least _STEP_MIN elements it moves each int64 bit pattern
+# by one (a finite double's neighbour away from zero is the next pattern),
+# and only the elements where that is wrong (zeros, infinities, NaN) go
+# through np.nextafter; scalars and smaller arrays take one np.nextafter
+# call, which costs less there.  Inputs are not widened, and neg and abs
+# are exact.  NaN marks "undefined somewhere on the cell": an op that leaves
+# its domain on part of a cell yields NaN, and every op maps a NaN bound to
+# a NaN bound, so the mark survives to the end, where enclose() turns the
+# cell into (-inf, inf).  enclose() runs a program over blocks of at most
+# _BLOCK cells, so its temporaries stay in cache.
+
+_STEP_MIN = 1024  # measured: below this one np.nextafter call is faster
+_BLOCK = 1 << 13  # cells per run of an interval program
+
+
+def _step(v, toward):
+    """np.nextafter(v, toward) for a float64 array v, toward -inf or inf."""
+    bits = v.view(np.int64)
+    step = bits >> 63
+    step |= 1  # -1 on negative patterns, 1 on positive: a step away from zero
+    if toward > 0:
+        step += bits
+    else:
+        np.subtract(bits, step, out=step)
+    out = step.view(float)
+    # Wrong only where v is not finite, or where the step crosses zero from
+    # the zero of the other sign, whose pattern becomes a NaN's.
+    ok = np.isfinite(v)
+    ok &= np.isfinite(out)
+    if np.count_nonzero(ok) < ok.size:
+        bad = ~ok
+        out[bad] = np.nextafter(v[bad], toward)
+    return out
+
 
 def _down(v):
-    return np.nextafter(v, -np.inf)
+    """v moved one ulp toward -inf, as np.nextafter(v, -inf) (v numpy)."""
+    return np.nextafter(v, -np.inf) if v.size < _STEP_MIN else _step(v, -np.inf)
 
 
 def _up(v):
-    return np.nextafter(v, np.inf)
+    """v moved one ulp toward inf, as np.nextafter(v, inf) (v numpy)."""
+    return np.nextafter(v, np.inf) if v.size < _STEP_MIN else _step(v, np.inf)
 
 
 def _hull(p, q, r, s):
@@ -585,20 +617,31 @@ def _evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
 
 
 def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Enclosures of e over the cells [lo[i], hi[i]] (arrays, lo <= hi).
+    """Enclosures of e over the cells [lo[i], hi[i]] (arrays of one shape,
+    lo <= hi).
 
     Returns arrays (inf, sup) with inf <= e(x) <= sup for every x in a
-    cell: the natural interval extension of the tree, rounded outward.
-    A cell on which some op leaves its domain (a divisor reaching 0, ln
-    reaching <= 0, sqrt reaching < 0, 0 to a negative power) gets the
-    unbounded enclosure (-inf, inf) instead of raising.  Negation is
-    exact, so enclose(-e) is (-sup, -inf) bit for bit.
+    cell: the natural interval extension of the tree, rounded outward by
+    one ulp per op (on the bit patterns of large arrays, with results
+    equal to np.nextafter's).  A cell on which some op leaves its domain
+    (a divisor reaching 0, ln reaching <= 0, sqrt reaching < 0, 0 to a
+    negative power) gets the unbounded enclosure (-inf, inf) instead of
+    raising.  Negation is exact, so enclose(-e) is (-sup, -inf) bit for
+    bit.  The program runs over blocks of at most _BLOCK cells, so its
+    temporaries stay in cache; every op works cell by cell, so the
+    results equal those of one run over all cells.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    inf, sup = np.empty(lo.shape), np.empty(lo.shape)
+    flat_lo, flat_hi, flat_inf, flat_sup = (a.reshape(-1) for a in (lo, hi, inf, sup))
     with np.errstate(all="ignore"):
-        inf, sup = _INTERVAL.run(e, (lo, hi))
-    undefined = np.broadcast_to(np.isnan(inf) | np.isnan(sup), lo.shape)
-    return np.where(undefined, -np.inf, inf), np.where(undefined, np.inf, sup)
+        for start in range(0, flat_lo.size, _BLOCK):
+            cells = slice(start, start + _BLOCK)
+            low, high = _INTERVAL.run(e, (flat_lo[cells], flat_hi[cells]))
+            undefined = np.isnan(low) | np.isnan(high)
+            flat_inf[cells] = np.where(undefined, -np.inf, low)
+            flat_sup[cells] = np.where(undefined, np.inf, high)
+    return inf, sup
 
 
 # ---------------------------------------------------------------------------

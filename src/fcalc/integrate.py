@@ -30,10 +30,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import IterationCapError, NonDifferentiableError, PreconditionError
-from .expr import Expr, differentiate, enclose, evaluate, iadd, imul, isub
+from .expr import _BLOCK, Expr, differentiate, enclose, evaluate, iadd, imul, isub
 from .interval import Partition, require_finite
 
-_CHUNK_CELLS = 1 << 18
+_CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
 MIN_LEVEL = 4   # riemann_integral starts from 2^MIN_LEVEL equal cells
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
@@ -129,7 +129,8 @@ def darboux_bounds(f: Expr, a: float, b: float, n: int) -> Tuple[float, float]:
     for start in range(0, n, _CHUNK_CELLS):
         nodes = _nodes(a, b, n, start, min(start + _CHUNK_CELLS, n))
         inf, sup = enclose(f, nodes[:-1], nodes[1:])
-        with np.errstate(over="ignore"):  # a sum past the double range is inf
+        # a sum past the double range is inf, and one of inf and -inf is nan
+        with np.errstate(over="ignore", invalid="ignore"):
             lower += float(np.sum(inf)) * width
             upper += float(np.sum(sup)) * width
     return lower, upper
@@ -217,9 +218,10 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
     for _ in range(MIN_LEVEL, max_level + 1):
-        # in chunks, so the temporaries stay small however many cells are open
-        parts = [_cell_integrals(f, f2, lo[i:i + _CHUNK_CELLS], hi[i:i + _CHUNK_CELLS])
-                 for i in range(0, lo.size, _CHUNK_CELLS)]
+        # in enclose's blocks, so the temporaries stay in cache however many
+        # cells are open
+        parts = [_cell_integrals(f, f2, lo[i:i + _BLOCK], hi[i:i + _BLOCK])
+                 for i in range(0, lo.size, _BLOCK)]
         low, high = (np.concatenate(side) for side in zip(*parts))
         lower = max(lower, _sum_bound(np.append(low, frozen_low), -math.inf))
         upper = min(upper, _sum_bound(np.append(high, frozen_high), math.inf))

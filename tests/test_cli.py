@@ -205,6 +205,20 @@ def test_negative_order_and_infinite_input_exit_cleanly(capsys):
     assert code == 0 and out.strip() == "nan"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["integrate", "--f", "x", "--a", "-2.5e-1", "--b", "1"], "0.46875\n"),
+    (["eval", "--f", "x", "--x", "-1e-3"], "-0.001\n"),
+    (["eval", "--f", "x", "--x", "-.5E+2"], "-50.0\n"),
+    (["eval", "--f", "x", "--x", "-1."], "-1.0\n"),
+    (["eval", "--f", "x", "--x", "-inf"], "-inf\n"),
+    (["eval", "--f", "x", "--x", "-Infinity"], "-inf\n"),
+    (["eval", "--f", "x", "--x", "-nan"], "nan\n"),
+])
+def test_negative_numbers_with_exponents_inf_and_nan_are_values(capsys, argv, out):
+    # argparse took these for option flags: "argument --x: expected one argument"
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -489,7 +503,9 @@ def test_a_non_finite_interval_is_a_precondition_error(argv):
     (["adt", "--F", "1e400*x", "--G", "1e400*x", "--a", "0", "--b", "1"], "adt: false\n"),
     (["taylor", "--f", "exp(1000*x)", "--n", "2", "--at", "0", "--x", "1"],
      "value 501001.0 rho inf witness none remainder inf\n"),
-], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf"])
+    (["darboux", "--f", "1e400*x", "--a", "0", "--b", "1", "--n", "64"],
+     "lower nan upper inf\n"),
+], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf"])
 def test_overflowing_sums_warn_nothing(argv, out):
     # numpy scalars warned on overflow and inf - inf; [0, -0] raised in rng.uniform
     proc = _fresh("-m", "fcalc.cli", *argv)

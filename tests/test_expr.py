@@ -341,19 +341,67 @@ _ENDS = st.integers(-16, 16).map(lambda k: k / 4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_trees, _ENDS, _ENDS)
-def test_enclosures_contain_every_point_value(e, u, v):
+@given(_trees, _ENDS, _ENDS, st.sampled_from([1, E._BLOCK + 7]))
+def test_enclosures_contain_every_point_value(e, u, v, cells):
     lo, hi = min(u, v), max(u, v)
+    nodes = np.linspace(lo, hi, cells + 1)
+    inf, sup = E.enclose(e, nodes[:-1], nodes[1:])
+    assert np.all(inf <= sup)
     xs = np.linspace(lo, hi, 33)
-    inf, sup = E.enclose(e, np.array([lo]), np.array([hi]))
-    assert inf[0] <= sup[0]
-    if not (math.isfinite(inf[0]) and math.isfinite(sup[0])):
-        return
+    k = np.minimum(np.searchsorted(nodes, xs, side="right") - 1, cells - 1)  # x's cell
     # a finite enclosure means every op stayed in its domain on the whole cell
+    finite = np.isfinite(inf[k]) & np.isfinite(sup[k])
+    xs, k = xs[finite], k[finite]
+    if not xs.size:
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = E.evaluate(e, xs)
-    assert np.all((inf[0] <= values) & (values <= sup[0]))
+    assert np.all((inf[k] <= values) & (values <= sup[k]))
+
+
+# Bit patterns of doubles: any int64, and the edges of each class.
+_EDGES = [0, -1 << 63, 1, (-1 << 63) + 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+          0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF0000000000001, 0x7FF8000000000000,
+          0x7FFFFFFFFFFFFFFF]
+_PATTERNS = st.one_of(st.integers(-1 << 63, (1 << 63) - 1),
+                      st.sampled_from(_EDGES + [k | (-1 << 63) for k in _EDGES]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PATTERNS, min_size=1, max_size=40),
+       st.sampled_from([None, E._STEP_MIN - 1, E._STEP_MIN, 3 * E._STEP_MIN + 5]))
+def test_ulp_steps_equal_nextafter_bit_for_bit(patterns, size):
+    # NaNs, subnormals, both zeros, both infinities and +-max, in arrays
+    # (the patterns repeated to size) on both sides of the size where the
+    # step moves to the bit patterns, and as a numpy scalar
+    v = np.resize(np.array(patterns, dtype=np.int64), size or len(patterns)).view(np.float64)
+    with np.errstate(all="ignore"):
+        for value in (v, v[0]):
+            for step, toward in ((E._down, -np.inf), (E._up, np.inf)):
+                got, want = step(value), np.nextafter(value, toward)
+                assert type(got) is type(want)
+                assert np.array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("text", ["1/(x-0.3)", "ln(x)", "sqrt(x)", "x^-2", "abs(x)*x^3",
+                                  "sqrt(2)*3 - 1"])
+def test_enclose_in_blocks_equals_one_run(text):
+    e, block = E.parse(text), E._BLOCK
+    rng = np.random.default_rng(0)
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        lo = rng.uniform(-1.0, 2.0, n)
+        hi = lo + rng.exponential(0.5, n)
+        lo[: n // 10] = 0.0
+        with np.errstate(all="ignore"):
+            inf, sup = E._INTERVAL.run(e, (lo, hi))   # one run over all cells
+        undefined = np.isnan(inf) | np.isnan(sup)     # a constant tree gives scalars
+        want = [np.broadcast_to(np.where(undefined, bound, side), lo.shape)
+                for bound, side in ((-np.inf, inf), (np.inf, sup))]
+        got = E.enclose(e, lo, hi)
+        for g, w in zip(got, want):
+            assert g.shape == (n,) and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_enclosure_rules():
