@@ -1,8 +1,9 @@
 """Finite open covers of closed intervals.
 
-Every cover query goes through one structure, `_Reach`: keys sorted
-with a running maximum of their values.  Keyed by the pieces' left
-endpoints with their right endpoints as values, reach(x) is the largest
+A cover holds its pieces once, as two read-only float arrays of left
+and right endpoints, and builds one structure, `_Reach`, once: keys
+sorted with a running maximum of their values.  Keyed by the left
+endpoints with the right endpoints as values, reach(x) is the largest
 right endpoint over pieces with lo < x (lo <= x for closed cell
 queries), attained by the lowest-index such piece.  Some piece contains
 x exactly when reach(x) > x, and two points x <= y share a piece
@@ -10,9 +11,11 @@ exactly when reach(x) > y.
 
 verify_cover and finite_subcover are one greedy walk from the left end
 of the target along reach: an exact constructive Heine-Borel sweep,
-never a sampling argument.  The exact Lebesgue number is the minimum
-slack reach - x over breakpoints and reach - q over cells (p, q)
-between them, all answered by one vectorised query.
+never a sampling argument.  Every piece's next hop, reach at its right
+end, comes from one vectorised query, so the walk follows integer
+indices.  The exact Lebesgue number is the minimum slack reach - x over
+breakpoints and reach - q over cells (p, q) between them, all answered
+by one vectorised query.
 
 The conservative min-half-radius formula is kept as `paper` mode.  A
 sample t is bound by t - lo on pieces whose split key (the last double
@@ -28,9 +31,7 @@ interval enclosures (expr.enclose), never from samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import starmap
-from operator import attrgetter
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,27 +44,42 @@ from .stepfn import StepFunction
 MAX_SAMPLE = 1 << 20   # most sample points the paper-mode Lebesgue number tries
 
 
-@dataclass
 class OpenCover:
-    target: Interval
-    pieces: List[OpenInterval]
-    verified: Optional[bool] = field(default=None, compare=False)
+    """Open pieces (lo, hi) over a closed target, held as the read-only
+    endpoint arrays los and his.  pieces may be any sequence of (lo, hi)
+    pairs: JSON lists, OpenIntervals or a (P, 2) array.  verified caches
+    the verdict of verify_cover."""
+
+    def __init__(self, target: Interval, pieces):
+        try:
+            ends = np.asarray(pieces, dtype=float) if len(pieces) else np.empty((0, 2))
+        except (TypeError, ValueError):  # ragged, or not numbers
+            ends = None
+        if ends is None or ends.shape[1:] != (2,):
+            raise PreconditionError("cover pieces must be (lo, hi) pairs")
+        ends = ends.T.copy()  # the cover's own, contiguous
+        ends.flags.writeable = False
+        self.target, (self.los, self.his) = target, ends
+        self.verified: Optional[bool] = None
 
     @classmethod
     def from_json(cls, data) -> "OpenCover":
-        return cls(Interval(*map(float, data["target"])),
-                   list(starmap(OpenInterval, data["pieces"])))
+        return cls(Interval(*data["target"]), data["pieces"])
 
     def to_json(self):
         return {"target": self.target.to_json(),
-                "pieces": list(map(OpenInterval.to_json, self.pieces))}
+                "pieces": np.stack((self.los, self.his), 1).tolist()}
 
+    @property
+    def pieces(self) -> List[OpenInterval]:
+        return list(map(OpenInterval, self.los.tolist(), self.his.tolist()))
 
-def _ends(pieces: List[OpenInterval]) -> Tuple[np.ndarray, np.ndarray]:
-    """The pieces' left and right endpoints, as two float arrays."""
-    n = len(pieces)
-    return (np.fromiter(map(attrgetter("lo"), pieces), float, n),
-            np.fromiter(map(attrgetter("hi"), pieces), float, n))
+    @cached_property
+    def _reach(self) -> "_Reach":
+        return _Reach(self.los, self.his)
+
+    def __repr__(self):
+        return f"OpenCover({self.target!r}, {self.to_json()['pieces']!r})"
 
 
 class _Reach:
@@ -94,18 +110,18 @@ def _greedy_walk(cover: OpenCover) -> Tuple[List[int], Optional[float]]:
     furthest right from the current reach r, and the first uncovered
     point (None once a piece passes the right end).  r strictly
     increases through right endpoints, so the walk ends within
-    len(pieces) steps."""
-    reach = _Reach(*_ends(cover.pieces))
+    len(pieces) steps; from piece i it is his[i], whose hop is queried
+    for every piece at once."""
+    hop_hi, hop_i = (v.tolist() for v in cover._reach(cover.his))
     r, b = cover.target.lo, cover.target.hi
+    hi, i = (v.item() for v in cover._reach(r))
     chain: List[int] = []
-    while True:
-        hi, i = reach(r)
-        if not hi > r:
-            return chain, r
-        chain.append(int(i))
+    while hi > r:
+        chain.append(i)
         if hi > b:
             return chain, None
-        r = float(hi)
+        r, hi, i = hi, hop_hi[i], hop_i[i]
+    return chain, r
 
 
 def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
@@ -123,8 +139,7 @@ def length_inequality(cover: OpenCover) -> bool:
     """Total piece length strictly exceeds the covered length."""
     if cover.verified is not True:
         raise CoverError("cover must be verified before using length_inequality")
-    los, his = _ends(cover.pieces)
-    return sum((his - los).tolist()) > cover.target.length
+    return sum((cover.his - cover.los).tolist()) > cover.target.length
 
 
 def finite_subcover(cover: OpenCover) -> List[int]:
@@ -157,10 +172,10 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def _breakpoints(target: Interval, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+def _breakpoints(cover: OpenCover) -> np.ndarray:
     """Sorted distinct target ends and piece endpoints inside the target."""
-    a, b = target.lo, target.hi
-    v = np.concatenate(([a, b], np.stack((los, his), 1).ravel()))
+    a, b = cover.target.lo, cover.target.hi
+    v = np.concatenate(([a, b], np.stack((cover.los, cover.his), 1).ravel()))
     # stable, so of equal values such as 0.0 and -0.0 the first listed stays
     v = np.sort(v[(v >= a) & (v <= b)], kind="stable")
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
@@ -168,16 +183,14 @@ def _breakpoints(target: Interval, los: np.ndarray, his: np.ndarray) -> np.ndarr
 
 def _lebesgue_exact(cover: OpenCover) -> float:
     b = cover.target.hi
-    ends = _ends(cover.pieces)
-    breaks = _breakpoints(cover.target, *ends)
-    reach = _Reach(*ends)
-    at, _ = reach(breaks)
+    breaks = _breakpoints(cover)
+    at, _ = cover._reach(breaks)
     uncovered = breaks[~(at > breaks)]
     if uncovered.size:
         raise CoverError(f"point {float(uncovered[0])} of a verified cover is uncovered")
     # no endpoint lies inside a cell, so the piece holding its left end
     # holds the whole closed cell
-    over, _ = reach(breaks[:-1], closed=True)
+    over, _ = cover._reach(breaks[:-1], closed=True)
     slack = np.concatenate(((at - breaks)[at <= b], (over - breaks[1:])[over <= b]))
     return float(slack.min()) if slack.size else cover.target.length
 
@@ -190,11 +203,10 @@ def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]
     its reach (capped at the target end) and with x + delta less a hair.
     """
     b = cover.target.hi
-    ends = _ends(cover.pieces)
-    breaks = _breakpoints(cover.target, *ends)
+    breaks = _breakpoints(cover)
     p, q = breaks[:-1], breaks[1:]
     xs = np.concatenate((breaks, q - np.minimum(delta * 1e-3, (q - p) / 2)))
-    reach, _ = _Reach(*ends)(xs)
+    reach, _ = cover._reach(xs)
     inside = reach > xs
 
     def free(cs):
@@ -254,9 +266,8 @@ def _split_keys(los: np.ndarray, his: np.ndarray) -> np.ndarray:
 
 def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
     a, b = cover.target.lo, cover.target.hi
-    los, his = _ends(cover.pieces)
-    keep = los < his  # an empty or NaN piece contains no sample
-    los, his = los[keep], his[keep]
+    keep = cover.los < cover.his  # an empty or NaN piece contains no sample
+    los, his = cover.los[keep], cover.his[keep]
     keys = _split_keys(los, his)
     # a sample's radius is its largest tent min(t - lo, hi - t) over the
     # pieces, which is positive exactly on pieces containing t
@@ -291,7 +302,7 @@ def validate_lebesgue(cover: OpenCover, delta: float, pairs: int = 10**4,
                       seed: int = 0) -> int:
     """Count violations of the defining property over random pairs."""
     xs, cs, close = _random_pairs(cover.target.lo, cover.target.hi, delta, pairs, seed)
-    reach, _ = _Reach(*_ends(cover.pieces))(np.minimum(xs, cs))
+    reach, _ = cover._reach(np.minimum(xs, cs))
     return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
 
 
@@ -350,8 +361,7 @@ def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256,
         mids = ts[gap] + (ts[gap + 1] - ts[gap]) / 2
         ts = np.insert(ts, gap + 1, mids)
         r = np.insert(r, gap + 1, _window_radii(f, mids, a, b, eps / 2))
-    cover = OpenCover(Interval(a, b),
-                      list(map(OpenInterval, (ts - r).tolist(), (ts + r).tolist())))
+    cover = OpenCover(Interval(a, b), np.stack((ts - r, ts + r), 1))
     ok, witness = verify_cover(cover)
     if not ok:
         raise CoverError(f"certified windows miss {witness}")

@@ -15,11 +15,12 @@ closed form.
 Nodes are frozen and interned: building one returns the live node with
 the same class and fields, so equal trees are one object, ``==`` is
 identity and ``hash`` is O(1).  Constants are keyed by their bit pattern
-(0.0 and -0.0 are two nodes).  The table holds nodes weakly, and inserts
-and removals take a lock, so threads building the same tree get one
-object.  No walk recurses: ``_postorder`` (an explicit stack) serves
-compiling, differentiating and printing, and the parser is one
-precedence-climbing loop, so nesting depth is bounded by memory alone.
+(0.0 and -0.0 are two nodes).  The table holds nodes weakly; an insert
+that meets another entry takes a lock, so threads building the same tree
+get one object, and a dead node's entry goes in one atomic step.  No
+walk recurses: ``_postorder`` (an explicit stack) serves compiling,
+differentiating and printing, and the parser is one precedence-climbing
+loop, so nesting depth is bounded by memory alone.
 
 Evaluation compiles a tree once per backend (``math`` floats, numpy
 arrays, and pairs of numpy arrays for interval enclosures) into a
@@ -53,6 +54,7 @@ import struct
 import sys
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -137,7 +139,7 @@ class Expr:
 
 _node = dataclass(frozen=True, eq=False, init=False)
 _NODES = {}  # (class, fields) -> weak reference to the live node
-_LOCK = threading.RLock()  # reentrant: a collection inside the lock may run _forget
+_LOCK = threading.Lock()  # taken by inserts only
 _DOUBLE = struct.Struct("d")
 
 
@@ -147,9 +149,8 @@ class _Ref(weakref.ref):
 
 def _forget(ref):
     """Drop a dead node's entry, unless a new node has taken its key."""
-    with _LOCK:
-        if _NODES.get(ref.key) is ref:
-            del _NODES[ref.key]
+    # one atomic check-and-delete, as weakref.WeakValueDictionary does
+    _remove_dead_weakref(_NODES, ref.key)
 
 
 @_node

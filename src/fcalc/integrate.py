@@ -228,7 +228,8 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         levels.append(CertificateLevel(frozen + lo.size, lower, upper))
         if upper - lower <= tol:
             return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
-        done = high - low <= tol * (hi - lo) / (b - a)
+        with np.errstate(over="ignore"):  # a width past the double range is inf: not done
+            done = high - low <= tol * (hi - lo) / (b - a)
         if done.any():
             frozen += int(np.count_nonzero(done))
             frozen_low = _sum_bound(np.append(low[done], frozen_low), -math.inf)

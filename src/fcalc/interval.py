@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -43,18 +44,13 @@ class Interval:
         return [self.lo, self.hi]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class OpenInterval:
-    """Open bounded interval (lo, hi); membership is strict."""
+class OpenInterval(namedtuple("OpenInterval", "lo hi")):
+    """Open interval (lo, hi); membership is strict."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __init__(self, lo: float, hi: float):
-        # the slot setters write through the frozen __setattr__, one
-        # float() per end: covers build thousands of pieces
-        _SET_LO(self, float(lo))
-        _SET_HI(self, float(hi))
+    def __new__(cls, lo: float, hi: float):
+        return tuple.__new__(cls, (float(lo), float(hi)))
 
     @property
     def length(self) -> float:
@@ -65,9 +61,6 @@ class OpenInterval:
 
     def to_json(self) -> List[float]:
         return [self.lo, self.hi]
-
-
-_SET_LO, _SET_HI = OpenInterval.lo.__set__, OpenInterval.hi.__set__
 
 
 @dataclass(frozen=True)

@@ -505,7 +505,10 @@ def test_a_non_finite_interval_is_a_precondition_error(argv):
      "value 501001.0 rho inf witness none remainder inf\n"),
     (["darboux", "--f", "1e400*x", "--a", "0", "--b", "1", "--n", "64"],
      "lower nan upper inf\n"),
-], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf"])
+    (["integrate", "--f", "1e308*sin(abs(x))", "--a", "0", "--b", "24", "--tol", "1e306"],
+     "5.758222999589741e+307\n"),
+], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf",
+        "integrate-wide-cells"])
 def test_overflowing_sums_warn_nothing(argv, out):
     # numpy scalars warned on overflow and inf - inf; [0, -0] raised in rng.uniform
     proc = _fresh("-m", "fcalc.cli", *argv)

@@ -328,6 +328,28 @@ def test_cover_json_round_trip():
     assert back.target == cov.target and back.pieces == cov.pieces
 
 
+@pytest.mark.parametrize("pieces", [[[0, 1, 2, 3]], [[0, 1], [2]], [0, 1], [[[0, 1]]],
+                                    [[0, 1], "ab"], [[0, "x"]], 7],
+                         ids=["four-ends", "ragged", "flat", "nested", "string", "word", "int"])
+def test_cover_pieces_must_be_pairs(pieces):
+    with pytest.raises(PreconditionError, match="pairs"):
+        OpenCover(Interval(0, 1), pieces)
+    with pytest.raises(PreconditionError, match="pairs"):
+        OpenCover.from_json({"target": [0, 1], "pieces": pieces})
+
+
+def test_cover_endpoints_are_read_only_arrays():
+    cov = cover_of(*TWO_PIECE)
+    assert cov.los.tolist() == [-0.1, 0.4] and cov.his.tolist() == [0.6, 1.1]
+    with pytest.raises(ValueError):
+        cov.los[0] = 0.5
+    with pytest.raises(AttributeError):
+        cov.pieces = []
+    assert cov.pieces == [OpenInterval(-0.1, 0.6), OpenInterval(0.4, 1.1)]
+    p = cov.pieces[1]
+    assert (p.lo, p.hi, p.length, p.to_json()) == (0.4, 1.1, 1.1 - 0.4, [0.4, 1.1])
+
+
 # Brute-force reference: the direct definitions, rescanning every piece
 # for every query point.
 
@@ -454,3 +476,34 @@ def test_cover_queries_match_brute_force_oracle(cov):
     assert validate_lebesgue(cov, delta, 300, 2) == _oracle_validate(cov, delta, 300, 2) == 0
     for sample in (2, 8, 256):
         assert lebesgue_number(cov, "paper", sample=sample) == _oracle_half_radius(cov, sample)
+
+
+def _answers(cov):
+    """Every cover query's answer, as text, so that signed zeros count."""
+    out = [verify_cover(cov), binding_pair(cov, 0.25), validate_lebesgue(cov, 0.25, 300, 1)]
+    if cov.verified:
+        out.append(finite_subcover(cov))
+    if cov.verified and cov.target.lo < cov.target.hi:
+        delta = lebesgue_number(cov, "exact")
+        out += [delta, lebesgue_number(cov, "paper", sample=8), binding_pair(cov, 1.01 * delta),
+                validate_lebesgue(cov, delta, 300, 2)]
+    return repr(out)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_grid_covers(), _odd_covers()))
+def test_json_interval_and_array_covers_agree(cov):
+    data = cov.to_json()
+    forms = [OpenCover.from_json(data),
+             OpenCover(cov.target, [OpenInterval(lo, hi) for lo, hi in data["pieces"]]),
+             OpenCover(cov.target, np.array(data["pieces"]).reshape(-1, 2))]
+    assert len({_answers(c) for c in forms}) == 1
+    for c in forms:  # infinite, NaN, reversed and empty pieces come back bit for bit
+        back = OpenCover.from_json(c.to_json())
+        assert back.target == cov.target
+        assert (_bits(back.los), _bits(back.his)) == (_bits(cov.los), _bits(cov.his))
+        assert [_bits(p) for p in back.pieces] == [_bits(p) for p in cov.pieces]

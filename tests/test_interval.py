@@ -9,6 +9,7 @@ from fcalc.errors import IterationCapError, NestingError, PreconditionError
 from fcalc.interval import (
     Interval,
     NestedSequence,
+    OpenInterval,
     Partition,
     bisect,
     refine,
@@ -25,6 +26,14 @@ def test_bisect_examples():
     assert (left.lo, left.hi, right.lo, right.hi) == (0.0, 0.5, 0.5, 1.0)
     left, right = bisect(Interval(2, 2))
     assert left == right == Interval(2, 2)
+
+
+def test_open_interval_is_a_pair_of_floats():
+    p = OpenInterval(1, "2.5")
+    assert tuple(p) == (1.0, 2.5) and type(p.lo) is type(p.hi) is float
+    assert (p.length, p.to_json(), p.contains(1), p.contains(2)) == (1.5, [1.0, 2.5], False, True)
+    with pytest.raises(AttributeError):
+        p.lo = 0.0
 
 
 def test_k_fold_bisection_halves_length():
