@@ -136,10 +136,14 @@ def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
 
 
 def length_inequality(cover: OpenCover) -> bool:
-    """Total piece length strictly exceeds the covered length."""
+    """Total piece length strictly exceeds the covered length.
+
+    An empty piece (reversed, NaN or (inf, inf)) has length 0.
+    """
     if cover.verified is not True:
         raise CoverError("cover must be verified before using length_inequality")
-    return sum((cover.his - cover.los).tolist()) > cover.target.length
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fmax drops
+        return sum(np.fmax(cover.his - cover.los, 0.0).tolist()) > cover.target.length
 
 
 def finite_subcover(cover: OpenCover) -> List[int]:

@@ -462,9 +462,15 @@ _ARRAY = _Backend("array", lambda: _point_ops({"sin": np.sin, "cos": np.cos, "ex
 # and only the elements where that is wrong (zeros, infinities, NaN) go
 # through np.nextafter; scalars and smaller arrays take one np.nextafter
 # call, which costs less there.  Inputs are not widened, and neg and abs
-# are exact.  NaN marks "undefined somewhere on the cell": an op that leaves
-# its domain on part of a cell yields NaN, and every op maps a NaN bound to
-# a NaN bound, so the mark survives to the end, where enclose() turns the
+# are exact.  A point constant c, held as (c, c) with one finite nonzero
+# float object at both ends (as _pair builds it), times a value or divided
+# by one takes two operations and two steps: the sign of c says which
+# product or quotient is the lower end, so the bits equal the four-operation
+# hull's.  The exception is a NaN bound in, which may come out on one bound
+# only; that still marks the cell.  A square computes each end's square
+# once.  NaN marks "undefined somewhere on the cell": an op that leaves its
+# domain on part of a cell yields NaN, and every op maps a NaN bound to a
+# NaN bound, so the mark survives to the end, where enclose() turns the
 # cell into (-inf, inf).  enclose() runs a program over blocks of at most
 # _BLOCK cells, so its temporaries stay in cache.
 
@@ -517,20 +523,35 @@ def isub(u, v):
     return _down(u[0] - v[1]), _up(u[1] - v[0])
 
 
+def _point(u):
+    """Is u a point constant (c, c): one finite, nonzero float object?"""
+    c = u[0]
+    return c is u[1] and isinstance(c, float) and 0.0 < abs(c) < math.inf
+
+
 def imul(u, v):
     """Enclosure of u * v for (lo, hi) pairs; u * u (the same object) is a
-    square, which is never negative."""
+    square, which is never negative.  A point constant goes first, as
+    compiled programs put it, to take the two-product path."""
     (a, b), (c, d) = u, v
     if u is v:
         # even-power rule: x*x on a cell straddling 0 starts at 0, not at -a*b
-        lo = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(a * a, b * b))
-        return np.maximum(_down(lo), 0.0), _up(np.maximum(a * a, b * b))
+        aa, bb = a * a, b * b
+        lo = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(aa, bb))
+        return np.maximum(_down(lo), 0.0), _up(np.maximum(aa, bb))
+    if _point(u):  # a*c <= a*d when a > 0, and the other way round when a < 0
+        p, q = a * c, a * d
+        return (_down(p), _up(q)) if a > 0.0 else (_down(q), _up(p))
     return _hull(a * c, a * d, b * c, b * d)
 
 
 def _idiv(u, v):
     (a, b), (c, d) = u, v
-    c = np.where((c <= 0.0) & (d >= 0.0), np.nan, c)  # the divisor reaches 0
+    zero = (c <= 0.0) & (d >= 0.0)  # the divisor reaches 0
+    c = np.where(zero, np.nan, c)
+    if _point(u):  # a/d <= a/c when a > 0, and the other way round when a < 0
+        p, q = a / c, a / np.where(zero, np.nan, d)
+        return (_down(q), _up(p)) if a > 0.0 else (_down(p), _up(q))
     return _hull(a / c, a / d, b / c, b / d)
 
 

@@ -10,7 +10,9 @@ enclosed by the midpoint rule with its remainder, w f(m) + w^3/24 f''(xi),
 using the symbolic second derivative (or w F(cell) where that is
 unavailable or unbounded); cells whose enclosure is narrow enough are
 frozen and the rest bisected, until the summed bracket is at most tol
-wide.  Its value is the bracket midpoint.
+wide.  A round encloses at least _MIN_CELLS open cells where the depth
+cap allows, since a smaller one costs about as much.  Its value is the
+bracket midpoint.
 
 Rounding: per-cell enclosures are rounded outward, and the certified
 bracket sums them exactly (math.fsum) and then moves one ulp outward, so
@@ -34,7 +36,7 @@ from .expr import _BLOCK, Expr, differentiate, enclose, evaluate, iadd, imul, is
 from .interval import Partition, require_finite
 
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
-MIN_LEVEL = 4   # riemann_integral starts from 2^MIN_LEVEL equal cells
+_MIN_CELLS = 64  # fewest open cells riemann_integral encloses in one round
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
@@ -159,7 +161,7 @@ def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
     """
     with np.errstate(all="ignore"):  # overflow gives inf, as in enclose
         w = isub((hi, hi), (lo, lo))
-        m = iadd((lo, lo), imul(w, (0.5, 0.5)))
+        m = iadd((lo, lo), imul((0.5, 0.5), w))
         fm = enclose(f, *m)
         bad = ~(np.isfinite(fm[0]) & np.isfinite(fm[1]))
         if bad.any():
@@ -192,12 +194,15 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
                      max_level: int = 24) -> IntegralCertificate:
     """Adaptively refined certified integral of f over [a, b].
 
-    Starts from the uniform 2^MIN_LEVEL-partition.  Each round encloses
-    the integral over every unfrozen cell (see _cell_integrals), records
-    the bracket [sum of lower ends, sum of upper ends] over all cells
-    intersected with the previous one, and stops once it is at most tol
-    wide.  Otherwise a cell whose enclosure is at most tol*w/(b-a) wide
-    is frozen and the others are bisected.  Raises IterationCapError when
+    Each round encloses the integral over every unfrozen cell (see
+    _cell_integrals), records the bracket [sum of lower ends, sum of
+    upper ends] over all cells intersected with the previous one, and
+    stops once it is at most tol wide.  Otherwise a cell whose enclosure
+    is at most tol*w/(b-a) wide is frozen and the others are bisected.
+    The first round bisects [a, b], and every later round its open
+    cells, until at least _MIN_CELLS are open or the cells reach depth
+    max_level, so while few cells are open each is split into 2^k dyadic
+    parts at once.  Raises IterationCapError when
     cells of depth max_level (width (b-a)/2^max_level) are still too
     wide: an unbounded or wildly oscillatory integrand never closes its
     bracket.  Raises DomainError or PreconditionError at once when f is
@@ -212,12 +217,17 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         f2: Optional[Expr] = differentiate(f, 2)
     except NonDifferentiableError:
         f2 = None
-    nodes = _nodes(a, b, 1 << MIN_LEVEL, 0, 1 << MIN_LEVEL)
-    lo, hi = nodes[:-1], nodes[1:]
+    lo, hi, depth, need = np.array([a]), np.array([b]), 0, _MIN_CELLS
     frozen, frozen_low, frozen_high = 0, 0.0, 0.0
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
-    for _ in range(MIN_LEVEL, max_level + 1):
+    while True:
+        # bisect every open cell, at least once after a round, and on until
+        # _MIN_CELLS are open: a smaller round costs about as much, because
+        # enclose's fixed cost per call outweighs its cost per cell there
+        while lo.size < need and depth < max_level:
+            mid = lo + (hi - lo) / 2
+            lo, hi, depth = np.concatenate([lo, mid]), np.concatenate([mid, hi]), depth + 1
         # in enclose's blocks, so the temporaries stay in cache however many
         # cells are open
         parts = [_cell_integrals(f, f2, lo[i:i + _BLOCK], hi[i:i + _BLOCK])
@@ -235,10 +245,9 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
             frozen_low = _sum_bound(np.append(low[done], frozen_low), -math.inf)
             frozen_high = _sum_bound(np.append(high[done], frozen_high), math.inf)
             lo, hi = lo[~done], hi[~done]
-        if lo.size == 0:
+        if lo.size == 0 or depth >= max_level:
             break
-        mid = lo + (hi - lo) / 2
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        need = max(2 * lo.size, _MIN_CELLS)
     raise IterationCapError(
         f"bracket width {upper - lower} still above {tol} with cells of depth "
         f"{max_level}; integrand may be unbounded or wildly oscillatory"

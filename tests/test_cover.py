@@ -80,6 +80,14 @@ def test_length_inequality_examples():
         length_inequality(cover_of(*TWO_PIECE))  # not verified yet
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("empty", [(5, -5), (math.nan, 3), (math.inf, math.inf)])
+def test_length_inequality_counts_an_empty_piece_as_length_zero(empty):
+    cov = OpenCover(Interval(0, 1), [(-1, 2), empty])
+    assert verify_cover(cov)[0]
+    assert length_inequality(cov)  # total length 3, not 3 - 10, nan or inf - inf
+
+
 def test_finite_subcover_examples():
     cov = cover_of([0, 1], [(k / 10 - 0.15, k / 10 + 0.15) for k in range(11)])
     verify_cover(cov)

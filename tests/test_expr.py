@@ -385,6 +385,27 @@ def test_ulp_steps_equal_nextafter_bit_for_bit(patterns, size):
                                       np.asarray(want).view(np.int64))
 
 
+@settings(max_examples=500, deadline=None)
+@given(_PATTERNS, st.lists(st.tuples(_PATTERNS, _PATTERNS), min_size=1, max_size=8))
+def test_point_constant_ops_equal_the_four_product_hull_bit_for_bit(constant, ends):
+    # (c, c) with one object takes the two-operation path of imul and of
+    # _idiv's numerator; the same value as two objects takes the hull
+    c = np.int64(constant).view(np.float64)
+    point, split = (c, c), (c, np.float64(float(c)))
+    pairs = np.array(ends, dtype=np.int64).view(np.float64)
+    marked = np.isnan(pairs).any(axis=1)  # kept as drawn; the others ordered
+    cell = tuple(np.where(marked[:, None], pairs, np.sort(pairs, axis=1)).T)
+    with np.errstate(all="ignore"):
+        for got, want in ((E.imul(point, cell), E.imul(split, cell)),
+                          (E._idiv(point, cell), E._idiv(split, cell))):
+            for g, w in zip(got, want):
+                assert np.array_equal(g[~marked].view(np.int64), w[~marked].view(np.int64))
+            # a NaN bound marks a cell as undefined; the mark may land on
+            # one bound only, which is all enclose() reads
+            assert np.all(np.isnan(got[0][marked]) | np.isnan(got[1][marked]))
+            assert np.all(np.isnan(want[0][marked]) & np.isnan(want[1][marked]))
+
+
 @pytest.mark.parametrize("text", ["1/(x-0.3)", "ln(x)", "sqrt(x)", "x^-2", "abs(x)*x^3",
                                   "sqrt(2)*3 - 1"])
 def test_enclose_in_blocks_equals_one_run(text):

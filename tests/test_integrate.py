@@ -200,9 +200,24 @@ def test_riemann_integral_brackets_nest_for_convex():
         assert nxt.upper <= prev.upper
 
 
+def test_riemann_integral_closes_after_rounds_that_neither_freeze_nor_narrow():
+    # sin on [0, 1000]: while cells are wider than the period, every cell's
+    # enclosure is the first-order one, so the bracket stays [-1000, 1000]
+    # and no cell freezes; a stop rule that gave up there would be wrong
+    cert = riemann_integral(E.parse("sin(x)"), 0.0, 1000.0, 1e-2)
+    first, second = cert.levels[:2]
+    assert second.cells == 2 * first.cells
+    assert second.upper - second.lower == first.upper - first.lower >= 2000.0
+    assert cert.converged and abs(cert.value - (1 - math.cos(1000.0))) <= 1e-2
+    assert cert.levels[-1].lower <= 1 - math.cos(1000.0) <= cert.levels[-1].upper
+
+
 def test_riemann_integral_level_cap():
     with pytest.raises(IterationCapError):
         riemann_integral(E.parse("sin(1/x)"), 1e-6, 1.0, 1e-10, max_level=8)
+    for max_level in (0, -1):   # one round on [a, b] itself, then the cap
+        with pytest.raises(IterationCapError):
+            riemann_integral(E.parse("sin(x)"), 0.0, 1000.0, 1e-2, max_level=max_level)
 
 
 def test_integral_additivity_examples():
