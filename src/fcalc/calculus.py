@@ -7,11 +7,18 @@ geometric schedule of punctured windows: delta0 * shrink^j for j up to
 prefer exact symbolic derivatives and fall back to numeric ones with a
 100x widened tolerance.
 
-Rolle's theorem and the Taylor remainder locate their witness the same
-way, through `_grid_crossing`: evaluate the function once on an interior
-grid (one array call), take the first grid point where it equals the
-target exactly, else polish the first sign change of the residual with
-`bisect_root`, else report no crossing.
+Rolle's theorem, the Taylor remainder and the integral mean value
+locate their witness the same way, through `_grid_crossing`: evaluate
+the function once on a grid (one array call), take the first grid point
+where it equals the target exactly, else polish the first sign change
+of the residual with `bisect_root`, else report no crossing.
+
+"For all x in [a, b]" is decided from interval enclosures on the cells
+of interval.refine_cells, never from samples: extreme_point is interval
+branch and bound (Hansen & Walster, Global Optimization Using Interval
+Analysis, 2004), and polynomial_check bounds f^(n+1) on every cell.
+Either raises IterationCapError when the depth cap or the cell budget
+of refine_cells leaves the question open.
 """
 
 from __future__ import annotations
@@ -27,16 +34,18 @@ import numpy as np
 from .errors import (
     DivergenceError,
     DomainError,
+    IterationCapError,
     NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import Expr, Var, const, differentiate, evaluate, mul, sub
-from .interval import require_finite
+from .expr import Const, Expr, Var, const, differentiate, enclose, evaluate, mul, sub
+from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval
 from .suprema import bisect_root
 
 SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
 ROLLE_SCAN = 512       # interior grid points Rolle's witness search scans for f'
+MAX_DEPTH = 52         # deepest bisection of extreme_point and polynomial_check
 
 
 @dataclass(frozen=True)
@@ -152,30 +161,47 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     return report
 
 
-def extreme_point(f: Expr, a: float, b: float, grid: int = 256,
-                  refinements: int = 3) -> Tuple[float, float]:
-    """Grid argmax with local 10x refinements; smallest x wins ties."""
-    if grid < 2:
-        raise PreconditionError("grid must be at least 2")
-    require_finite(a, b)
-    if a > b:
-        raise PreconditionError("need a <= b")
-    if a == b:
-        return a, evaluate(f, a)
-    xs = np.linspace(a, b, grid)
-    vals = evaluate(f, xs)
-    best = int(np.argmax(vals))
-    c, fc = float(xs[best]), float(vals[best])
-    h = (b - a) / (grid - 1)
-    for _ in range(refinements):
-        lo, hi = max(a, c - h), min(b, c + h)
-        xs = np.linspace(lo, hi, 21)
+def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float, float]:
+    """Argmax c of f over [a, b] by interval branch and bound, and f(c).
+
+    Both ends are evaluated first.  Each round then evaluates f at the
+    cell midpoints, keeping the best point (the smallest x on ties), and
+    encloses f over the cells, dropping those whose upper bound lies below
+    the best value.  It stops once the largest upper bound is within
+    tol*(1 + |f(c)|) of f(c), so max f lies in that range above f(c).
+    Raises PreconditionError where f is not finite at a point evaluated,
+    DomainError where it is undefined, and IterationCapError when cells
+    of depth MAX_DEPTH, or the cell budget of refine_cells, leave the gap
+    open.
+    """
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
+    require_interval(a, b)
+    c, fc, gap = a, -math.inf, math.inf
+
+    def visit(xs):
+        nonlocal c, fc
         vals = evaluate(f, xs)
-        best = int(np.argmax(vals))
-        if float(vals[best]) > fc or (float(vals[best]) == fc and float(xs[best]) < c):
-            c, fc = float(xs[best]), float(vals[best])
-        h /= 10
-    return c, fc
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise PreconditionError(f"f is not finite at x = {float(xs[bad][0])!r}")
+        top = float(vals.max())
+        x = float(xs[vals == top].min())
+        if top > fc or (top == fc and x < c):
+            c, fc = x, top
+
+    def judge(lo, hi):
+        nonlocal gap
+        visit(lo + (hi - lo) / 2)
+        sup = enclose(f, lo, hi)[1]
+        gap = float(sup.max()) - fc
+        return None if gap <= tol * (1 + abs(fc)) else sup >= fc
+
+    visit(np.array([a, b]))
+    if a == b or refine_cells(a, b, judge, MAX_DEPTH):
+        return c, fc
+    raise IterationCapError(f"max f still up to {gap} above f({c!r}) = {fc!r} with cells "
+                            f"of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
 
 
 def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable:
@@ -238,7 +264,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
         return c
     candidates = []
     for g in (f, mul(const(-1.0), f)):
-        c, _ = extreme_point(g, a, b, grid=ROLLE_SCAN, refinements=4)
+        c, _ = extreme_point(g, a, b, tol)
         if a + (b - a) * 1e-9 < c < b - (b - a) * 1e-9:
             candidates.append(c)
     candidates.sort(key=lambda t: abs(dfn(t)))
@@ -330,33 +356,36 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     return TaylorReport(value, rho, witness, remainder, converged)
 
 
-def polynomial_check(f: Expr, a: float, b: float, n: int, samples: int = 128,
-                     tol: float = 1e-9) -> bool:
+def polynomial_check(f: Expr, a: float, b: float, n: int, tol: float = 1e-9) -> bool:
     """Is f a polynomial of degree at most n on [a, b]?
 
-    Requires both a vanishing (n+1)-st symbolic derivative at the sample
-    points and agreement with the degree-n interpolant through Chebyshev
-    nodes (chosen for conditioning).
+    Decided from f^(n+1): an exact yes where it folds to the constant 0
+    (as for every polynomial tree, and on one point) and f is defined at
+    a; else yes once its enclosure on every cell lies in [-tol, tol], and
+    no once one cell's lies wholly outside.  Raises IterationCapError
+    when cells of depth MAX_DEPTH, or the cell budget of refine_cells,
+    leave the question open.
     """
-    if samples < 2:
-        raise PreconditionError("samples must be at least 2")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    require_finite(a, b)
-    if a == b:  # on one point f is a constant, once it is defined there
-        evaluate(f, a)
+    require_interval(a, b)
+    top = differentiate(f, n + 1) if a < b else const(0.0)
+    if isinstance(top, Const) and top.value == 0.0:
+        evaluate(f, a)  # DomainError where f is undefined at a
         return True
-    top = differentiate(f, n + 1)
-    xs = np.linspace(a, b, samples)
-    if np.max(np.abs(evaluate(top, xs))) > tol:
-        return False
-    mid, half = (a + b) / 2, (b - a) / 2
-    j = np.arange(n + 1)
-    nodes = mid + half * np.cos((2 * j + 1) * math.pi / (2 * (n + 1)))
-    coeffs = np.polynomial.polynomial.polyfit(nodes, evaluate(f, nodes), n)
-    fs = evaluate(f, xs)
-    ps = np.polynomial.polynomial.polyval(xs, coeffs)
-    return bool(np.all(np.abs(fs - ps) <= tol * (1 + np.abs(fs))))
+    verdict = True
+
+    def judge(lo, hi):
+        nonlocal verdict
+        inf, sup = enclose(top, lo, hi)
+        verdict = not np.any((inf > tol) | (sup < -tol))
+        open_ = (inf < -tol) | (sup > tol)
+        return open_ if verdict and open_.any() else None
+
+    if refine_cells(a, b, judge, MAX_DEPTH):
+        return verdict
+    raise IterationCapError(f"f^({n + 1}) neither proven within {tol} of 0 nor away from it "
+                            f"with cells of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
 
 
 def shape_checks(f: Expr, a: float, b: float, kind: str, samples: int = 64,
@@ -370,9 +399,7 @@ def shape_checks(f: Expr, a: float, b: float, kind: str, samples: int = 64,
         raise PreconditionError("samples must be at least 3")
     if kind not in ("convex", "increasing", "constant"):
         raise PreconditionError(f"unknown kind {kind!r}")
-    require_finite(a, b)
-    if a > b:
-        raise PreconditionError("need a <= b")
+    require_interval(a, b)
     if a == b:  # on one point every shape holds, once f is defined there
         evaluate(f, a)
         return True, None

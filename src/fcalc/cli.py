@@ -243,7 +243,7 @@ def _h_root(args, cfg):
 def _h_extremum(args, cfg):
     from . import calculus, expr
     f = expr.parse(args.f)
-    c, fc = calculus.extreme_point(f, args.a, args.b, args.grid, args.refinements)
+    c, fc = calculus.extreme_point(f, args.a, args.b, cfg.tol)
     return {"argmax": c, "max": fc}, {}, 0, [f"argmax {_fmt(c)} max {_fmt(fc)}"]
 
 
@@ -282,7 +282,7 @@ def _h_taylor(args, cfg):
 def _h_polycheck(args, cfg):
     from . import calculus, expr
     f = expr.parse(args.f)
-    ok = calculus.polynomial_check(f, args.a, args.b, args.n, args.samples, cfg.tol)
+    ok = calculus.polynomial_check(f, args.a, args.b, args.n, cfg.tol)
     return ok, {}, 0 if ok else 1, [f"polynomial of degree <= {args.n}: {str(ok).lower()}"]
 
 
@@ -339,7 +339,7 @@ def _h_lebesgue(args, cfg):
 def _h_modulus(args, cfg):
     from . import cover, expr
     f = expr.parse(args.f)
-    delta = cover.uniform_modulus(f, args.a, args.b, args.eps, args.grid, seed=cfg.seed)
+    delta = cover.uniform_modulus(f, args.a, args.b, args.eps, args.grid)
     return delta, {}, 0, [_fmt(delta)]
 
 
@@ -347,7 +347,7 @@ def _h_stepapprox(args, cfg):
     from . import cover, expr
     f = expr.parse(args.f)
     phi = cover.step_approximation(f, args.a, args.b, args.eps, delta=args.delta,
-                                   grid=args.grid, seed=cfg.seed)
+                                   grid=args.grid)
     err = cover.sup_error(f, phi)
     result = {"partition": phi.partition.to_json(), "values": list(phi.cell_values),
               "sup_error_bound": err}
@@ -625,12 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--k", type=float, default=0.0)
 
-    p = cmd("extremum", _h_extremum, help="grid argmax with local refinement")
+    p = cmd("extremum", _h_extremum, help="argmax by interval branch and bound, to --tol")
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--refinements", type=int, default=3)
 
     for name, handler in (("rolle", _h_rolle), ("mvt", _h_mvt)):
         p = cmd(name, handler, help=f"{name} witness")
@@ -655,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=128)
 
     p = cmd("shape", _h_shape, help="convex / increasing / constant check")
     p.add_argument("--f", required=True)

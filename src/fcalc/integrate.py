@@ -10,9 +10,11 @@ enclosed by the midpoint rule with its remainder, w f(m) + w^3/24 f''(xi),
 using the symbolic second derivative (or w F(cell) where that is
 unavailable or unbounded); cells whose enclosure is narrow enough are
 frozen and the rest bisected, until the summed bracket is at most tol
-wide.  A round encloses at least _MIN_CELLS open cells where the depth
-cap allows, since a smaller one costs about as much.  Its value is the
-bracket midpoint.
+wide.  The rounds, the cell splitting and the caps are those of
+interval.refine_cells, the loop every enclosure decision shares.  Its
+value is the bracket midpoint.  bounds_check certifies its envelope with
+calculus.extreme_point (branch and bound on the same loop);
+imvt_witness scans f minus the mean on a grid for a sign change.
 
 Rounding: per-cell enclosures are rounded outward, and the certified
 bracket sums them exactly (math.fsum) and then moves one ulp outward, so
@@ -31,12 +33,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .calculus import _grid_crossing, extreme_point
 from .errors import IterationCapError, NonDifferentiableError, PreconditionError
 from .expr import _BLOCK, Expr, differentiate, enclose, evaluate, iadd, imul, isub
-from .interval import Partition, require_finite
+from .interval import CELL_BUDGET, Partition, refine_cells, require_finite, require_interval
 
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
-_MIN_CELLS = 64  # fewest open cells riemann_integral encloses in one round
+_IMVT_GRID = 4096  # points imvt_witness scans for a crossing of the mean
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
@@ -98,12 +101,6 @@ class IntegralCertificate:
         }
 
 
-def _check_interval(a: float, b: float) -> None:
-    require_finite(a, b)
-    if a > b:
-        raise PreconditionError("need a <= b")
-
-
 def _nodes(a: float, b: float, n: int, start: int, stop: int) -> np.ndarray:
     """Nodes start..stop of the uniform n-partition, a + k*(b-a)/n, with b last."""
     nodes = a + np.arange(start, stop + 1, dtype=float) * (b - a) / n
@@ -123,7 +120,7 @@ def darboux_bounds(f: Expr, a: float, b: float, n: int) -> Tuple[float, float]:
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    _check_interval(a, b)
+    require_interval(a, b)
     if a == b:
         return 0.0, 0.0
     width = (b - a) / n
@@ -198,36 +195,29 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     _cell_integrals), records the bracket [sum of lower ends, sum of
     upper ends] over all cells intersected with the previous one, and
     stops once it is at most tol wide.  Otherwise a cell whose enclosure
-    is at most tol*w/(b-a) wide is frozen and the others are bisected.
-    The first round bisects [a, b], and every later round its open
-    cells, until at least _MIN_CELLS are open or the cells reach depth
-    max_level, so while few cells are open each is split into 2^k dyadic
-    parts at once.  Raises IterationCapError when
-    cells of depth max_level (width (b-a)/2^max_level) are still too
-    wide: an unbounded or wildly oscillatory integrand never closes its
-    bracket.  Raises DomainError or PreconditionError at once when f is
-    undefined or not finite at a cell midpoint.
+    is at most tol*w/(b-a) wide is frozen and the others are bisected
+    (by interval.refine_cells, at least 64 open cells a round).  Raises
+    IterationCapError when cells of depth max_level (width
+    (b-a)/2^max_level) are still too wide, or past the cell budget of
+    refine_cells: an unbounded or wildly oscillatory integrand never
+    closes its bracket.  Raises DomainError or PreconditionError at once
+    when f is undefined or not finite at a cell midpoint.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError("tol must be positive and finite")
-    _check_interval(a, b)
+    require_interval(a, b)
     if a == b:
         return IntegralCertificate(0.0, [], True)
     try:
         f2: Optional[Expr] = differentiate(f, 2)
     except NonDifferentiableError:
         f2 = None
-    lo, hi, depth, need = np.array([a]), np.array([b]), 0, _MIN_CELLS
     frozen, frozen_low, frozen_high = 0, 0.0, 0.0
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
-    while True:
-        # bisect every open cell, at least once after a round, and on until
-        # _MIN_CELLS are open: a smaller round costs about as much, because
-        # enclose's fixed cost per call outweighs its cost per cell there
-        while lo.size < need and depth < max_level:
-            mid = lo + (hi - lo) / 2
-            lo, hi, depth = np.concatenate([lo, mid]), np.concatenate([mid, hi]), depth + 1
+
+    def judge(lo, hi):
+        nonlocal frozen, frozen_low, frozen_high, lower, upper
         # in enclose's blocks, so the temporaries stay in cache however many
         # cells are open
         parts = [_cell_integrals(f, f2, lo[i:i + _BLOCK], hi[i:i + _BLOCK])
@@ -237,21 +227,20 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         upper = min(upper, _sum_bound(np.append(high, frozen_high), math.inf))
         levels.append(CertificateLevel(frozen + lo.size, lower, upper))
         if upper - lower <= tol:
-            return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
+            return None
         with np.errstate(over="ignore"):  # a width past the double range is inf: not done
             done = high - low <= tol * (hi - lo) / (b - a)
         if done.any():
             frozen += int(np.count_nonzero(done))
             frozen_low = _sum_bound(np.append(low[done], frozen_low), -math.inf)
             frozen_high = _sum_bound(np.append(high[done], frozen_high), math.inf)
-            lo, hi = lo[~done], hi[~done]
-        if lo.size == 0 or depth >= max_level:
-            break
-        need = max(2 * lo.size, _MIN_CELLS)
-    raise IterationCapError(
-        f"bracket width {upper - lower} still above {tol} with cells of depth "
-        f"{max_level}; integrand may be unbounded or wildly oscillatory"
-    )
+        return ~done
+
+    if refine_cells(a, b, judge, max_level):
+        return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
+    raise IterationCapError(f"bracket width {upper - lower} still above {tol} with cells of "
+                            f"depth {max_level} or {CELL_BUDGET} cells in all; integrand "
+                            "may be unbounded or wildly oscillatory")
 
 
 def integral_additivity_check(f: Expr, a: float, c: float, b: float,
@@ -266,14 +255,14 @@ def integral_additivity_check(f: Expr, a: float, c: float, b: float,
 
 
 def bounds_check(f: Expr, a: float, b: float, lo: float, hi: float,
-                 tol: float = 1e-6, samples: int = 1024) -> bool:
-    """m(b-a) <= integral <= M(b-a), with the envelope grid-verified first."""
-    require_finite(a, b)
-    xs = np.linspace(a, b, samples)
-    vals = evaluate(f, xs)
-    if np.any(vals < lo) or np.any(vals > hi):
-        k = int(np.argmax((vals < lo) | (vals > hi)))
-        raise PreconditionError(f"f({xs[k]}) = {vals[k]} leaves [{lo}, {hi}]")
+                 tol: float = 1e-6) -> bool:
+    """m(b-a) <= integral <= M(b-a), with the envelope checked first: the
+    maxima of f and -f, located by extreme_point at tol, may pass hi and
+    -lo by at most tol."""
+    for g, sign, bound in ((f, 1.0, hi), (-f, -1.0, -lo)):
+        c, value = extreme_point(g, a, b, tol)
+        if value > bound + tol:
+            raise PreconditionError(f"f({c}) = {sign * value} leaves [{lo}, {hi}]")
     value = riemann_integral(f, a, b, tol).value
     return lo * (b - a) - tol <= value <= hi * (b - a) + tol
 
@@ -301,25 +290,20 @@ def ftc2_check(F: Expr, a: float, b: float, tol: float = 1e-6) -> bool:
 
 
 def imvt_witness(f: Expr, a: float, b: float, tol: float = 1e-6) -> float:
-    """Point xi where f equals its integral mean over [a, b]."""
-    from .calculus import extreme_point  # local import avoids a cycle
-    from .suprema import bisect_root
-
+    """Point xi where f equals its integral mean over [a, b]: the first
+    sign change of f - mean on a grid of _IMVT_GRID points, polished by
+    bisection; else the grid point nearest the mean, or the midpoint
+    where f equals the mean on the whole grid."""
     if not a < b:
         raise PreconditionError("need a < b")
     mean = riemann_integral(f, a, b, tol).value / (b - a)
-    c_max, f_max = extreme_point(f, a, b)
-    c_min, neg_min = extreme_point(-f, a, b)
-    f_min = -neg_min
-    if f_max - f_min <= tol:
+    xs = np.linspace(a, b, _IMVT_GRID)
+    vals = evaluate(f, xs)
+    resid = np.abs(vals - mean)
+    if not resid.any():
         return a + (b - a) / 2
-    lo, hi = sorted((c_min, c_max))
-    fn = lambda t: evaluate(f, t)
-    if (fn(lo) - mean) * (fn(hi) - mean) <= 0:
-        return bisect_root(fn, lo, hi, mean, tol=max(1e-14, (b - a) * 1e-13)).root
-    xs = np.linspace(a, b, 4096)
-    resid = np.abs(evaluate(f, xs) - mean)
-    return float(xs[int(np.argmin(resid))])
+    c = _grid_crossing(lambda t: evaluate(f, t), xs, vals, mean, max(1e-14, (b - a) * 1e-13))
+    return float(xs[int(np.argmin(resid))]) if c is None else c
 
 
 def adt_check(F: Expr, G: Expr, a: float, b: float, samples: int = 128,

@@ -1,4 +1,5 @@
-"""Closed/open intervals, partitions and nested-interval iteration."""
+"""Closed/open intervals, partitions, nested-interval iteration, and
+`refine_cells`, the one adaptive cell loop behind every enclosure decision."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from .errors import IterationCapError, NestingError, PreconditionError
+
+_MIN_CELLS = 64        # fewest open cells a round of refine_cells holds, where the depth cap allows
+CELL_BUDGET = 1 << 22  # most cells refine_cells hands its judge, summed over all rounds
 
 
 @dataclass(frozen=True)
@@ -126,10 +130,49 @@ def require_finite(a: float, b: float) -> None:
         raise PreconditionError("need a finite interval [a, b]")
 
 
+def require_interval(a: float, b: float) -> None:
+    """require_finite, and PreconditionError unless a <= b."""
+    require_finite(a, b)
+    if a > b:
+        raise PreconditionError("need a <= b")
+
+
 def bisect(i: Interval) -> Tuple[Interval, Interval]:
     """Split [lo, hi] at the midpoint; the halves share the midpoint."""
     m = i.midpoint
     return Interval(i.lo, m), Interval(m, i.hi)
+
+
+def refine_cells(a: float, b: float, judge: Callable, max_depth: int) -> bool:
+    """Adaptive dyadic cells of [a, b], decided a round at a time.
+
+    Before each round the open cells (at first [a, b] alone) are bisected
+    until at least _MIN_CELLS are open or they reach depth max_depth, so
+    while few cells are open each is split into 2^k parts at once: an
+    enclosure's fixed cost per call outweighs its cost per cell in a
+    smaller round.  judge(lo, hi) gets the round's cells as arrays, not
+    in order, and returns a boolean mask of the cells that stay open, or
+    None when the caller is done.  Returns True when the judge is done and
+    False when cells stay open at depth max_depth, none stay open, or the
+    next round would take the cells judged past CELL_BUDGET.
+    """
+    import numpy as np
+
+    lo, hi, depth, need, spent = np.array([a]), np.array([b]), 0, _MIN_CELLS, 0
+    while True:
+        while lo.size < need and depth < max_depth:
+            mid = lo + (hi - lo) / 2
+            lo, hi, depth = np.concatenate([lo, mid]), np.concatenate([mid, hi]), depth + 1
+        spent += lo.size
+        if spent > CELL_BUDGET:
+            return False
+        keep = judge(lo, hi)
+        if keep is None:
+            return True
+        lo, hi = lo[keep], hi[keep]
+        if lo.size == 0 or depth >= max_depth:
+            return False
+        need = max(2 * lo.size, _MIN_CELLS)
 
 
 def uniform_partition(a: float, b: float, n: int) -> Partition:

@@ -51,3 +51,22 @@ def expr_trees(consts, max_leaves):
 
     leaves = st.one_of(st.just(E.Var()), st.sampled_from(consts).map(E.Const))
     return st.recursive(leaves, node, max_leaves=max_leaves)
+
+
+def mp_eval(e, x, mp):
+    """Direct evaluation of a tree in mpmath: the oracle never runs fcalc."""
+    t = type(e)
+    if t is E.Const:
+        return mp.mpf(e.value)
+    if t is E.Var:
+        return x
+    if t is E.Neg:
+        return -mp_eval(e.arg, x, mp)
+    if t is E.Pow:
+        return mp_eval(e.base, x, mp) ** e.exponent
+    if t is E.Func:
+        fn = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp, "ln": mp.log, "sqrt": mp.sqrt,
+              "abs": abs}[e.name]
+        return fn(mp_eval(e.arg, x, mp))
+    u, v = mp_eval(e.left, x, mp), mp_eval(e.right, x, mp)
+    return {E.Add: mp.fadd, E.Sub: mp.fsub, E.Mul: mp.fmul, E.Div: mp.fdiv}[t](u, v)

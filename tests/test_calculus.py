@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.calculus import (
@@ -20,12 +22,14 @@ from fcalc.calculus import (
 from fcalc.errors import (
     DivergenceError,
     DomainError,
+    IterationCapError,
+    MathError,
     NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
 )
 from fcalc.suprema import bisect_root
-from helpers import random_smooth_expr
+from helpers import expr_trees, mp_eval, random_smooth_expr
 
 
 def test_limit_examples():
@@ -99,12 +103,47 @@ def test_derivative_matches_symbolic_on_smooth_exprs():
 
 
 def test_extreme_point_examples():
-    c, fc = extreme_point(E.parse("x*(1-x)"), 0.0, 1.0, grid=101, refinements=5)
+    c, fc = extreme_point(E.parse("x*(1-x)"), 0.0, 1.0)
     assert abs(c - 0.5) <= 1e-6 and abs(fc - 0.25) <= 1e-9
     c, fc = extreme_point(E.parse("x"), 0.0, 1.0)
     assert c == 1.0 and fc == 1.0
     c, fc = extreme_point(E.parse("3"), 0.0, 1.0)
-    assert c == 0.0 and fc == 3.0  # tie-break takes the first grid point
+    assert c == 0.0 and fc == 3.0  # ties go to the smallest x
+
+
+def test_extreme_point_finds_a_spike_samples_miss():
+    # 1e-5 wide at 0.3: a 256-point grid sees only zeros
+    c, fc = extreme_point(E.parse("exp(-((x-0.3)*100000)^2)"), 0.0, 1.0, 1e-9)
+    assert abs(c - 0.3) <= 1e-5 and abs(fc - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("text, a, b, error", [
+    ("1/(x-0.3)", 0.0, 1.0, IterationCapError),    # unbounded: the gap never closes
+    ("x-x", 0.0, 1.0, IterationCapError),          # enclosures of x - x stay 2w wide
+    ("exp(1000*x)", 0.0, 1.0, PreconditionError),  # f(1) overflows
+    ("ln(x)", 0.0, 1.0, DomainError),              # undefined at a
+])
+def test_extreme_point_raises_where_it_cannot_certify(text, a, b, error):
+    with pytest.raises(error):
+        extreme_point(E.parse(text), a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6), st.floats(-2.0, 2.0),
+       st.floats(0.01, 2.0), st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_extreme_point_bounds_a_dense_maximum_or_raises(f, a, width, tol):
+    import mpmath as mp
+
+    b = a + width
+    try:
+        c, value = extreme_point(f, a, b, tol)
+    except MathError:
+        return
+    assert a <= c <= b
+    dense = E.evaluate(f, np.linspace(a, b, 10**4))   # defined: no cell was unbounded
+    assert float(np.max(dense)) <= value + tol * (1 + abs(value))
+    mp.mp.dps = 40
+    assert abs(mp_eval(f, mp.mpf(c), mp) - value) <= 1e-9 * (1 + abs(value))
 
 
 def test_extreme_point_dominates_probes():
@@ -259,6 +298,19 @@ def test_polynomial_check_examples():
     assert polynomial_check(E.parse("3*x^2 - x"), -1.0, 1.0, 2)
     assert not polynomial_check(E.parse("exp(x)"), 0.0, 1.0, 5, tol=1e-9)
     assert polynomial_check(E.parse("42"), 0.0, 1.0, 0)
+
+
+def test_polynomial_check_decides_each_way():
+    for text in ("3*x^2 - x", "(x+1)^3"):   # f^(n+1) folds to 0: no enclosure needed
+        assert E.differentiate(E.parse(text), 4) is E.const(0.0)
+        assert polynomial_check(E.parse(text), -1.0, 1.0, 3)
+    # exp's sixth derivative is at least 1 on [0, 1]: disproved on the first cells
+    assert not polynomial_check(E.parse("exp(x)"), 0.0, 1.0, 5, tol=1e-9)
+    # the fourth derivative 1e-12 sin(x) is enclosed in [-1e-9, 1e-9] on every cell
+    assert polynomial_check(E.parse("x^3 + 1e-12*sin(x)"), 0.0, 1.0, 3, tol=1e-9)
+    assert not polynomial_check(E.parse("x^3 + 1e-6*sin(x)"), 0.5, 1.0, 3, tol=1e-9)
+    with pytest.raises(IterationCapError):   # 1/x - 1/x: enclosures never narrow to 0
+        polynomial_check(E.parse("x + 1/x - 1/x"), 0.5, 1.0, 1)
 
 
 @pytest.mark.parametrize("a, b, n, message", [

@@ -430,9 +430,9 @@ def _argv(draw):
     elif cmd in ("polycheck", "shape", "extremum"):
         argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY)]
         argv += {"polycheck": ["--n", draw(st.sampled_from(["0", "2", "-1"]))],
-                 "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"]))],
+                 "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"])),
+                           "--samples", draw(_COUNTS)],
                  "extremum": []}[cmd]
-        argv += ["--grid" if cmd == "extremum" else "--samples", draw(_COUNTS)]
     elif cmd == "taylor":
         argv = [cmd, "--f", f, "--n", draw(st.sampled_from(["0", "2", "-1"])),
                 "--at", draw(_ANY), "--x", draw(_ANY)]

@@ -327,6 +327,11 @@ def test_uniform_modulus_is_a_modulus_or_raises(f, a, width, eps):
         return
     assert 0 < delta <= b - a
     assert _pairs_within(f, np.linspace(a, b, 4001), delta, a, b) < eps
+    rng = np.random.default_rng(0)   # and 10^4 random pairs closer than delta
+    xs = rng.uniform(a, b, 10**4)
+    cs = np.clip(xs + rng.uniform(-delta, delta, 10**4) * (1 - 1e-12), a, b)
+    close = np.abs(xs - cs) < delta
+    assert not np.any(close & (np.abs(E.evaluate(f, xs) - E.evaluate(f, cs)) >= eps))
 
 
 def test_cover_json_round_trip():

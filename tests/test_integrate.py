@@ -27,7 +27,7 @@ from fcalc.stepfn import (
     step_reexpress,
     step_split,
 )
-from helpers import random_partition, random_smooth_expr
+from helpers import mp_eval, random_partition, random_smooth_expr
 
 
 def make_step(rng, a=0.0, b=1.0):
@@ -288,30 +288,11 @@ def test_constant_integral_any_partition(n1, n2):
 # ---------------------------------------------------------------------------
 # enclosures against an mpmath oracle
 
-def _mp_eval(e, x, mp):
-    """Direct evaluation of a tree in mpmath: the oracle never runs fcalc."""
-    t = type(e)
-    if t is E.Const:
-        return mp.mpf(e.value)
-    if t is E.Var:
-        return x
-    if t is E.Neg:
-        return -_mp_eval(e.arg, x, mp)
-    if t is E.Pow:
-        return _mp_eval(e.base, x, mp) ** e.exponent
-    if t is E.Func:
-        fn = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp, "ln": mp.log, "sqrt": mp.sqrt,
-              "abs": abs}[e.name]
-        return fn(_mp_eval(e.arg, x, mp))
-    u, v = _mp_eval(e.left, x, mp), _mp_eval(e.right, x, mp)
-    return {E.Add: mp.fadd, E.Sub: mp.fsub, E.Mul: mp.fmul, E.Div: mp.fdiv}[t](u, v)
-
-
 def _mp_integral(f, a, b):
     import mpmath as mp
 
     mp.mp.dps = 30
-    return mp, mp.quad(lambda x: _mp_eval(f, x, mp), [a, b])
+    return mp, mp.quad(lambda x: mp_eval(f, x, mp), [a, b])
 
 
 _EXTRAS = (
