@@ -14,11 +14,16 @@ where it equals the target exactly, else polish the first sign change
 of the residual with `bisect_root`, else report no crossing.
 
 "For all x in [a, b]" is decided from interval enclosures on the cells
-of interval.refine_cells, never from samples: extreme_point is interval
-branch and bound (Hansen & Walster, Global Optimization Using Interval
-Analysis, 2004), and polynomial_check bounds f^(n+1) on every cell.
-Either raises IterationCapError when the depth cap or the cell budget
-of refine_cells leaves the question open.
+of interval.refine_cells, never from samples.  Every cell is bounded by
+_cell_bounds: the natural interval extension intersected with the
+mean-value form g(m) + g'(X)(X - m) (Moore, Interval Analysis, 1966).
+extreme_point is interval branch and bound on those bounds (Hansen &
+Walster, Global Optimization Using Interval Analysis, 2004); one judge,
+_holds, proves a derivative within [low, high] on every cell or finds a
+cell where it lies wholly outside, for polynomial_check (f^(n+1)),
+shape_checks (f' or f'') and integrate.adt_check (F' - G').  Each raises
+IterationCapError when the depth cap or the cell budget of refine_cells
+leaves the question open.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import Const, Expr, Var, const, differentiate, enclose, evaluate, mul, sub
+from .expr import (Expr, Var, const, differentiate, enclose, evaluate, iadd, imul, isub, mul,
+                   sub)
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval
 from .suprema import bisect_root
 
 SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
 ROLLE_SCAN = 512       # interior grid points Rolle's witness search scans for f'
-MAX_DEPTH = 52         # deepest bisection of extreme_point and polynomial_check
+MAX_DEPTH = 52         # deepest bisection of extreme_point and _holds
 
 
 @dataclass(frozen=True)
@@ -161,22 +167,48 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     return report
 
 
+def _cell_bounds(g: Expr, dg: Optional[Expr], lo: np.ndarray,
+                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Enclosures of g over the cells [lo, hi]: the natural interval
+    extension, intersected where dg (the symbolic g', or None) is given
+    with the mean-value form g(m) + g'(X)(X - m) at the midpoints m, whose
+    width shrinks with the square of the cell's where the natural one's
+    shrinks linearly.  The form is used only on cells where the natural
+    enclosure is finite, so g is defined on the whole cell, as the
+    mean-value theorem needs (g' may be defined where g is not: d/dx of
+    u^0 is 0 whatever u); a NaN end of it (inf * 0) adds nothing."""
+    inf, sup = enclose(g, lo, hi)
+    if dg is None:
+        return inf, sup
+    m = lo + (hi - lo) / 2
+    with np.errstate(all="ignore"):  # inf - inf and inf * 0 give NaN: no information
+        low, high = iadd(enclose(g, m, m), imul(enclose(dg, lo, hi), isub((lo, hi), (m, m))))
+    finite = np.isfinite(inf) & np.isfinite(sup)
+    return (np.where(finite, np.fmax(inf, low), inf),
+            np.where(finite, np.fmin(sup, high), sup))
+
+
 def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float, float]:
     """Argmax c of f over [a, b] by interval branch and bound, and f(c).
 
     Both ends are evaluated first.  Each round then evaluates f at the
     cell midpoints, keeping the best point (the smallest x on ties), and
-    encloses f over the cells, dropping those whose upper bound lies below
-    the best value.  It stops once the largest upper bound is within
-    tol*(1 + |f(c)|) of f(c), so max f lies in that range above f(c).
-    Raises PreconditionError where f is not finite at a point evaluated,
-    DomainError where it is undefined, and IterationCapError when cells
-    of depth MAX_DEPTH, or the cell budget of refine_cells, leave the gap
-    open.
+    bounds f over the cells by _cell_bounds, dropping those whose upper
+    bound lies below the best value.  It stops once the largest upper
+    bound is within tol*(1 + |f(c)|) of f(c), so max f lies in that range
+    above f(c); tol bounds the value, not the distance of c from an
+    argmax.  Raises PreconditionError where f is not finite at a point
+    evaluated, DomainError where it is undefined, and IterationCapError
+    when cells of depth MAX_DEPTH, or the cell budget of refine_cells,
+    leave the gap open.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError("tol must be positive and finite")
     require_interval(a, b)
+    try:
+        df: Optional[Expr] = differentiate(f, 1)
+    except NonDifferentiableError:
+        df = None
     c, fc, gap = a, -math.inf, math.inf
 
     def visit(xs):
@@ -193,7 +225,7 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
     def judge(lo, hi):
         nonlocal gap
         visit(lo + (hi - lo) / 2)
-        sup = enclose(f, lo, hi)[1]
+        sup = _cell_bounds(f, df, lo, hi)[1]
         gap = float(sup.max()) - fc
         return None if gap <= tol * (1 + abs(fc)) else sup >= fc
 
@@ -202,6 +234,42 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
         return c, fc
     raise IterationCapError(f"max f still up to {gap} above f({c!r}) = {fc!r} with cells "
                             f"of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
+
+
+def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
+           high: float) -> Tuple[bool, Optional[Tuple[float, float]]]:
+    """Does low <= g(x) <= high hold for every x in [a, b]?
+
+    Decided on the cells of refine_cells, bounded by _cell_bounds:
+    (True, None) once g's enclosure on every cell lies in [low, high], and
+    (False, (lo, hi)) for the leftmost cell of the first round in which
+    some cell's enclosure lies wholly outside.  g is a derivative of f,
+    whose tree may be defined where f's is not (d/dx of u^0 is 0 whatever
+    u), so each round first evaluates f at its cell midpoints: DomainError
+    where f is undefined at one, before any budget is spent on g, and so
+    even where g is a constant decided on the first round's 64 cells.
+    Raises IterationCapError when cells of depth MAX_DEPTH, or the cell
+    budget of refine_cells, leave the question open.
+    """
+    dg = differentiate(g, 1)
+    verdict = True, None
+
+    def judge(lo, hi):
+        nonlocal verdict
+        evaluate(f, lo + (hi - lo) / 2)
+        inf, sup = _cell_bounds(g, dg, lo, hi)
+        out = (inf > high) | (sup < low)
+        if out.any():
+            i = np.flatnonzero(out)[np.argmin(lo[out])]
+            verdict = False, (float(lo[i]), float(hi[i]))
+            return None
+        open_ = (inf < low) | (sup > high)
+        return open_ if open_.any() else None
+
+    if refine_cells(a, b, judge, MAX_DEPTH):
+        return verdict
+    raise IterationCapError(f"neither proven within [{low}, {high}] nor outside it with "
+                            f"cells of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
 
 
 def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable:
@@ -359,74 +427,44 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
 def polynomial_check(f: Expr, a: float, b: float, n: int, tol: float = 1e-9) -> bool:
     """Is f a polynomial of degree at most n on [a, b]?
 
-    Decided from f^(n+1): an exact yes where it folds to the constant 0
-    (as for every polynomial tree, and on one point) and f is defined at
-    a; else yes once its enclosure on every cell lies in [-tol, tol], and
-    no once one cell's lies wholly outside.  Raises IterationCapError
-    when cells of depth MAX_DEPTH, or the cell budget of refine_cells,
-    leave the question open.
+    Yes once _holds proves f^(n+1) within [-tol, tol] on [a, b] (at once
+    where it folds to the constant 0, as for every polynomial tree, and on
+    one point), no once it finds a cell where it lies wholly outside.
+    Raises DomainError where f is undefined at a cell midpoint, and
+    IterationCapError where _holds leaves the question open.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     require_interval(a, b)
     top = differentiate(f, n + 1) if a < b else const(0.0)
-    if isinstance(top, Const) and top.value == 0.0:
-        evaluate(f, a)  # DomainError where f is undefined at a
-        return True
-    verdict = True
-
-    def judge(lo, hi):
-        nonlocal verdict
-        inf, sup = enclose(top, lo, hi)
-        verdict = not np.any((inf > tol) | (sup < -tol))
-        open_ = (inf < -tol) | (sup > tol)
-        return open_ if verdict and open_.any() else None
-
-    if refine_cells(a, b, judge, MAX_DEPTH):
-        return verdict
-    raise IterationCapError(f"f^({n + 1}) neither proven within {tol} of 0 nor away from it "
-                            f"with cells of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
+    return _holds(f, top, a, b, -tol, tol)[0]
 
 
-def shape_checks(f: Expr, a: float, b: float, kind: str, samples: int = 64,
-                 tol: float = 1e-9, seed: int = 0):
-    """Randomized convexity / monotonicity / constancy checks.
+_SHAPES = {"constant": (1, False), "increasing": (1, True), "convex": (2, True)}
 
-    Returns (ok, counterexample) where the counterexample is the first
-    violating tuple of abscissas, or None.
+
+def shape_checks(f: Expr, a: float, b: float, kind: str, tol: float = 1e-9):
+    """Is f constant, increasing or convex on [a, b]?
+
+    Decided by _holds on f' in [-tol, tol] (constant), f' >= -tol
+    (increasing) or f'' >= -tol (convex).  Returns (ok, counterexample):
+    None, or the cell that disproves the shape, (lo, hi) for constant and
+    increasing, on which f(lo) differs from or exceeds f(hi), and (lo,
+    mid, hi) for convex, where f(mid) lies above the chord.  On one point
+    every shape holds, once f is defined there.  Raises
+    NonDifferentiableError where f has no symbolic derivative (abs) and
+    IterationCapError where _holds leaves the question open.
     """
-    if samples < 3:
-        raise PreconditionError("samples must be at least 3")
-    if kind not in ("convex", "increasing", "constant"):
+    if kind not in _SHAPES:
         raise PreconditionError(f"unknown kind {kind!r}")
     require_interval(a, b)
-    if a == b:  # on one point every shape holds, once f is defined there
-        evaluate(f, a)
-        return True, None
-    rng = np.random.default_rng(seed)
-    # Python floats from here: their sums overflow to inf without a warning
-    if kind == "convex":
-        for _ in range(samples):
-            c, t, x = np.sort(rng.uniform(a, b, 3)).tolist()
-            if not (c < t < x):
-                continue
-            chord = evaluate(f, c) + (t - c) * (evaluate(f, x) - evaluate(f, c)) / (x - c)
-            if evaluate(f, t) > chord + tol:
-                return False, (c, t, x)
-        return True, None
-    if kind == "increasing":
-        for _ in range(samples):
-            c, x = np.sort(rng.uniform(a, b, 2)).tolist()
-            if not c < x:
-                continue
-            if evaluate(f, c) > evaluate(f, x) + tol:
-                return False, (c, x)
-        return True, None
-    xs = np.linspace(a, b, samples)
-    vals = evaluate(f, xs)
-    if float(np.max(vals)) - float(np.min(vals)) <= tol:
-        return True, None
-    return False, (float(xs[np.argmin(vals)]), float(xs[np.argmax(vals)]))
+    order, one_sided = _SHAPES[kind]
+    g = differentiate(f, order) if a < b else const(0.0)
+    ok, cell = _holds(f, g, a, b, -tol, math.inf if one_sided else tol)
+    if cell and kind == "convex":
+        lo, hi = cell
+        cell = (lo, lo + (hi - lo) / 2, hi)
+    return ok, cell
 
 
 def piecewise_linear(nodes, values) -> Callable[[float], float]:

@@ -13,7 +13,8 @@ frozen and the rest bisected, until the summed bracket is at most tol
 wide.  The rounds, the cell splitting and the caps are those of
 interval.refine_cells, the loop every enclosure decision shares.  Its
 value is the bracket midpoint.  bounds_check certifies its envelope with
-calculus.extreme_point (branch and bound on the same loop);
+calculus.extreme_point (branch and bound on the same loop), and
+adt_check proves F' - G' near 0 with calculus._holds (the same loop);
 imvt_witness scans f minus the mean on a grid for a sign change.
 
 Rounding: per-cell enclosures are rounded outward, and the certified
@@ -33,10 +34,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .calculus import _grid_crossing, extreme_point
+from .calculus import _grid_crossing, _holds, extreme_point
 from .errors import IterationCapError, NonDifferentiableError, PreconditionError
-from .expr import _BLOCK, Expr, differentiate, enclose, evaluate, iadd, imul, isub
-from .interval import CELL_BUDGET, Partition, refine_cells, require_finite, require_interval
+from .expr import _BLOCK, Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, sub
+from .interval import CELL_BUDGET, Partition, refine_cells, require_interval
 
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
 _IMVT_GRID = 4096  # points imvt_witness scans for a crossing of the mean
@@ -306,23 +307,29 @@ def imvt_witness(f: Expr, a: float, b: float, tol: float = 1e-6) -> float:
     return float(xs[int(np.argmin(resid))]) if c is None else c
 
 
-def adt_check(F: Expr, G: Expr, a: float, b: float, samples: int = 128,
-              tol: float = 1e-9) -> bool:
-    """Two antiderivatives of one function differ by a constant."""
-    if samples < 2:
-        raise PreconditionError("samples must be at least 2")
-    require_finite(a, b)
-    xs = np.linspace(a, b, samples)
-    dF = evaluate(differentiate(F, 1), xs)
-    dG = evaluate(differentiate(G, 1), xs)
-    scale = float(np.max(np.abs(dF)))
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails both tests
-        mism = np.abs(dF - dG)
-        if np.any(mism > tol * (1 + scale)):
-            k = int(np.argmax(mism))
-            raise PreconditionError(
-                f"derivatives differ at x={xs[k]}: {dF[k]} vs {dG[k]}"
-            )
-        diff = evaluate(F, xs) - evaluate(G, xs)
-        spread = float(np.max(diff) - np.min(diff))
-    return spread <= tol * (1 + float(np.max(np.abs(diff))))
+def adt_check(F: Expr, G: Expr, a: float, b: float, tol: float = 1e-9) -> bool:
+    """Do two antiderivatives F and G differ by a constant on [a, b]?
+
+    Yes at once where differentiate(F) is differentiate(G) (and on one
+    point), else once calculus._holds proves F' - G' within [-tol, tol] on
+    [a, b]; F - G is evaluated at each round's cell midpoints, so
+    DomainError where either is undefined there.  Raises
+    PreconditionError where F or G is not finite at a or on a cell where
+    F' - G' lies wholly outside [-tol, tol], NonDifferentiableError where
+    F or G has no symbolic derivative (abs), and IterationCapError where
+    _holds leaves the question open.
+    """
+    require_interval(a, b)
+    for name, H in (("F", F), ("G", G)):
+        if not math.isfinite(evaluate(H, a)):
+            raise PreconditionError(f"{name} is not finite at a = {a!r}")
+    g = const(0.0)
+    if a < b:
+        dF, dG = differentiate(F, 1), differentiate(G, 1)
+        if dF is not dG:
+            g = sub(dF, dG)
+    ok, cell = _holds(sub(F, G), g, a, b, -tol, tol)
+    if not ok:
+        raise PreconditionError(f"F' and G' differ by more than {tol} on [{cell[0]!r}, "
+                                f"{cell[1]!r}]")
+    return True

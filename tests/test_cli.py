@@ -45,10 +45,20 @@ def test_parse_error_exits_2(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    # shape and adt decide on enclosures and take no sample count
+    for argv in (["frobnicate"],
+                 ["shape", "--f", "x", "--a", "0", "--b", "1", "--kind", "convex",
+                  "--samples", "3"],
+                 ["adt", "--F", "x^2", "--G", "x^2+1", "--a", "0", "--b", "1", "--samples", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", "json"])
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert exc.value.code == 2 and payload["result"] is None
+        assert "error" in payload["diagnostics"]
 
 
 def test_math_failure_exits_1(capsys):
@@ -62,6 +72,12 @@ def test_false_check_exits_1(capsys):
                        "--kind", "constant")
     assert code == 1
     assert "constant: false" in out
+
+
+def test_shape_of_a_tree_without_a_derivative_exits_1(capsys):
+    code, out, err = run(capsys, "shape", "--f", "abs(x)", "--a", "-1", "--b", "1",
+                         "--kind", "convex")
+    assert (code, out) == (1, "") and err == "error: cannot differentiate node 'abs'\n"
 
 
 def test_json_output_single_object(capsys):
@@ -384,8 +400,6 @@ _ENDS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-2", "2", "1e-300", "-1e-
 _ANY = st.one_of(_ENDS, st.sampled_from(["1e300", "-1e300", "inf", "-inf", "nan", "1e400",
                                          "abc", ""]))
 _TOLS = st.sampled_from(["1e-2", "1e-3", "0.5", "0", "-1", "nan", "inf"])
-# sample and grid counts at the edge, and valid ones that reach the endpoint checks
-_COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "64"])
 _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}",
                          "[0, 1e400]", "[0, NaN]", "[0, 1", "[0.25, 0.75]"])
 
@@ -426,12 +440,10 @@ def _argv(draw):
                      ) if cmd == "stepapprox" else []
     elif cmd == "adt":
         argv = [cmd, "--F", f, "--G", draw(_EXPRS), "--a", draw(_ANY), "--b", draw(_ANY)]
-        argv += ["--samples", draw(_COUNTS)]
     elif cmd in ("polycheck", "shape", "extremum"):
         argv = [cmd, "--f", f, "--a", draw(_ANY), "--b", draw(_ANY)]
         argv += {"polycheck": ["--n", draw(st.sampled_from(["0", "2", "-1"]))],
-                 "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"])),
-                           "--samples", draw(_COUNTS)],
+                 "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"]))],
                  "extremum": []}[cmd]
     elif cmd == "taylor":
         argv = [cmd, "--f", f, "--n", draw(st.sampled_from(["0", "2", "-1"])),
@@ -495,24 +507,24 @@ def test_a_non_finite_interval_is_a_precondition_error(argv):
         1, "", "error: need a finite interval [a, b]\n")
 
 
-@pytest.mark.parametrize("argv, out", [
-    (["shape", "--f", "x", "--a", "0", "--b", "1e300", "--kind", "convex", "--samples", "3"],
-     "convex: true\n"),
-    (["shape", "--f", "x", "--a", "0", "--b", "-0", "--kind", "convex", "--samples", "3"],
-     "convex: true\n"),
-    (["adt", "--F", "1e400*x", "--G", "1e400*x", "--a", "0", "--b", "1"], "adt: false\n"),
+@pytest.mark.parametrize("argv, out, err", [
+    (["shape", "--f", "x", "--a", "0", "--b", "1e300", "--kind", "convex"],
+     "convex: true\n", ""),
+    (["shape", "--f", "x", "--a", "0", "--b", "-0", "--kind", "convex"], "convex: true\n", ""),
+    (["adt", "--F", "1e400*x", "--G", "1e400*x", "--a", "0", "--b", "1"],
+     "", "error: F is not finite at a = 0.0\n"),
     (["taylor", "--f", "exp(1000*x)", "--n", "2", "--at", "0", "--x", "1"],
-     "value 501001.0 rho inf witness none remainder inf\n"),
+     "value 501001.0 rho inf witness none remainder inf\n", ""),
     (["darboux", "--f", "1e400*x", "--a", "0", "--b", "1", "--n", "64"],
-     "lower nan upper inf\n"),
+     "lower nan upper inf\n", ""),
     (["integrate", "--f", "1e308*sin(abs(x))", "--a", "0", "--b", "24", "--tol", "1e306"],
-     "5.758222999589741e+307\n"),
+     "5.758222999589741e+307\n", ""),
 ], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf",
         "integrate-wide-cells"])
-def test_overflowing_sums_warn_nothing(argv, out):
-    # numpy scalars warned on overflow and inf - inf; [0, -0] raised in rng.uniform
+def test_overflowing_sums_warn_nothing(argv, out, err):
+    # numpy scalars warned on overflow and inf - inf
     proc = _fresh("-m", "fcalc.cli", *argv)
-    assert (proc.stdout, proc.stderr) == (out, "")
+    assert (proc.stdout, proc.stderr) == (out, err)
 
 
 def test_a_nan_riemann_sum_warns_nothing():
