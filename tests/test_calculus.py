@@ -108,12 +108,15 @@ def test_extreme_point_examples():
     f = E.parse("x*(1-x)")
     c, fc = extreme_point(f, 0.0, 1.0)
     assert fc == E.evaluate(f, c) and abs(fc - 0.25) <= 1e-9
-    # the natural extension of x - x is 2w wide on every cell; f' = 0 closes it
-    assert extreme_point(E.parse("x-x"), 0.0, 1.0) == (0.0, 0.0)
     c, fc = extreme_point(E.parse("x"), 0.0, 1.0)
     assert c == 1.0 and fc == 1.0
     c, fc = extreme_point(E.parse("3"), 0.0, 1.0)
     assert c == 0.0 and fc == 3.0  # ties go to the smallest x
+
+
+def test_extreme_point_certifies_x_minus_x():
+    # the natural extension of x - x is 2w wide on every cell; f' = 0 closes it
+    assert extreme_point(E.parse("x-x"), 0.0, 1.0) == (0.0, 0.0)
 
 
 def test_extreme_point_finds_a_spike_samples_miss():
