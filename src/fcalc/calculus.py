@@ -7,11 +7,14 @@ geometric schedule of punctured windows: delta0 * shrink^j for j up to
 prefer exact symbolic derivatives and fall back to numeric ones with a
 100x widened tolerance.
 
-Rolle's theorem, the Taylor remainder and the integral mean value
-locate their witness the same way, through `_grid_crossing`: evaluate
-the function once on a grid (one array call), take the first grid point
-where it equals the target exactly, else polish the first sign change
-of the residual with `bisect_root`, else report no crossing.
+Every mean-value witness (Rolle, MVT, eMVT, Taylor and
+integrate.imvt_witness) is a point c where some function h meets a
+value k, and one locator, `_crossing`, finds them all: it evaluates h
+once, as an array, at the SCAN interior points of a uniform grid on
+[a, b], and returns the midpoint where h is within tol of k on the whole
+scan, else the first grid point where h = k exactly, else the first
+sign change of h - k polished by `bisect_root`, else None.  Each routine
+only builds its h and k and checks its own contract.
 
 "For all x in [a, b]" is decided from interval enclosures on the cells
 of interval.refine_cells, never from samples.  Every cell is bounded by
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -44,13 +46,12 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import (Expr, Var, const, differentiate, enclose, evaluate, iadd, imul, isub, mul,
-                   sub)
-from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval
+from .expr import Expr, const, differentiate, enclose, evaluate, iadd, imul, isub
+from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
 
 SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
-ROLLE_SCAN = 512       # interior grid points Rolle's witness search scans for f'
+SCAN = 512             # interior grid points _crossing scans for every witness
 MAX_DEPTH = 52         # deepest bisection of extreme_point and _holds
 
 
@@ -136,8 +137,7 @@ def limit(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     and the last window's spread is below tol; two-sided mode also
     requires the one-sided estimates to agree within tol.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     return _scan(lambda pts: evaluate(f, pts), c, sched, tol)
 
 
@@ -148,8 +148,7 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     A symbolic-vs-numeric mismatch beyond 1e-4 flags ill-conditioning in
     the report's warning field rather than failing.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     fc = evaluate(f, c)
 
     def quotient(pts: np.ndarray) -> np.ndarray:
@@ -202,8 +201,7 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
     when cells of depth MAX_DEPTH, or the cell budget of refine_cells,
     leave the gap open.
     """
-    if not 0 < tol < math.inf:
-        raise PreconditionError("tol must be positive and finite")
+    require_tol(tol)
     require_interval(a, b)
     try:
         df: Optional[Expr] = differentiate(f, 1)
@@ -245,17 +243,19 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
     (False, (lo, hi)) for the leftmost cell of the first round in which
     some cell's enclosure lies wholly outside.  g is a derivative of f,
     whose tree may be defined where f's is not (d/dx of u^0 is 0 whatever
-    u), so each round first evaluates f at its cell midpoints: DomainError
-    where f is undefined at one, before any budget is spent on g, and so
-    even where g is a constant decided on the first round's 64 cells.
-    Raises IterationCapError when cells of depth MAX_DEPTH, or the cell
-    budget of refine_cells, leave the question open.
+    u), so f is evaluated at a and b and, each round, at the cell
+    midpoints: DomainError where f is undefined at one, before any budget
+    is spent on g, and so even where g is a constant decided on the first
+    round's 64 cells.  Raises IterationCapError, naming the leftmost cell
+    still open and g's enclosure there, when cells of depth MAX_DEPTH, or
+    the cell budget of refine_cells, leave the question open.
     """
     dg = differentiate(g, 1)
     verdict = True, None
+    left = None  # the leftmost open cell of the last round, and g's enclosure there
 
     def judge(lo, hi):
-        nonlocal verdict
+        nonlocal verdict, left
         evaluate(f, lo + (hi - lo) / 2)
         inf, sup = _cell_bounds(g, dg, lo, hi)
         out = (inf > high) | (sup < low)
@@ -264,12 +264,19 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
             verdict = False, (float(lo[i]), float(hi[i]))
             return None
         open_ = (inf < low) | (sup > high)
-        return open_ if open_.any() else None
+        if not open_.any():
+            return None
+        i = np.flatnonzero(open_)[np.argmin(lo[open_])]
+        left = (float(lo[i]), float(hi[i]), float(inf[i]), float(sup[i]))
+        return open_
 
+    evaluate(f, np.array([a, b]))
     if refine_cells(a, b, judge, MAX_DEPTH):
         return verdict
     raise IterationCapError(f"neither proven within [{low}, {high}] nor outside it with "
-                            f"cells of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all")
+                            f"cells of depth {MAX_DEPTH} or {CELL_BUDGET} cells in all: on "
+                            f"the leftmost open cell [{left[0]!r}, {left[1]!r}] the "
+                            f"derivative is enclosed in [{left[2]!r}, {left[3]!r}]")
 
 
 def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable:
@@ -289,15 +296,22 @@ def _derivative_fn(f: Expr) -> Tuple[Callable, bool]:
         return _numeric_diff(f), False
 
 
-def _grid_crossing(fn: Callable, xs: np.ndarray, vals: np.ndarray, k: float,
-                   tol: float) -> Optional[float]:
-    """First point of the grid xs where fn = k, given vals = fn(xs).
+def _crossing(fn: Callable, a: float, b: float, k: float, tol: float) -> Optional[float]:
+    """Point c in (a, b) where fn(c) = k, the one witness search.
 
-    An exact grid hit wins; otherwise the first sign change of vals - k
-    is polished by bisect_root to tol; with neither, None.
+    fn is evaluated once, as an array, at the SCAN interior points of a
+    uniform grid on [a, b].  Returns the midpoint where |fn - k| <= tol at
+    every grid point; else the first grid point where fn = k exactly;
+    else the first sign change of fn - k, polished by bisect_root to
+    max(1e-13, (b - a)*1e-13); else None.  Needs a < b.
     """
+    if not a < b:
+        raise PreconditionError("need a < b")
+    xs = np.linspace(a, b, SCAN + 2)[1:-1]
     with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
-        resid = vals - k
+        resid = fn(xs) - k
+    if np.all(np.abs(resid) <= tol):
+        return a + (b - a) / 2
     hit = np.flatnonzero(resid == 0.0)
     if hit.size:
         return float(xs[hit[0]])
@@ -306,78 +320,76 @@ def _grid_crossing(fn: Callable, xs: np.ndarray, vals: np.ndarray, k: float,
     if not flips.size:
         return None
     i = int(flips[0])
-    return bisect_root(fn, float(xs[i]), float(xs[i + 1]), k, tol=tol).root
+    return bisect_root(fn, float(xs[i]), float(xs[i + 1]), k,
+                       tol=max(1e-13, (b - a) * 1e-13)).root
 
 
 def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Interior point where f' vanishes, given equal endpoint values.
 
-    Scans f' for a sign change and polishes with bisection; with no sign
-    change, falls back to an interior extremum of f or -f.  A function
-    that is flat to within tol yields the midpoint plus a warning.
+    The _crossing of f' and 0, with f' the central difference (and tol
+    widened 100x) where the tree has no symbolic derivative (abs): the
+    midpoint where f' is within tol of 0 on the whole scan.  Raises
+    PreconditionError unless a < b and f(a) = f(b) within tol, and
+    DivergenceError where f' does not cross 0 on the scan.
     """
+    require_tol(tol)
     require_finite(a, b)
     fa, fb = evaluate(f, a), evaluate(f, b)
     if abs(fa - fb) > tol * max(1.0, abs(fa)):
         raise PreconditionError(f"endpoint values differ: f({a})={fa}, f({b})={fb}")
     dfn, symbolic = _derivative_fn(f)
-    eff_tol = tol if symbolic else 100 * tol
-    xs = np.linspace(a, b, ROLLE_SCAN + 2)[1:-1]
-    dvals = dfn(xs)
-    if float(np.max(np.abs(dvals))) <= eff_tol:
-        warnings.warn("derivative flat to tolerance; returning the midpoint", RuntimeWarning)
-        return a + (b - a) / 2
-    c = _grid_crossing(dfn, xs, dvals, 0.0, max(1e-13, (b - a) * 1e-13))
-    if c is not None:
-        return c
-    candidates = []
-    for g in (f, mul(const(-1.0), f)):
-        c, _ = extreme_point(g, a, b, tol)
-        if a + (b - a) * 1e-9 < c < b - (b - a) * 1e-9:
-            candidates.append(c)
-    candidates.sort(key=lambda t: abs(dfn(t)))
-    if candidates and abs(dfn(candidates[0])) <= eff_tol:
-        return candidates[0]
-    raise DivergenceError("no interior critical point located")
+    c = _crossing(dfn, a, b, 0.0, tol if symbolic else 100 * tol)
+    if c is None:
+        raise DivergenceError("no interior critical point located")
+    return c
 
 
 def mvt_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
-    """Point c in (a, b) where f' matches the secant slope."""
+    """Point c in (a, b) where f' matches the secant slope.
+
+    The _crossing of f' and the slope (f' as in rolle_witness), checked
+    to leave |f'(c) - slope| within tol; DivergenceError otherwise, and
+    where f' does not meet the slope on the scan.
+    """
+    require_tol(tol)
     require_finite(a, b)
     if not a < b:
         raise PreconditionError("need a < b")
     slope = (evaluate(f, b) - evaluate(f, a)) / (b - a)
-    aux = sub(f, mul(const(slope), Var()))
-    c = rolle_witness(aux, a, b, tol)
     dfn, symbolic = _derivative_fn(f)
     eff_tol = tol if symbolic else 100 * tol
+    c = _crossing(dfn, a, b, slope, eff_tol)
+    if c is None:
+        raise DivergenceError(f"f' does not meet the secant slope {slope!r} on the scan")
     if abs(dfn(c) - slope) > eff_tol:
         raise DivergenceError(f"residual |f'(c) - slope| = {abs(dfn(c) - slope)} > {eff_tol}")
     return c
 
 
 def emvt_witness(f: Expr, g: Expr, a: float, b: float, tol: float = 1e-8) -> float:
-    """Cauchy mean-value witness: f'(c)/g'(c) equals the increment ratio."""
+    """Cauchy mean-value witness: f'(c)/g'(c) equals the increment ratio.
+
+    A _crossing of g' and 0 is a PreconditionError that names the point.
+    The witness is the _crossing of (g(b) - g(a)) f' - (f(b) - f(a)) g'
+    and 0, checked to leave the ratio's residual within tol;
+    DivergenceError otherwise, and where there is no crossing on the scan.
+    """
+    require_tol(tol)
     require_finite(a, b)
-    if not a < b:
-        raise PreconditionError("need a < b")
-    dg = differentiate(g, 1)
-    xs = np.linspace(a, b, 257)[1:-1]
-    dgv = evaluate(dg, xs)
-    if np.any(dgv == 0.0) or np.any(dgv[:-1] * dgv[1:] < 0):
-        raise PreconditionError("g' vanishes at a probe inside (a, b)")
+    df, dg = differentiate(f, 1), differentiate(g, 1)
+    c = _crossing(lambda t: evaluate(dg, t), a, b, 0.0, 0.0)
+    if c is not None:
+        raise PreconditionError(f"g' vanishes at x = {c!r} inside (a, b)")
     ga, gb = evaluate(g, a), evaluate(g, b)
     if gb == ga:
         raise PreconditionError("g(b) = g(a) contradicts a nonvanishing g'")
     fa, fb = evaluate(f, a), evaluate(f, b)
-    aux = sub(
-        mul(const(gb - ga), sub(f, const(fa))),
-        mul(sub(g, const(ga)), const(fb - fa)),
-    )
-    c = rolle_witness(aux, a, b, tol)
-    ratio = (fb - fa) / (gb - ga)
-    df = differentiate(f, 1)
-    resid = abs(evaluate(df, c) / evaluate(dg, c) - ratio)
+    c = _crossing(lambda t: (gb - ga) * evaluate(df, t) - (fb - fa) * evaluate(dg, t),
+                  a, b, 0.0, tol)
+    if c is None:
+        raise DivergenceError("no interior critical point located")
+    resid = abs(evaluate(df, c) / evaluate(dg, c) - (fb - fa) / (gb - ga))
     if resid > tol:
         raise DivergenceError(f"residual {resid} exceeds {tol}")
     return c
@@ -387,10 +399,12 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     """Degree-n polynomial value at x plus the order-(n+1) remainder.
 
     rho is fixed by the normalized truncation error; the witness c
-    solves f^(n+1)(c) = rho and is located by a sign-change scan of
-    (a, x).  Without a bracket the report carries rho but no witness,
-    with the remainder taken from rho so the identity still closes.
+    solves f^(n+1)(c) = rho and is the _crossing of f^(n+1) and rho on
+    (a, x), the midpoint where f^(n+1) is within tol of rho on the whole
+    scan.  With no crossing the report carries rho but no witness, with
+    the remainder taken from rho so the identity still closes.
     """
+    require_tol(tol)
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     require_finite(a, x)
@@ -412,10 +426,7 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     fx = evaluate(f, x)
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
     top = derivs[n + 1]
-
-    xs = np.linspace(a, x, 258)[1:-1]
-    witness = _grid_crossing(lambda t: evaluate(top, t), xs, evaluate(top, xs), rho,
-                             max(1e-14, h * 1e-14))
+    witness = _crossing(lambda t: evaluate(top, t), a, x, rho, tol)
     if witness is not None:
         remainder = evaluate(top, witness) / math.factorial(n + 1) * h ** (n + 1)
     else:
@@ -433,6 +444,7 @@ def polynomial_check(f: Expr, a: float, b: float, n: int, tol: float = 1e-9) -> 
     Raises DomainError where f is undefined at a cell midpoint, and
     IterationCapError where _holds leaves the question open.
     """
+    require_tol(tol)
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     require_interval(a, b)
@@ -455,6 +467,7 @@ def shape_checks(f: Expr, a: float, b: float, kind: str, tol: float = 1e-9):
     NonDifferentiableError where f has no symbolic derivative (abs) and
     IterationCapError where _holds leaves the question open.
     """
+    require_tol(tol)
     if kind not in _SHAPES:
         raise PreconditionError(f"unknown kind {kind!r}")
     require_interval(a, b)

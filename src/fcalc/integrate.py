@@ -15,7 +15,8 @@ interval.refine_cells, the loop every enclosure decision shares.  Its
 value is the bracket midpoint.  bounds_check certifies its envelope with
 calculus.extreme_point (branch and bound on the same loop), and
 adt_check proves F' - G' near 0 with calculus._holds (the same loop);
-imvt_witness scans f minus the mean on a grid for a sign change.
+imvt_witness finds where f meets its mean with calculus._crossing, the
+one witness search of the mean-value routines.
 
 Rounding: per-cell enclosures are rounded outward, and the certified
 bracket sums them exactly (math.fsum) and then moves one ulp outward, so
@@ -34,13 +35,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .calculus import _grid_crossing, _holds, extreme_point
-from .errors import IterationCapError, NonDifferentiableError, PreconditionError
+from .calculus import _crossing, _holds, extreme_point
+from .errors import DivergenceError, IterationCapError, NonDifferentiableError, PreconditionError
 from .expr import _BLOCK, Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, sub
-from .interval import CELL_BUDGET, Partition, refine_cells, require_interval
+from .interval import CELL_BUDGET, Partition, refine_cells, require_interval, require_tol
 
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
-_IMVT_GRID = 4096  # points imvt_witness scans for a crossing of the mean
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
@@ -204,8 +204,7 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     closes its bracket.  Raises DomainError or PreconditionError at once
     when f is undefined or not finite at a cell midpoint.
     """
-    if not 0 < tol < math.inf:
-        raise PreconditionError("tol must be positive and finite")
+    require_tol(tol)
     require_interval(a, b)
     if a == b:
         return IntegralCertificate(0.0, [], True)
@@ -291,20 +290,21 @@ def ftc2_check(F: Expr, a: float, b: float, tol: float = 1e-6) -> bool:
 
 
 def imvt_witness(f: Expr, a: float, b: float, tol: float = 1e-6) -> float:
-    """Point xi where f equals its integral mean over [a, b]: the first
-    sign change of f - mean on a grid of _IMVT_GRID points, polished by
-    bisection; else the grid point nearest the mean, or the midpoint
-    where f equals the mean on the whole grid."""
+    """Point xi where f equals its integral mean over [a, b].
+
+    The mean is the certified integral at tol over b - a, so it is known
+    to within tol/(b - a); xi is the calculus._crossing of f and the mean
+    at that tolerance, the midpoint where f is within it of the mean on
+    the whole scan.  Raises DivergenceError where f does not meet the
+    mean on the scan (as for a spike the scan misses).
+    """
     if not a < b:
         raise PreconditionError("need a < b")
     mean = riemann_integral(f, a, b, tol).value / (b - a)
-    xs = np.linspace(a, b, _IMVT_GRID)
-    vals = evaluate(f, xs)
-    resid = np.abs(vals - mean)
-    if not resid.any():
-        return a + (b - a) / 2
-    c = _grid_crossing(lambda t: evaluate(f, t), xs, vals, mean, max(1e-14, (b - a) * 1e-13))
-    return float(xs[int(np.argmin(resid))]) if c is None else c
+    xi = _crossing(lambda t: evaluate(f, t), a, b, mean, tol / (b - a))
+    if xi is None:
+        raise DivergenceError(f"f does not meet its mean {mean!r} on the scan")
+    return xi
 
 
 def adt_check(F: Expr, G: Expr, a: float, b: float, tol: float = 1e-9) -> bool:
@@ -319,6 +319,7 @@ def adt_check(F: Expr, G: Expr, a: float, b: float, tol: float = 1e-9) -> bool:
     F or G has no symbolic derivative (abs), and IterationCapError where
     _holds leaves the question open.
     """
+    require_tol(tol)
     require_interval(a, b)
     for name, H in (("F", F), ("G", G)):
         if not math.isfinite(evaluate(H, a)):

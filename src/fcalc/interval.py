@@ -137,6 +137,12 @@ def require_interval(a: float, b: float) -> None:
         raise PreconditionError("need a <= b")
 
 
+def require_tol(tol: float) -> None:
+    """PreconditionError unless tol is positive and finite (not NaN)."""
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
+
+
 def bisect(i: Interval) -> Tuple[Interval, Interval]:
     """Split [lo, hi] at the midpoint; the halves share the midpoint."""
     m = i.midpoint
@@ -210,8 +216,7 @@ def shrink_to_point(s: NestedSequence, tol: float, max_iter: int = 10**6) -> flo
     raises IterationCapError when lengths refuse to shrink (the fat
     intersection case has no canonical point to return).
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     current = s(1)
     k = 1
     while current.length >= tol:

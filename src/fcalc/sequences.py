@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from .errors import BudgetError, IterationCapError, PreconditionError
-from .interval import Interval, bisect
+from .interval import Interval, bisect, require_tol
 from .suprema import _linspace
 
 
@@ -183,8 +183,7 @@ def monotone_limit(s, upper: float, tol: float, max_index: int = 10**6) -> float
     sequence that single endpoint pair settles the whole window.  The
     true limit lies in [returned, returned + tol].
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     rule = _as_rule(s)
     m = 1
     while True:
@@ -248,8 +247,7 @@ def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:
     bw_extract to depth ceil(log2(length(box)/tol)) + 1 and returns the
     midpoint of the last interval.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     rule = _as_rule(s)
     values = _cache_values(rule, budget)
     if values.max() == values.min():

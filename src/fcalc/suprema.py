@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
 from .expr import Expr, Var, add, const, evaluate, mul, sub
+from .interval import require_tol
 
 
 MAX_HALVINGS = 1025 + 1074
@@ -77,6 +78,8 @@ class RootResult:
 def _check_bracket(lo: float, hi: float) -> None:
     if not math.isfinite(hi - lo):
         raise PreconditionError(f"bisection needs a finite bracket, got [{lo}, {hi}]")
+    if lo > hi:
+        raise PreconditionError(f"bisection needs lo <= hi, got [{lo}, {hi}]")
 
 
 def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float,
@@ -116,8 +119,7 @@ def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS
     doubles; returns a_k.  If the declared
     bound is itself a member it is the supremum and is returned at once.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     if pset.seed > pset.bound:
         raise PreconditionError("seed must not exceed bound")
     if not pset.member(pset.seed):
@@ -166,8 +168,7 @@ def cut_point(cut: Cut, tol: float, max_iter: int = MAX_HALVINGS) -> float:
     A probe grid checks downward closure first: a `below` hit above a
     miss is a witness that the input is not a cut.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
     if not cut.below(cut.sample_in):
         raise NonCutError("below(sample_in) must be true")
     if cut.below(cut.sample_out):
@@ -210,12 +211,14 @@ def bisect_root(
 ) -> RootResult:
     """Sign-change bisection for fn(x) = k on [a, b].
 
-    Halves until the bracket is narrower than tol or made of adjacent
-    doubles and returns its midpoint; exact hits terminate immediately.
-    Raises BracketError when both endpoint residuals share a sign.
+    The bracket may be given in either order.  Halves until it is
+    narrower than tol or made of adjacent doubles and returns its
+    midpoint; exact hits terminate immediately.  Raises BracketError when
+    both endpoint residuals share a sign.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    require_tol(tol)
+    if b < a:
+        a, b = b, a
     fa = fn(a) - k
     fb = fn(b) - k
     if fa == 0.0:

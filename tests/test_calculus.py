@@ -163,10 +163,48 @@ def test_extreme_point_dominates_probes():
 def test_rolle_examples():
     assert abs(rolle_witness(E.parse("x*(1-x)"), 0.0, 1.0, 1e-8) - 0.5) <= 1e-8
     assert abs(rolle_witness(E.parse("sin(x)"), 0.0, math.pi, 1e-6) - math.pi / 2) <= 1e-6
-    with pytest.warns(RuntimeWarning):
-        assert rolle_witness(E.parse("0"), 0.0, 1.0, 1e-8) == 0.5
+    assert rolle_witness(E.parse("0"), 0.0, 1.0, 1e-8) == 0.5   # flat: the midpoint
     with pytest.raises(PreconditionError):
         rolle_witness(E.parse("x"), 0.0, 1.0, 1e-8)
+
+
+def test_rolle_needs_its_ends_in_order():
+    # reversed, the scan ran from 1 down to -0.2 and returned an unpolished
+    # grid midpoint, 0.56608
+    f = E.parse("(x-1)*(x+0.2)*exp(x)")
+    with pytest.raises(PreconditionError, match="need a < b"):
+        rolle_witness(f, 1.0, -0.2)
+    # f' = exp(x) (x^2 + 1.2x - 1)
+    assert abs(rolle_witness(f, -0.2, 1.0) - (math.sqrt(5.44) - 1.2) / 2) <= 1e-12
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MathError as e:
+        return type(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-2.0, 0.0), st.floats(0.5, 2.0))
+def test_mvt_and_emvt_are_rolle_on_their_auxiliary_functions(seed, a, width):
+    # the paper's RT => MVT => eMVT: each witness is Rolle's witness of the
+    # auxiliary function of the proof, bit for bit
+    rng = np.random.default_rng(seed)
+    b = a + width
+    f = random_smooth_expr(rng)
+    p, q = (float(v) for v in rng.uniform(0.2, 3.0, 2))
+    g = E.add(E.Var(), E.mul(E.const(0.9 / p), E.func("sin", E.add(E.mul(E.const(p), E.Var()),
+                                                                     E.const(q)))))
+    fa, fb, ga, gb = (E.evaluate(h, t) for h in (f, g) for t in (a, b))
+    slope = (fb - fa) / (b - a)
+    mvt_aux = E.sub(f, E.mul(E.const(slope), E.Var()))
+    assert _outcome(lambda: mvt_witness(f, a, b)) == _outcome(lambda: rolle_witness(mvt_aux, a, b))
+    emvt_aux = E.sub(E.mul(E.const(gb - ga), E.sub(f, E.const(fa))),
+                     E.mul(E.sub(g, E.const(ga)), E.const(fb - fa)))
+    c = _outcome(lambda: emvt_witness(f, g, a, b))
+    rolle = _outcome(lambda: rolle_witness(emvt_aux, a, b))
+    assert c == rolle or isinstance(c, type) and isinstance(rolle, type)
 
 
 def _rolle_by_scalar_scan(f, a, b, scan=512, h=1e-6):
@@ -210,14 +248,11 @@ def test_mvt_examples():
     assert abs(abs(c) - 1 / math.sqrt(3)) <= 1e-7
     # affine functions satisfy the identity at any returned point
     f = E.parse("3*x + 1")
-    with pytest.warns(RuntimeWarning):
-        c = mvt_witness(f, 0.0, 1.0, 1e-8)
+    c = mvt_witness(f, 0.0, 1.0, 1e-8)
     assert abs(E.evaluate(E.differentiate(f, 1), c) - 3.0) <= 1e-12
 
 
 def test_mvt_residual_contract_on_random_cases():
-    import warnings as W
-
     rng = np.random.default_rng(57)
     tol = 1e-8
     for _ in range(50):
@@ -225,9 +260,7 @@ def test_mvt_residual_contract_on_random_cases():
         a = float(rng.uniform(-2, 0))
         b = a + float(rng.uniform(0.5, 2.0))
         slope = (E.evaluate(f, b) - E.evaluate(f, a)) / (b - a)
-        with W.catch_warnings():
-            W.simplefilter("ignore", RuntimeWarning)
-            c = mvt_witness(f, a, b, tol)
+        c = mvt_witness(f, a, b, tol)
         assert a < c < b
         assert abs(E.evaluate(E.differentiate(f, 1), c) - slope) <= tol
 
@@ -264,10 +297,10 @@ def test_taylor_cubic_witness():
     assert abs(rep.witness - 1.0 / 3.0) <= 1e-9
 
 
-def test_taylor_witness_takes_an_exact_grid_hit():
-    # f'' = 2 = rho everywhere: the first interior scan point is a witness
+def test_taylor_witness_is_the_midpoint_where_the_derivative_is_flat():
+    # f'' = 2 = rho everywhere: every point is a witness, and the scan says so
     rep = taylor(E.parse("x^2"), 0.0, 1, 1.0)
-    assert rep.rho == 2.0 and rep.witness == float(np.linspace(0.0, 1.0, 258)[1])
+    assert rep.rho == 2.0 and rep.witness == 0.5
 
 
 def test_taylor_identity_on_random_cases():
@@ -324,6 +357,7 @@ def test_polynomial_check_decides_each_way():
 @pytest.mark.parametrize("text, a, b, n", [
     ("sqrt(0.5-x)^0 + x", 0.0, 1.0, 1),   # f'' folds to 0, f is undefined past 0.5
     ("ln(x)", -2.0, -1.0, 0),             # f' = 1/x is defined where ln(x) is not
+    ("(x/x)^0", 0.0, 1.0, 0),             # undefined at a alone, never a cell midpoint
 ])
 def test_polynomial_check_needs_f_defined_where_its_derivative_is(text, a, b, n):
     with pytest.raises(DomainError):

@@ -80,6 +80,23 @@ def test_shape_of_a_tree_without_a_derivative_exits_1(capsys):
     assert (code, out) == (1, "") and err == "error: cannot differentiate node 'abs'\n"
 
 
+def test_an_open_shape_check_names_the_cell_left_open(capsys):
+    # f' = 1/(2 sqrt(x)) is unbounded at 0, so the cell at 0 stays open to
+    # depth 52; the error used to say only "neither proven ... nor outside it"
+    code, out, err = run(capsys, "shape", "--f", "sqrt(x)", "--a", "0", "--b", "1",
+                         "--kind", "increasing")
+    assert (code, out) == (1, "")
+    assert "leftmost open cell [0.0, 2.220446049250313e-16]" in err
+    assert "enclosed in [-inf, inf]" in err
+
+
+def test_root_takes_its_bracket_in_either_order(capsys):
+    # --a 2 --b 1 printed 1.5, with residual 0.875
+    for a, b in (("1", "2"), ("2", "1")):
+        code, out, _ = run(capsys, "root", "--f", "x^3 - x - 1", "--a", a, "--b", b)
+        assert code == 0 and abs(float(out) - 1.324717957244746) <= 1e-9
+
+
 def test_json_output_single_object(capsys):
     code, out, _ = run(capsys, "--output", "json", "eval", "--f", "x^3", "--x", "2")
     assert code == 0

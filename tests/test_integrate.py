@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
-from fcalc.errors import DomainError, IterationCapError, MathError, PreconditionError
+from fcalc.errors import (DivergenceError, DomainError, IterationCapError, MathError,
+                          PreconditionError)
 from fcalc.integrate import (
     ChoiceFunction,
     adt_check,
@@ -254,6 +255,13 @@ def test_imvt_examples():
     assert abs(imvt_witness(E.parse("x^2"), 0.0, 1.0, 1e-6) - 1 / math.sqrt(3)) <= 1e-6
     assert imvt_witness(E.parse("7"), 0.0, 1.0, 1e-9) == 0.5
     assert abs(imvt_witness(E.parse("x"), 0.0, 2.0, 1e-6) - 1.0) <= 1e-5
+
+
+def test_imvt_raises_where_f_does_not_meet_its_mean_on_the_scan():
+    # a spike 1e-5 wide at 0.3: f is 0 on the whole scan and its mean 1.77e-5;
+    # the grid point nearest the mean, 0.0, used to be returned as the witness
+    with pytest.raises(DivergenceError, match="does not meet its mean"):
+        imvt_witness(E.parse("exp(0-((x-0.3)*100000)^2)"), 0.0, 1.0, 1e-8)
 
 
 def test_imvt_residual():

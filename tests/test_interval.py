@@ -18,6 +18,43 @@ from fcalc.interval import (
 )
 from helpers import random_partition
 
+
+def _routines_with_a_tol():
+    from fcalc import calculus as C, integrate as I, sequences as S, suprema as P
+    from fcalc.expr import parse
+
+    x2, x3 = parse("x^2"), parse("x^3")
+    return {
+        "limit": lambda t: C.limit(parse("x"), 0.0, tol=t),
+        "derivative": lambda t: C.derivative(x2, 0.0, tol=t),
+        "extreme_point": lambda t: C.extreme_point(x2, 0.0, 1.0, t),
+        "rolle_witness": lambda t: C.rolle_witness(parse("x*(1-x)"), 0.0, 1.0, t),
+        "mvt_witness": lambda t: C.mvt_witness(x2, 0.0, 1.0, t),
+        "emvt_witness": lambda t: C.emvt_witness(x2, parse("x"), 0.0, 1.0, t),
+        "taylor": lambda t: C.taylor(parse("exp(x)"), 0.0, 2, 1.0, t),
+        "polynomial_check": lambda t: C.polynomial_check(parse("exp(x)"), 0.0, 1.0, 1, t),
+        "shape_checks": lambda t: C.shape_checks(x2, 0.0, 1.0, "constant", t),
+        "riemann_integral": lambda t: I.riemann_integral(x2, 0.0, 1.0, t),
+        "imvt_witness": lambda t: I.imvt_witness(x2, 0.0, 1.0, t),
+        "adt_check": lambda t: I.adt_check(x2, x3, 0.0, 1.0, t),
+        "ivt_root": lambda t: P.ivt_root(parse("x^3 - x - 1"), 1.0, 2.0, 0.0, t),
+        "supremum": lambda t: P.supremum(P.PredicateSet(lambda v: v * v < 2, 0.0, 2.0), t),
+        "cut_point": lambda t: P.cut_point(P.Cut(lambda v: v < 0.5, 0.0, 1.0), t),
+        "shrink_to_point": lambda t: shrink_to_point(
+            NestedSequence(lambda k: Interval(0.0, 1.0 / k)), t),
+        "monotone_limit": lambda t: S.monotone_limit(lambda n: 1 - 1 / n, 1.0, t),
+        "cauchy_limit": lambda t: S.cauchy_limit(lambda n: 1 / n, Interval(0.0, 1.0), t),
+    }
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name", sorted(_routines_with_a_tol()))
+def test_every_routine_with_a_tol_needs_a_positive_finite_one(name, tol):
+    # a NaN tol passed every "tol <= 0" check and gave answers (1.5 for the root
+    # of x^3 - x - 1 on [1, 2]), or was never checked at all
+    with pytest.raises(PreconditionError, match="tol must be positive and finite"):
+        _routines_with_a_tol()[name](tol)
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 

@@ -224,6 +224,22 @@ def test_bisection_needs_a_finite_bracket():
         bisect_root(lambda x: x, -big, big, 0.0, 1e-9)
 
 
+def test_a_root_bracket_may_come_in_either_order():
+    # [2, 1] used to bisect as if 2 < 1 and return 1.5, with residual 0.875
+    f = parse("x^3 - x - 1")
+    for a, b in ((1.0, 2.0), (2.0, 1.0)):
+        res = ivt_root_result(f, a, b, 0.0, 1e-12)
+        assert abs(res.root - 1.324717957244746) <= 1e-12
+        assert res.bracket[0] <= res.bracket[1]
+
+
+def test_the_bisection_kernel_refuses_a_reversed_bracket():
+    from fcalc.suprema import _bisect
+
+    with pytest.raises(PreconditionError, match="lo <= hi"):
+        _bisect(lambda m: True, 2.0, 1.0, 1e-9, MAX_HALVINGS)
+
+
 def test_default_cap_reaches_adjacent_doubles_from_any_finite_bracket():
     # the widest finite bracket, closing on the smallest subnormal
     big = 2.0 ** 1023 * (1 - 2.0 ** -53)   # big - -big is the largest double
