@@ -109,14 +109,16 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
         delta = sched.delta0 * sched.shrink**j
         pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
         pts = pts[pts != c]  # puncture survives rounding
-        if pts.size == 0:
-            break
-        vals = fn(pts)
-        est = float(np.mean(vals))
-        spread = float(np.max(vals) - np.min(vals))
-        if sched.mode == "two-sided":
-            left_est = float(np.mean(vals[pts < c]))
-            right_est = float(np.mean(vals[pts > c]))
+        below = pts < c
+        if pts.size == 0 or sched.mode == "two-sided" and (below.all() or not below.any()):
+            break  # the window, or one side of it, rounds onto c
+        with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
+            vals = fn(pts)
+            est = float(np.mean(vals))
+            spread = float(np.max(vals) - np.min(vals))
+            if sched.mode == "two-sided":
+                left_est = float(np.mean(vals[below]))
+                right_est = float(np.mean(vals[~below]))
         if prev is not None and abs(est - prev) < tol and spread < tol:
             if sched.mode == "two-sided" and abs(left_est - right_est) >= tol:
                 raise OneSidedDisagreementError(left_est, right_est, tol)
@@ -129,15 +131,22 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
     )
 
 
+def _require_point(c: float) -> None:
+    if not math.isfinite(c):
+        raise PreconditionError(f"need a finite point, got {c!r}")
+
+
 def limit(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
           tol: float = 1e-6) -> LimitReport:
     """Limit of f along the discretized filter base at c.
 
     Converged means successive window estimates differ by less than tol
     and the last window's spread is below tol; two-sided mode also
-    requires the one-sided estimates to agree within tol.
+    requires the one-sided estimates to agree within tol.  A non-finite
+    c is a PreconditionError.
     """
     require_tol(tol)
+    _require_point(c)
     return _scan(lambda pts: evaluate(f, pts), c, sched, tol)
 
 
@@ -146,9 +155,11 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     """Limit of the difference quotient at c, cross-checked symbolically.
 
     A symbolic-vs-numeric mismatch beyond 1e-4 flags ill-conditioning in
-    the report's warning field rather than failing.
+    the report's warning field rather than failing.  A non-finite c is a
+    PreconditionError.
     """
     require_tol(tol)
+    _require_point(c)
     fc = evaluate(f, c)
 
     def quotient(pts: np.ndarray) -> np.ndarray:
@@ -492,6 +503,8 @@ def piecewise_linear(nodes, values) -> Callable[[float], float]:
             raise PreconditionError("nodes must be strictly increasing")
 
     def fn(x: float) -> float:
+        if math.isnan(x):
+            return math.nan  # in no cell
         if x <= nodes[0]:
             return values[0]
         if x > nodes[-1]:

@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Every library operation is reachable through exactly one subcommand
-(see OP_REGISTRY).  Exit codes: 0 success, 1 the mathematics said no
+(see COMMANDS).  Exit codes: 0 success, 1 the mathematics said no
 (bad bracket, divergence, a check that came back false), 2 bad usage or
 unparseable input.  With --output json a single strict-JSON object with
 "result" and "diagnostics" is emitted (a non-finite value there is an
@@ -26,67 +26,9 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .errors import MathError, ParseError
-
-# library operation -> owning subcommand
-OP_REGISTRY: Dict[str, str] = {
-    "expr.parse": "parse",
-    "expr.eval": "eval",
-    "expr.differentiate": "deriv",
-    "interval.bisect": "ival",
-    "interval.uniform_partition": "ival",
-    "interval.refine": "ival",
-    "interval.shrink_to_point": "ival",
-    "sequences.check_monotone": "seq",
-    "sequences.check_cauchy_window": "seq",
-    "sequences.bound_prefix": "seq",
-    "sequences.bw_extract": "seq",
-    "sequences.monotone_limit": "seq",
-    "sequences.divergence_witness": "seq",
-    "sequences.cauchy_limit": "seq",
-    "suprema.supremum": "sup",
-    "suprema.sup_witnesses": "sup",
-    "suprema.cut_point": "cut",
-    "suprema.ivt_root": "root",
-    "suprema.affine_map": "affine",
-    "calculus.limit": "limit",
-    "calculus.derivative": "deriv",
-    "calculus.extreme_point": "extremum",
-    "calculus.rolle_witness": "rolle",
-    "calculus.mvt_witness": "mvt",
-    "calculus.emvt_witness": "emvt",
-    "calculus.taylor": "taylor",
-    "calculus.polynomial_check": "polycheck",
-    "calculus.shape_checks": "shape",
-    "calculus.piecewise_linear": "pwl",
-    "cover.verify_cover": "cover-verify",
-    "cover.length_inequality": "cover-verify",
-    "cover.finite_subcover": "subcover",
-    "cover.lebesgue_number": "lebesgue",
-    "cover.uniform_modulus": "modulus",
-    "cover.step_approximation": "stepapprox",
-    "stepfn.step_integral": "stepint",
-    "stepfn.step_reexpress": "stepint",
-    "stepfn.step_combine": "stepint",
-    "stepfn.step_split": "stepint",
-    "integrate.darboux_bounds": "darboux",
-    "integrate.riemann_sum": "riemann",
-    "integrate.riemann_integral": "integrate",
-    "integrate.integral_additivity_check": "integrate",
-    "integrate.bounds_check": "integrate",
-    "integrate.antiderivative": "integrate",
-    "integrate.ftc2_check": "ftc2",
-    "integrate.imvt_witness": "imvt",
-    "integrate.adt_check": "adt",
-    "graph.build": "graph",
-    "graph.path": "graph",
-    "graph.check_equivalence": "graph",
-    "graph.export_dot": "graph",
-    "cli.dispatch": "fc",
-}
-
 
 @dataclass
 class Config:
@@ -196,7 +138,7 @@ def _h_deriv(args, cfg):
         value = expr.evaluate(expr.differentiate(f, args.order), args.at)
         return value, {"order": args.order}, 0, [_fmt(value)]
     from . import calculus  # numeric, and numpy-backed: only with --at at order 1
-    rep = calculus.derivative(f, args.at, tol=max(getattr(args, "tol", 1e-6), 1e-10))
+    rep = calculus.derivative(f, args.at, tol=max(cfg.tol, 1e-10))
     diag = dataclasses.asdict(rep)
     return rep.estimate, diag, 0, [_fmt(rep.estimate)]
 
@@ -247,17 +189,10 @@ def _h_extremum(args, cfg):
     return {"argmax": c, "max": fc}, {}, 0, [f"argmax {_fmt(c)} max {_fmt(fc)}"]
 
 
-def _h_rolle(args, cfg):
+def _h_witness(args, cfg):  # rolle and mvt
     from . import calculus, expr
-    f = expr.parse(args.f)
-    c = calculus.rolle_witness(f, args.a, args.b, max(cfg.tol, 1e-12))
-    return c, {}, 0, [_fmt(c)]
-
-
-def _h_mvt(args, cfg):
-    from . import calculus, expr
-    f = expr.parse(args.f)
-    c = calculus.mvt_witness(f, args.a, args.b, max(cfg.tol, 1e-12))
+    witness = calculus.rolle_witness if args.command == "rolle" else calculus.mvt_witness
+    c = witness(expr.parse(args.f), args.a, args.b, max(cfg.tol, 1e-12))
     return c, {}, 0, [_fmt(c)]
 
 
@@ -402,15 +337,14 @@ def _h_riemann(args, cfg):
 def _h_integrate(args, cfg):
     from . import expr, integrate
     f = expr.parse(args.f)
-    tol = getattr(args, "tol", 1e-6)
     if args.check_additivity_at is not None:
         ok = integrate.integral_additivity_check(f, args.a, args.check_additivity_at,
-                                                 args.b, tol)
+                                                 args.b, cfg.tol)
         return ok, {}, 0 if ok else 1, [f"additivity: {str(ok).lower()}"]
     if args.bounds is not None:
-        ok = integrate.bounds_check(f, args.a, args.b, args.bounds[0], args.bounds[1], tol)
+        ok = integrate.bounds_check(f, args.a, args.b, args.bounds[0], args.bounds[1], cfg.tol)
         return ok, {}, 0 if ok else 1, [f"bounds: {str(ok).lower()}"]
-    cert = integrate.riemann_integral(f, args.a, args.b, tol)
+    cert = integrate.riemann_integral(f, args.a, args.b, cfg.tol)
     diag = cert.to_json() if args.certificate else {"converged": cert.converged,
                                                     "levels": len(cert.levels)}
     return cert.value, diag, 0, [_fmt(cert.value)]
@@ -419,16 +353,14 @@ def _h_integrate(args, cfg):
 def _h_ftc2(args, cfg):
     from . import expr, integrate
     F = expr.parse(args.F)
-    tol = getattr(args, "tol", 1e-6)
-    ok = integrate.ftc2_check(F, args.a, args.b, tol)
+    ok = integrate.ftc2_check(F, args.a, args.b, cfg.tol)
     return ok, {}, 0 if ok else 1, [f"ftc2: {str(ok).lower()}"]
 
 
 def _h_imvt(args, cfg):
     from . import expr, integrate
     f = expr.parse(args.f)
-    tol = getattr(args, "tol", 1e-6)
-    xi = integrate.imvt_witness(f, args.a, args.b, tol)
+    xi = integrate.imvt_witness(f, args.a, args.b, cfg.tol)
     return xi, {}, 0, [_fmt(xi)]
 
 
@@ -501,11 +433,9 @@ def _h_seq(args, cfg):
     if args.op == "diverge":
         sel = sequences.divergence_witness(s, args.eps, args.count, args.budget)
         return list(sel.indices), {}, 0, ["indices: " + _fmt(list(sel.indices))]
-    if args.op == "cauchy-limit":
-        box = interval.Interval(args.box[0], args.box[1])
-        value = sequences.cauchy_limit(s, box, max(cfg.tol, 1e-12), args.budget)
-        return value, {}, 0, [_fmt(value)]
-    raise ParseError(f"unknown sequence op {args.op!r}", 0)
+    box = interval.Interval(args.box[0], args.box[1])  # cauchy-limit
+    value = sequences.cauchy_limit(s, box, max(cfg.tol, 1e-12), args.budget)
+    return value, {}, 0, [_fmt(value)]
 
 
 def _h_ival(args, cfg):
@@ -521,17 +451,16 @@ def _h_ival(args, cfg):
     if args.op == "refine":
         p = interval.Partition(_json_arg(args.p, _FLOATS))
         q = interval.Partition(_json_arg(args.q, _FLOATS))
-        return interval.refine(p, q).to_json(), {}, 0, [_fmt(interval.refine(p, q).to_json())]
-    if args.op == "shrink":
-        lo_rule = expr.parse(args.lo_expr, var_name="n")
-        hi_rule = expr.parse(args.hi_expr, var_name="n")
-        seq = interval.NestedSequence(
-            lambda k: interval.Interval(expr.evaluate(lo_rule, float(k)),
-                                        expr.evaluate(hi_rule, float(k)))
-        )
-        value = interval.shrink_to_point(seq, max(cfg.tol, 1e-15), cfg.cap(10**6))
-        return value, {}, 0, [_fmt(value)]
-    raise ParseError(f"unknown interval op {args.op!r}", 0)
+        nodes = interval.refine(p, q).to_json()
+        return nodes, {}, 0, [_fmt(nodes)]
+    lo_rule = expr.parse(args.lo_expr, var_name="n")  # shrink
+    hi_rule = expr.parse(args.hi_expr, var_name="n")
+    seq = interval.NestedSequence(
+        lambda k: interval.Interval(expr.evaluate(lo_rule, float(k)),
+                                    expr.evaluate(hi_rule, float(k)))
+    )
+    value = interval.shrink_to_point(seq, max(cfg.tol, 1e-15), cfg.cap(10**6))
+    return value, {}, 0, [_fmt(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +498,153 @@ def _asks_for_json(argv) -> bool:
     return mode == "json"
 
 
+# ---------------------------------------------------------------------------
+# the command table
+
+REQ = object()  # the spec of a required flag
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, help line, the library operations it
+    exposes ("module.function", space-separated) and its flags, in order.
+    A flag's spec is its default (REQ: the flag is required), or a dict of
+    add_argument keywords with a "default": a choice list (_one_of), or a
+    help line that holds for this subcommand only."""
+
+    handler: Callable
+    help: str
+    ops: str
+    flags: dict
+    tol: float = 1e-9  # the default of --tol
+
+
+# add_argument keywords of each flag, on whichever subcommand takes it;
+# a flag not listed takes a string
+_FLAGS = {
+    **dict.fromkeys("x at seed-point bound in-point out-point a b k eps delta split-at factor "
+                    "check-additivity-at from-a from-b to-a to-b upper".split(), {"type": float}),
+    **dict.fromkeys("order witnesses n sample lo hi depth budget count".split(), {"type": int}),
+    "grid": {"type": int, "help": "initial window centres"},
+    "box": {"type": float, "nargs": 2},
+    "bounds": {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
+    "certificate": {"action": "store_true"},
+    "member": {"help": "comparison predicate, e.g. 'x*x < 2'"},
+    "cover": {"help": 'JSON {"target":[a,b],"pieces":[[lo,hi],...]}'},
+    "partition": {"help": "JSON array of nodes"},
+    "reexpress": {"help": "refined partition, JSON"},
+    "points": {"help": "explicit choice points, JSON"},
+    "s": {"help": "expression in n"},
+}
+
+_FAB = {"f": REQ, "a": REQ, "b": REQ}  # a function f on [a, b]
+
+
+def _one_of(options: str, default=REQ) -> dict:
+    return {"choices": tuple(options.split()), "default": default}
+
+
+def _flag_kwargs(flag: str, spec) -> dict:
+    kwargs = {**_FLAGS.get(flag, {}), **(spec if isinstance(spec, dict) else {"default": spec})}
+    if kwargs["default"] is REQ:
+        del kwargs["default"]
+        kwargs["required"] = True
+    return kwargs
+
+
+COMMANDS: Dict[str, Command] = {
+    "parse": Command(_h_parse, "parse an expression and print it back", "expr.parse",
+                     {"text": REQ}),
+    "eval": Command(_h_eval, "evaluate an expression at a point", "expr.evaluate",
+                    {"f": REQ, "x": REQ}),
+    "deriv": Command(
+        _h_deriv, "symbolic or numeric derivative (--tol defaults to 1e-6 with --at)",
+        "expr.differentiate calculus.derivative",
+        {"f": REQ, "order": 1, "at": {"default": None, "help": "point for a numeric first "
+                                      "derivative, a limit to within --tol"}}, tol=1e-6),
+    "limit": Command(_h_limit, "filter-base limit at a point", "calculus.limit",
+                     {"f": REQ, "at": REQ, "mode": _one_of("left right two-sided", "two-sided")}),
+    "sup": Command(_h_sup, "supremum of a predicate set by bisection",
+                   "suprema.supremum suprema.sup_witnesses",
+                   {"member": REQ, "seed-point": REQ, "bound": REQ, "witnesses": 0}),
+    "cut": Command(_h_cut, "cut point of a downward-closed predicate", "suprema.cut_point",
+                   {"below": REQ, "in-point": REQ, "out-point": REQ}),
+    "root": Command(_h_root, "intermediate-value root by bisection", "suprema.ivt_root",
+                    {**_FAB, "k": 0.0}),
+    "extremum": Command(_h_extremum, "argmax by interval branch and bound, to --tol",
+                        "calculus.extreme_point", _FAB),
+    "rolle": Command(_h_witness, "rolle witness", "calculus.rolle_witness", _FAB),
+    "mvt": Command(_h_witness, "mvt witness", "calculus.mvt_witness", _FAB),
+    "emvt": Command(_h_emvt, "Cauchy mean-value witness", "calculus.emvt_witness",
+                    {"f": REQ, "g": REQ, "a": REQ, "b": REQ}),
+    "taylor": Command(_h_taylor, "Taylor value, normalized error and witness", "calculus.taylor",
+                      {"f": REQ, "n": REQ, "at": REQ, "x": REQ}),
+    "polycheck": Command(_h_polycheck, "is f a polynomial of degree <= n",
+                         "calculus.polynomial_check", {**_FAB, "n": REQ}),
+    "shape": Command(_h_shape, "convex / increasing / constant check", "calculus.shape_checks",
+                     {**_FAB, "kind": _one_of("convex increasing constant")}),
+    "cover-verify": Command(_h_cover_verify, "exact cover check",
+                            "cover.verify_cover cover.length_inequality", {"cover": REQ}),
+    "subcover": Command(_h_subcover, "greedy finite subcover", "cover.finite_subcover",
+                        {"cover": REQ}),
+    "lebesgue": Command(_h_lebesgue, "Lebesgue number of a verified cover",
+                        "cover.lebesgue_number",
+                        {"cover": REQ, "mode": _one_of("exact paper", "exact"), "sample": 256}),
+    "modulus": Command(_h_modulus, "uniform-continuity modulus", "cover.uniform_modulus",
+                       {**_FAB, "eps": REQ, "grid": 256}),
+    "stepapprox": Command(_h_stepapprox, "uniform step-function approximation",
+                          "cover.step_approximation",
+                          {**_FAB, "eps": REQ, "delta": None, "grid": 256}),
+    "stepint": Command(
+        _h_stepint, "step-function integral and algebra",
+        "stepfn.step_integral stepfn.step_reexpress stepfn.step_combine stepfn.step_split",
+        {"partition": REQ, "values": {"default": REQ, "help": "JSON array of cell values"},
+         "reexpress": None, "split-at": None, "combine": _one_of("add scale negate", None),
+         "other-partition": None, "other-values": None, "factor": None}),
+    "darboux": Command(_h_darboux, "Darboux bounds from interval enclosures",
+                       "integrate.darboux_bounds", {**_FAB, "n": REQ}),
+    "riemann": Command(_h_riemann, "Riemann sum for a choice function", "integrate.riemann_sum",
+                       {"f": REQ, "partition": REQ,
+                        "choice": _one_of("left right midpoint random explicit", "midpoint"),
+                        "points": None}),
+    "integrate": Command(
+        _h_integrate, "certified Riemann integral (--tol defaults to 1e-6)",
+        "integrate.riemann_integral integrate.integral_additivity_check integrate.bounds_check "
+        "integrate.antiderivative",
+        {**_FAB, "certificate": False, "check-additivity-at": None, "bounds": None}, tol=1e-6),
+    "ftc2": Command(_h_ftc2, "integral of F' equals F(b) - F(a) (--tol defaults to 1e-6)",
+                    "integrate.ftc2_check", {"F": REQ, "a": REQ, "b": REQ}, tol=1e-6),
+    "imvt": Command(_h_imvt, "integral mean-value witness (--tol defaults to 1e-6)",
+                    "integrate.imvt_witness", _FAB, tol=1e-6),
+    "adt": Command(_h_adt, "two antiderivatives differ by a constant", "integrate.adt_check",
+                   {"F": REQ, "G": REQ, "a": REQ, "b": REQ}),
+    "graph": Command(_h_graph, "implication graph queries",  # build_parser adds its commands
+                     "graph.build graph.path graph.check_equivalence graph.export_dot", {}),
+    "affine": Command(_h_affine, "affine map between intervals, as an expression",
+                      "suprema.affine_map",
+                      {"from-a": REQ, "from-b": REQ, "to-a": REQ, "to-b": REQ}),
+    "pwl": Command(_h_pwl, "evaluate a piecewise-linear interpolant", "calculus.piecewise_linear",
+                   {"nodes": REQ, "values": REQ, "x": REQ}),
+    "seq": Command(
+        _h_seq, "sequence diagnostics (expressions in n)",
+        "sequences.check_monotone sequences.check_cauchy_window sequences.bound_prefix "
+        "sequences.bw_extract sequences.monotone_limit sequences.divergence_witness "
+        "sequences.cauchy_limit",
+        {"op": _one_of("monotone cauchy bound bw limit diverge cauchy-limit"),
+         "s": REQ, "n": 100, "eps": 1e-3, "lo": 1, "hi": 100, "box": (0.0, 1.0), "depth": 10,
+         "budget": 10**4, "upper": None, "count": 5}),
+    "ival": Command(
+        _h_ival, "interval and partition helpers",
+        "interval.bisect interval.uniform_partition interval.refine interval.shrink_to_point",
+        {"op": _one_of("bisect partition refine shrink"),
+         "interval": "[0,1]", "a": 0.0, "b": 1.0, "n": 1, "p": "[0,1]", "q": "[0,1]",
+         "lo-expr": "0", "hi-expr": "1/n"}),
+}
+
+# library operation -> the subcommand that exposes it
+OP_REGISTRY: Dict[str, str] = {op: name for name, command in COMMANDS.items()
+                               for op in command.ops.split()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
@@ -576,208 +652,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed of riemann --choice random (0; FC_SEED overrides)")
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--max-iter", type=int, default=argparse.SUPPRESS, dest="max_iter",
+    common.add_argument("--max-iter", type=int, default=argparse.SUPPRESS,
                         help="iteration cap of sup, cut, root (2099 halvings), seq --op "
                              "limit and ival --op shrink (10^6)")
 
     top = _Parser(prog="fc", parents=[common], description="constructive real-analysis toolkit")
     subs = top.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = subs.add_parser(name, parents=[common], help=command.help)
+        for flag, spec in command.flags.items():
+            p.add_argument("--" + flag, **_flag_kwargs(flag, spec))
 
-    def cmd(name, handler, **kwargs):
-        p = subs.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("parse", _h_parse, help="parse an expression and print it back")
-    p.add_argument("--text", required=True)
-
-    p = cmd("eval", _h_eval, help="evaluate an expression at a point")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=float, required=True)
-
-    p = cmd("deriv", _h_deriv,
-            help="symbolic or numeric derivative (--tol defaults to 1e-6 with --at)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--at", type=float, default=None,
-                   help="point for a numeric first derivative, a limit to within --tol")
-
-    p = cmd("limit", _h_limit, help="filter-base limit at a point")
-    p.add_argument("--f", required=True)
-    p.add_argument("--at", type=float, required=True)
-    p.add_argument("--mode", choices=("left", "right", "two-sided"), default="two-sided")
-
-    p = cmd("sup", _h_sup, help="supremum of a predicate set by bisection")
-    p.add_argument("--member", required=True, help="comparison predicate, e.g. 'x*x < 2'")
-    p.add_argument("--seed-point", type=float, required=True, dest="seed_point")
-    p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--witnesses", type=int, default=0)
-
-    p = cmd("cut", _h_cut, help="cut point of a downward-closed predicate")
-    p.add_argument("--below", required=True)
-    p.add_argument("--in-point", type=float, required=True, dest="in_point")
-    p.add_argument("--out-point", type=float, required=True, dest="out_point")
-
-    p = cmd("root", _h_root, help="intermediate-value root by bisection")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--k", type=float, default=0.0)
-
-    p = cmd("extremum", _h_extremum, help="argmax by interval branch and bound, to --tol")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    for name, handler in (("rolle", _h_rolle), ("mvt", _h_mvt)):
-        p = cmd(name, handler, help=f"{name} witness")
-        p.add_argument("--f", required=True)
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-
-    p = cmd("emvt", _h_emvt, help="Cauchy mean-value witness")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    p = cmd("taylor", _h_taylor, help="Taylor value, normalized error and witness")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--at", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-
-    p = cmd("polycheck", _h_polycheck, help="is f a polynomial of degree <= n")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("shape", _h_shape, help="convex / increasing / constant check")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--kind", choices=("convex", "increasing", "constant"), required=True)
-
-    p = cmd("cover-verify", _h_cover_verify, help="exact cover check")
-    p.add_argument("--cover", required=True, help='JSON {"target":[a,b],"pieces":[[lo,hi],...]}')
-
-    p = cmd("subcover", _h_subcover, help="greedy finite subcover")
-    p.add_argument("--cover", required=True)
-
-    p = cmd("lebesgue", _h_lebesgue, help="Lebesgue number of a verified cover")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--mode", choices=("exact", "paper"), default="exact")
-    p.add_argument("--sample", type=int, default=256)
-
-    p = cmd("modulus", _h_modulus, help="uniform-continuity modulus")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--grid", type=int, default=256, help="initial window centres")
-
-    p = cmd("stepapprox", _h_stepapprox, help="uniform step-function approximation")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid", type=int, default=256, help="initial window centres")
-
-    p = cmd("stepint", _h_stepint, help="step-function integral and algebra")
-    p.add_argument("--partition", required=True, help="JSON array of nodes")
-    p.add_argument("--values", required=True, help="JSON array of cell values")
-    p.add_argument("--reexpress", default=None, help="refined partition, JSON")
-    p.add_argument("--split-at", type=float, default=None, dest="split_at")
-    p.add_argument("--combine", choices=("add", "scale", "negate"), default=None)
-    p.add_argument("--other-partition", default=None, dest="other_partition")
-    p.add_argument("--other-values", default=None, dest="other_values")
-    p.add_argument("--factor", type=float, default=None)
-
-    p = cmd("darboux", _h_darboux, help="Darboux bounds from interval enclosures")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("riemann", _h_riemann, help="Riemann sum for a choice function")
-    p.add_argument("--f", required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--choice", choices=("left", "right", "midpoint", "random", "explicit"),
-                   default="midpoint")
-    p.add_argument("--points", default=None, help="explicit choice points, JSON")
-
-    p = cmd("integrate", _h_integrate, help="certified Riemann integral (--tol defaults to 1e-6)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--certificate", action="store_true")
-    p.add_argument("--check-additivity-at", type=float, default=None,
-                   dest="check_additivity_at")
-    p.add_argument("--bounds", type=float, nargs=2, default=None, metavar=("LO", "HI"))
-
-    p = cmd("ftc2", _h_ftc2, help="integral of F' equals F(b) - F(a) (--tol defaults to 1e-6)")
-    p.add_argument("--F", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    p = cmd("imvt", _h_imvt, help="integral mean-value witness (--tol defaults to 1e-6)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    p = cmd("adt", _h_adt, help="two antiderivatives differ by a constant")
-    p.add_argument("--F", required=True)
-    p.add_argument("--G", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    p = cmd("graph", _h_graph, help="implication graph queries")
-    gsubs = p.add_subparsers(dest="gcmd", required=True)
-    gp = gsubs.add_parser("path")
-    gp.add_argument("src")
-    gp.add_argument("dst")
+    gsubs = subs.choices["graph"].add_subparsers(dest="gcmd", required=True)
+    path = gsubs.add_parser("path")
+    path.add_argument("src")
+    path.add_argument("dst")
     gsubs.add_parser("scc")
     gsubs.add_parser("dot")
-
-    p = cmd("affine", _h_affine, help="affine map between intervals, as an expression")
-    p.add_argument("--from-a", type=float, required=True, dest="from_a")
-    p.add_argument("--from-b", type=float, required=True, dest="from_b")
-    p.add_argument("--to-a", type=float, required=True, dest="to_a")
-    p.add_argument("--to-b", type=float, required=True, dest="to_b")
-
-    p = cmd("pwl", _h_pwl, help="evaluate a piecewise-linear interpolant")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--x", type=float, required=True)
-
-    p = cmd("seq", _h_seq, help="sequence diagnostics (expressions in n)")
-    p.add_argument("--op", required=True,
-                   choices=("monotone", "cauchy", "bound", "bw", "limit",
-                            "diverge", "cauchy-limit"))
-    p.add_argument("--s", required=True, help="expression in n")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--hi", type=int, default=100)
-    p.add_argument("--box", type=float, nargs=2, default=(0.0, 1.0))
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--budget", type=int, default=10**4)
-    p.add_argument("--upper", type=float, default=None)
-    p.add_argument("--count", type=int, default=5)
-
-    p = cmd("ival", _h_ival, help="interval and partition helpers")
-    p.add_argument("--op", required=True, choices=("bisect", "partition", "refine", "shrink"))
-    p.add_argument("--interval", default="[0,1]")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p", default="[0,1]")
-    p.add_argument("--q", default="[0,1]")
-    p.add_argument("--lo-expr", default="0", dest="lo_expr")
-    p.add_argument("--hi-expr", default="1/n", dest="hi_expr")
-
     return top
 
 
@@ -802,24 +693,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 0 < getattr(args, "tol", 1e-9) < math.inf:
+        command = COMMANDS[args.command]
+        tol = getattr(args, "tol", command.tol)
+        if not 0 < tol < math.inf:
             parser.error("--tol must be positive and finite")
     except SystemExit as e:
         # argparse has printed usage to stderr; JSON output still gets its object
         if hasattr(e, "usage_error") and _asks_for_json(argv):
             print(_json({"result": None, "diagnostics": {"error": e.usage_error}}))
         raise
-    seed = getattr(args, "seed", 0)
-    if "FC_SEED" in os.environ:
-        seed = int(os.environ["FC_SEED"])
-    cfg = Config(
-        tol=getattr(args, "tol", 1e-9),
-        seed=seed,
-        output=getattr(args, "output", "text"),
-        max_iter=getattr(args, "max_iter", None),
-    )
+    cfg = Config(tol=tol, seed=int(os.environ.get("FC_SEED", getattr(args, "seed", 0))),
+                 output=getattr(args, "output", "text"), max_iter=getattr(args, "max_iter", None))
     try:
-        result, diagnostics, code, lines = args.handler(args, cfg)
+        result, diagnostics, code, lines = command.handler(args, cfg)
         if cfg.output == "json":
             lines = [_json({"result": result, "diagnostics": diagnostics})]
     except ParseError as e:

@@ -248,6 +248,8 @@ def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:
     midpoint of the last interval.
     """
     require_tol(tol)
+    if budget < 1:
+        raise PreconditionError("budget must be at least 1")
     rule = _as_rule(s)
     values = _cache_values(rule, budget)
     if values.max() == values.min():

@@ -1,10 +1,15 @@
+import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +17,8 @@ from hypothesis import strategies as st
 
 import fcalc
 from fcalc import expr as E
-from fcalc.cli import OP_REGISTRY, build_parser, main
+from fcalc.cli import COMMANDS, OP_REGISTRY, build_parser, main
+from fcalc.errors import MathError
 from helpers import expr_trees
 
 
@@ -145,20 +151,34 @@ def test_fc_seed_env_overrides_flag(capsys, monkeypatch):
 
 
 def test_registry_every_op_has_exactly_one_subcommand():
-    import argparse
-
     parser = build_parser()
     subactions = [a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)]
     subcommands = set(subactions[0].choices)
     for op, sub in OP_REGISTRY.items():
-        if sub == "fc":
-            continue  # the dispatcher itself
         assert sub in subcommands, f"{op} mapped to missing subcommand {sub}"
+        module, name = op.split(".")
+        assert callable(getattr(importlib.import_module(f"fcalc.{module}"), name, None)), op
     # one subcommand per operation, and no library module left out
+    ops = [op for command in COMMANDS.values() for op in command.ops.split()]
+    assert sorted(ops) == sorted(OP_REGISTRY)
     modules = {op.split(".")[0] for op in OP_REGISTRY}
     assert modules == {"expr", "interval", "sequences", "suprema", "calculus",
-                       "cover", "integrate", "stepfn", "graph", "cli"}
+                       "cover", "integrate", "stepfn", "graph"}
+
+
+def test_readme_lists_every_subcommand_and_its_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"^Subcommands: `([^`]*)`", readme, re.M).group(1)
+    assert listed.split() == list(COMMANDS)
+    block = readme.split("\n## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    examples = [line for line in block.splitlines() if line.startswith("fc ")]
+    assert len(examples) >= 10
+    for line in examples:
+        argv = shlex.split(line.split(" > ")[0])[1:]  # no redirect to principles.dot
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        assert out
 
 
 def test_cover_pipeline(capsys):
@@ -218,6 +238,9 @@ def test_affine_and_pwl(capsys):
     code, out, _ = run(capsys, "pwl", "--nodes", "[0,1]", "--values", "[0,10]",
                        "--x", "0.5")
     assert code == 0 and out.strip() == "5.0"
+    # one node and x = NaN: bisection fell through to a zero-width cell
+    assert run(capsys, "pwl", "--nodes", "[0]", "--values", "[0]", "--x", "nan") == (
+        0, "nan\n", "")
 
 
 def test_deriv_symbolic_and_numeric(capsys):
@@ -347,6 +370,32 @@ def test_deriv_at_a_point_defaults_to_the_derivative_tolerance(capsys):
     assert code == 0 and abs(float(out) - math.cos(0.5)) <= 1e-6
 
 
+_FAB = ["--f", "x", "--a", "0", "--b", "1"]
+
+
+@pytest.mark.parametrize("argv, module, name, tol", [
+    (["integrate", *_FAB], "integrate", "riemann_integral", 1e-6),
+    (["integrate", *_FAB, "--bounds", "0", "1"], "integrate", "bounds_check", 1e-6),
+    (["integrate", *_FAB, "--check-additivity-at", "0.5"], "integrate",
+     "integral_additivity_check", 1e-6),
+    (["ftc2", "--F", "x", "--a", "0", "--b", "1"], "integrate", "ftc2_check", 1e-6),
+    (["imvt", *_FAB], "integrate", "imvt_witness", 1e-6),
+    (["deriv", "--f", "x", "--at", "1"], "calculus", "derivative", 1e-6),
+    (["extremum", *_FAB], "calculus", "extreme_point", 1e-9),
+    (["integrate", *_FAB, "--tol", "1e-3"], "integrate", "riemann_integral", 1e-3),
+])
+def test_each_subcommand_passes_its_default_tol_to_the_library(
+        capsys, monkeypatch, argv, module, name, tol):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol", args[-1]))
+        raise MathError("stop")
+
+    monkeypatch.setattr(importlib.import_module(f"fcalc.{module}"), name, spy)
+    assert run(capsys, *argv) == (1, "", "error: stop\n") and seen == [tol]
+
+
 def test_bisection_reaches_adjacent_doubles_below_a_tiny_tol(capsys):
     # near 0 doubles are 5e-324 apart: about 1075 halvings, past a cap of 200
     code, out, err = run(capsys, "root", "--f", "x^3 - x", "--a", "-0.5", "--b", "0.3",
@@ -472,18 +521,79 @@ def _argv(draw):
     return argv + draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(_argv())
+# one pool of values per flag type, for argv drawn from the command table;
+# a string flag holds an expression (in n for sequences), a predicate, a
+# cover or other JSON
+_SUBPARSERS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+_POOLS = {float: st.one_of(_ENDS, st.sampled_from(["inf", "nan"])),
+          int: st.sampled_from(["-1", "0", "1", "2", "7"])}   # small: budgets, depths
+_N_EXPRS = _EXPRS.map(lambda f: re.sub(r"\bx\b", "n", f))
+_PREDICATES = st.builds("{} < {}".format, _EXPRS, _ENDS)
+_STRINGS = {**dict.fromkeys(["text", "f", "g", "F", "G"], _EXPRS),
+            **dict.fromkeys(["s", "lo-expr", "hi-expr"], _N_EXPRS),
+            "member": _PREDICATES, "below": _PREDICATES,
+            "cover": st.sampled_from(['{"target": [0, 1], "pieces": [[-0.1, 0.6], [0.4, 1.1]]}',
+                                      '{"target": [0, 1], "pieces": [[0.5, 2]]}',
+                                      '{"target": [0, 1], "pieces": []}'])}
+
+
+@st.composite
+def _table_argv(draw):
+    """Every subcommand of COMMANDS, with its required flags and a random
+    subset of the others, each value drawn by the flag's type."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    argv = [name, "--tol", draw(st.sampled_from(["1e-2", "1e-3", "0.5"])),
+            "--max-iter", draw(st.sampled_from(["3", "50"]))]
+    for flag in COMMANDS[name].flags:
+        action = _SUBPARSERS[name]._option_string_actions["--" + flag]
+        if action.required or draw(st.booleans()):
+            pool = (st.sampled_from(action.choices) if action.choices else
+                    _POOLS[action.type] if action.type else _STRINGS.get(flag, _JSON))
+            argv += ["--" + flag, *(draw(pool) for _ in range(
+                1 if action.nargs is None else action.nargs))]
+    argv += draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
+    if name == "graph":  # last: graph path, scc and dot take no flags
+        argv += draw(st.sampled_from([["scc"], ["dot"], ["path", "MVT", "CVT"],
+                                      ["path", "CVT", "nope"], ["path"]]))
+    return argv
+
+
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(_argv(), _table_argv()))
 def test_cli_contract_holds_for_generated_argv(argv):
     code, out, err = _cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err, (argv, err)
-    if argv[-2:] == ["--output", "json"]:
+    if "--output" in argv and argv[argv.index("--output") + 1] == "json":
         payload = json.loads(out, parse_constant=_reject_constant)
         assert set(payload) == {"result", "diagnostics"}
         failed = "error" in payload["diagnostics"]
         assert failed == (code == 2 or payload["result"] is None and code == 1)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["limit", "--f", "abs(x)", "--at", "nan"], "error: need a finite point, got nan\n"),
+    (["deriv", "--f", "ln(x)", "--at", "nan"], "error: need a finite point, got nan\n"),
+    (["limit", "--f", "exp(1000*x)", "--at", "1"], None),
+    (["deriv", "--f", "exp(1000*x)", "--at", "1"], None),
+    (["limit", "--f", "1e400*x", "--at", "0"], None),
+    (["limit", "--f", "x", "--at", "140737488355328"], None),   # 2^47: c + 0.01 rounds to c
+    (["seq", "--op", "cauchy-limit", "--s", "n", "--box", "1", "1", "--budget", "0"],
+     "error: budget must be at least 1\n"),
+])
+def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
+    # numpy warned: "Mean of empty slice", inf - inf in the spread and the
+    # difference quotient, inf + -inf in the mean; the empty budget died
+    # with "zero-size array to reduction operation maximum"
+    code, out, text_err = _cli(argv)
+    assert (code, out) == (1, "") and text_err.startswith("error: ")
+    assert err is None or text_err == err
+    code, out, json_err = _cli([*argv, "--output", "json"])
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert (code, json_err, payload["result"]) == (1, "", None)
+    assert payload["diagnostics"]["error"] == text_err[len("error: "):-1]
 
 
 # ---------------------------------------------------------------------------
