@@ -46,7 +46,7 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import Expr, const, differentiate, enclose, evaluate, iadd, imul, isub
+from .expr import Expr, const, differentiate, enclose, evaluate, evaluate_all, iadd, imul, isub
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
 
@@ -204,7 +204,8 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
     Both ends are evaluated first.  Each round then evaluates f at the
     cell midpoints, keeping the best point (the smallest x on ties), and
     bounds f over the cells by _cell_bounds, dropping those whose upper
-    bound lies below the best value.  It stops once the largest upper
+    bound lies at most min(tol, 1)*(1 + |f(c)|) above the best value f(c),
+    so a pole keeps only its own cell open.  It stops once the largest upper
     bound is within tol*(1 + |f(c)|) of f(c), so max f lies in that range
     above f(c); tol bounds the value, not the distance of c from an
     argmax.  Raises PreconditionError where f is not finite at a point
@@ -236,7 +237,9 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
         visit(lo + (hi - lo) / 2)
         sup = _cell_bounds(f, df, lo, hi)[1]
         gap = float(sup.max()) - fc
-        return None if gap <= tol * (1 + abs(fc)) else sup >= fc
+        # fc + min(tol, 1)*(1 + |fc|) never decreases as fc grows, so a cell
+        # dropped below it stays within the final fc + tol*(1 + |fc|)
+        return None if gap <= tol * (1 + abs(fc)) else sup > fc + min(tol, 1.0) * (1 + abs(fc))
 
     visit(np.array([a, b]))
     if a == b or refine_cells(a, b, judge, MAX_DEPTH):
@@ -432,8 +435,8 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     for _ in range(n + 1):
         derivs.append(differentiate(derivs[-1], 1))
     value = 0.0
-    for k in range(n + 1):
-        value += evaluate(derivs[k], a) / math.factorial(k) * h**k
+    for k, dk in enumerate(evaluate_all(derivs[:-1], a)):
+        value += dk / math.factorial(k) * h**k
     fx = evaluate(f, x)
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
     top = derivs[n + 1]

@@ -664,11 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + flag, **_flag_kwargs(flag, spec))
 
     gsubs = subs.choices["graph"].add_subparsers(dest="gcmd", required=True)
-    path = gsubs.add_parser("path")
+    path = gsubs.add_parser("path", parents=[common])
     path.add_argument("src")
     path.add_argument("dst")
-    gsubs.add_parser("scc")
-    gsubs.add_parser("dot")
+    gsubs.add_parser("scc", parents=[common])
+    gsubs.add_parser("dot", parents=[common])
     return top
 
 

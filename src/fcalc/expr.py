@@ -22,26 +22,27 @@ walk recurses: ``_postorder`` (an explicit stack) serves compiling,
 differentiating and printing, and the parser is one precedence-climbing
 loop, so nesting depth is bounded by memory alone.
 
-Evaluation compiles a tree once per backend (``math`` floats, numpy
-arrays, and pairs of numpy arrays for interval enclosures) into a
-straight-line program cached on the root node outside the dataclass
-fields, so equality, hashing, printing and pickling never see it.
-Compiling numbers values: each node gets one slot, and an instruction is
-keyed by its op and its operands' slots, so a+b and b+a share one.
-Integer powers become repeated squaring (u^0 an op that reads u and gives
-1, so u's domain still counts), and registers are reused after a value's
-last reader, so few array temporaries are alive at once.  Each backend is
-an op table.  The two point backends share one set of domain checks, and
-a scalar point where ``math`` raises instead of giving NaN or inf is
-re-run on numpy, so both follow IEEE 754; the interval backend
-(``enclose``) marks a cell where an op leaves its domain instead of
-raising.  ``differentiate`` caches d/dx on each node in the same way, so
-shared subtrees stay shared and a derivative is taken once.
+Evaluation value-numbers a tree once into a backend-neutral
+straight-line program of op names, and binds that program once per
+backend (``math`` floats, numpy arrays, and pairs of numpy arrays for
+interval enclosures) to the backend's op table; both are cached on the
+root node outside the dataclass fields, so equality, hashing, printing
+and pickling never see them.  Value numbering gives each node one slot,
+and an instruction is keyed by its op and its operands' slots, so a+b and
+b+a share one.  Integer powers become repeated squaring (u^0 an op that
+reads u and gives 1, so u's domain still counts), and registers are
+reused after a value's last reader, so few array temporaries are alive at
+once.  A tuple of trees numbers into one program with one result per
+tree (``evaluate_all``), so what they share is computed once.  The two
+point backends share one set of domain checks, and both follow IEEE 754
+(``exp`` overflow gives inf, ``sin`` and ``cos`` of +-inf give NaN); the
+interval backend (``enclose``) marks a cell where an op leaves its domain
+instead of raising.  ``differentiate`` caches d/dx on each node in the
+same way, so shared subtrees stay shared and a derivative is taken once.
 
-numpy is imported on first use: by an array or interval call, or by the
-scalar re-run on numpy.  The grammar, the printer, ``differentiate`` and
-the scalar backend never need it, so ``fc parse`` and ``fc eval`` start
-without it.
+numpy is imported on first use, by an array or interval call.  The
+grammar, the printer, ``differentiate`` and the scalar backend never
+need it, so ``fc parse`` and ``fc eval`` start without it.
 """
 
 from __future__ import annotations
@@ -215,13 +216,15 @@ def _coerce(v) -> Expr:
 # the one walk
 
 def _postorder(root, cached: str = None):
-    """Each distinct node under root once, children first, left before right.
+    """Each distinct node under root (or under each root of a tuple, in
+    order) once, children first, left before right.
 
     The one tree traversal, from an explicit stack, so depth is bounded by
     memory alone.  A node holding the attribute `cached` is not yielded,
     and neither is its subtree (unless reached another way).
     """
-    seen, stack = set(), [(None, iter((root,)))]  # a stand-in parent above root
+    roots = root if type(root) is tuple else (root,)
+    seen, stack = set(), [(None, iter(roots))]  # a stand-in parent above the roots
     while stack:
         node, kids = stack[-1]
         for kid in kids:
@@ -331,15 +334,18 @@ _DOMAIN = {
 _OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
 
 
-def _compile(root: Expr, ops: dict):
-    """Straight-line program (code, registers, result register) for root.
+def _compile(root):
+    """Backend-neutral straight-line program (code, registers, result
+    register) for root, or for a tuple of roots with a tuple of result
+    registers, one per root, all live to the end.
 
     Values are x = 0, constants -1, -2, ... (held in register -v) and
     instructions 1, 2, ...; each node gets one value, and an instruction
     is keyed by its op and operand values, so a+b and b+a, and the products
-    repeated squaring builds, are computed once.  Instruction (fn, i, j, k)
-    stores fn(r[i]), or fn(r[i], r[j]) when j >= 0, into register k, with
-    fn taken from the backend's op table; registers is r without r[0] = x.
+    repeated squaring builds, are computed once.  Instruction (op, i, j, k)
+    stores op(r[i]), or op(r[i], r[j]) when j >= 0, into register k, with op
+    the name of an entry of a backend's op table; registers is r without
+    r[0] = x: the constants' values, None for the others.
     """
     consts, code, number, value = [], [], {}, {}
 
@@ -377,12 +383,12 @@ def _compile(root: Expr, ops: dict):
             raise TypeError(f"not an expression node: {e!r}")
         value[e] = v
 
-    root_value = value[root]
+    results = [value[r] for r in (root if type(root) is tuple else (root,))]
     # A temporary's register is reused once its last reader has run, so no
-    # more array intermediates are alive than the tree's shape needs.  The
+    # more array intermediates are alive than the tree's shape needs.  A
     # root's register is never handed on, whichever instruction computes it.
     last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
-    last[root_value] = len(code) + 1
+    last.update(dict.fromkeys(results, len(code) + 1))
     regs, reg, free, program = [None, *consts], {}, [], []
     for t, (op, a, b) in enumerate(code, 1):
         i, j = reg.get(a, -a), (-1 if b is None else reg.get(b, -b))
@@ -391,17 +397,20 @@ def _compile(root: Expr, ops: dict):
             free.append(len(regs))
             regs.append(None)
         reg[t] = k = free.pop()
-        program.append((ops[op], i, j, k))
-    return tuple(program), regs[1:], reg.get(root_value, -root_value)
+        program.append((op, i, j, k))
+    out = tuple([reg.get(v, -v) for v in results])
+    return tuple(program), regs[1:], out if type(root) is tuple else out[0]
 
 
 class _Backend:
     """An op table over one number type, and the loop that runs programs.
 
-    ops is the table, or a function that builds it on the first compile.
-    lift turns a constant into the backend's number type.  A tree is
-    compiled once per backend, and the program cached on the node outside
-    its fields (two threads may both store one; the copies are equal).
+    ops is the table, or a function that builds it on first use.  lift
+    turns a constant into the backend's number type.  A tree is
+    value-numbered once, whichever backend asks first, and bound to each
+    backend's table once; both programs are cached on the node outside
+    its fields (two threads may both store one; the copies are equal).  A
+    tuple of trees is numbered and bound on every run.
     """
 
     def __init__(self, name, ops, lift=float):
@@ -413,17 +422,21 @@ class _Backend:
             self._ops = self._ops()
         return self._ops
 
-    def _program(self, e: Expr):
-        code, regs, out = _compile(e, self.ops)
-        return code, [r if r is None else self.lift(r) for r in regs], out
+    def _bind(self, e):
+        code, regs, out = _compile(e) if type(e) is tuple else (
+            e.__dict__.get("_numbered") or e.__dict__.setdefault("_numbered", _compile(e)))
+        ops = self.ops
+        return ([(ops[op], i, j, k) for op, i, j, k in code],
+                [r if r is None else self.lift(r) for r in regs], out)
 
-    def run(self, e: Expr, x):
-        code, regs, out = e.__dict__.get(self.attr) or e.__dict__.setdefault(
-            self.attr, self._program(e))
+    def run(self, e, x):
+        """e's value at x, or the tuple of values of a tuple of trees."""
+        code, regs, out = self._bind(e) if type(e) is tuple else (
+            e.__dict__.get(self.attr) or e.__dict__.setdefault(self.attr, self._bind(e)))
         r = [x, *regs]
         for fn, i, j, k in code:
             r[k] = fn(r[i]) if j < 0 else fn(r[i], r[j])
-        return r[out]
+        return tuple([r[o] for o in out]) if type(out) is tuple else r[out]
 
 
 def _point_ops(functions, hit):
@@ -444,7 +457,20 @@ def _point_ops(functions, hit):
     return ops
 
 
-_SCALAR = _Backend("scalar", _point_ops({"sin": math.sin, "cos": math.cos, "exp": math.exp,
+def _ieee(fn, value):
+    """fn, giving IEEE 754's value where math raises instead: NaN for sin
+    and cos of +-inf, inf for exp past the double range."""
+    def op(v):
+        try:
+            return fn(v)
+        except (ValueError, OverflowError):
+            return value
+    return op
+
+
+_SCALAR = _Backend("scalar", _point_ops({"sin": _ieee(math.sin, math.nan),
+                                         "cos": _ieee(math.cos, math.nan),
+                                         "exp": _ieee(math.exp, math.inf),
                                          "ln": math.log, "sqrt": math.sqrt, "abs": abs}, bool))
 # Constants stay Python floats, which numpy broadcasts.
 _ARRAY = _Backend("array", lambda: _point_ops({"sin": np.sin, "cos": np.cos, "exp": np.exp,
@@ -617,25 +643,33 @@ def evaluate(e: Expr, x: Number) -> Number:
     number, or zero raised to a negative power.  Overflow gives +-inf and
     sin, cos of +-inf give NaN, silently, in both backends.
     """
+    return _run_point(e, x)
+
+
+def evaluate_all(roots: Tuple[Expr, ...], x: Number) -> tuple:
+    """evaluate(e, x) for each tree e of roots from one program, so what
+    the trees share is computed once.  The values are evaluate's bit for
+    bit, except that a NaN may carry another sign or payload: a + b and
+    b + a are one instruction, whose operand order follows the walk over
+    all the roots.  Raises DomainError where evaluate raises for any of
+    them."""
+    return _run_point(tuple(roots), x)
+
+
+def _run_point(e, x):
     if not isinstance(x, float):
         numpy = sys.modules.get("numpy")  # while numpy is not loaded, x is no array
         if numpy is not None and isinstance(x, numpy.ndarray):
-            return _evaluate_array(e, numpy.asarray(x, dtype=float))
-    x = float(x)
-    try:
-        return _SCALAR.run(e, x)
-    except (ValueError, OverflowError):
-        # math raises at sin(+-inf), cos(+-inf) and exp overflow, where
-        # IEEE arithmetic (numpy) gives NaN or inf
-        return float(_evaluate_array(e, np.array([x]))[0])
-
-
-def _evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
-    # Overflow, inf - inf and sin(inf) give IEEE values without warnings;
-    # the guards have already raised for every division by zero.
-    with np.errstate(all="ignore"):
-        out = _ARRAY.run(e, x)
-    return out if isinstance(out, np.ndarray) else np.full_like(x, out)
+            x = numpy.asarray(x, dtype=float)
+            # Overflow, inf - inf and sin(inf) give IEEE values without
+            # warnings; the guards have already raised for every division by 0.
+            with numpy.errstate(all="ignore"):
+                out = _ARRAY.run(e, x)
+            if type(e) is not tuple:
+                return out if isinstance(out, numpy.ndarray) else numpy.full_like(x, out)
+            return tuple([v if isinstance(v, numpy.ndarray) else numpy.full_like(x, v)
+                          for v in out])
+    return _SCALAR.run(e, float(x))
 
 
 def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -135,6 +135,28 @@ def test_extreme_point_raises_where_it_cannot_certify(text, a, b, error):
         extreme_point(E.parse(text), a, b)
 
 
+def test_extreme_point_keeps_only_the_pole_cell_open(monkeypatch):
+    # 0/x is 0 wherever it is defined: every cell but the pole's is within
+    # tol of the best value, so one cell stays open per round until depth
+    # MAX_DEPTH, where the flat cells once filled the 2^22-cell budget
+    from fcalc import calculus
+
+    opened = []
+
+    def refine_cells(a, b, judge, max_depth):
+        def counted(lo, hi):
+            keep = judge(lo, hi)
+            opened.append(None if keep is None else int(np.count_nonzero(keep)))
+            return keep
+        return refine(a, b, counted, max_depth)
+
+    refine = calculus.refine_cells
+    monkeypatch.setattr(calculus, "refine_cells", refine_cells)
+    with pytest.raises(IterationCapError, match="cells of depth 52"):
+        extreme_point(E.parse("0/x"), -1.0, 0.5, 1e-2)
+    assert 0 < len(opened) <= 10 and set(opened) == {1}
+
+
 @settings(max_examples=60, deadline=None)
 @given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6), st.floats(-2.0, 2.0),
        st.floats(0.01, 2.0), st.sampled_from([1e-3, 1e-6, 1e-9]))

@@ -224,6 +224,13 @@ def test_seq_and_ival_commands(capsys):
     assert code == 0 and abs(float(out.strip())) <= 1e-4
 
 
+@pytest.mark.parametrize("op", [["scc"], ["dot"], ["path", "MVT", "CVT"]], ids=" ".join)
+def test_global_flags_may_follow_each_graph_op(op):
+    code, out, err = _cli(["graph", *op, "--output", "json"])
+    assert (code, out, err) == _cli(["--output", "json", "graph", *op])
+    assert code == 0 and set(json.loads(out)) == {"result", "diagnostics"}
+
+
 def test_graph_dot_and_path(capsys):
     code, out, _ = run(capsys, "graph", "dot")
     assert code == 0 and out.startswith("digraph")
@@ -553,7 +560,7 @@ def _table_argv(draw):
             argv += ["--" + flag, *(draw(pool) for _ in range(
                 1 if action.nargs is None else action.nargs))]
     argv += draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
-    if name == "graph":  # last: graph path, scc and dot take no flags
+    if name == "graph":  # last: the graph op and its operands
         argv += draw(st.sampled_from([["scc"], ["dot"], ["path", "MVT", "CVT"],
                                       ["path", "CVT", "nope"], ["path"]]))
     return argv
@@ -608,8 +615,7 @@ def _fresh(*args):
 
 @pytest.mark.parametrize("f, x, text", [("sin(x)", "1e400", "nan"), ("exp(1000)", "0", "inf")])
 def test_non_finite_eval_in_a_fresh_process(f, x, text):
-    # the scalar backend's fallback to IEEE arithmetic, in a process that has
-    # not loaded numpy before the command runs
+    # the scalar backend's IEEE values, in a process that has not loaded numpy
     proc = _fresh("-m", "fcalc.cli", "eval", "--f", f, "--x", x)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text + "\n", "")
     proc = _fresh("-m", "fcalc.cli", "eval", "--f", f, "--x", x, "--output", "json")
@@ -663,6 +669,8 @@ def test_a_nan_riemann_sum_warns_nothing():
 @pytest.mark.parametrize("argv", [
     ["parse", "--text", "sin(x)^2 - 1/x"],
     ["eval", "--f", "exp(x)/(1+x^2)", "--x", "0.5"],
+    ["eval", "--f", "exp(1000)", "--x", "0"],
+    ["eval", "--f", "sin(x)", "--x", "1e400"],
     ["deriv", "--f", "sin(x)*x^3", "--order", "2"],
     ["sup", "--member", "x*x < 2", "--seed-point", "0", "--bound", "2", "--witnesses", "3"],
     ["cut", "--below", "x*x < 2", "--in-point", "0", "--out-point", "2"],

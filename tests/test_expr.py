@@ -300,7 +300,7 @@ def test_compiled_program_has_one_value_per_distinct_subtree():
     wave = E.parse("sin(1.2*x)*exp(0-0.9*x^2) + ln(1+1.1*x^2)")
     top = E.differentiate(wave, 7)
     assert _tree_size(top, {}) == 65284
-    code, regs, _ = E._compile(top, E._SCALAR.ops)
+    code, regs, _ = E._compile(top)
     constants = sum(r is not None for r in regs)
     assert 1 + constants + len(code) <= 400
     # registers are reused after a value's last reader
@@ -319,6 +319,47 @@ def test_compiled_programs_are_cached_outside_the_value():
     assert (repr(e), hash(e), E.to_text(e)) == before
     back = pickle.loads(pickle.dumps(e))
     assert back == e and E.evaluate(back, 1.0) == E.evaluate(e, 1.0)
+
+
+def test_a_tree_is_value_numbered_once_for_every_backend(monkeypatch):
+    walks = []
+    compile_ = E._compile
+    monkeypatch.setattr(E, "_compile", lambda root: walks.append(root) or compile_(root))
+    e = E.parse("sin(3.0517578125*x)/(1 + 7.62939453125*x^2)")  # constants no other test uses
+    for _ in range(2):
+        E.evaluate(e, 0.5)
+        E.evaluate(e, np.array([0.5, 1.5]))
+        E.enclose(e, np.array([0.0]), np.array([1.0]))
+    assert walks == [e]
+    assert E.evaluate_all((e, E.X), 0.5) == (E.evaluate(e, 0.5), 0.5)
+    assert walks == [e, (e, E.X)]   # a tuple of trees is numbered on every run
+
+
+def _bits(v):
+    # a + b and b + a are one value, its operands ordered by value number,
+    # which follows the walk; an addition of two NaNs returns one of them,
+    # so only a NaN's sign and payload may depend on the other roots
+    v = np.asarray(v, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=4), st.lists(_points, min_size=1, max_size=4))
+def test_each_root_of_a_multi_root_program_equals_evaluate_alone(trees, xs):
+    # the last root shares every tree with the others, so values are shared
+    roots = (*trees, E.Mul(trees[0], trees[-1]))
+    for x in (xs[0], np.array(xs)):
+        alone = []
+        for e in roots:
+            try:
+                alone.append(E.evaluate(e, x))
+            except DomainError:
+                alone.append(None)
+        if any(v is None for v in alone):
+            with pytest.raises(DomainError):
+                E.evaluate_all(roots, x)
+        else:
+            assert list(map(_bits, E.evaluate_all(roots, x))) == list(map(_bits, alone))
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -532,6 +573,7 @@ def test_a_pickle_round_trip_returns_the_same_object():
     data = pickle.dumps(e)
     assert pickle.loads(data) is e
     assert b"_code_" not in data and b"_deriv" not in data   # caches are not state
+    assert b"_numbered" not in data and "_numbered" in vars(e)
 
 
 def test_threads_building_the_same_tree_get_one_object():
