@@ -105,13 +105,17 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
     prev = None
     est = spread = math.nan
     left_est = right_est = None
+    why = f"no convergence after {sched.steps} steps"
     for j in range(sched.steps):
         delta = sched.delta0 * sched.shrink**j
         pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
         pts = pts[pts != c]  # puncture survives rounding
         below = pts < c
         if pts.size == 0 or sched.mode == "two-sided" and (below.all() or not below.any()):
-            break  # the window, or one side of it, rounds onto c
+            side = "the window" if pts.size == 0 else "one side of the window"
+            why = (f"no convergence: stopped at step {j + 1} of {sched.steps}, where {side} "
+                   f"fell below the double spacing at c = {c!r}")
+            break
         with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
             vals = fn(pts)
             est = float(np.mean(vals))
@@ -126,9 +130,7 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
         prev = est
     if sched.mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
         raise OneSidedDisagreementError(left_est, right_est, tol)
-    raise DivergenceError(
-        f"no convergence after {sched.steps} steps (estimate {est}, spread {spread})"
-    )
+    raise DivergenceError(f"{why} (estimate {est}, spread {spread})")
 
 
 def _require_point(c: float) -> None:

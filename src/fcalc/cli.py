@@ -13,7 +13,9 @@ the standard library and `errors` alone, so the parser, --help and
 usage errors load no library module, and each handler imports its
 modules when it runs.  `expr` imports numpy only for an array or
 interval call and `suprema` never does, so parse, eval, deriv (without
---at), sup, cut, root, affine and graph run without it.
+--at), sup, cut, root, affine, graph, seq --op limit and ival --op
+bisect run without it.  Run as a program, fc starts numpy's OpenBLAS
+with one thread unless OPENBLAS_NUM_THREADS is set (see main).
 """
 
 from __future__ import annotations
@@ -689,7 +691,14 @@ def _fail(cfg: Config, kind: str, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # Run as a program: fcalc makes no BLAS call, so numpy's OpenBLAS
+        # needs no worker threads.  Set before any handler imports numpy; a
+        # value the user set wins, and main(argv) leaves a caller's alone.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

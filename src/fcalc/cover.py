@@ -294,18 +294,6 @@ def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
         n *= 2
 
 
-def validate_lebesgue(cover: OpenCover, delta: float, pairs: int = 10**4,
-                      seed: int = 0) -> int:
-    """Count violations of the defining property over seeded random pairs."""
-    a, b = cover.target.lo, cover.target.hi
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(a, b, pairs)
-    cs = np.clip(xs + rng.uniform(-delta, delta, pairs) * (1 - 1e-12), a, b)
-    close = np.abs(xs - cs) < delta
-    reach, _ = cover._reach(np.minimum(xs, cs))
-    return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
-
-
 # A radius below 2^-46 of max(b - a, |a|, |b|) collapses (so that midpoints stay
 # distinct doubles); at most _MAX_CENTRES windows, and _MAX_CELLS step cells.
 _FLOOR_BITS, _ROUNDS, _MAX_CENTRES, _MAX_CELLS = 46, 14, 1 << 16, 1 << 20

@@ -70,3 +70,15 @@ def mp_eval(e, x, mp):
         return fn(mp_eval(e.arg, x, mp))
     u, v = mp_eval(e.left, x, mp), mp_eval(e.right, x, mp)
     return {E.Add: mp.fadd, E.Sub: mp.fsub, E.Mul: mp.fmul, E.Div: mp.fdiv}[t](u, v)
+
+
+def validate_lebesgue(cover, delta, pairs=10**4, seed=0):
+    """Count seeded random pairs closer than delta that no one piece holds
+    both of: the defining property of a Lebesgue number, sampled."""
+    a, b = cover.target.lo, cover.target.hi
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(a, b, pairs)
+    cs = np.clip(xs + rng.uniform(-delta, delta, pairs) * (1 - 1e-12), a, b)
+    close = np.abs(xs - cs) < delta
+    reach, _ = cover._reach(np.minimum(xs, cs))
+    return int(np.sum(close & ~(reach > np.maximum(xs, cs))))

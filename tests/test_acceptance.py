@@ -18,7 +18,6 @@ from fcalc.cover import (
     lebesgue_number,
     step_approximation,
     sup_error,
-    validate_lebesgue,
     verify_cover,
 )
 from fcalc.graph import CLOSING_EDGES, build, check_equivalence, export_dot, path
@@ -26,7 +25,8 @@ from fcalc.integrate import riemann_integral
 from fcalc.interval import Interval, OpenInterval, Partition
 from fcalc.stepfn import StepFunction, step_combine, step_integral, step_reexpress, step_split
 from fcalc.suprema import PredicateSet, bisect_supremum, ivt_root_result
-from helpers import random_partition, random_polynomial, random_smooth_expr
+from helpers import (random_partition, random_polynomial, random_smooth_expr,
+                     validate_lebesgue)
 
 
 def report(n, detail):

@@ -61,6 +61,20 @@ def test_limit_divergence_error():
         limit(E.parse("sin(1/x)"), 0.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("c, mode, step, side", [
+    (1e300, "two-sided", 1, "the window"),            # runs no step: every point rounds onto c
+    (1e12, "right", 9, "the window"),
+    (2.0**40, "two-sided", 8, "one side of the window"),  # the spacing halves below 2^40
+])
+def test_limit_names_the_step_where_the_window_rounds_onto_c(c, mode, step, side):
+    # a NaN f never converges, so the scan runs until its window falls below the spacing at c
+    with pytest.raises(DivergenceError) as err:
+        limit(E.parse("1e400*x - 1e400*x"), c, LimitSchedule(mode=mode))
+    assert str(err.value) == (
+        f"no convergence: stopped at step {step} of 30, where {side} fell below the "
+        f"double spacing at c = {c!r} (estimate nan, spread nan)")
+
+
 def test_derivative_flags_ill_conditioning():
     # a coarse schedule converges on a biased cubic quotient at 0, far
     # from the symbolic derivative, which the report must flag

@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -606,11 +607,19 @@ def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
 # ---------------------------------------------------------------------------
 # start-up: what a fresh process imports
 
-def _fresh(*args):
-    """Run the interpreter with args in a fresh process importing this fcalc."""
+def _fresh(*args, env=None):
+    """Run the interpreter with args in a fresh process importing this fcalc,
+    in env (default: this process's environment)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fcalc.__file__)))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**(os.environ if env is None else env), "PYTHONPATH": src})
+
+
+_BLAS = "OPENBLAS_NUM_THREADS"
+
+
+def _env_without_blas_threads():
+    return {k: v for k, v in os.environ.items() if k != _BLAS}
 
 
 @pytest.mark.parametrize("f, x, text", [("sin(x)", "1e400", "nan"), ("exp(1000)", "0", "inf")])
@@ -652,8 +661,9 @@ def test_a_non_finite_interval_is_a_precondition_error(argv):
      "lower nan upper inf\n", ""),
     (["integrate", "--f", "1e308*sin(abs(x))", "--a", "0", "--b", "24", "--tol", "1e306"],
      "5.758222999589741e+307\n", ""),
+    (["stepint", "--partition", "[0, 10, 20]", "--values", "[1e308, -1e308]"], "nan\n", ""),
 ], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf",
-        "integrate-wide-cells"])
+        "integrate-wide-cells", "stepint-inf-minus-inf"])
 def test_overflowing_sums_warn_nothing(argv, out, err):
     # numpy scalars warned on overflow and inf - inf
     proc = _fresh("-m", "fcalc.cli", *argv)
@@ -696,6 +706,61 @@ assert code == 0, code
 assert "numpy" not in sys.modules, "numpy was imported"
 """)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("user, want", [(None, "1"), ("4", "4")])
+def test_fc_run_as_a_program_defaults_openblas_to_one_thread(monkeypatch, capsys, user, want):
+    monkeypatch.setenv(_BLAS, "unset")  # so that teardown restores the variable either way
+    if user is None:
+        monkeypatch.delenv(_BLAS)
+    else:
+        monkeypatch.setenv(_BLAS, user)
+    monkeypatch.setattr(sys, "argv", ["fc", "parse", "--text", "x"])
+    assert main() == 0
+    assert os.environ[_BLAS] == want
+
+
+def test_importing_cli_and_calling_main_with_argv_leave_the_environment_alone():
+    proc = _fresh("-c", """
+import contextlib, io, os
+before = dict(os.environ)
+from fcalc.cli import main
+assert dict(os.environ) == before, "import changed the environment"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["integrate", "--f", "x^2", "--a", "0", "--b", "1"]) == 0
+assert dict(os.environ) == before, "main(argv) changed the environment"
+""", env=_env_without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_fc_run_as_a_program_starts_no_blas_worker_threads():
+    proc = _fresh("-c", """
+import contextlib, io, os, sys
+sys.argv = ["fc", "integrate", "--f", "x^2", "--a", "0", "--b", "1"]
+from fcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main() == 0
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")))
+""", env=_env_without_blas_threads())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_a_long_riemann_sum_does_not_depend_on_the_blas_thread_count():
+    # np.dot split a long sum across OpenBLAS threads, which moved its last bits;
+    # 2^15 cells overflow one argv string, so the process sets sys.argv itself
+    script = """
+import json, sys
+sys.argv = ["fc", "riemann", "--f", "sin(1000*x)", "--partition",
+            json.dumps([(k / 2**15) ** 2 for k in range(2**15 + 1)])]
+from fcalc.cli import main
+sys.exit(main())
+"""
+    runs = [_fresh("-c", script, env={**os.environ, _BLAS: n}) for n in ("1", "2")]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+    assert abs(float(runs[0].stdout) - (1 - math.cos(1000)) / 1000) < 1e-6
 
 
 def test_fcalc_loads_each_submodule_on_first_use():

@@ -15,12 +15,11 @@ from fcalc.cover import (
     step_approximation,
     sup_error,
     uniform_modulus,
-    validate_lebesgue,
     verify_cover,
 )
 from fcalc.errors import CoverError, MathError, PreconditionError
 from fcalc.interval import Interval, OpenInterval
-from helpers import expr_trees
+from helpers import expr_trees, validate_lebesgue
 
 
 def cover_of(target, pieces):
