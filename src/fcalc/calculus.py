@@ -3,9 +3,9 @@ mean-value/Taylor witness finders.
 
 The filter bases behind one- and two-sided limits are discretized to a
 geometric schedule of punctured windows: delta0 * shrink^j for j up to
-`steps`, with a fixed number of samples per window.  Witness finders
-prefer exact symbolic derivatives and fall back to numeric ones with a
-100x widened tolerance.
+`steps`, with a fixed number of samples per window.  Every derivative
+comes from the symbolic expr.differentiate, which covers the whole
+grammar (abs included, undefined only at its kink).
 
 Every mean-value witness (Rolle, MVT, eMVT, Taylor and
 integrate.imvt_witness) is a point c where some function h meets a
@@ -13,8 +13,9 @@ value k, and one locator, `_crossing`, finds them all: it evaluates h
 once, as an array, at the SCAN interior points of a uniform grid on
 [a, b], and returns the midpoint where h is within tol of k on the whole
 scan, else the first grid point where h = k exactly, else the first
-sign change of h - k polished by `bisect_root`, else None.  Each routine
-only builds its h and k and checks its own contract.
+sign change of h - k polished by `bisect_root` if h is within tol of k
+there (a jump of h is no witness), else None.  Each routine only builds
+its h and k and checks its own contract.
 
 "For all x in [a, b]" is decided from interval enclosures on the cells
 of interval.refine_cells, never from samples.  Every cell is bounded by
@@ -42,7 +43,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     IterationCapError,
-    NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
 )
@@ -108,14 +108,14 @@ def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule
     why = f"no convergence after {sched.steps} steps"
     for j in range(sched.steps):
         delta = sched.delta0 * sched.shrink**j
-        pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
-        pts = pts[pts != c]  # puncture survives rounding
-        below = pts < c
-        if pts.size == 0 or sched.mode == "two-sided" and (below.all() or not below.any()):
-            side = "the window" if pts.size == 0 else "one side of the window"
-            why = (f"no convergence: stopped at step {j + 1} of {sched.steps}, where {side} "
-                   f"fell below the double spacing at c = {c!r}")
+        # a sample spacing of at least the ulp of every window point keeps
+        # the points distinct doubles, none of them c
+        if delta / SAMPLES_PER_STEP < math.ulp(abs(c) + delta):
+            why = (f"no convergence: stopped at step {j + 1} of {sched.steps}, where the "
+                   f"window fell below the double spacing at c = {c!r}")
             break
+        pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
+        below = pts < c
         with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
             vals = fn(pts)
             est = float(np.mean(vals))
@@ -170,7 +170,7 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     report = _scan(quotient, c, sched, tol)
     try:
         sym = evaluate(differentiate(f, 1), c)
-    except (NonDifferentiableError, DomainError):
+    except DomainError:  # f' undefined at c, as abs(x) at 0
         sym = None
     if sym is not None and abs(report.estimate - sym) > 1e-4 * (1 + abs(sym)):
         report.warning = (
@@ -179,19 +179,18 @@ def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
     return report
 
 
-def _cell_bounds(g: Expr, dg: Optional[Expr], lo: np.ndarray,
+def _cell_bounds(g: Expr, dg: Expr, lo: np.ndarray,
                  hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Enclosures of g over the cells [lo, hi]: the natural interval
-    extension, intersected where dg (the symbolic g', or None) is given
-    with the mean-value form g(m) + g'(X)(X - m) at the midpoints m, whose
-    width shrinks with the square of the cell's where the natural one's
-    shrinks linearly.  The form is used only on cells where the natural
-    enclosure is finite, so g is defined on the whole cell, as the
-    mean-value theorem needs (g' may be defined where g is not: d/dx of
-    u^0 is 0 whatever u); a NaN end of it (inf * 0) adds nothing."""
+    extension, intersected with the mean-value form g(m) + g'(X)(X - m) at
+    the midpoints m (dg the symbolic g'), whose width shrinks with the
+    square of the cell's where the natural one's shrinks linearly.  The
+    form is used only on cells where the natural enclosure is finite, so g
+    is defined on the whole cell, as the mean-value theorem needs (g' may
+    be defined where g is not: d/dx of u^0 is 0 whatever u); a NaN or
+    infinite end of it (inf * 0, or g' unbounded at a kink of abs) adds
+    nothing."""
     inf, sup = enclose(g, lo, hi)
-    if dg is None:
-        return inf, sup
     m = lo + (hi - lo) / 2
     with np.errstate(all="ignore"):  # inf - inf and inf * 0 give NaN: no information
         low, high = iadd(enclose(g, m, m), imul(enclose(dg, lo, hi), isub((lo, hi), (m, m))))
@@ -217,10 +216,7 @@ def extreme_point(f: Expr, a: float, b: float, tol: float = 1e-9) -> Tuple[float
     """
     require_tol(tol)
     require_interval(a, b)
-    try:
-        df: Optional[Expr] = differentiate(f, 1)
-    except NonDifferentiableError:
-        df = None
+    df = differentiate(f, 1)
     c, fc, gap = a, -math.inf, math.inf
 
     def visit(xs):
@@ -295,23 +291,6 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
                             f"derivative is enclosed in [{left[2]!r}, {left[3]!r}]")
 
 
-def _numeric_diff(f: Expr, h: float = 1e-6) -> Callable:
-    def d(t):
-        return (evaluate(f, t + h) - evaluate(f, t - h)) / (2 * h)
-
-    return d
-
-
-def _derivative_fn(f: Expr) -> Tuple[Callable, bool]:
-    """Exact derivative when the tree allows it, else a central difference;
-    either one takes a float or an array."""
-    try:
-        df = differentiate(f, 1)
-        return (lambda t: evaluate(df, t)), True
-    except NonDifferentiableError:
-        return _numeric_diff(f), False
-
-
 def _crossing(fn: Callable, a: float, b: float, k: float, tol: float) -> Optional[float]:
     """Point c in (a, b) where fn(c) = k, the one witness search.
 
@@ -319,7 +298,9 @@ def _crossing(fn: Callable, a: float, b: float, k: float, tol: float) -> Optiona
     uniform grid on [a, b].  Returns the midpoint where |fn - k| <= tol at
     every grid point; else the first grid point where fn = k exactly;
     else the first sign change of fn - k, polished by bisect_root to
-    max(1e-13, (b - a)*1e-13); else None.  Needs a < b.
+    max(1e-13, (b - a)*1e-13), if |fn - k| <= tol there, so a jump of fn
+    across k (f' of abs at its kink) is no witness; else None.  Needs
+    a < b.
     """
     if not a < b:
         raise PreconditionError("need a < b")
@@ -336,26 +317,26 @@ def _crossing(fn: Callable, a: float, b: float, k: float, tol: float) -> Optiona
     if not flips.size:
         return None
     i = int(flips[0])
-    return bisect_root(fn, float(xs[i]), float(xs[i + 1]), k,
-                       tol=max(1e-13, (b - a) * 1e-13)).root
+    found = bisect_root(fn, float(xs[i]), float(xs[i + 1]), k,
+                        tol=max(1e-13, (b - a) * 1e-13))
+    return found.root if abs(found.residual) <= tol else None
 
 
 def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Interior point where f' vanishes, given equal endpoint values.
 
-    The _crossing of f' and 0, with f' the central difference (and tol
-    widened 100x) where the tree has no symbolic derivative (abs): the
-    midpoint where f' is within tol of 0 on the whole scan.  Raises
-    PreconditionError unless a < b and f(a) = f(b) within tol, and
-    DivergenceError where f' does not cross 0 on the scan.
+    The _crossing of f' and 0: the midpoint where f' is within tol of 0
+    on the whole scan.  Raises PreconditionError unless a < b and f(a) =
+    f(b) within tol, and DivergenceError where f' does not meet 0 on the
+    scan, as where it only jumps across 0 at a kink of abs.
     """
     require_tol(tol)
     require_finite(a, b)
     fa, fb = evaluate(f, a), evaluate(f, b)
     if abs(fa - fb) > tol * max(1.0, abs(fa)):
         raise PreconditionError(f"endpoint values differ: f({a})={fa}, f({b})={fb}")
-    dfn, symbolic = _derivative_fn(f)
-    c = _crossing(dfn, a, b, 0.0, tol if symbolic else 100 * tol)
+    df = differentiate(f, 1)
+    c = _crossing(lambda t: evaluate(df, t), a, b, 0.0, tol)
     if c is None:
         raise DivergenceError("no interior critical point located")
     return c
@@ -364,37 +345,34 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
 def mvt_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Point c in (a, b) where f' matches the secant slope.
 
-    The _crossing of f' and the slope (f' as in rolle_witness), checked
-    to leave |f'(c) - slope| within tol; DivergenceError otherwise, and
-    where f' does not meet the slope on the scan.
+    The _crossing of f' and the slope, so |f'(c) - slope| <= tol;
+    DivergenceError where f' does not meet the slope on the scan.
     """
     require_tol(tol)
     require_finite(a, b)
     if not a < b:
         raise PreconditionError("need a < b")
     slope = (evaluate(f, b) - evaluate(f, a)) / (b - a)
-    dfn, symbolic = _derivative_fn(f)
-    eff_tol = tol if symbolic else 100 * tol
-    c = _crossing(dfn, a, b, slope, eff_tol)
+    df = differentiate(f, 1)
+    c = _crossing(lambda t: evaluate(df, t), a, b, slope, tol)
     if c is None:
         raise DivergenceError(f"f' does not meet the secant slope {slope!r} on the scan")
-    if abs(dfn(c) - slope) > eff_tol:
-        raise DivergenceError(f"residual |f'(c) - slope| = {abs(dfn(c) - slope)} > {eff_tol}")
     return c
 
 
 def emvt_witness(f: Expr, g: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     """Cauchy mean-value witness: f'(c)/g'(c) equals the increment ratio.
 
-    A _crossing of g' and 0 is a PreconditionError that names the point.
-    The witness is the _crossing of (g(b) - g(a)) f' - (f(b) - f(a)) g'
-    and 0, checked to leave the ratio's residual within tol;
-    DivergenceError otherwise, and where there is no crossing on the scan.
+    A _crossing of g' and 0 at tol is a PreconditionError that names the
+    point.  The witness is the _crossing of (g(b) - g(a)) f' -
+    (f(b) - f(a)) g' and 0, checked to leave the ratio's residual within
+    tol; DivergenceError otherwise, and where there is no crossing on the
+    scan.
     """
     require_tol(tol)
     require_finite(a, b)
     df, dg = differentiate(f, 1), differentiate(g, 1)
-    c = _crossing(lambda t: evaluate(dg, t), a, b, 0.0, 0.0)
+    c = _crossing(lambda t: evaluate(dg, t), a, b, 0.0, tol)
     if c is not None:
         raise PreconditionError(f"g' vanishes at x = {c!r} inside (a, b)")
     ga, gb = evaluate(g, a), evaluate(g, b)
@@ -479,9 +457,10 @@ def shape_checks(f: Expr, a: float, b: float, kind: str, tol: float = 1e-9):
     None, or the cell that disproves the shape, (lo, hi) for constant and
     increasing, on which f(lo) differs from or exceeds f(hi), and (lo,
     mid, hi) for convex, where f(mid) lies above the chord.  On one point
-    every shape holds, once f is defined there.  Raises
-    NonDifferentiableError where f has no symbolic derivative (abs) and
-    IterationCapError where _holds leaves the question open.
+    every shape holds, once f is defined there.  Raises IterationCapError
+    where _holds leaves the question open, as near a kink of abs, where
+    the enclosures of f' and f'' stay wide, unless a cell disproves the
+    shape first.
     """
     require_tol(tol)
     if kind not in _SHAPES:

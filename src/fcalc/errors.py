@@ -51,10 +51,6 @@ class NonCutError(MathError):
     """A predicate presented as a cut is not downward closed."""
 
 
-class NonDifferentiableError(MathError):
-    """Symbolic differentiation hit a non-differentiable node."""
-
-
 class CoverError(MathError):
     """A cover failed verification or was used before verification."""
 

@@ -59,7 +59,7 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
+from .errors import DomainError, ParseError, PreconditionError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
@@ -302,7 +302,10 @@ def pow_(u: Expr, n: int) -> Expr:
     if n == 1:
         return u
     if isinstance(u, Const):
-        return Const(_SCALAR.run(Pow(u, n), 0.0))
+        try:
+            return Const(_SCALAR.run(Pow(u, n), 0.0))
+        except DomainError:  # 0 to a negative power: raised when evaluated, not
+            pass             # when built, so d/dx of 0^0 folds to 0
     return Pow(u, n)
 
 
@@ -706,9 +709,12 @@ def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.nda
 def differentiate(e: Expr, n: int = 1) -> Expr:
     """Symbolic n-th derivative.  n=0 returns the expression itself.
 
-    abs is parseable but rejected here with NonDifferentiableError.
-    d/dx is cached on each node, so shared subtrees stay shared and a
-    derivative already taken costs nothing.
+    Every tree of the grammar differentiates.  d|u| is (u/|u|) u', exact
+    wherever u != 0; where u = 0 the point backends raise DomainError on
+    the division, and the interval backend encloses it as (-inf, inf) on
+    any cell whose enclosure of u reaches 0.  d/dx is cached on each
+    node, so shared subtrees stay shared and a derivative already taken
+    costs nothing.
     """
     if n < 0:
         raise PreconditionError("derivative order must be nonnegative")
@@ -725,6 +731,7 @@ _CHAIN = {  # d/dx of name(u), from u and du
     "exp": lambda u, du: mul(func("exp", u), du),
     "ln": lambda u, du: div(du, u),
     "sqrt": lambda u, du: div(du, mul(const(2.0), func("sqrt", u))),
+    "abs": lambda u, du: mul(div(u, func("abs", u)), du),
 }
 
 
@@ -749,9 +756,7 @@ def _rule(e: Expr) -> Expr:
     if isinstance(e, Pow):
         inner = mul(const(e.exponent), pow_(e.base, e.exponent - 1))
         return mul(inner, e.base._deriv)
-    if e.name not in _CHAIN:  # a Func
-        raise NonDifferentiableError(f"cannot differentiate node {e.name!r}")
-    return _CHAIN[e.name](e.arg, e.arg._deriv)
+    return _CHAIN[e.name](e.arg, e.arg._deriv)  # a Func
 
 
 # ---------------------------------------------------------------------------

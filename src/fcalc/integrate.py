@@ -7,10 +7,10 @@ uniform n-partition sum the per-cell infimum and supremum enclosures
 times the cell width; negation is exact, so lower(-f) = -upper(f) bit for
 bit.  The certified integral refines adaptively: each cell's integral is
 enclosed by the midpoint rule with its remainder, w f(m) + w^3/24 f''(xi),
-using the symbolic second derivative (or w F(cell) where that is
-unavailable or unbounded); cells whose enclosure is narrow enough are
-frozen and the rest bisected, until the summed bracket is at most tol
-wide.  The rounds, the cell splitting and the caps are those of
+using the symbolic second derivative (or w f(cell) where that is
+unbounded, as on the cell holding a kink of abs); cells whose enclosure
+is narrow enough are frozen and the rest bisected, until the summed
+bracket is at most tol wide.  The rounds, the cell splitting and the caps are those of
 interval.refine_cells, the loop every enclosure decision shares.  Its
 value is the bracket midpoint.  bounds_check certifies its envelope with
 calculus.extreme_point (branch and bound on the same loop), and
@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .calculus import _crossing, _holds, extreme_point
-from .errors import DivergenceError, IterationCapError, NonDifferentiableError, PreconditionError
+from .errors import DivergenceError, IterationCapError, PreconditionError
 from .expr import _BLOCK, Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, sub
 from .interval import CELL_BUDGET, Partition, refine_cells, require_interval, require_tol
 
@@ -145,15 +145,15 @@ def riemann_sum(f: Expr, p: Partition, choice: ChoiceFunction) -> float:
         return float(np.sum(evaluate(f, pts) * p.widths()))  # no BLAS call
 
 
-def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
+def _cell_integrals(f: Expr, f2: Expr, lo: np.ndarray,
                     hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Enclosures of the integral of f over each cell [lo, hi].
 
     w f(m) + w^3/24 f''(cell) for the true width w and midpoint m, both
-    enclosed in interval arithmetic since hi - lo and lo + w/2 round;
-    w f(cell) where f'' is unavailable (f2 None), and its intersection
-    with the former where the f'' term is unbounded or outweighs the
-    cell's estimate (as for sqrt just right of 0).  Raises
+    enclosed in interval arithmetic since hi - lo and lo + w/2 round, and
+    its intersection with w f(cell) where the f'' term is unbounded or
+    outweighs the cell's estimate (as for sqrt just right of 0, or on a
+    cell holding a kink of abs).  Raises
     DomainError or PreconditionError when f is undefined or infinite at a
     midpoint, where no refinement could help.
     """
@@ -168,8 +168,6 @@ def _cell_integrals(f: Expr, f2: Optional[Expr], lo: np.ndarray,
             if infinite.any():
                 raise PreconditionError(
                     f"integrand is not finite at x = {float(xs[infinite][0])!r}")
-        if f2 is None:
-            return imul(w, enclose(f, lo, hi))
         rest = imul(imul(imul(imul(w, w), w), _ONE_24TH), enclose(f2, lo, hi))
         low, high = iadd(imul(w, fm), rest)
         bad = ~(rest[1] - rest[0] <= w[1] * np.abs(fm[0] + fm[1]))
@@ -208,10 +206,7 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     require_interval(a, b)
     if a == b:
         return IntegralCertificate(0.0, [], True)
-    try:
-        f2: Optional[Expr] = differentiate(f, 2)
-    except NonDifferentiableError:
-        f2 = None
+    f2 = differentiate(f, 2)
     frozen, frozen_low, frozen_high = 0, 0.0, 0.0
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
@@ -315,9 +310,9 @@ def adt_check(F: Expr, G: Expr, a: float, b: float, tol: float = 1e-9) -> bool:
     [a, b]; F - G is evaluated at each round's cell midpoints, so
     DomainError where either is undefined there.  Raises
     PreconditionError where F or G is not finite at a or on a cell where
-    F' - G' lies wholly outside [-tol, tol], NonDifferentiableError where
-    F or G has no symbolic derivative (abs), and IterationCapError where
-    _holds leaves the question open.
+    F' - G' lies wholly outside [-tol, tol], and IterationCapError where
+    _holds leaves the question open (as at a kink of abs in F or G, unless
+    their derivatives are one tree).
     """
     require_tol(tol)
     require_interval(a, b)

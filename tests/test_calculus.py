@@ -24,7 +24,6 @@ from fcalc.errors import (
     DomainError,
     IterationCapError,
     MathError,
-    NonDifferentiableError,
     OneSidedDisagreementError,
     PreconditionError,
 )
@@ -63,8 +62,8 @@ def test_limit_divergence_error():
 
 @pytest.mark.parametrize("c, mode, step, side", [
     (1e300, "two-sided", 1, "the window"),            # runs no step: every point rounds onto c
-    (1e12, "right", 9, "the window"),
-    (2.0**40, "two-sided", 8, "one side of the window"),  # the spacing halves below 2^40
+    (1e12, "right", 5, "the window"),                 # window/8 below ulp(1e12) = 2^-13
+    (2.0**40, "two-sided", 4, "the window"),          # window/8 below ulp(2^40) = 2^-12
 ])
 def test_limit_names_the_step_where_the_window_rounds_onto_c(c, mode, step, side):
     # a NaN f never converges, so the scan runs until its window falls below the spacing at c
@@ -243,21 +242,19 @@ def test_mvt_and_emvt_are_rolle_on_their_auxiliary_functions(seed, a, width):
     assert c == rolle or isinstance(c, type) and isinstance(rolle, type)
 
 
-def _rolle_by_scalar_scan(f, a, b, scan=512, h=1e-6):
+def _rolle_by_scalar_scan(f, a, b, scan=512, tol=1e-8):
     """Reference: Rolle's grid scan with one scalar derivative call per point."""
-    try:
-        df = E.differentiate(f, 1)
-        dfn = lambda t: E.evaluate(df, t)
-    except NonDifferentiableError:
-        dfn = lambda t: (E.evaluate(f, t + h) - E.evaluate(f, t - h)) / (2 * h)
+    df = E.differentiate(f, 1)
+    dfn = lambda t: E.evaluate(df, t)
     xs = np.linspace(a, b, scan + 2)[1:-1]
     dvals = [dfn(float(t)) for t in xs]
     for i, (u, v) in enumerate(zip(dvals, dvals[1:])):
         if u == 0.0:
             return float(xs[i])
         if u * v < 0:
-            return bisect_root(dfn, float(xs[i]), float(xs[i + 1]), 0.0,
-                               tol=max(1e-13, (b - a) * 1e-13)).root
+            found = bisect_root(dfn, float(xs[i]), float(xs[i + 1]), 0.0,
+                                tol=max(1e-13, (b - a) * 1e-13))
+            return found.root if abs(found.residual) <= tol else None  # a jump: no witness
     return None
 
 
@@ -307,6 +304,10 @@ def test_emvt_examples():
     assert abs(c - 14.0 / 9.0) <= 1e-6
     with pytest.raises(PreconditionError):
         emvt_witness(E.parse("x^3"), E.parse("x^2"), -1.0, 1.0, 1e-8)
+    # g' = 3 cos(3x) vanishes at pi/6, where the bisected residual is not 0
+    # but within tol
+    with pytest.raises(PreconditionError, match="vanishes at x = 0.52359877"):
+        emvt_witness(E.parse("x^2"), E.parse("sin(3*x)"), 0.0, 1.0)
 
 
 def test_taylor_exp_example():
@@ -522,10 +523,32 @@ def test_piecewise_linear_examples():
         piecewise_linear([0.0, 0.0], [1.0, 2.0])
 
 
-def test_rolle_prefers_symbolic_and_falls_back():
-    # abs cannot be differentiated symbolically; the numeric fallback
-    # widens the tolerance but still locates the kink-free extremum of
-    # a smooth-by-parts parabola written with abs(x)^2
+def test_rolle_differentiates_abs_symbolically():
+    # the numeric fallback for abs trees widened tol 100x and found this
+    # witness only to 1e-4
     f = E.parse("x*(1-x) + 0*abs(x)")
-    c = rolle_witness(f, 0.0, 1.0, 1e-6)
-    assert abs(c - 0.5) <= 1e-4
+    assert abs(rolle_witness(f, 0.0, 1.0, 1e-6) - 0.5) <= 1e-12
+    # flat between its kinks: the first grid point there, where f' = 0 exactly
+    f = E.parse("abs(x - 0.25) + abs(x - 0.75)")
+    c = rolle_witness(f, 0.0, 1.0, 1e-8)
+    assert 0.25 < c < 0.75 and E.evaluate(E.differentiate(f, 1), c) == 0.0
+
+
+@pytest.mark.parametrize("find, error", [
+    (lambda: rolle_witness(E.parse("abs(x - 0.3)"), -0.2, 0.8), DomainError),
+    (lambda: rolle_witness(E.parse("abs(x - 0.3) + 0.5*(x - 0.3)"), -0.6, 0.6),
+     DivergenceError),
+    (lambda: mvt_witness(E.parse("abs(x)"), -1.0, 2.0), DomainError),
+    (lambda: mvt_witness(E.parse("abs(x - 0.1)"), -1.0, 2.0), DivergenceError),
+])
+def test_a_jump_of_the_derivative_is_no_witness(find, error):
+    # f' only jumps across the target, at the kink, where a scan or
+    # bisection point that lands on it exactly is a DomainError; the
+    # central difference returned the kink or a point next to it
+    with pytest.raises(error):
+        find()
+
+
+def test_taylor_reports_no_witness_at_a_jump():
+    rep = taylor(E.parse("abs(x - 0.3)"), 0.0, 0, 1.0)
+    assert rep.witness is None and rep.converged

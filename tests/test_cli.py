@@ -81,10 +81,29 @@ def test_false_check_exits_1(capsys):
     assert "constant: false" in out
 
 
-def test_shape_of_a_tree_without_a_derivative_exits_1(capsys):
+def test_shape_of_abs_names_a_cell_that_disproves_it(capsys):
+    # exited 1 with "cannot differentiate node 'abs'"
     code, out, err = run(capsys, "shape", "--f", "abs(x)", "--a", "-1", "--b", "1",
-                         "--kind", "convex")
-    assert (code, out) == (1, "") and err == "error: cannot differentiate node 'abs'\n"
+                         "--kind", "increasing")
+    assert (code, out, err) == (1, "increasing: false\ncounterexample: [-1.0, -0.96875]\n", "")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["deriv", "--f", "abs(x-0.3)"], 0, "(x - 0.3)/abs(x - 0.3)\n", ""),
+    # f' jumps across the target at the kink: printed 3.333334036291223e-07
+    # and 0.3, with exit 0
+    (["mvt", "--f", "abs(x)", "--a", "-1", "--b", "2"], 1, "", "error: division by zero\n"),
+    (["rolle", "--f", "abs(x-0.3)", "--a", "-0.2", "--b", "0.8"], 1, "",
+     "error: division by zero\n"),
+    # the window's points collapsed onto a few doubles, and the scan
+    # converged on them to 0.8194597047356359
+    (["limit", "--f", "sin(1/(x-1e6))", "--at", "1e6", "--mode", "right"], 1, "",
+     "error: no convergence: stopped at step 25 of 30, where the window fell below the "
+     "double spacing at c = 1000000.0"),
+], ids=["deriv", "mvt", "rolle", "limit"])
+def test_abs_and_a_collapsed_window_in_the_cli(capsys, argv, code, out, err):
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert (got_code, got_out) == (code, out) and got_err.startswith(err)
 
 
 def test_an_open_shape_check_names_the_cell_left_open(capsys):
@@ -660,7 +679,7 @@ def test_a_non_finite_interval_is_a_precondition_error(argv):
     (["darboux", "--f", "1e400*x", "--a", "0", "--b", "1", "--n", "64"],
      "lower nan upper inf\n", ""),
     (["integrate", "--f", "1e308*sin(abs(x))", "--a", "0", "--b", "24", "--tol", "1e306"],
-     "5.758222999589741e+307\n", ""),
+     "5.758165050281276e+307\n", ""),
     (["stepint", "--partition", "[0, 10, 20]", "--values", "[1e308, -1e308]"], "nan\n", ""),
 ], ids=["shape-wide", "shape-signed-zeros", "adt-inf", "taylor-inf", "darboux-inf-minus-inf",
         "integrate-wide-cells", "stepint-inf-minus-inf"])

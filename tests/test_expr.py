@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
-from fcalc.errors import DomainError, NonDifferentiableError, ParseError, PreconditionError
-from helpers import expr_trees, random_smooth_expr
+from fcalc.errors import DomainError, ParseError, PreconditionError
+from helpers import expr_trees, mp_eval, random_smooth_expr
 
 
 def test_parse_examples():
@@ -61,6 +61,8 @@ def test_differentiate_examples():
     d = E.differentiate(E.parse("4.25"), 1)
     assert all(E.evaluate(d, t) == 0.0 for t in (-3.0, 0.0, 11.0))
     assert E.evaluate(E.differentiate(E.parse("exp(x)"), 3), 0.0) == 1.0
+    # the rule for u^0 builds 0^-1, which folding raised on as DomainError
+    assert E.differentiate(E.parse("0^0"), 1) is E.Const(0.0)
 
 
 def test_differentiate_order_zero_is_identity():
@@ -68,11 +70,55 @@ def test_differentiate_order_zero_is_identity():
     assert E.differentiate(e, 0) is e
 
 
-def test_abs_parses_but_does_not_differentiate():
-    e = E.parse("abs(x)")
-    assert E.evaluate(e, -2.0) == 2.0
-    with pytest.raises(NonDifferentiableError, match="abs"):
-        E.differentiate(e, 1)
+def test_abs_differentiates_to_its_sign():
+    e = E.parse("abs(x - 0.3)")
+    d = E.differentiate(e, 1)
+    assert E.to_text(d) == "(x - 0.3)/abs(x - 0.3)"
+    assert (E.evaluate(d, -2.0), E.evaluate(d, 0.5)) == (-1.0, 1.0)
+    with pytest.raises(DomainError):   # no derivative at the kink
+        E.evaluate(d, 0.3)
+    assert E.differentiate(E.parse("abs(2.5)"), 1) is E.Const(0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6),
+       st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 2**-20))
+def test_derivatives_match_mpmath_where_they_evaluate(tree, x):
+    # every tree differentiates, abs included (and abs(tree) puts one in
+    # every example); where e and e' evaluate at x and e' encloses finitely
+    # on [x, x] (so every divisor, abs's included, is proven nonzero
+    # there), the enclosure holds mpmath's derivative
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    for e in (tree, E.func("abs", tree)):
+        d = E.differentiate(e, 1)
+        try:
+            if not (math.isfinite(E.evaluate(e, x)) and math.isfinite(E.evaluate(d, x))):
+                continue
+        except DomainError:
+            continue
+        inf, sup = (float(v[0]) for v in E.enclose(d, np.array([x]), np.array([x])))
+        if not (math.isfinite(inf) and math.isfinite(sup)):
+            continue
+        # the step, 2^-150, lies far inside the distance from x to any kink
+        # or pole of e: at least 2^-20 from one at 0, ~1e-17 from one elsewhere
+        want = mp.diff(lambda t: mp_eval(e, t, mp), mp.mpf(x), h=mp.ldexp(1, -150))
+        slack = 1e-12 * (1 + abs(want))
+        assert inf - slack <= want <= sup + slack
+
+
+@pytest.mark.parametrize("q", [0.3, -1.25, 0.0, 1e-300])
+@pytest.mark.parametrize("left, right", [(0.1, 0.2), (0.0, 1.0), (1e-9, 0.0)])
+def test_the_kink_cell_of_abs_encloses_f2_as_the_real_line(q, left, right):
+    # f'' of abs(x - q) is 0 off the kink and undefined at it: a cell that
+    # holds the kink gets (-inf, inf), so callers fall back to f's own
+    # enclosure there; a cell beside it stays finite
+    f2 = E.differentiate(E.func("abs", E.sub(E.X, E.const(q))), 2)
+    lo, hi = np.array([q - left, q + 0.5]), np.array([q + right, q + 1.0])
+    inf, sup = E.enclose(f2, lo, hi)
+    assert (inf[0], sup[0]) == (-math.inf, math.inf)
+    assert math.isfinite(inf[1]) and math.isfinite(sup[1])
 
 
 def test_structural_equality_and_immutability():
