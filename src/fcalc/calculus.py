@@ -1,21 +1,25 @@
-"""Discretized filter-base limits, numerical differentiation, and the
-mean-value/Taylor witness finders.
+"""Limits and derivatives at a point, and the mean-value/Taylor witness
+finders.
 
-The filter bases behind one- and two-sided limits are discretized to a
-geometric schedule of punctured windows: delta0 * shrink^j for j up to
-`steps`, with a fixed number of samples per window.  Every derivative
-comes from the symbolic expr.differentiate, which covers the whole
-grammar (abs included, undefined only at its kink).
+Every derivative comes from the symbolic expr.differentiate, which covers
+the whole grammar (abs included, undefined only at its kink), at a point
+too: derivative reads f^(n) at c once f, ..., f^(n-1) are defined on one
+closed cell about c, and takes the limit of f^(n) there.  A limit is f(c)
+where f is defined on a closed cell about c, proven by a finite interval
+enclosure (_defined_about); only where it is not are the filter bases
+behind one- and two-sided limits sampled, on a geometric schedule of
+punctured windows with a fixed number of points in each.
 
 Every mean-value witness (Rolle, MVT, eMVT, Taylor and
-integrate.imvt_witness) is a point c where some function h meets a
-value k, and one locator, `_crossing`, finds them all: it evaluates h
+integrate.imvt_witness) is a point c where some tree h meets a value
+k, and one locator, `_crossing`, finds them all: it evaluates h
 once, as an array, at the SCAN interior points of a uniform grid on
 [a, b], and returns the midpoint where h is within tol of k on the whole
 scan, else the first grid point where h = k exactly, else the first
 sign change of h - k polished by `bisect_root` if h is within tol of k
-there (a jump of h is no witness), else None.  Each routine only builds
-its h and k and checks its own contract.
+there (a jump of h is no witness), else None, also where h is undefined
+at a point the search evaluates.  Each routine only builds its h and k
+and checks its own contract.
 
 "For all x in [a, b]" is decided from interval enclosures on the cells
 of interval.refine_cells, never from samples.  Every cell is bounded by
@@ -46,29 +50,17 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import Expr, const, differentiate, enclose, evaluate, evaluate_all, iadd, imul, isub
+from .expr import (Expr, const, differentiate, enclose, evaluate, evaluate_all, iadd, imul, isub,
+                   mul, sub)
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
 
-SAMPLES_PER_STEP = 8   # points in each punctured window of a limit schedule
+WINDOW0 = 1e-2         # first punctured window of the limit scan, halved each step
+WINDOWS = 30           # windows the limit scan tries
+SAMPLES_PER_STEP = 8   # points in each punctured window
+CELLS = 12             # closed cells about c, of radii (1 + |c|)*16^-k for k = 1..CELLS
 SCAN = 512             # interior grid points _crossing scans for every witness
 MAX_DEPTH = 52         # deepest bisection of extreme_point and _holds
-
-
-@dataclass(frozen=True)
-class LimitSchedule:
-    """Shrinking punctured windows standing in for a filter base."""
-
-    mode: str = "two-sided"  # 'left' | 'right' | 'two-sided'
-    delta0: float = 1e-2
-    shrink: float = 0.5
-    steps: int = 30
-
-    def __post_init__(self):
-        if self.mode not in ("left", "right", "two-sided"):
-            raise PreconditionError(f"unknown mode {self.mode!r}")
-        if not (0 < self.shrink < 1) or self.delta0 <= 0:
-            raise PreconditionError("need delta0 > 0 and shrink in (0, 1)")
 
 
 @dataclass
@@ -79,7 +71,6 @@ class LimitReport:
     steps_used: int = 0
     left: Optional[float] = None
     right: Optional[float] = None
-    warning: Optional[str] = None
 
 
 @dataclass
@@ -100,83 +91,100 @@ def _window_offsets(delta: float, mode: str, m: int) -> np.ndarray:
     return offs if mode == "right" else -offs
 
 
-def _scan(fn: Callable[[np.ndarray], np.ndarray], c: float, sched: LimitSchedule,
-          tol: float) -> LimitReport:
-    prev = None
-    est = spread = math.nan
-    left_est = right_est = None
-    why = f"no convergence after {sched.steps} steps"
-    for j in range(sched.steps):
-        delta = sched.delta0 * sched.shrink**j
-        # a sample spacing of at least the ulp of every window point keeps
-        # the points distinct doubles, none of them c
-        if delta / SAMPLES_PER_STEP < math.ulp(abs(c) + delta):
-            why = (f"no convergence: stopped at step {j + 1} of {sched.steps}, where the "
-                   f"window fell below the double spacing at c = {c!r}")
-            break
-        pts = c + _window_offsets(delta, sched.mode, SAMPLES_PER_STEP)
-        below = pts < c
-        with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
-            vals = fn(pts)
-            est = float(np.mean(vals))
-            spread = float(np.max(vals) - np.min(vals))
-            if sched.mode == "two-sided":
-                left_est = float(np.mean(vals[below]))
-                right_est = float(np.mean(vals[~below]))
-        if prev is not None and abs(est - prev) < tol and spread < tol:
-            if sched.mode == "two-sided" and abs(left_est - right_est) >= tol:
-                raise OneSidedDisagreementError(left_est, right_est, tol)
-            return LimitReport(est, spread, True, j + 1, left_est, right_est)
-        prev = est
-    if sched.mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
-        raise OneSidedDisagreementError(left_est, right_est, tol)
-    raise DivergenceError(f"{why} (estimate {est}, spread {spread})")
-
-
 def _require_point(c: float) -> None:
     if not math.isfinite(c):
         raise PreconditionError(f"need a finite point, got {c!r}")
 
 
-def limit(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
-          tol: float = 1e-6) -> LimitReport:
-    """Limit of f along the discretized filter base at c.
+def _defined_about(trees, c: float, mode: str) -> bool:
+    """Is there one closed cell about c on which every tree is defined?
 
-    Converged means successive window estimates differ by less than tol
-    and the last window's spread is below tol; two-sided mode also
-    requires the one-sided estimates to agree within tol.  A non-finite
-    c is a PreconditionError.
+    The cells reach (1 + |c|)*16^-k from c, k = 1..CELLS, on the side or
+    sides that mode picks; each tree is enclosed on all of them in one
+    call.  A finite enclosure means the tree is defined, and finite, on the
+    whole cell, so it is continuous there.
+    """
+    r = (1 + abs(c)) * 16.0 ** -np.arange(1, CELLS + 1)
+    lo = np.full(CELLS, c) if mode == "right" else c - r
+    hi = np.full(CELLS, c) if mode == "left" else c + r
+    ok = np.ones(CELLS, dtype=bool)
+    for tree in trees:
+        inf, sup = enclose(tree, lo, hi)
+        ok &= np.isfinite(inf) & np.isfinite(sup)
+    return bool(ok.any())
+
+
+def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> LimitReport:
+    """Limit of f at c from the left, the right or both sides.
+
+    Where f is defined on a closed cell about c (_defined_about), it is
+    continuous there, so the limit is f(c), exact, with no step taken.
+    Elsewhere the filter base is sampled: punctured windows of WINDOW0
+    halved up to WINDOWS times, SAMPLES_PER_STEP points each, until
+    successive window means differ by less than tol and the last window's
+    spread is below tol; two-sided mode also requires the one-sided means
+    to agree within tol, else OneSidedDisagreementError.  DivergenceError
+    where no window converges, or where the window falls below the double
+    spacing at c.  A non-finite c is a PreconditionError.
     """
     require_tol(tol)
     _require_point(c)
-    return _scan(lambda pts: evaluate(f, pts), c, sched, tol)
+    if mode not in ("left", "right", "two-sided"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if _defined_about((f,), c, mode):
+        return LimitReport(evaluate(f, c), 0.0, True)
+    prev = None
+    est = spread = math.nan
+    left_est = right_est = None
+    why = f"no convergence after {WINDOWS} steps"
+    for j in range(WINDOWS):
+        delta = WINDOW0 * 0.5**j
+        # a sample spacing of at least the ulp of every window point keeps
+        # the points distinct doubles, none of them c
+        if delta / SAMPLES_PER_STEP < math.ulp(abs(c) + delta):
+            why = (f"no convergence: stopped at step {j + 1} of {WINDOWS}, where the "
+                   f"window fell below the double spacing at c = {c!r}")
+            break
+        pts = c + _window_offsets(delta, mode, SAMPLES_PER_STEP)
+        below = pts < c
+        with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
+            vals = evaluate(f, pts)
+            est = float(np.mean(vals))
+            spread = float(np.max(vals) - np.min(vals))
+            if mode == "two-sided":
+                left_est = float(np.mean(vals[below]))
+                right_est = float(np.mean(vals[~below]))
+        if prev is not None and abs(est - prev) < tol and spread < tol:
+            if mode == "two-sided" and abs(left_est - right_est) >= tol:
+                raise OneSidedDisagreementError(left_est, right_est, tol)
+            return LimitReport(est, spread, True, j + 1, left_est, right_est)
+        prev = est
+    if mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
+        raise OneSidedDisagreementError(left_est, right_est, tol)
+    raise DivergenceError(f"{why} (estimate {est}, spread {spread})")
 
 
-def derivative(f: Expr, c: float, sched: LimitSchedule = LimitSchedule(),
-               tol: float = 1e-6) -> LimitReport:
-    """Limit of the difference quotient at c, cross-checked symbolically.
+def derivative(f: Expr, c: float, n: int = 1, tol: float = 1e-6) -> LimitReport:
+    """f^(n)(c), as the limit of the symbolic f^(n) at c.
 
-    A symbolic-vs-numeric mismatch beyond 1e-4 flags ill-conditioning in
-    the report's warning field rather than failing.  A non-finite c is a
-    PreconditionError.
+    Needs f, ..., f^(n-1) defined on one common closed cell about c
+    (_defined_about), else DivergenceError.  Then f^(n-1) is continuous
+    on the cell, and where f^(n) has a limit L at c the mean-value theorem
+    gives f^(n)(c) = L.  So the answer is f^(n)(c) itself where f^(n) is
+    defined about c, and the limit scan's otherwise, as at the kink of
+    abs(x), whose one-sided limits disagree.  n = 0 is f(c), with no
+    limit taken.  A negative n or a non-finite c is a PreconditionError.
     """
     require_tol(tol)
     _require_point(c)
-    fc = evaluate(f, c)
-
-    def quotient(pts: np.ndarray) -> np.ndarray:
-        return (evaluate(f, pts) - fc) / (pts - c)
-
-    report = _scan(quotient, c, sched, tol)
-    try:
-        sym = evaluate(differentiate(f, 1), c)
-    except DomainError:  # f' undefined at c, as abs(x) at 0
-        sym = None
-    if sym is not None and abs(report.estimate - sym) > 1e-4 * (1 + abs(sym)):
-        report.warning = (
-            f"numeric estimate {report.estimate} vs symbolic {sym}: ill-conditioned"
-        )
-    return report
+    if n < 0:
+        raise PreconditionError("derivative order must be nonnegative")
+    if n == 0:
+        return LimitReport(evaluate(f, c), 0.0, True)
+    if not _defined_about([differentiate(f, k) for k in range(n)], c, "two-sided"):
+        which = "f" if n == 1 else f"f or a derivative of order below {n}"
+        raise DivergenceError(f"{which} is undefined or overflows on every cell about c = {c!r}")
+    return limit(differentiate(f, n), c, tol=tol)
 
 
 def _cell_bounds(g: Expr, dg: Expr, lo: np.ndarray,
@@ -291,34 +299,37 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
                             f"derivative is enclosed in [{left[2]!r}, {left[3]!r}]")
 
 
-def _crossing(fn: Callable, a: float, b: float, k: float, tol: float) -> Optional[float]:
-    """Point c in (a, b) where fn(c) = k, the one witness search.
+def _crossing(h: Expr, a: float, b: float, k: float, tol: float) -> Optional[float]:
+    """Point c in (a, b) where h(c) = k, the one witness search.
 
-    fn is evaluated once, as an array, at the SCAN interior points of a
-    uniform grid on [a, b].  Returns the midpoint where |fn - k| <= tol at
-    every grid point; else the first grid point where fn = k exactly;
-    else the first sign change of fn - k, polished by bisect_root to
-    max(1e-13, (b - a)*1e-13), if |fn - k| <= tol there, so a jump of fn
-    across k (f' of abs at its kink) is no witness; else None.  Needs
-    a < b.
+    h is evaluated once, as an array, at the SCAN interior points of a
+    uniform grid on [a, b].  Returns the midpoint where |h - k| <= tol at
+    every grid point; else the first grid point where h = k exactly;
+    else the first sign change of h - k, polished by bisect_root to
+    max(1e-13, (b - a)*1e-13), if |h - k| <= tol there, so a jump of h
+    across k (f' of abs at its kink) is no witness; else None, also where
+    h is undefined at a point of the scan or of the polish.  Needs a < b.
     """
     if not a < b:
         raise PreconditionError("need a < b")
     xs = np.linspace(a, b, SCAN + 2)[1:-1]
-    with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
-        resid = fn(xs) - k
-    if np.all(np.abs(resid) <= tol):
-        return a + (b - a) / 2
-    hit = np.flatnonzero(resid == 0.0)
-    if hit.size:
-        return float(xs[hit[0]])
-    signs = np.sign(resid)
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if not flips.size:
+    try:
+        with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
+            resid = evaluate(h, xs) - k
+        if np.all(np.abs(resid) <= tol):
+            return a + (b - a) / 2
+        hit = np.flatnonzero(resid == 0.0)
+        if hit.size:
+            return float(xs[hit[0]])
+        signs = np.sign(resid)
+        flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        if not flips.size:
+            return None
+        i = int(flips[0])
+        found = bisect_root(h, float(xs[i]), float(xs[i + 1]), k,
+                            tol=max(1e-13, (b - a) * 1e-13))
+    except DomainError:
         return None
-    i = int(flips[0])
-    found = bisect_root(fn, float(xs[i]), float(xs[i + 1]), k,
-                        tol=max(1e-13, (b - a) * 1e-13))
     return found.root if abs(found.residual) <= tol else None
 
 
@@ -336,7 +347,7 @@ def rolle_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
     if abs(fa - fb) > tol * max(1.0, abs(fa)):
         raise PreconditionError(f"endpoint values differ: f({a})={fa}, f({b})={fb}")
     df = differentiate(f, 1)
-    c = _crossing(lambda t: evaluate(df, t), a, b, 0.0, tol)
+    c = _crossing(df, a, b, 0.0, tol)
     if c is None:
         raise DivergenceError("no interior critical point located")
     return c
@@ -354,7 +365,7 @@ def mvt_witness(f: Expr, a: float, b: float, tol: float = 1e-8) -> float:
         raise PreconditionError("need a < b")
     slope = (evaluate(f, b) - evaluate(f, a)) / (b - a)
     df = differentiate(f, 1)
-    c = _crossing(lambda t: evaluate(df, t), a, b, slope, tol)
+    c = _crossing(df, a, b, slope, tol)
     if c is None:
         raise DivergenceError(f"f' does not meet the secant slope {slope!r} on the scan")
     return c
@@ -372,15 +383,14 @@ def emvt_witness(f: Expr, g: Expr, a: float, b: float, tol: float = 1e-8) -> flo
     require_tol(tol)
     require_finite(a, b)
     df, dg = differentiate(f, 1), differentiate(g, 1)
-    c = _crossing(lambda t: evaluate(dg, t), a, b, 0.0, tol)
+    c = _crossing(dg, a, b, 0.0, tol)
     if c is not None:
         raise PreconditionError(f"g' vanishes at x = {c!r} inside (a, b)")
     ga, gb = evaluate(g, a), evaluate(g, b)
     if gb == ga:
         raise PreconditionError("g(b) = g(a) contradicts a nonvanishing g'")
     fa, fb = evaluate(f, a), evaluate(f, b)
-    c = _crossing(lambda t: (gb - ga) * evaluate(df, t) - (fb - fa) * evaluate(dg, t),
-                  a, b, 0.0, tol)
+    c = _crossing(sub(mul(const(gb - ga), df), mul(const(fb - fa), dg)), a, b, 0.0, tol)
     if c is None:
         raise DivergenceError("no interior critical point located")
     resid = abs(evaluate(df, c) / evaluate(dg, c) - (fb - fa) / (gb - ga))
@@ -420,7 +430,7 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     fx = evaluate(f, x)
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
     top = derivs[n + 1]
-    witness = _crossing(lambda t: evaluate(top, t), a, x, rho, tol)
+    witness = _crossing(top, a, x, rho, tol)
     if witness is not None:
         remainder = evaluate(top, witness) / math.factorial(n + 1) * h ** (n + 1)
     else:

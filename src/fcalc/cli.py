@@ -136,22 +136,15 @@ def _h_deriv(args, cfg):
     if args.at is None:
         text = expr.to_text(expr.differentiate(f, args.order))
         return text, {}, 0, [text]
-    if args.order != 1:
-        value = expr.evaluate(expr.differentiate(f, args.order), args.at)
-        return value, {"order": args.order}, 0, [_fmt(value)]
-    from . import calculus  # numeric, and numpy-backed: only with --at at order 1
-    rep = calculus.derivative(f, args.at, tol=max(cfg.tol, 1e-10))
-    diag = dataclasses.asdict(rep)
-    return rep.estimate, diag, 0, [_fmt(rep.estimate)]
+    from . import calculus  # numpy-backed: only with --at
+    rep = calculus.derivative(f, args.at, args.order, tol=max(cfg.tol, 1e-10))
+    return rep.estimate, dataclasses.asdict(rep), 0, [_fmt(rep.estimate)]
 
 
 def _h_limit(args, cfg):
     from . import calculus, expr
-    f = expr.parse(args.f)
-    sched = calculus.LimitSchedule(mode=args.mode)
-    rep = calculus.limit(f, args.at, sched, tol=max(cfg.tol, 1e-10))
-    diag = dataclasses.asdict(rep)
-    return rep.estimate, diag, 0, [_fmt(rep.estimate)]
+    rep = calculus.limit(expr.parse(args.f), args.at, args.mode, tol=max(cfg.tol, 1e-10))
+    return rep.estimate, dataclasses.asdict(rep), 0, [_fmt(rep.estimate)]
 
 
 def _h_sup(args, cfg):
@@ -559,10 +552,11 @@ COMMANDS: Dict[str, Command] = {
     "eval": Command(_h_eval, "evaluate an expression at a point", "expr.evaluate",
                     {"f": REQ, "x": REQ}),
     "deriv": Command(
-        _h_deriv, "symbolic or numeric derivative (--tol defaults to 1e-6 with --at)",
-        "expr.differentiate calculus.derivative",
-        {"f": REQ, "order": 1, "at": {"default": None, "help": "point for a numeric first "
-                                      "derivative, a limit to within --tol"}}, tol=1e-6),
+        _h_deriv, "symbolic derivative, or its value at a point (--tol defaults to 1e-6 "
+        "with --at)", "expr.differentiate calculus.derivative",
+        {"f": REQ, "order": 1, "at": {"default": None, "help": "point at which to evaluate the "
+                                      "symbolic derivative; --tol bounds the limit taken "
+                                      "where it is undefined about the point"}}, tol=1e-6),
     "limit": Command(_h_limit, "filter-base limit at a point", "calculus.limit",
                      {"f": REQ, "at": REQ, "mode": _one_of("left right two-sided", "two-sided")}),
     "sup": Command(_h_sup, "supremum of a predicate set by bisection",

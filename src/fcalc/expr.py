@@ -736,11 +736,17 @@ _CHAIN = {  # d/dx of name(u), from u and du
 
 
 def _rule(e: Expr) -> Expr:
-    """d/dx of e, from the derivatives cached on its children."""
-    if isinstance(e, Const):
-        return Const(0.0)
+    """d/dx of e, from the derivatives cached on its children.
+
+    A node whose children all differentiate to the constant 0, as every
+    subtree free of x does, differentiates to 0 before any rule multiplies
+    its constants, which may have overflowed (d/dx of 1e-300^-2 would be
+    -2*inf*0 = nan).
+    """
     if isinstance(e, Var):
         return Const(1.0)
+    if all(type(kid._deriv) is Const and kid._deriv.value == 0.0 for kid in e._kids):
+        return Const(0.0)
     if isinstance(e, Neg):
         return neg(e.arg._deriv)
     if isinstance(e, Add):

@@ -296,7 +296,7 @@ def imvt_witness(f: Expr, a: float, b: float, tol: float = 1e-6) -> float:
     if not a < b:
         raise PreconditionError("need a < b")
     mean = riemann_integral(f, a, b, tol).value / (b - a)
-    xi = _crossing(lambda t: evaluate(f, t), a, b, mean, tol / (b - a))
+    xi = _crossing(f, a, b, mean, tol / (b - a))
     if xi is None:
         raise DivergenceError(f"f does not meet its mean {mean!r} on the scan")
     return xi

@@ -39,8 +39,9 @@ def random_partition(rng, a=0.0, b=1.0, max_interior=8):
     return tuple(nodes)
 
 
-def expr_trees(consts, max_leaves):
-    """Hypothesis strategy for arbitrary trees over x and the given constants."""
+def expr_trees(consts, max_leaves, var=True):
+    """Hypothesis strategy for arbitrary trees over x (unless var is false)
+    and the given constants."""
     def node(children):
         return st.one_of(
             st.builds(E.Neg, children),
@@ -49,7 +50,9 @@ def expr_trees(consts, max_leaves):
             st.builds(E.Func, st.sampled_from(E.FUNCTIONS), children),
         )
 
-    leaves = st.one_of(st.just(E.Var()), st.sampled_from(consts).map(E.Const))
+    leaves = st.sampled_from(consts).map(E.Const)
+    if var:
+        leaves = st.one_of(st.just(E.Var()), leaves)
     return st.recursive(leaves, node, max_leaves=max_leaves)
 
 
@@ -70,6 +73,14 @@ def mp_eval(e, x, mp):
         return fn(mp_eval(e.arg, x, mp))
     u, v = mp_eval(e.left, x, mp), mp_eval(e.right, x, mp)
     return {E.Add: mp.fadd, E.Sub: mp.fsub, E.Mul: mp.fmul, E.Div: mp.fdiv}[t](u, v)
+
+
+def mp_diff(e, c, n):
+    """n-th derivative of a tree at c: mpmath's diff of mp_eval, at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return mp.diff(lambda t: mp_eval(e, t, mp), mp.mpf(c), n)
 
 
 def validate_lebesgue(cover, delta, pairs=10**4, seed=0):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.calculus import (
-    LimitSchedule,
     derivative,
     emvt_witness,
     extreme_point,
@@ -28,7 +27,7 @@ from fcalc.errors import (
     PreconditionError,
 )
 from fcalc.suprema import bisect_root
-from helpers import expr_trees, mp_eval, random_smooth_expr
+from helpers import expr_trees, mp_diff, mp_eval, random_smooth_expr
 
 
 def test_limit_examples():
@@ -44,8 +43,8 @@ def test_limit_examples():
 
 def test_limit_one_sided_modes():
     f = E.parse("abs(x)/x")
-    assert abs(limit(f, 0.0, LimitSchedule(mode="left")).estimate + 1.0) <= 1e-9
-    assert abs(limit(f, 0.0, LimitSchedule(mode="right")).estimate - 1.0) <= 1e-9
+    assert abs(limit(f, 0.0, "left").estimate + 1.0) <= 1e-9
+    assert abs(limit(f, 0.0, "right").estimate - 1.0) <= 1e-9
 
 
 def test_limit_report_invariant():
@@ -68,34 +67,26 @@ def test_limit_divergence_error():
 def test_limit_names_the_step_where_the_window_rounds_onto_c(c, mode, step, side):
     # a NaN f never converges, so the scan runs until its window falls below the spacing at c
     with pytest.raises(DivergenceError) as err:
-        limit(E.parse("1e400*x - 1e400*x"), c, LimitSchedule(mode=mode))
+        limit(E.parse("1e400*x - 1e400*x"), c, mode)
     assert str(err.value) == (
         f"no convergence: stopped at step {step} of 30, where {side} fell below the "
         f"double spacing at c = {c!r} (estimate nan, spread nan)")
 
 
-def test_derivative_flags_ill_conditioning():
-    # a coarse schedule converges on a biased cubic quotient at 0, far
-    # from the symbolic derivative, which the report must flag
-    sched = LimitSchedule(delta0=1.0, shrink=0.5, steps=6)
-    rep = derivative(E.parse("x^3"), 0.0, sched, tol=0.2)
-    assert rep.warning is not None and "ill-conditioned" in rep.warning
-
-
 def test_limit_algebra_numerically():
     rng = np.random.default_rng(31)
-    sched = LimitSchedule()
     for _ in range(50):
         f = random_smooth_expr(rng)
         g = random_smooth_expr(rng)
         c = float(rng.uniform(-1, 1))
         k = float(rng.uniform(-2, 2))
-        lf = limit(f, c, sched, 1e-7).estimate
-        lg = limit(g, c, sched, 1e-7).estimate
+        lf = limit(f, c, tol=1e-7).estimate
+        lg = limit(g, c, tol=1e-7).estimate
         tol = 1e-6
-        assert abs(limit(E.add(f, g), c, sched, 1e-7).estimate - (lf + lg)) <= tol * (1 + abs(lf + lg))
-        assert abs(limit(E.mul(E.const(k), f), c, sched, 1e-7).estimate - k * lf) <= tol * (1 + abs(k * lf))
-        assert abs(limit(E.mul(f, g), c, sched, 1e-7).estimate - lf * lg) <= 2e-6 * (1 + abs(lf * lg))
+        assert abs(limit(E.add(f, g), c, tol=1e-7).estimate - (lf + lg)) <= tol * (1 + abs(lf + lg))
+        assert (abs(limit(E.mul(E.const(k), f), c, tol=1e-7).estimate - k * lf)
+                <= tol * (1 + abs(k * lf)))
+        assert abs(limit(E.mul(f, g), c, tol=1e-7).estimate - lf * lg) <= 2e-6 * (1 + abs(lf * lg))
 
 
 def test_derivative_examples():
@@ -111,8 +102,65 @@ def test_derivative_matches_symbolic_on_smooth_exprs():
         c = float(rng.uniform(-1, 1))
         sym = E.evaluate(E.differentiate(f, 1), c)
         rep = derivative(f, c, tol=1e-6)
-        assert rep.warning is None
-        assert abs(rep.estimate - sym) <= 1e-6 * (1 + abs(sym))
+        assert (rep.estimate, rep.steps_used) == (sym, 0)
+
+
+@pytest.mark.parametrize("f, c, n, want", [
+    # the difference quotient converged to 0.9999999999884568 on the wiggle
+    ("x + 1e-13*sin(x*1e13)", 0.0, 1, 2.0),
+    ("x + 1/1e-300^-2", 1.0, 1, 1.0),   # the constant's derivative folds to 0, not nan
+    ("x^3", 2.0, 7, 0.0),
+    ("exp(x)", 0.0, 3, 1.0),
+    ("sin(x)", 1.0, 0, math.sin(1.0)),
+])
+def test_derivative_reads_the_symbolic_derivative_where_it_is_defined(f, c, n, want):
+    rep = derivative(E.parse(f), c, n)
+    assert (rep.estimate, rep.spread, rep.converged, rep.steps_used) == (want, 0.0, True, 0)
+
+
+def test_limit_of_a_function_defined_about_c_is_its_value():
+    # a bump 1e-12 wide: every window of the scan missed it and gave 1.0
+    rep = limit(E.parse("1 + exp(0-(x*1e12)^2)"), 0.0)
+    assert (rep.estimate, rep.steps_used) == (2.0, 0)
+    # defined on the right of 0 only: exact from the right, sampled from the left
+    assert limit(E.parse("sqrt(x)"), 0.0, "right").steps_used == 0
+    with pytest.raises(DomainError):
+        limit(E.parse("sqrt(x)"), 0.0, "left")
+
+
+def test_derivative_checks_its_premise_and_falls_back_to_the_limit():
+    # f = sqrt(x)^0 is undefined about -1, though its symbolic f'' folds to 0
+    with pytest.raises(DivergenceError, match="about c = -1.0"):
+        derivative(E.parse("sqrt(x)^0"), -1.0, 2)
+    with pytest.raises(DivergenceError):
+        derivative(E.parse("sin(x)/x"), 0.0)
+    with pytest.raises(DomainError):       # order 0 is f(c), with no limit
+        derivative(E.parse("sin(x)/x"), 0.0, 0)
+    with pytest.raises(PreconditionError):
+        derivative(E.parse("x"), 0.0, -1)
+    # f' = x/abs(x) is undefined at the kink, so its limit is sampled
+    with pytest.raises(OneSidedDisagreementError):
+        derivative(E.parse("abs(x)"), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6),
+       st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0)),
+       st.sampled_from([1, 2]))
+def test_an_exact_derivative_agrees_with_mpmath(f, c, n):
+    try:
+        rep = derivative(f, c, n)
+    except MathError:
+        return
+    if rep.steps_used:
+        return
+    want = float(mp_diff(f, c, n))
+    # beyond 1e-9 relative, the rounding of the float evaluation, bounded by
+    # the width of f^(n)'s enclosure on [c, c] ((x^-1)^-1 has f'' = 2.2e-16
+    # at 1.625), and mpmath's own error where f^(n) is 0 (1e-88 for x^3 at 0)
+    inf, sup = E.enclose(E.differentiate(f, n), np.array([c]), np.array([c]))
+    slack = float(sup[0] - inf[0]) + 1e-30
+    assert abs(rep.estimate - want) <= 1e-9 * abs(want) + slack, (E.to_text(f), c, n)
 
 
 def test_extreme_point_examples():
@@ -535,18 +583,31 @@ def test_rolle_differentiates_abs_symbolically():
 
 
 @pytest.mark.parametrize("find, error", [
-    (lambda: rolle_witness(E.parse("abs(x - 0.3)"), -0.2, 0.8), DomainError),
     (lambda: rolle_witness(E.parse("abs(x - 0.3) + 0.5*(x - 0.3)"), -0.6, 0.6),
      DivergenceError),
-    (lambda: mvt_witness(E.parse("abs(x)"), -1.0, 2.0), DomainError),
     (lambda: mvt_witness(E.parse("abs(x - 0.1)"), -1.0, 2.0), DivergenceError),
 ])
 def test_a_jump_of_the_derivative_is_no_witness(find, error):
-    # f' only jumps across the target, at the kink, where a scan or
-    # bisection point that lands on it exactly is a DomainError; the
-    # central difference returned the kink or a point next to it
+    # f' only jumps across the target, at the kink; the central difference
+    # returned the kink or a point next to it
     with pytest.raises(error):
         find()
+
+
+@pytest.mark.parametrize("find, message", [
+    # the bisection lands on the kink at 0.3
+    (lambda: rolle_witness(E.parse("abs(x - 0.3)"), -0.2, 0.8),
+     "no interior critical point located"),
+    # a grid point lands on the kink at 0
+    (lambda: mvt_witness(E.parse("abs(x)"), -1.0, 2.0),
+     "f' does not meet the secant slope 0.3333333333333333 on the scan"),
+], ids=["rolle-bisection", "mvt-scan"])
+def test_a_kink_hit_by_the_witness_search_is_no_witness(find, message):
+    # f' = u/abs(u) is undefined at the kink: a DomainError ("division by
+    # zero") escaped where the search means that no witness was found
+    with pytest.raises(DivergenceError) as err:
+        find()
+    assert str(err.value) == message
 
 
 def test_taylor_reports_no_witness_at_a_jump():

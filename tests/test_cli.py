@@ -91,10 +91,11 @@ def test_shape_of_abs_names_a_cell_that_disproves_it(capsys):
 @pytest.mark.parametrize("argv, code, out, err", [
     (["deriv", "--f", "abs(x-0.3)"], 0, "(x - 0.3)/abs(x - 0.3)\n", ""),
     # f' jumps across the target at the kink: printed 3.333334036291223e-07
-    # and 0.3, with exit 0
-    (["mvt", "--f", "abs(x)", "--a", "-1", "--b", "2"], 1, "", "error: division by zero\n"),
+    # and 0.3, with exit 0, then "division by zero" where the search hit it
+    (["mvt", "--f", "abs(x)", "--a", "-1", "--b", "2"], 1, "",
+     "error: f' does not meet the secant slope 0.3333333333333333 on the scan\n"),
     (["rolle", "--f", "abs(x-0.3)", "--a", "-0.2", "--b", "0.8"], 1, "",
-     "error: division by zero\n"),
+     "error: no interior critical point located\n"),
     # the window's points collapsed onto a few doubles, and the scan
     # converged on them to 0.8194597047356359
     (["limit", "--f", "sin(1/(x-1e6))", "--at", "1e6", "--mode", "right"], 1, "",
@@ -390,6 +391,34 @@ def test_malformed_json_arguments_are_parse_errors(capsys, argv):
     assert code == 2 and payload["result"] is None and "error" in payload["diagnostics"]
 
 
+@pytest.mark.parametrize("argv, out", [
+    # the difference quotient converged to 0.9999999999884568
+    (["deriv", "--f", "x + 1e-13*sin(x*1e13)", "--at", "0", "--tol", "1e-6"], "2.0\n"),
+    # every window of the scan missed the bump and gave 1.0
+    (["limit", "--f", "1 + exp(0-(x*1e12)^2)", "--at", "0"], "2.0\n"),
+    # printed nan/(1e-300^-2)^2, and the scan found no convergence at 1
+    (["deriv", "--f", "1/1e-300^-2"], "0.0\n"),
+    (["deriv", "--f", "x + 1/1e-300^-2", "--at", "1"], "1.0\n"),
+    # 2^47: c + 0.01 rounds to c, so the scan stopped before its first window
+    (["limit", "--f", "x", "--at", "140737488355328"], "140737488355328.0\n"),
+    (["deriv", "--f", "x^3", "--order", "7", "--at", "1"], "0.0\n"),
+], ids=["wiggle", "bump", "constant", "constant-at", "limit-2^47", "order-7"])
+def test_derivatives_and_limits_come_from_the_symbolic_tree(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["deriv", "--f", "abs(x)", "--at", "0"], "error: one-sided limits disagree"),
+    (["deriv", "--f", "sin(x)/x", "--order", "0", "--at", "0"], "error: division by zero\n"),
+    (["deriv", "--f", "sqrt(x)^0", "--order", "2", "--at", "-1"],
+     "error: f or a derivative of order below 2 is undefined or overflows on every cell "
+     "about c = -1.0\n"),
+], ids=["kink", "order-0", "premise"])
+def test_deriv_at_a_point_fails_where_no_derivative_is_proven(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    assert (code, out) == (1, "") and got.startswith(err)
+
+
 def test_deriv_at_a_point_defaults_to_the_derivative_tolerance(capsys):
     import math
 
@@ -501,7 +530,8 @@ _JSON = st.sampled_from(["[0, 0.5, 1]", "[-1, 0, 1]", "[1, 0]", "[0]", "[]", "{}
 def _argv(draw):
     cmd = draw(st.sampled_from(["integrate", "darboux", "riemann", "imvt", "ftc2", "sup",
                                 "cut", "root", "parse", "eval", "modulus", "stepapprox",
-                                "adt", "polycheck", "shape", "extremum", "taylor"]))
+                                "adt", "polycheck", "shape", "extremum", "taylor", "deriv",
+                                "limit"]))
     f, a, b = draw(_EXPRS), draw(_ENDS), draw(_ENDS)
     if cmd in ("integrate", "imvt", "ftc2"):
         argv = [cmd, "--F" if cmd == "ftc2" else "--f", f, "--a", a, "--b", b]
@@ -538,6 +568,11 @@ def _argv(draw):
         argv += {"polycheck": ["--n", draw(st.sampled_from(["0", "2", "-1"]))],
                  "shape": ["--kind", draw(st.sampled_from(["convex", "increasing", "constant"]))],
                  "extremum": []}[cmd]
+    elif cmd == "deriv":   # at the ends, poles, kinks and domain edges meet 0 and +-1e-300
+        argv = [cmd, "--f", f, "--at", a, "--order", draw(st.sampled_from(["0", "1", "2", "7"]))]
+    elif cmd == "limit":
+        argv = [cmd, "--f", f, "--at", a, "--mode",
+                draw(st.sampled_from(["left", "right", "two-sided"]))]
     elif cmd == "taylor":
         argv = [cmd, "--f", f, "--n", draw(st.sampled_from(["0", "2", "-1"])),
                 "--at", draw(_ANY), "--x", draw(_ANY)]
@@ -606,7 +641,7 @@ def test_cli_contract_holds_for_generated_argv(argv):
     (["limit", "--f", "exp(1000*x)", "--at", "1"], None),
     (["deriv", "--f", "exp(1000*x)", "--at", "1"], None),
     (["limit", "--f", "1e400*x", "--at", "0"], None),
-    (["limit", "--f", "x", "--at", "140737488355328"], None),   # 2^47: c + 0.01 rounds to c
+    (["deriv", "--f", "sqrt(x)^0", "--order", "2", "--at", "-1"], None),  # printed 0.0
     (["seq", "--op", "cauchy-limit", "--s", "n", "--box", "1", "1", "--budget", "0"],
      "error: budget must be at least 1\n"),
 ])

@@ -80,6 +80,21 @@ def test_abs_differentiates_to_its_sign():
     assert E.differentiate(E.parse("abs(2.5)"), 1) is E.Const(0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5, 1e-300, 1e300, -0.0), max_leaves=8, var=False))
+def test_every_tree_without_x_differentiates_to_the_constant_0(tree):
+    # the product and chain rules multiplied overflowed constants: d/dx of
+    # 1/1e-300^-2 was nan/(1e-300^-2)^2
+    assert E.differentiate(tree, 1) is E.Const(0.0)
+    assert E.differentiate(E.add(E.X, tree), 2) is E.Const(0.0)
+
+
+def test_a_constant_subtree_differentiates_to_0_before_its_constants_multiply():
+    assert E.to_text(E.differentiate(E.parse("1/1e-300^-2"), 1)) == "0.0"
+    assert E.to_text(E.differentiate(E.parse("x + 1/1e-300^-2"), 1)) == "1.0"
+    assert E.to_text(E.differentiate(E.parse("x*1e-300^-2"), 1)) == "1e-300^-2"
+
+
 @settings(max_examples=300, deadline=None)
 @given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6),
        st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 2**-20))
