@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -63,8 +62,7 @@ SCAN = 512             # interior grid points _crossing scans for every witness
 MAX_DEPTH = 52         # deepest bisection of extreme_point and _holds
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     estimate: float
     spread: float
     converged: bool
@@ -73,8 +71,7 @@ class LimitReport:
     right: Optional[float] = None
 
 
-@dataclass
-class TaylorReport:
+class TaylorReport(NamedTuple):
     value: float
     rho: float
     witness: Optional[float]
@@ -125,7 +122,10 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
     spread is below tol; two-sided mode also requires the one-sided means
     to agree within tol, else OneSidedDisagreementError.  DivergenceError
     where no window converges, or where the window falls below the double
-    spacing at c.  A non-finite c is a PreconditionError.
+    spacing at c.  Where f is undefined at a point of a window, one-sided
+    mode raises the DomainError; two-sided mode tries the next, smaller
+    window, and where f is undefined in the last one, its DivergenceError
+    names the side of c.  A non-finite c is a PreconditionError.
     """
     require_tol(tol)
     _require_point(c)
@@ -135,7 +135,7 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
         return LimitReport(evaluate(f, c), 0.0, True)
     prev = None
     est = spread = math.nan
-    left_est = right_est = None
+    left_est = right_est = undefined = None
     why = f"no convergence after {WINDOWS} steps"
     for j in range(WINDOWS):
         delta = WINDOW0 * 0.5**j
@@ -148,7 +148,14 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
         pts = c + _window_offsets(delta, mode, SAMPLES_PER_STEP)
         below = pts < c
         with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
-            vals = evaluate(f, pts)
+            try:
+                vals = evaluate(f, pts)
+            except DomainError as e:
+                if mode != "two-sided":
+                    raise
+                undefined, prev = (pts[below], delta, e), None
+                continue
+            undefined = None
             est = float(np.mean(vals))
             spread = float(np.max(vals) - np.min(vals))
             if mode == "two-sided":
@@ -159,6 +166,15 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
                 raise OneSidedDisagreementError(left_est, right_est, tol)
             return LimitReport(est, spread, True, j + 1, left_est, right_est)
         prev = est
+    if undefined is not None:
+        left, delta, e = undefined
+        try:
+            evaluate(f, left)
+            side = "right"
+        except DomainError:
+            side = "left"
+        raise DivergenceError(f"no two-sided limit: f is undefined {side} of c = {c!r}, "
+                              f"within {delta!r} of it ({e})")
     if mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
         raise OneSidedDisagreementError(left_est, right_est, tol)
     raise DivergenceError(f"{why} (estimate {est}, spread {spread})")

@@ -8,32 +8,34 @@ unparseable input.  With --output json a single strict-JSON object with
 exit-1 error object, and a usage error an exit-2 one); identical argv
 and seed give byte-identical output.
 
-Start-up pays only for the subcommand that runs: this module imports
-the standard library and `errors` alone, so the parser, --help and
-usage errors load no library module, and each handler imports its
-modules when it runs.  `expr` imports numpy only for an array or
-interval call and `suprema` never does, so parse, eval, deriv (without
---at), sup, cut, root, affine, graph, seq --op limit and ival --op
-bisect run without it.  Run as a program, fc starts numpy's OpenBLAS
-with one thread unless OPENBLAS_NUM_THREADS is set (see main).
+Start-up pays only for the subcommand that runs.  main builds the
+parser with the one subparser that argv names (the whole table for
+--help, no command, or a token before the command that is not a global
+flag).  This module imports the standard library and `errors` alone,
+and json only where it reads or writes JSON, so the parser, --help and
+usage errors load no library module; each handler imports its modules
+when it runs, and their value classes are plain classes and named
+tuples, which cost little to define.  `expr` imports numpy only for an
+array or interval call, and `suprema` and `stepfn`'s algebra never do,
+so parse, eval, deriv (without --at), sup, cut, root, affine, graph,
+stepint, seq --op limit and ival --op bisect run without it.  Run as a
+program, fc starts numpy's OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is set (see main).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional
 
 from .errors import MathError, ParseError
 
-@dataclass
-class Config:
+
+class Config(NamedTuple):
     tol: float = 1e-9
     seed: int = 0
     output: str = "text"
@@ -72,6 +74,7 @@ def _json_arg(text: str, shape):
     whose items have shape s) or a dict (an object with exactly its
     keys).  Lists come back as tuples.
     """
+    import json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -138,13 +141,13 @@ def _h_deriv(args, cfg):
         return text, {}, 0, [text]
     from . import calculus  # numpy-backed: only with --at
     rep = calculus.derivative(f, args.at, args.order, tol=max(cfg.tol, 1e-10))
-    return rep.estimate, dataclasses.asdict(rep), 0, [_fmt(rep.estimate)]
+    return rep.estimate, rep._asdict(), 0, [_fmt(rep.estimate)]
 
 
 def _h_limit(args, cfg):
     from . import calculus, expr
     rep = calculus.limit(expr.parse(args.f), args.at, args.mode, tol=max(cfg.tol, 1e-10))
-    return rep.estimate, dataclasses.asdict(rep), 0, [_fmt(rep.estimate)]
+    return rep.estimate, rep._asdict(), 0, [_fmt(rep.estimate)]
 
 
 def _h_sup(args, cfg):
@@ -202,7 +205,7 @@ def _h_taylor(args, cfg):
     from . import calculus, expr
     f = expr.parse(args.f)
     rep = calculus.taylor(f, args.at, args.n, args.x, max(cfg.tol, 1e-12))
-    diag = dataclasses.asdict(rep)
+    diag = rep._asdict()
     lines = [f"value {_fmt(rep.value)} rho {_fmt(rep.rho)} witness "
              f"{_fmt(rep.witness) if rep.witness is not None else 'none'} "
              f"remainder {_fmt(rep.remainder)}"]
@@ -641,34 +644,57 @@ OP_REGISTRY: Dict[str, str] = {op: name for name, command in COMMANDS.items()
                                for op in command.ops.split()}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the flags every subcommand takes, each with one value
+_GLOBAL_FLAGS = {
+    "--tol": {"type": float,
+              "help": "default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)"},
+    "--seed": {"type": int, "help": "seed of riemann --choice random (0; FC_SEED overrides)"},
+    "--output": {"choices": ("text", "json")},
+    "--max-iter": {"type": int, "help": "iteration cap of sup, cut, root (2099 halvings), seq "
+                                        "--op limit and ival --op shrink (10^6)"},
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The fc parser with the subcommands in names, all of them by default.
+    A parser with fewer still names every subcommand in its usage line."""
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed of riemann --choice random (0; FC_SEED overrides)")
-    common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--max-iter", type=int, default=argparse.SUPPRESS,
-                        help="iteration cap of sup, cut, root (2099 halvings), seq --op "
-                             "limit and ival --op shrink (10^6)")
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
     top = _Parser(prog="fc", parents=[common], description="constructive real-analysis toolkit")
-    subs = top.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = subs.add_parser(name, parents=[common], help=command.help)
-        for flag, spec in command.flags.items():
+    every = None if names is COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    subs = top.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        p = subs.add_parser(name, parents=[common], help=COMMANDS[name].help)
+        for flag, spec in COMMANDS[name].flags.items():
             p.add_argument("--" + flag, **_flag_kwargs(flag, spec))
 
-    gsubs = subs.choices["graph"].add_subparsers(dest="gcmd", required=True)
-    path = gsubs.add_parser("path", parents=[common])
-    path.add_argument("src")
-    path.add_argument("dst")
-    gsubs.add_parser("scc", parents=[common])
-    gsubs.add_parser("dot", parents=[common])
+    if "graph" in names:
+        gsubs = subs.choices["graph"].add_subparsers(dest="gcmd", required=True)
+        path = gsubs.add_parser("path", parents=[common])
+        path.add_argument("src")
+        path.add_argument("dst")
+        gsubs.add_parser("scc", parents=[common])
+        gsubs.add_parser("dot", parents=[common])
     return top
 
 
+def _command_word(argv) -> Optional[str]:
+    """The first token of argv that is neither a global flag nor its value;
+    None where that token is another flag (--help, say) or there is none."""
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, _ = token.partition("=")
+        if flag not in _GLOBAL_FLAGS:
+            return None if token.startswith("-") else token
+        if not eq:
+            next(tokens, None)  # the flag's value
+    return None
+
+
 def _json(payload) -> str:
+    import json
     try:
         return json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -693,7 +719,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     else:
         argv = list(argv)
-    parser = build_parser()
+    word = _command_word(argv)
+    parser = build_parser((word,) if word in COMMANDS else COMMANDS)  # one subparser if it can
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]

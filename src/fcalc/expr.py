@@ -26,7 +26,7 @@ Evaluation value-numbers a tree once into a backend-neutral
 straight-line program of op names, and binds that program once per
 backend (``math`` floats, numpy arrays, and pairs of numpy arrays for
 interval enclosures) to the backend's op table; both are cached on the
-root node outside the dataclass fields, so equality, hashing, printing
+root node outside its fields, so equality, hashing, printing
 and pickling never see them.  Value numbering gives each node one slot,
 and an instruction is keyed by its op and its operands' slots, so a+b and
 b+a share one.  Integer powers become repeated squaring (u^0 an op that
@@ -56,7 +56,6 @@ import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import DomainError, ParseError, PreconditionError
@@ -80,14 +79,17 @@ Number = Union[float, "np.ndarray"]
 
 
 class Expr:
-    """Base node; concrete nodes are the dataclasses below.
+    """Base node; each concrete node below names its fields in _fields.
 
     Nodes are built only through __new__, which returns the live node for
-    (class, fields) or sets the fields of a new one and records it.
+    (class, fields) or sets the fields of a new one and records it.  They
+    refuse attribute assignment; caches go straight into __dict__.
     """
 
+    _fields: Tuple[str, ...] = ()
+
     def __new__(cls, *fields):
-        names = cls.__dataclass_fields__
+        names = cls._fields
         if len(fields) != len(names):
             raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
         # Children are keyed by id: a node keeps them alive, so their ids are
@@ -123,7 +125,16 @@ class Expr:
 
     def __reduce__(self):
         # unpickling calls the class, which re-interns; cached programs are not state
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: expression nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __call__(self, x: Number) -> Number:
         return evaluate(self, x)
@@ -138,7 +149,6 @@ class Expr:
         return to_text(self)
 
 
-_node = dataclass(frozen=True, eq=False, init=False)
 _NODES = {}  # (class, fields) -> weak reference to the live node
 _LOCK = threading.Lock()  # taken by inserts only
 _DOUBLE = struct.Struct("d")
@@ -154,55 +164,40 @@ def _forget(ref):
     _remove_dead_weakref(_NODES, ref.key)
 
 
-@_node
 class Const(Expr):
-    value: float
+    _fields = ("value",)
 
 
-@_node
 class Var(Expr):
     pass
 
 
-@_node
 class Neg(Expr):
-    arg: Expr
+    _fields = ("arg",)
 
 
-@_node
 class Add(Expr):
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
 
 
-@_node
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
 
 
-@_node
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
 
 
-@_node
 class Div(Expr):
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
 
 
-@_node
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    _fields = ("base", "exponent")
 
 
-@_node
 class Func(Expr):
-    name: str
-    arg: Expr
+    _fields = ("name", "arg")
 
 
 X = Var()

@@ -11,9 +11,8 @@ as a JSON data file and the constructor reads it verbatim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import PreconditionError
 
@@ -28,15 +27,13 @@ CLOSING_EDGES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Principle:
+class Principle(NamedTuple):
     id: str
     name: str
     circles: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ImplicationEdge:
+class ImplicationEdge(NamedTuple):
     src: str
     dst: str
     provenance: str

@@ -30,8 +30,7 @@ the sum.  Step-function algebra lives in stepfn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
+class ChoiceFunction(NamedTuple):
     """Rule for picking one sample point per partition cell."""
 
     kind: str = "midpoint"  # 'left' | 'right' | 'midpoint' | 'random' | 'explicit'
@@ -77,8 +75,7 @@ class ChoiceFunction:
         raise PreconditionError(f"unknown choice kind {self.kind!r}")
 
 
-@dataclass
-class CertificateLevel:
+class CertificateLevel(NamedTuple):
     """One refinement round: the partition's cell count and the bracket
     [lower, upper] on the integral (intersected with earlier rounds')."""
 
@@ -87,8 +84,7 @@ class CertificateLevel:
     upper: float
 
 
-@dataclass
-class IntegralCertificate:
+class IntegralCertificate(NamedTuple):
     value: float
     levels: List[CertificateLevel]
     converged: bool

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import IterationCapError, NestingError, PreconditionError
 
@@ -14,20 +13,18 @@ _MIN_CELLS = 64        # fewest open cells a round of refine_cells holds, where 
 CELL_BUDGET = 1 << 22  # most cells refine_cells hands its judge, summed over all rounds
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed bounded interval [lo, hi]."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __new__(cls, lo: float, hi: float):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise PreconditionError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise PreconditionError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise PreconditionError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def length(self) -> float:
@@ -67,22 +64,39 @@ class OpenInterval(namedtuple("OpenInterval", "lo hi")):
         return [self.lo, self.hi]
 
 
-@dataclass(frozen=True)
 class Partition:
     """Strictly increasing finite node set containing both endpoints.
 
     A degenerate interval [a, a] has the single-node partition (a,).
+    Immutable; not a tuple, as len() counts its nodes.
     """
 
-    nodes: Tuple[float, ...]
+    __slots__ = ("nodes",)
 
-    def __post_init__(self):
-        if len(self.nodes) < 1:
+    def __init__(self, nodes: Tuple[float, ...]):
+        if len(nodes) < 1:
             raise PreconditionError("partition needs at least one node")
-        for u, v in zip(self.nodes, self.nodes[1:]):
+        for u, v in zip(nodes, nodes[1:]):
             if not u < v:
                 raise PreconditionError("partition nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", tuple(float(v) for v in self.nodes))
+        object.__setattr__(self, "nodes", tuple(float(v) for v in nodes))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a Partition is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.nodes == other.nodes if type(other) is Partition else NotImplemented
+
+    def __hash__(self):
+        return hash(self.nodes)
+
+    def __repr__(self):
+        return f"Partition(nodes={self.nodes!r})"
+
+    def __reduce__(self):
+        return Partition, (self.nodes,)
 
     @property
     def a(self) -> float:
@@ -111,8 +125,7 @@ class Partition:
         return list(self.nodes)
 
 
-@dataclass(frozen=True)
-class NestedSequence:
+class NestedSequence(NamedTuple):
     """Lazily produced interval sequence; rule(k) for k = 1, 2, ...
 
     The rule must be pure.  Nesting is checked as intervals are emitted.

@@ -9,16 +9,15 @@ proxy for "contains infinitely many terms".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from collections import namedtuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import BudgetError, IterationCapError, PreconditionError
 from .interval import Interval, bisect, require_tol
 from .suprema import _linspace
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(NamedTuple):
     """A sequence is a pure rule index -> real, indices starting at 1."""
 
     rule: Callable[[int], float]
@@ -27,23 +26,22 @@ class Sequence:
         return float(self.rule(k))
 
 
-@dataclass(frozen=True)
-class SubsequenceSelector:
+class SubsequenceSelector(namedtuple("SubsequenceSelector", "indices")):
     """Strictly increasing indices; N_k >= k holds for any subsequence."""
 
-    indices: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for k, idx in enumerate(self.indices, start=1):
+    def __new__(cls, indices: Tuple[int, ...]):
+        for k, idx in enumerate(indices, start=1):
             if idx < k:
                 raise PreconditionError(f"subsequence index N_{k}={idx} below {k}")
-        for u, v in zip(self.indices, self.indices[1:]):
+        for u, v in zip(indices, indices[1:]):
             if not u < v:
                 raise PreconditionError("subsequence indices must be strictly increasing")
+        return tuple.__new__(cls, (indices,))
 
 
-@dataclass(frozen=True)
-class CauchyWindowReport:
+class CauchyWindowReport(NamedTuple):
     ok: bool
     pair: Tuple[int, int]
     gap: float

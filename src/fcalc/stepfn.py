@@ -2,33 +2,31 @@
 
 Node values do not matter for the integral, so they are not stored;
 calling a StepFunction at a node returns the left cell's value by
-convention (the right cell at the left endpoint).
+convention (the right cell at the left endpoint).  Only `sample`, which
+takes an array, needs numpy, and it imports it.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Tuple
-
-import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .interval import Partition, is_refinement, refine
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    partition: Partition
-    cell_values: Tuple[float, ...]
+class StepFunction(namedtuple("StepFunction", "partition cell_values")):
+    """A Partition and one float per cell; + and unary - are step_combine's."""
 
-    def __post_init__(self):
-        if len(self.cell_values) != self.partition.cell_count:
+    __slots__ = ()
+
+    def __new__(cls, partition: Partition, cell_values: Tuple[float, ...]):
+        if len(cell_values) != partition.cell_count:
             raise PreconditionError(
-                f"{self.partition.cell_count} cells need as many values, "
-                f"got {len(self.cell_values)}"
+                f"{partition.cell_count} cells need as many values, got {len(cell_values)}"
             )
-        object.__setattr__(self, "cell_values", tuple(float(v) for v in self.cell_values))
+        return tuple.__new__(cls, (partition, tuple(float(v) for v in cell_values)))
 
     @property
     def a(self) -> float:
@@ -50,6 +48,7 @@ class StepFunction:
         return self.cell_values[i - 1]
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
         nodes = np.asarray(self.partition.nodes)
         idx = np.searchsorted(nodes, xs, side="left")
         idx = np.clip(idx, 1, len(nodes) - 1)
@@ -64,23 +63,20 @@ class StepFunction:
 
 def step_integral(phi: StepFunction) -> float:
     """Sum of cell value times cell width; zero on a degenerate interval."""
-    if phi.partition.cell_count == 0:
-        return 0.0
-    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are nan, without a warning
-        return float(np.sum(phi.partition.widths() * phi.cell_values))  # no BLAS call
+    total = 0.0  # summed left to right: inf * 0 and inf - inf are nan, without a warning
+    for (lo, hi), v in zip(phi.partition.cells(), phi.cell_values):
+        total += (hi - lo) * v
+    return total
 
 
 def step_reexpress(phi: StepFunction, omega: Partition) -> StepFunction:
     """Rewrite phi on a refinement of its partition; same function, same integral."""
     if not is_refinement(phi.partition, omega):
         raise PreconditionError("omega must refine the step function's partition")
-    coarse = np.asarray(phi.partition.nodes)
-    values = []
-    for lo, hi in omega.cells():
-        mid = lo + (hi - lo) / 2
-        i = int(np.searchsorted(coarse, mid, side="left"))
-        values.append(phi.cell_values[i - 1])
-    return StepFunction(omega, tuple(values))
+    coarse = phi.partition.nodes
+    values = [phi.cell_values[_bisect.bisect_left(coarse, lo + (hi - lo) / 2) - 1]
+              for lo, hi in omega.cells()]
+    return StepFunction(omega, values)
 
 
 def step_combine(phi: StepFunction, psi: StepFunction = None, op: str = "add",

@@ -26,8 +26,7 @@ the supremum of the connected component of the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
 from .expr import Expr, Var, add, const, evaluate, mul, sub
@@ -38,8 +37,7 @@ MAX_HALVINGS = 1025 + 1074
 CUT_PROBES = 64   # grid points on which cut_point checks downward closure
 
 
-@dataclass(frozen=True)
-class PredicateSet:
+class PredicateSet(NamedTuple):
     """Bounded set given by a membership oracle.
 
     seed is a known element, bound a claimed upper bound; the oracle is
@@ -51,8 +49,7 @@ class PredicateSet:
     bound: float
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """Downward-closed set given by a `below` oracle plus two samples."""
 
     below: Callable[[float], bool]
@@ -60,15 +57,13 @@ class Cut:
     sample_out: float
 
 
-@dataclass
-class SupremumResult:
+class SupremumResult(NamedTuple):
     value: float
     iterations: int
     trace: List[Tuple[float, float]]
 
 
-@dataclass
-class RootResult:
+class RootResult(NamedTuple):
     root: float
     iterations: int
     bracket: Tuple[float, float]

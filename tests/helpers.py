@@ -93,3 +93,30 @@ def validate_lebesgue(cover, delta, pairs=10**4, seed=0):
     close = np.abs(xs - cs) < delta
     reach, _ = cover._reach(np.minimum(xs, cs))
     return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
+
+
+def value_instances():
+    """One value of each of fcalc's immutable value and result classes.
+
+    Callable fields hold builtins, so every value pickles.
+    """
+    from fcalc import calculus, cli, graph, integrate, interval, sequences, stepfn, suprema
+
+    part = interval.Partition((0, 0.5, 1))
+    level = integrate.CertificateLevel(4, 0.25, 0.5)
+    return [
+        calculus.LimitReport(1.0, 0.0, True), calculus.TaylorReport(2.5, 0.5, None, 0.1, True),
+        cli.Config(), graph.Principle("MCP", "monotone convergence", (1, 2)),
+        graph.ImplicationEdge("MCP", "CA", "theorem 2"), integrate.ChoiceFunction("random", 3),
+        level, integrate.IntegralCertificate(0.375, [level], True), interval.Interval(0, 1),
+        part, interval.NestedSequence(abs), sequences.Sequence(float),
+        sequences.SubsequenceSelector((1, 3)), sequences.CauchyWindowReport(True, (1, 2), 0.0),
+        stepfn.StepFunction(part, (2, 3)), suprema.PredicateSet(bool, 0.0, 2.0),
+        suprema.Cut(bool, 0.0, 2.0), suprema.SupremumResult(1.0, 3, [(0.0, 2.0)]),
+        suprema.RootResult(1.0, 3, (0.875, 1.125), 0.0),
+    ]
+
+
+def fields_of(value):
+    """The field names of a value of value_instances(), in order."""
+    return getattr(type(value), "_fields", None) or type(value).__slots__

@@ -39,6 +39,10 @@ def test_limit_examples():
         limit(E.parse("abs(x)/x"), 0.0)
     assert abs(err.value.left + 1.0) <= 1e-9
     assert abs(err.value.right - 1.0) <= 1e-9
+    # f is undefined at the left end of the first windows only, so the scan
+    # goes on to smaller ones (it stopped at the first, with a DomainError)
+    rep = limit(E.parse("sin(x)/x + 0*sqrt(x + 0.006)"), 0.0)
+    assert rep.converged and abs(rep.estimate - 1.0) <= 1e-6
 
 
 def test_limit_one_sided_modes():
@@ -57,6 +61,11 @@ def test_limit_divergence_error():
     # sin(1/x) oscillates through every window near 0
     with pytest.raises(DivergenceError):
         limit(E.parse("sin(1/x)"), 0.0, tol=1e-6)
+    # f is undefined on one side of c in every window: the error names it
+    with pytest.raises(DivergenceError, match="no two-sided limit: f is undefined left of c = 0.0"):
+        limit(E.parse("sqrt(x)"), 0.0)
+    with pytest.raises(DivergenceError, match="undefined right of c = 0.0, within 1.86"):
+        limit(E.parse("ln(0-x)"), 0.0)
 
 
 @pytest.mark.parametrize("c, mode, step, side", [

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcalc
+from fcalc import cli
 from fcalc import expr as E
 from fcalc.cli import COMMANDS, OP_REGISTRY, build_parser, main
 from fcalc.errors import MathError
@@ -101,7 +102,15 @@ def test_shape_of_abs_names_a_cell_that_disproves_it(capsys):
     (["limit", "--f", "sin(1/(x-1e6))", "--at", "1e6", "--mode", "right"], 1, "",
      "error: no convergence: stopped at step 25 of 30, where the window fell below the "
      "double spacing at c = 1000000.0"),
-], ids=["deriv", "mvt", "rolle", "limit"])
+    # f is defined on one side of c only: both printed the bare DomainError
+    (["limit", "--f", "sqrt(x)", "--at", "0"], 1, "",
+     "error: no two-sided limit: f is undefined left of c = 0.0, within "),
+    (["--output", "json", "limit", "--f", "ln(x)", "--at", "0"], 1,
+     '{"diagnostics": {"error": "no two-sided limit: f is undefined left of c = 0.0, within '
+     '1.862645149230957e-11 of it (ln of a non-positive number)"}, "result": null}\n', ""),
+    (["limit", "--f", "sqrt(x)", "--at", "0", "--mode", "right"], 0, "0.0\n", ""),
+], ids=["deriv", "mvt", "rolle", "limit", "limit-left-undefined", "limit-json-left-undefined",
+        "limit-right"])
 def test_abs_and_a_collapsed_window_in_the_cli(capsys, argv, code, out, err):
     got_code, got_out, got_err = run(capsys, *argv)
     assert (got_code, got_out) == (code, out) and got_err.startswith(err)
@@ -745,6 +754,11 @@ def test_a_nan_riemann_sum_warns_nothing():
     ["graph", "scc"],
     ["seq", "--op", "limit", "--s", "1 - 1/n", "--upper", "1", "--tol", "1e-5"],
     ["ival", "--op", "bisect", "--interval", "[0, 1]"],
+    ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--output", "json"],
+    ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--reexpress",
+     "[0, 0.25, 0.5, 1]", "--combine", "add", "--other-partition", "[0, 1]",
+     "--other-values", "[3]"],
+    ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--split-at", "0.25"],
     ["--help"],
 ], ids=" ".join)
 def test_subcommands_without_arrays_never_import_numpy(argv):
@@ -758,6 +772,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = e.code
 assert code == 0, code
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "dataclasses" not in sys.modules, "dataclasses was imported"
 """)
     assert proc.returncode == 0, proc.stderr
 
@@ -830,3 +845,60 @@ assert fcalc.expr is sys.modules["fcalc.expr"]
 assert not hasattr(fcalc, "numpy")
 """)
     assert proc.returncode == 0, proc.stderr
+
+
+def _dump(parser):
+    """Every action of parser and of its subparsers, in order, as plain data,
+    with each subcommand's help line and the help text it prints."""
+    rows = [parser.prog, parser.format_help()]
+    for a in parser._actions:
+        sub = isinstance(a, argparse._SubParsersAction)
+        rows.append((type(a).__name__, a.option_strings, a.dest, a.type, a.default, a.required,
+                     None if sub else a.choices, a.nargs, a.metavar, a.const, a.help))
+        if sub:
+            rows.append([(c.dest, c.help) for c in a._choices_actions])
+            rows += [(name, _dump(p)) for name, p in a.choices.items()]
+    return rows
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_a_one_row_parser_builds_the_same_subparser(name):
+    full, one = build_parser(), build_parser((name,))
+    assert list(_subcommands(one).choices) == [name]
+    assert _dump(_subcommands(one).choices[name]) == _dump(_subcommands(full).choices[name])
+    assert [c.help for c in _subcommands(one)._choices_actions] == [COMMANDS[name].help]
+    assert one.format_usage() == full.format_usage()  # it names every subcommand
+
+
+@pytest.mark.parametrize("argv, word", [
+    *(([name, "--help"], name) for name in COMMANDS),
+    (["graph", "path", "--help"], "graph"),
+    (["--help"], None),
+    ([], None),
+    (["nope", "--f", "x"], None),
+    (["--tol", "abc", "eval", "--f", "x", "--x", "1"], "eval"),
+    (["--output", "json", "--tol", "0", "eval", "--f", "x", "--x", "1"], "eval"),
+    (["--output=json", "eval", "--f", "x", "--x", "1"], "eval"),
+    (["--out", "json", "eval", "--f", "x", "--x", "1"], None),  # argparse's abbreviation
+    (["--seed", "eval", "parse", "--text", "x"], "parse"),  # an int flag given a word
+    (["graph", "path", "A", "B"], "graph"),
+    (["graph", "--output=json", "path", "MVT", "CVT"], "graph"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_main_answers_as_with_the_full_parser(capsys, monkeypatch, argv, word):
+    def answer():
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        return (code, *capsys.readouterr())
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: built.append(names) or build(names))
+    one = answer()
+    assert built == [COMMANDS if word is None else (word,)]
+    monkeypatch.setattr(cli, "_command_word", lambda argv: None)
+    assert answer() == one

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.errors import DomainError, ParseError, PreconditionError
-from helpers import expr_trees, mp_eval, random_smooth_expr
+from helpers import expr_trees, fields_of, mp_eval, random_smooth_expr, value_instances
 
 
 def test_parse_examples():
@@ -139,8 +139,15 @@ def test_the_kink_cell_of_abs_encloses_f2_as_the_real_line(q, left, right):
 def test_structural_equality_and_immutability():
     assert E.parse("x^2 + 1") == E.parse("x^2 + 1")
     e = E.parse("x")
-    with pytest.raises(Exception):
+    with pytest.raises(AttributeError):
         e.value = 3  # frozen
+    # nodes and every value class refuse assignment to a field, or a new attribute
+    for v in [E.parse("sin(x) + 2"), *value_instances()]:
+        for name in (*fields_of(v), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
 
 
 def test_array_eval_matches_scalar_eval():
@@ -380,6 +387,10 @@ def test_compiled_programs_are_cached_outside_the_value():
     assert (repr(e), hash(e), E.to_text(e)) == before
     back = pickle.loads(pickle.dumps(e))
     assert back == e and E.evaluate(back, 1.0) == E.evaluate(e, 1.0)
+    assert repr(E.parse("2*x")) == "Mul(left=Const(value=2.0), right=Var())"
+    for v in value_instances():  # Name(field=value, ...), the fields in order
+        fields = ", ".join(f"{name}={getattr(v, name)!r}" for name in fields_of(v))
+        assert repr(v) == f"{type(v).__name__}({fields})"
 
 
 def test_a_tree_is_value_numbered_once_for_every_backend(monkeypatch):
@@ -485,6 +496,36 @@ def test_ulp_steps_equal_nextafter_bit_for_bit(patterns, size):
                 assert type(got) is type(want)
                 assert np.array_equal(np.asarray(got).view(np.int64),
                                       np.asarray(want).view(np.int64))
+
+
+def test_numpy_elementary_functions_are_faithfully_rounded():
+    # enclose() widens each of numpy's exp, log, sin, cos and sqrt results
+    # by one ulp (_down, _up), which is sound only while numpy errs by less
+    # than one ulp: compare with mpmath at 200 bits, on seeded arrays below
+    # and above _STEP_MIN (the two step paths), over wide and narrow ranges
+    import mpmath as mp
+
+    rng = np.random.default_rng(2021)
+    ranges = {  # of x, wide and narrow; None is 10^U(-300, 300)
+        "exp": (np.exp, mp.exp, (-700, 700), (-1, 1)),
+        "log": (np.log, mp.log, None, (0.5, 2)),
+        "sin": (np.sin, mp.sin, (-1e6, 1e6), (-4, 4)),
+        "cos": (np.cos, mp.cos, (-1e6, 1e6), (-4, 4)),
+        "sqrt": (np.sqrt, mp.sqrt, None, (0, 4)),
+    }
+    with mp.workprec(200):
+        for name, (fn, exact, wide, narrow) in ranges.items():
+            for size in (E._STEP_MIN // 4, E._STEP_MIN + 76):
+                half = size // 2
+                xs = np.concatenate([rng.uniform(*wide, half) if wide else
+                                     10.0 ** rng.uniform(-300, 300, half),
+                                     rng.uniform(*narrow, size - half)])
+                ys = fn(xs)
+                lo, hi = E._down(ys), E._up(ys)
+                for x, y, d, u in zip(xs.tolist(), ys.tolist(), lo.tolist(), hi.tolist()):
+                    t = exact(mp.mpf(x))
+                    spacing = u - y if t > y else y - d  # the ulp on t's side of y
+                    assert abs(t - y) < spacing, f"{name}({x!r}) = {y!r}, true {t}"
 
 
 @settings(max_examples=500, deadline=None)
@@ -635,6 +676,9 @@ def test_a_pickle_round_trip_returns_the_same_object():
     assert pickle.loads(data) is e
     assert b"_code_" not in data and b"_deriv" not in data   # caches are not state
     assert b"_numbered" not in data and "_numbered" in vars(e)
+    for v in value_instances():  # and a value comes back equal, with its type
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v) and back == v
 
 
 def test_threads_building_the_same_tree_get_one_object():

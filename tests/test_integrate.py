@@ -44,6 +44,9 @@ def test_step_integral_examples():
     assert step_integral(const) == 15.0
     degenerate = StepFunction(Partition((2.0,)), ())
     assert step_integral(degenerate) == 0.0
+    # the sum starts from +0.0, so -0.0 terms give +0.0, as numpy's sum did
+    zero = step_integral(StepFunction(Partition((0.0, 1.0, 2.0)), (-0.0, -0.0)))
+    assert math.copysign(1.0, zero) == 1.0
 
 
 def test_step_function_node_value_convention():
