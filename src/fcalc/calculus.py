@@ -1,23 +1,26 @@
 """Limits and derivatives at a point, and the mean-value/Taylor witness
 finders.
 
-Every derivative comes from the symbolic expr.differentiate, which covers
-the whole grammar (abs included, undefined only at its kink), at a point
-too: derivative reads f^(n) at c once f, ..., f^(n-1) are defined on one
-closed cell about c, and takes the limit of f^(n) there.  A limit is f(c)
+Every derivative but taylor's comes from the symbolic expr.differentiate,
+which covers the whole grammar (abs included, undefined only at its
+kink), at a point too: derivative reads f^(n) at c once f, ..., f^(n-1)
+are defined on one closed cell about c, and takes the limit of f^(n)
+there.  taylor reads f's Taylor coefficients from one run of f's own
+program on jets (expr.jet), with no derivative tree.  A limit is f(c)
 where f is defined on a closed cell about c, proven by a finite interval
 enclosure (_defined_about); only where it is not are the filter bases
 behind one- and two-sided limits sampled, on a geometric schedule of
 punctured windows with a fixed number of points in each.
 
 Every mean-value witness (Rolle, MVT, eMVT, Taylor and
-integrate.imvt_witness) is a point c where some tree h meets a value
-k, and one locator, `_crossing`, finds them all: it evaluates h
-once, as an array, at the SCAN interior points of a uniform grid on
-[a, b], and returns the midpoint where h is within tol of k on the whole
-scan, else the first grid point where h = k exactly, else the first
-sign change of h - k polished by `bisect_root` if h is within tol of k
-there (a jump of h is no witness), else None, also where h is undefined
+integrate.imvt_witness) is a point c where some function h (a tree, or
+taylor's jet coefficient) meets a value k, and one locator, `_crossing`,
+finds them all: it evaluates h once, as an array, at the SCAN interior
+points of a uniform grid on [a, b], and returns the midpoint where h is
+within tol of k on the whole scan, else the first grid point where h = k
+exactly, else the first sign change of h - k polished by `bisect_root`'s
+ITP cuts if h is within tol of k there (a jump of h is no witness), else
+None, also where h is undefined
 at a point the search evaluates.  Each routine only builds its h and k
 and checks its own contract.
 
@@ -49,8 +52,7 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import (Expr, const, differentiate, enclose, evaluate, evaluate_all, iadd, imul, isub,
-                   mul, sub)
+from .expr import Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, jet, mul, sub
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
 
@@ -122,10 +124,10 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
     spread is below tol; two-sided mode also requires the one-sided means
     to agree within tol, else OneSidedDisagreementError.  DivergenceError
     where no window converges, or where the window falls below the double
-    spacing at c.  Where f is undefined at a point of a window, one-sided
-    mode raises the DomainError; two-sided mode tries the next, smaller
-    window, and where f is undefined in the last one, its DivergenceError
-    names the side of c.  A non-finite c is a PreconditionError.
+    spacing at c.  Where f is undefined at a point of a window, the scan
+    tries the next, smaller window, and where f is undefined in the last
+    one, its DivergenceError names the side of c.  A non-finite c is a
+    PreconditionError.
     """
     require_tol(tol)
     _require_point(c)
@@ -151,8 +153,6 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
             try:
                 vals = evaluate(f, pts)
             except DomainError as e:
-                if mode != "two-sided":
-                    raise
                 undefined, prev = (pts[below], delta, e), None
                 continue
             undefined = None
@@ -168,12 +168,14 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
         prev = est
     if undefined is not None:
         left, delta, e = undefined
-        try:
-            evaluate(f, left)
-            side = "right"
-        except DomainError:
-            side = "left"
-        raise DivergenceError(f"no two-sided limit: f is undefined {side} of c = {c!r}, "
+        side = mode
+        if mode == "two-sided":
+            try:
+                evaluate(f, left)
+                side = "right"
+            except DomainError:
+                side = "left"
+        raise DivergenceError(f"no {mode} limit: f is undefined {side} of c = {c!r}, "
                               f"within {delta!r} of it ({e})")
     if mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
         raise OneSidedDisagreementError(left_est, right_est, tol)
@@ -315,13 +317,14 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
                             f"derivative is enclosed in [{left[2]!r}, {left[3]!r}]")
 
 
-def _crossing(h: Expr, a: float, b: float, k: float, tol: float) -> Optional[float]:
+def _crossing(h: Callable, a: float, b: float, k: float, tol: float) -> Optional[float]:
     """Point c in (a, b) where h(c) = k, the one witness search.
 
-    h is evaluated once, as an array, at the SCAN interior points of a
+    h is a function of floats and of arrays, such as a tree.  It is
+    evaluated once, as an array, at the SCAN interior points of a
     uniform grid on [a, b].  Returns the midpoint where |h - k| <= tol at
     every grid point; else the first grid point where h = k exactly;
-    else the first sign change of h - k, polished by bisect_root to
+    else the first sign change of h - k, polished by bisect_root's ITP to
     max(1e-13, (b - a)*1e-13), if |h - k| <= tol there, so a jump of h
     across k (f' of abs at its kink) is no witness; else None, also where
     h is undefined at a point of the scan or of the polish.  Needs a < b.
@@ -331,7 +334,7 @@ def _crossing(h: Expr, a: float, b: float, k: float, tol: float) -> Optional[flo
     xs = np.linspace(a, b, SCAN + 2)[1:-1]
     try:
         with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
-            resid = evaluate(h, xs) - k
+            resid = h(xs) - k
         if np.all(np.abs(resid) <= tol):
             return a + (b - a) / 2
         hit = np.flatnonzero(resid == 0.0)
@@ -418,11 +421,14 @@ def emvt_witness(f: Expr, g: Expr, a: float, b: float, tol: float = 1e-8) -> flo
 def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorReport:
     """Degree-n polynomial value at x plus the order-(n+1) remainder.
 
+    The polynomial's coefficients are f's Taylor jet of order n at a.
     rho is fixed by the normalized truncation error; the witness c
     solves f^(n+1)(c) = rho and is the _crossing of f^(n+1) and rho on
     (a, x), the midpoint where f^(n+1) is within tol of rho on the whole
-    scan.  With no crossing the report carries rho but no witness, with
-    the remainder taken from rho so the identity still closes.
+    scan, with f^(n+1)(t) read as (n+1)! times the last coefficient of
+    f's jet of order n+1 at t (at the whole scan in one array run).  With
+    no crossing the report carries rho but no witness, with the remainder
+    taken from rho so the identity still closes.
     """
     require_tol(tol)
     if n < 0:
@@ -437,18 +443,15 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
         weight = math.inf
     if not 0.0 < weight < math.inf:
         raise PreconditionError(f"(x - a)^{n + 1}/{n + 1}! is outside the double range")
-    derivs = [f]
-    for _ in range(n + 1):
-        derivs.append(differentiate(derivs[-1], 1))
     value = 0.0
-    for k, dk in enumerate(evaluate_all(derivs[:-1], a)):
-        value += dk / math.factorial(k) * h**k
+    for k, ck in enumerate(jet(f, a, n)):
+        value += ck * h**k
     fx = evaluate(f, x)
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
-    top = derivs[n + 1]
+    top = lambda t: math.factorial(n + 1) * jet(f, t, n + 1)[n + 1]  # f^(n+1)
     witness = _crossing(top, a, x, rho, tol)
     if witness is not None:
-        remainder = evaluate(top, witness) / math.factorial(n + 1) * h ** (n + 1)
+        remainder = jet(f, witness, n + 1)[n + 1] * h ** (n + 1)
     else:
         remainder = rho / math.factorial(n + 1) * h ** (n + 1)
     converged = abs(value + remainder - fx) <= tol * (1 + abs(fx))

@@ -567,7 +567,7 @@ COMMANDS: Dict[str, Command] = {
                    {"member": REQ, "seed-point": REQ, "bound": REQ, "witnesses": 0}),
     "cut": Command(_h_cut, "cut point of a downward-closed predicate", "suprema.cut_point",
                    {"below": REQ, "in-point": REQ, "out-point": REQ}),
-    "root": Command(_h_root, "intermediate-value root by bisection", "suprema.ivt_root",
+    "root": Command(_h_root, "intermediate-value root by ITP bracketing", "suprema.ivt_root",
                     {**_FAB, "k": 0.0}),
     "extremum": Command(_h_extremum, "argmax by interval branch and bound, to --tol",
                         "calculus.extreme_point", _FAB),
@@ -650,7 +650,7 @@ _GLOBAL_FLAGS = {
               "help": "default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)"},
     "--seed": {"type": int, "help": "seed of riemann --choice random (0; FC_SEED overrides)"},
     "--output": {"choices": ("text", "json")},
-    "--max-iter": {"type": int, "help": "iteration cap of sup, cut, root (2099 halvings), seq "
+    "--max-iter": {"type": int, "help": "iteration cap of sup, cut, root (2099 cuts), seq "
                                         "--op limit and ival --op shrink (10^6)"},
 }
 

@@ -32,22 +32,24 @@ and an instruction is keyed by its op and its operands' slots, so a+b and
 b+a share one.  Integer powers become repeated squaring (u^0 an op that
 reads u and gives 1, so u's domain still counts), and registers are
 reused after a value's last reader, so few array temporaries are alive at
-once.  A tuple of trees numbers into one program with one result per
-tree (``evaluate_all``), so what they share is computed once.  The two
-point backends share one set of domain checks, and both follow IEEE 754
-(``exp`` overflow gives inf, ``sin`` and ``cos`` of +-inf give NaN); the
-interval backend (``enclose``) marks a cell where an op leaves its domain
-instead of raising.  ``differentiate`` caches d/dx on each node in the
-same way, so shared subtrees stay shared and a derivative is taken once.
+once.  The two point backends share one set of domain checks, and both
+follow IEEE 754 (``exp`` overflow gives inf, ``sin`` and ``cos`` of +-inf
+give NaN); the interval backend (``enclose``) marks a cell where an op
+leaves its domain instead of raising.  The two jet backends (``jet``)
+lift the point tables to Taylor coefficients, so one run of the same
+program gives f(t), f'(t), ..., f^(n)(t)/n! at once.  ``differentiate``
+caches d/dx on each node in the same way, so shared subtrees stay shared
+and a derivative is taken once.
 
 numpy is imported on first use, by an array or interval call.  The
-grammar, the printer, ``differentiate`` and the scalar backend never
+grammar, the printer, ``differentiate`` and the scalar backends never
 need it, so ``fc parse`` and ``fc eval`` start without it.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import operator
 import re
@@ -211,15 +213,14 @@ def _coerce(v) -> Expr:
 # the one walk
 
 def _postorder(root, cached: str = None):
-    """Each distinct node under root (or under each root of a tuple, in
-    order) once, children first, left before right.
+    """Each distinct node under root once, children first, left before
+    right.
 
     The one tree traversal, from an explicit stack, so depth is bounded by
     memory alone.  A node holding the attribute `cached` is not yielded,
     and neither is its subtree (unless reached another way).
     """
-    roots = root if type(root) is tuple else (root,)
-    seen, stack = set(), [(None, iter(roots))]  # a stand-in parent above the roots
+    seen, stack = set(), [(None, iter((root,)))]  # a stand-in parent above the root
     while stack:
         node, kids = stack[-1]
         for kid in kids:
@@ -334,8 +335,7 @@ _OPS = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
 
 def _compile(root):
     """Backend-neutral straight-line program (code, registers, result
-    register) for root, or for a tuple of roots with a tuple of result
-    registers, one per root, all live to the end.
+    register) for root.
 
     Values are x = 0, constants -1, -2, ... (held in register -v) and
     instructions 1, 2, ...; each node gets one value, and an instruction
@@ -381,12 +381,11 @@ def _compile(root):
             raise TypeError(f"not an expression node: {e!r}")
         value[e] = v
 
-    results = [value[r] for r in (root if type(root) is tuple else (root,))]
     # A temporary's register is reused once its last reader has run, so no
-    # more array intermediates are alive than the tree's shape needs.  A
-    # root's register is never handed on, whichever instruction computes it.
+    # more array intermediates are alive than the tree's shape needs.  The
+    # root's register is never handed on.
     last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
-    last.update(dict.fromkeys(results, len(code) + 1))
+    last[value[root]] = len(code) + 1
     regs, reg, free, program = [None, *consts], {}, [], []
     for t, (op, a, b) in enumerate(code, 1):
         i, j = reg.get(a, -a), (-1 if b is None else reg.get(b, -b))
@@ -396,8 +395,7 @@ def _compile(root):
             regs.append(None)
         reg[t] = k = free.pop()
         program.append((op, i, j, k))
-    out = tuple([reg.get(v, -v) for v in results])
-    return tuple(program), regs[1:], out if type(root) is tuple else out[0]
+    return tuple(program), regs[1:], reg.get(value[root], -value[root])
 
 
 class _Backend:
@@ -407,8 +405,7 @@ class _Backend:
     turns a constant into the backend's number type.  A tree is
     value-numbered once, whichever backend asks first, and bound to each
     backend's table once; both programs are cached on the node outside
-    its fields (two threads may both store one; the copies are equal).  A
-    tuple of trees is numbered and bound on every run.
+    its fields (two threads may both store one; the copies are equal).
     """
 
     def __init__(self, name, ops, lift=float):
@@ -421,20 +418,20 @@ class _Backend:
         return self._ops
 
     def _bind(self, e):
-        code, regs, out = _compile(e) if type(e) is tuple else (
-            e.__dict__.get("_numbered") or e.__dict__.setdefault("_numbered", _compile(e)))
+        code, regs, out = (e.__dict__.get("_numbered")
+                           or e.__dict__.setdefault("_numbered", _compile(e)))
         ops = self.ops
         return ([(ops[op], i, j, k) for op, i, j, k in code],
                 [r if r is None else self.lift(r) for r in regs], out)
 
     def run(self, e, x):
-        """e's value at x, or the tuple of values of a tuple of trees."""
-        code, regs, out = self._bind(e) if type(e) is tuple else (
-            e.__dict__.get(self.attr) or e.__dict__.setdefault(self.attr, self._bind(e)))
+        """e's value at x."""
+        code, regs, out = (e.__dict__.get(self.attr)
+                           or e.__dict__.setdefault(self.attr, self._bind(e)))
         r = [x, *regs]
         for fn, i, j, k in code:
             r[k] = fn(r[i]) if j < 0 else fn(r[i], r[j])
-        return tuple([r[o] for o in out]) if type(out) is tuple else r[out]
+        return r[out]
 
 
 def _point_ops(functions, hit):
@@ -474,6 +471,85 @@ _SCALAR = _Backend("scalar", _point_ops({"sin": _ieee(math.sin, math.nan),
 _ARRAY = _Backend("array", lambda: _point_ops({"sin": np.sin, "cos": np.cos, "exp": np.exp,
                                                "ln": np.log, "sqrt": np.sqrt, "abs": np.abs},
                                               np.any))
+
+
+def _jet_ops(p):
+    """Op table over Taylor jets, lifted from the point op table p.
+
+    A jet is the list [u_0, ..., u_n] of a value's Taylor coefficients
+    u_k = u^(k)(t)/k! at t (a float, or each point of an array), and a
+    constant is the jet [c], whose higher coefficients are 0, so the
+    order is the input's and one bound program serves every order.  u_0
+    is p's op on the operands' u_0, so it equals evaluate's value bit for
+    bit and raises p's DomainErrors.  The higher coefficients follow the
+    usual recurrences (Griewank & Walther, Evaluating Derivatives, 2nd
+    ed., 2008, ch. 13), abs as sign(u_0)*u.  sqrt and abs divide by their
+    u_0 through p's guarded "div" at order >= 1, so a 0 there raises
+    DomainError, as the symbolic derivative's division by 0 does; every
+    other divisor is a u_0 that p's own op has already refused at 0.
+    """
+    div = p["div"]
+
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def mul(u, v):
+        w = [p["mul"](u[0], v[0])]
+        if len(u) == 1 or len(v) == 1:  # a constant factor
+            c, other = (u[0], v) if len(u) == 1 else (v[0], u)
+            return w + [c * a for a in other[1:]]
+        return w + [dot(u[:k + 1], v[k::-1]) for k in range(1, len(u))]
+
+    def quotient(w0, u, v):  # u/v, whose coefficient 0 is w0
+        w = [w0]
+        for k in range(1, max(len(u), len(v))):
+            w.append(((u[k] if k < len(u) else 0.0) - dot(v[1:k + 1], w[::-1])) / v[0])
+        return w
+
+    def sqrt(u):
+        w = [p["sqrt"](u[0])]
+        for k in range(1, len(u)):
+            w.append(div(u[k] - dot(w[1:k], w[k - 1:0:-1]), 2.0 * w[0]))
+        return w
+
+    def exp(u):
+        du, w = [k * a for k, a in enumerate(u)], [p["exp"](u[0])]
+        for k in range(1, len(u)):
+            w.append(dot(du[1:k + 1], w[::-1]) / k)
+        return w
+
+    def ln(u):
+        dw = [p["ln"](u[0])]  # then k*w_k
+        for k in range(1, len(u)):
+            dw.append((k * u[k] - dot(dw[1:], u[k - 1:0:-1])) / u[0])
+        return [dw[0], *[d / k for k, d in enumerate(dw[1:], 1)]]
+
+    def sincos(u):
+        du, s, c = [k * a for k, a in enumerate(u)], [p["sin"](u[0])], [p["cos"](u[0])]
+        for k in range(1, len(u)):
+            s, c = s + [dot(du[1:k + 1], c[::-1]) / k], c + [-dot(du[1:k + 1], s[::-1]) / k]
+        return s, c
+
+    def abs_(u):
+        w = [p["abs"](u[0])]
+        if len(u) > 1:
+            sign = div(u[0], w[0])
+            w += [sign * a for a in u[1:]]
+        return w
+
+    def linear(op):  # add or sub, coefficient by coefficient
+        return lambda u, v: [op(a, b) for a, b in itertools.zip_longest(u, v, fillvalue=0.0)]
+
+    return {"neg": lambda u: [p["neg"](a) for a in u], "add": linear(p["add"]),
+            "sub": linear(p["sub"]), "mul": mul,
+            "div": lambda u, v: quotient(div(u[0], v[0]), u, v),
+            "recip": lambda v: quotient(p["recip"](v[0]), [1.0], v),
+            "one": lambda u: [p["one"](u[0])], "sqrt": sqrt, "exp": exp, "ln": ln,
+            "sin": lambda u: sincos(u)[0], "cos": lambda u: sincos(u)[1], "abs": abs_}
+
+
+_SCALAR_JET = _Backend("jet", lambda: _jet_ops(_SCALAR.ops), lambda c: [c])
+_ARRAY_JET = _Backend("array_jet", lambda: _jet_ops(_ARRAY.ops), lambda c: [c])
 
 
 # Interval backend.  A value is a pair (lo, hi) of arrays (of numpy scalars,
@@ -641,20 +717,29 @@ def evaluate(e: Expr, x: Number) -> Number:
     number, or zero raised to a negative power.  Overflow gives +-inf and
     sin, cos of +-inf give NaN, silently, in both backends.
     """
-    return _run_point(e, x)
+    return _run_point(e, x, _SCALAR, _ARRAY)
 
 
-def evaluate_all(roots: Tuple[Expr, ...], x: Number) -> tuple:
-    """evaluate(e, x) for each tree e of roots from one program, so what
-    the trees share is computed once.  The values are evaluate's bit for
-    bit, except that a NaN may carry another sign or payload: a + b and
-    b + a are one instruction, whose operand order follows the walk over
-    all the roots.  Raises DomainError where evaluate raises for any of
-    them."""
-    return _run_point(tuple(roots), x)
+def jet(e: Expr, t: Number, n: int) -> list:
+    """Taylor coefficients [e(t), e'(t), ..., e^(n)(t)/n!] of e at t
+    (float or numpy array of floats), from one run of e's program on
+    jets (_jet_ops).
+
+    Coefficient 0 is evaluate(e, t) bit for bit.  Raises DomainError
+    where evaluate does, and at n >= 1 where sqrt or abs meets 0, where
+    the symbolic derivative divides by 0 too (unless it folds to a
+    constant, as d/dx of sqrt(x - x) does to 0).
+    """
+    if n < 0:
+        raise PreconditionError("jet order must be nonnegative")
+    return _run_point(e, t, _SCALAR_JET, _ARRAY_JET, n)
 
 
-def _run_point(e, x):
+def _run_point(e, x, scalar, array, n=None):
+    """e's program run at a float x on scalar's table, or at a numpy
+    array x on array's, whose results come back as arrays of x's shape.
+    With an order n the tables are jet tables: x goes in, and e comes
+    out, as a jet of order n."""
     if not isinstance(x, float):
         numpy = sys.modules.get("numpy")  # while numpy is not loaded, x is no array
         if numpy is not None and isinstance(x, numpy.ndarray):
@@ -662,12 +747,18 @@ def _run_point(e, x):
             # Overflow, inf - inf and sin(inf) give IEEE values without
             # warnings; the guards have already raised for every division by 0.
             with numpy.errstate(all="ignore"):
-                out = _ARRAY.run(e, x)
-            if type(e) is not tuple:
-                return out if isinstance(out, numpy.ndarray) else numpy.full_like(x, out)
-            return tuple([v if isinstance(v, numpy.ndarray) else numpy.full_like(x, v)
-                          for v in out])
-    return _SCALAR.run(e, float(x))
+                if n is None:
+                    out = array.run(e, x)
+                    return out if isinstance(out, numpy.ndarray) else numpy.full_like(x, out)
+                out = _run_jet(array, e, x, n)
+            return [v if isinstance(v, numpy.ndarray) else numpy.full_like(x, v) for v in out]
+    x = float(x)
+    return scalar.run(e, x) if n is None else _run_jet(scalar, e, x, n)
+
+
+def _run_jet(backend, e, t, n):
+    out = backend.run(e, [t, 1.0, *[0.0] * (n - 1)][:n + 1])  # x is t + (x - t)
+    return out + [0.0] * (n + 1 - len(out))  # a constant's higher coefficients are 0
 
 
 def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

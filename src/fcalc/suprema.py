@@ -3,15 +3,19 @@ downward-closed predicates, intermediate-value root finding, and the
 affine interval map.
 
 All three constructions are one argument, carried out by one kernel,
-`_bisect`: halve a bracket [lo, hi] whose left end satisfies a predicate
-and whose right end does not, keeping that invariant.  The kernel stops
-once hi - lo < tol, or earlier when no double lies strictly between lo
-and hi (so a tol below the double spacing returns a bracket of two
-adjacent doubles), and raises IterationCapError after max_iter halvings.
-The bracket must be finite, with a width that is a double, so the
-default cap, MAX_HALVINGS, is never reached: the width is below 2^1024
-and doubles are at least 2^-1074 apart, so 1025 + 1074 halvings leave
-two adjacent doubles.  A predicate may also report an exact hit, which
+`_bisect`: cut a bracket [lo, hi] whose left end satisfies a predicate
+and whose right end does not, keeping that invariant.  The supremum and
+the cut cut at the midpoint; the root cuts at the ITP point (Oliveira &
+Takahashi, 2020), which interpolates the residuals at the ends and is
+never more than one cut behind halving.  The kernel stops once hi - lo <
+tol, or earlier when no double lies strictly between lo and hi (so a tol
+below the double spacing returns a bracket of two adjacent doubles), and
+raises IterationCapError after max_iter cuts.  The bracket must be
+finite, with a width that is a double, so the default cap, MAX_HALVINGS,
+is never reached: the width is below 2^1024, a cut leaves at most twice
+the width a halving would, and doubles are at least 2^-1074 apart, so
+1025 + 1074 cuts leave two adjacent doubles, which end the loop before
+the cap is looked at.  A predicate may also report an exact hit, which
 collapses the bracket to a point (a root's residual can be exactly
 zero).  The public functions only check preconditions, choose the
 predicate and package the result: the supremum keeps "is a member", the
@@ -78,22 +82,28 @@ def _check_bracket(lo: float, hi: float) -> None:
 
 
 def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float,
-            max_iter: int) -> Tuple[float, float, int, List[Tuple[float, float]]]:
-    """Halve [lo, hi] keeping inside(lo) true and inside(hi) false.
+            max_iter: int, cut: Optional[Callable[[float, float, int], float]] = None
+            ) -> Tuple[float, float, int, List[Tuple[float, float]]]:
+    """Cut [lo, hi] keeping inside(lo) true and inside(hi) false.
 
-    Returns the final bracket, the number of halvings and the trace of
-    brackets (the initial one first).  inside(m) returning None is an
+    Each step tests cut(lo, hi, j), j the steps taken so far, where that
+    lies strictly inside (lo, hi), and the midpoint otherwise or without
+    a cut.  Returns the final bracket, the number of steps and the trace
+    of brackets (the initial one first).  inside(m) returning None is an
     exact hit: the bracket becomes [m, m] and the loop ends.
     """
     _check_bracket(lo, hi)
     trace = [(lo, hi)]
     iterations = 0
     while hi - lo >= tol:
-        if iterations >= max_iter:
-            raise IterationCapError(f"bisection exceeded {max_iter} iterations")
         m = lo + (hi - lo) / 2
         if m <= lo or m >= hi:
             break  # no double lies strictly between lo and hi
+        if iterations >= max_iter:
+            raise IterationCapError(f"bisection exceeded {max_iter} iterations")
+        if cut is not None:
+            c = cut(lo, hi, iterations)
+            m = c if lo < c < hi else m
         side = inside(m)
         iterations += 1
         if side is None:
@@ -204,12 +214,25 @@ def bisect_root(
     tol: float = 1e-12,
     max_iter: int = MAX_HALVINGS,
 ) -> RootResult:
-    """Sign-change bisection for fn(x) = k on [a, b].
+    """Sign-change bracketing for fn(x) = k on [a, b], cut by ITP.
 
-    The bracket may be given in either order.  Halves until it is
+    The bracket may be given in either order.  Cuts it until it is
     narrower than tol or made of adjacent doubles and returns its
     midpoint; exact hits terminate immediately.  Raises BracketError when
     both endpoint residuals share a sign.
+
+    Each cut is the ITP point (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) with kappa1 = 0.2/(b - a), kappa2 = 2 and n0 = 1, from the
+    residuals recorded at the bracket's ends: the regula falsi point,
+    moved toward the midpoint by kappa1*w^2 (w the bracket's width), then
+    projected to within (b - a)*2^-j - w/2 of the midpoint at step j = 0,
+    1, ..., and kept tol/2 and one double away from both ends, so that a
+    root within tol/2 of an end closes the bracket at the next cut.  After
+    j + 1 cuts the bracket is at most (b - a)*2^-j wide, twice what as
+    many halvings leave, so ITP takes at most one cut more than halving
+    (two where tol is within some dozens of ulps of the root, as cuts
+    round to doubles); where fn is smooth at a simple root it converges
+    superlinearly.
     """
     require_tol(tol)
     if b < a:
@@ -222,13 +245,25 @@ def bisect_root(
         return RootResult(b, 0, (b, b), 0.0)
     if (fa > 0) == (fb > 0):
         raise BracketError(f"no sign change on [{a}, {b}]: f-k = {fa} and {fb}")
-    positive_left = fa > 0
+    positive_left, span, seen = fa > 0, b - a, {a: fa, b: fb}
 
     def same_side_as_a(m: float) -> Optional[bool]:
-        fm = fn(m) - k
+        fm = seen[m] = fn(m) - k
         return None if fm == 0.0 else (fm > 0) == positive_left
 
-    lo, hi, iterations, _ = _bisect(same_side_as_a, a, b, tol, max_iter)
+    def itp(lo: float, hi: float, j: int) -> float:
+        w, m, ylo = hi - lo, lo + (hi - lo) / 2, seen[lo]
+        xf = lo + w * (ylo / (ylo - seen[hi]))  # interpolate; NaN where a residual is inf
+        delta = 0.2 * w * (w / span)  # truncate, by kappa1*w^2 without overflow
+        xt = xf + math.copysign(delta, m - xf) if delta <= abs(m - xf) else m
+        r = max(math.ldexp(span, -j) - w / 2, 0.0)  # project; no overflow as j >= 0
+        x = min(max(xt, m - r), m + r)
+        # tol/2 and one double away from each end, so that a root within
+        # tol/2 of an end closes the bracket at the next step
+        return min(max(x, lo + tol / 2, math.nextafter(lo, hi)), hi - tol / 2,
+                   math.nextafter(hi, lo))
+
+    lo, hi, iterations, _ = _bisect(same_side_as_a, a, b, tol, max_iter, itp)
     root = lo + (hi - lo) / 2
     return RootResult(root, iterations, (lo, hi), 0.0 if lo == hi else fn(root) - k)
 

@@ -133,7 +133,7 @@ def test_limit_of_a_function_defined_about_c_is_its_value():
     assert (rep.estimate, rep.steps_used) == (2.0, 0)
     # defined on the right of 0 only: exact from the right, sampled from the left
     assert limit(E.parse("sqrt(x)"), 0.0, "right").steps_used == 0
-    with pytest.raises(DomainError):
+    with pytest.raises(DivergenceError, match="no left limit: f is undefined left of c = 0.0"):
         limit(E.parse("sqrt(x)"), 0.0, "left")
 
 

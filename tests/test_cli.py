@@ -109,8 +109,12 @@ def test_shape_of_abs_names_a_cell_that_disproves_it(capsys):
      '{"diagnostics": {"error": "no two-sided limit: f is undefined left of c = 0.0, within '
      '1.862645149230957e-11 of it (ln of a non-positive number)"}, "result": null}\n', ""),
     (["limit", "--f", "sqrt(x)", "--at", "0", "--mode", "right"], 0, "0.0\n", ""),
+    # printed the bare "error: sqrt of a negative number"
+    (["limit", "--f", "sqrt(x)", "--at", "0", "--mode", "left"], 1, "",
+     "error: no left limit: f is undefined left of c = 0.0, within 1.862645149230957e-11 of "
+     "it (sqrt of a negative number)\n"),
 ], ids=["deriv", "mvt", "rolle", "limit", "limit-left-undefined", "limit-json-left-undefined",
-        "limit-right"])
+        "limit-right", "limit-left-mode-undefined"])
 def test_abs_and_a_collapsed_window_in_the_cli(capsys, argv, code, out, err):
     got_code, got_out, got_err = run(capsys, *argv)
     assert (got_code, got_out) == (code, out) and got_err.startswith(err)

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import struct
 import sys
 import threading
 import warnings
@@ -403,35 +404,95 @@ def test_a_tree_is_value_numbered_once_for_every_backend(monkeypatch):
         E.evaluate(e, np.array([0.5, 1.5]))
         E.enclose(e, np.array([0.0]), np.array([1.0]))
     assert walks == [e]
-    assert E.evaluate_all((e, E.X), 0.5) == (E.evaluate(e, 0.5), 0.5)
-    assert walks == [e, (e, E.X)]   # a tuple of trees is numbered on every run
+    for t in (0.5, np.array([0.5, 1.5])):  # a jet of any order runs the same numbering
+        E.jet(e, t, 1)
+        E.jet(e, t, 3)
+    assert walks == [e]
 
 
-def _bits(v):
-    # a + b and b + a are one value, its operands ordered by value number,
-    # which follows the walk; an addition of two NaNs returns one of them,
-    # so only a NaN's sign and payload may depend on the other roots
-    v = np.asarray(v, dtype=float)
-    return np.where(np.isnan(v), np.nan, v).view(np.int64).tolist()
+def _slack(f, k, t):
+    """Width of f^(k)'s enclosure on [t, t], over k!: the rounding that a
+    float evaluation of f^(k) at t may carry, cancellation included."""
+    inf, sup = E.enclose(E.differentiate(f, k), np.array([t]), np.array([t]))
+    width = float(sup[0]) - float(inf[0])
+    return width / math.factorial(k) if width == width else math.inf  # (inf, inf): overflow
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_trees, min_size=1, max_size=4), st.lists(_points, min_size=1, max_size=4))
-def test_each_root_of_a_multi_root_program_equals_evaluate_alone(trees, xs):
-    # the last root shares every tree with the others, so values are shared
-    roots = (*trees, E.Mul(trees[0], trees[-1]))
-    for x in (xs[0], np.array(xs)):
-        alone = []
-        for e in roots:
-            try:
-                alone.append(E.evaluate(e, x))
-            except DomainError:
-                alone.append(None)
-        if any(v is None for v in alone):
-            with pytest.raises(DomainError):
-                E.evaluate_all(roots, x)
-        else:
-            assert list(map(_bits, E.evaluate_all(roots, x))) == list(map(_bits, alone))
+def _close(got, want, slack):
+    return abs(got - want) <= 4 * (slack + math.ulp(max(abs(got), abs(want))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr_trees(_CONSTS, max_leaves=8), _points, st.integers(0, 4))
+def test_a_jet_holds_the_derivatives_over_factorials(f, t, n):
+    import mpmath as mp
+
+    try:
+        want = [E.evaluate(E.differentiate(f, k), t) / math.factorial(k) for k in range(n + 1)]
+    except DomainError:
+        want = None
+    try:
+        got = E.jet(f, t, n)
+    except DomainError:
+        got = None
+    if got is None and want is not None:
+        # the jet divides by sqrt(0) or abs(0), which the symbolic
+        # derivative folded away: d/dx of sqrt(x - x) is 0
+        assert any(type(e) is E.Func and e.name in ("sqrt", "abs")
+                   and _outcome(E.evaluate, e.arg, t) == 0.0 for e in E._postorder(f))
+        return
+    if want is None and got is not None:
+        # a divisor of the symbolic tree underflowed to 0 (d/dx of 1/x
+        # squares x = 1e-300): in mpmath, which raises ZeroDivisionError on a
+        # division by 0, every derivative is defined
+        with mp.workdps(50):
+            for k in range(n + 1):
+                mp_eval(E.differentiate(f, k), mp.mpf(t), mp)
+        return
+    if got is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arrays = E.jet(f, np.array([t, t]), n)
+    # coefficient 0 is evaluate's, bit for bit, in both backends
+    assert _agree_bits(got[0], E.evaluate(f, t))
+    assert _agree_bits(arrays[0][1], E.evaluate(f, np.array([t]))[0])
+    slacks = [_slack(f, k, t) for k in range(n + 1)]
+    for k in range(1, n + 1):
+        for g, w in ((got[k], want[k]), (arrays[k][1], got[k])):
+            if math.isfinite(g) and math.isfinite(w):
+                assert _close(g, w, slacks[k]), (E.to_text(f), t, k)
+    # mpmath's steps stay inside f's domain about the quarters, not about 1e-300
+    if (4 * t).is_integer() and abs(t) <= 4 and all(map(math.isfinite, got + slacks)):
+        with mp.workdps(50):
+            taylor = mp.taylor(lambda x: mp_eval(f, x, mp), mp.mpf(t), n)
+        for k in range(n + 1):
+            # beyond the rounding, mpmath's own error where the coefficient is 0
+            assert _close(got[k], float(taylor[k]), slacks[k] + 1e-30), (E.to_text(f), t, k)
+
+
+def _agree_bits(u, v):
+    return (math.isnan(u) and math.isnan(v)) or struct.pack("d", u) == struct.pack("d", v)
+
+
+def test_a_jet_raises_where_sqrt_or_abs_meets_0_at_order_1():
+    for text in ("sqrt(x)", "abs(x)", "sqrt(x - x)", "abs(x)^3"):
+        assert E.jet(E.parse(text), 0.0, 0) == [0.0]
+        with pytest.raises(DomainError, match="division by zero"):
+            E.jet(E.parse(text), 0.0, 1)
+    assert E.jet(E.parse("sqrt(0*2)*x"), 0.0, 2) == [0.0, 0.0, 0.0]  # a constant: no division
+    assert E.jet(E.parse("abs(x)"), -2.0, 3) == [2.0, -1.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match="0 raised to a negative power"):
+        E.jet(E.parse("x^-2"), 0.0, 2)
+    with pytest.raises(PreconditionError):
+        E.jet(E.X, 0.0, -1)
+
+
+def test_a_jet_of_a_constant_has_zero_higher_coefficients():
+    assert E.jet(E.parse("2.5"), 1.0, 3) == [2.5, 0.0, 0.0, 0.0]
+    assert E.jet(E.parse("x^0"), 1.0, 2) == [1.0, 0.0, 0.0]
+    out = E.jet(E.parse("2.5"), np.array([0.0, 1.0]), 2)
+    assert [c.tolist() for c in out] == [[2.5, 2.5], [0.0, 0.0], [0.0, 0.0]]
 
 
 def test_unary_minus_binds_looser_than_power():

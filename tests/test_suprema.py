@@ -6,11 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fcalc.errors import BracketError, NonCutError, PreconditionError
-from fcalc.expr import evaluate, parse, to_text
+from fcalc.expr import differentiate, evaluate, parse, to_text
 from fcalc.suprema import (
     MAX_HALVINGS,
     Cut,
     PredicateSet,
+    _bisect,
     _linspace,
     affine_map,
     bisect_root,
@@ -139,11 +140,51 @@ def test_ivt_root_examples():
         ivt_root(parse("x^2"), 1.0, 2.0, 0.0)
 
 
-def test_ivt_root_iteration_count_matches_halving():
-    f = parse("x^3 - x - 2")
+def _halvings(a, b, tol):
+    """Halvings that take [a, b] below tol, plus the one ITP may add."""
+    return math.ceil(math.log2(b - a) - math.log2(tol)) + 1
+
+
+def test_ivt_root_takes_at_most_one_cut_more_than_halving():
+    # ITP's projection keeps the bracket within twice halving's width
     tol = 1e-6
-    res = ivt_root_result(f, 1.0, 2.0, 0.0, tol)
-    assert res.iterations == math.ceil(math.log2(1.0 / tol))
+    res = ivt_root_result(parse("x^3 - x - 2"), 1.0, 2.0, 0.0, tol)
+    assert res.iterations <= _halvings(1.0, 2.0, tol)
+    assert abs(res.root - 1.5213797068045676) <= tol
+
+
+@pytest.mark.parametrize("text, a, b, root", [
+    ("x^3 - x - 2", 1.0, 2.0, 1.5213797068045676),
+    ("cos(x) - x", 0.0, 1.0, 0.7390851332151607),
+    ("exp(x) - 2", -1.0, 3.0, math.log(2.0)),
+    ("sin(x)", 2.0, 4.0, math.pi),
+    ("1/(1 + x^2) - 0.3", 0.0, 5.0, math.sqrt(7 / 3)),
+])
+def test_ivt_root_is_superlinear_on_smooth_functions(text, a, b, root):
+    # halving takes 33 to 36 cuts to 1e-10 on these brackets
+    res = ivt_root_result(parse(text), a, b, 0.0, 1e-10)
+    assert res.iterations <= 12 and abs(res.root - root) <= 1e-10
+
+
+def test_ivt_root_closes_on_a_root_next_to_an_end():
+    # f' of a Rolle workload task on its scan cell, polished as _crossing
+    # does: the end 1.0198390112908378 comes within 4e-14 of the root, so
+    # regula falsi rounds onto it and the cut fell back to halving (19
+    # cuts); a cut kept tol/2 from the end closes the bracket at once
+    f = differentiate(parse("(x-0.2985)*(1.4944-x)*exp(0.7209*x)"), 1)
+    res = ivt_root_result(f, 1.0188374269005847, 1.0211686159844056, 0.0, 1.1959e-13)
+    assert res.iterations <= 10 and abs(res.root - 1.0198390112908) <= 1e-12
+
+
+def test_ivt_root_meets_the_bound_where_regula_falsi_stalls():
+    f = lambda x: x**9 - 1   # convex on [0, 3]: regula falsi never moves the end 3
+    lo, hi = 0.0, 3.0
+    for _ in range(100):
+        x = lo + (hi - lo) * (f(lo) / (f(lo) - f(hi)))
+        lo, hi = (x, hi) if f(x) < 0 else (lo, x)
+    assert hi == 3.0 and lo < 0.1
+    res = bisect_root(f, 0.0, 3.0, 0.0, 1e-10)
+    assert res.iterations <= _halvings(0.0, 3.0, 1e-10) and abs(res.root - 1.0) <= 1e-10
 
 
 def test_ivt_root_exact_hit_terminates():
@@ -191,6 +232,21 @@ def test_sup_cut_and_root_share_one_stopping_rule(c, tol):
         assert abs(x - y) <= 2 * width
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.25, 4.0), st.integers(1, 9), _TOLS)
+def test_ivt_root_never_takes_more_than_one_cut_over_halving(c, p, tol):
+    # x^p - c on [0, c + 1], x^9 flat enough near 0 to stall regula falsi,
+    # against the kernel's own halving.  The one-cut bound is exact
+    # arithmetic's; where the cuts come within some dozens of ulps of the
+    # root, each rounds to a double, which may cost ITP a second cut
+    f = lambda x: x**p - c
+    halvings = _bisect(lambda m: f(m) < 0, 0.0, c + 1.0, tol, MAX_HALVINGS)[2]
+    res = bisect_root(f, 0.0, c + 1.0, 0.0, tol)
+    spacing = math.ulp(c ** (1 / p))
+    assert res.iterations <= halvings + (1 if tol >= 1024 * spacing else 2)
+    assert _tight(*res.bracket, tol)
+
+
 def test_affine_map_examples():
     identity = affine_map(0, 1, 0, 1)
     for t in (0.0, 0.5, 1.0):
@@ -234,8 +290,6 @@ def test_a_root_bracket_may_come_in_either_order():
 
 
 def test_the_bisection_kernel_refuses_a_reversed_bracket():
-    from fcalc.suprema import _bisect
-
     with pytest.raises(PreconditionError, match="lo <= hi"):
         _bisect(lambda m: True, 2.0, 1.0, 1e-9, MAX_HALVINGS)
 
@@ -246,3 +300,12 @@ def test_default_cap_reaches_adjacent_doubles_from_any_finite_bracket():
     res = bisect_supremum(PredicateSet(lambda x: x < 5e-324, -big, big), 5e-324)
     assert res.value == 0.0 and res.trace[-1] == (0.0, 5e-324)
     assert res.iterations <= MAX_HALVINGS
+    # ITP on residuals of one size cuts at the midpoint, and on a cube root,
+    # whose regula falsi points it projects, at most one cut later
+    for fn in (lambda x: 1.0 if x >= 5e-324 else -1.0,
+               lambda x: math.copysign(abs(x) ** (1 / 3), x) - 1e-108):
+        res = bisect_root(fn, -big, big, 0.0, 5e-324)
+        lo, hi = res.bracket
+        assert res.iterations <= MAX_HALVINGS and (lo == hi or math.nextafter(lo, hi) == hi)
+    # adjacent doubles need no cut, so not even a cap of 0 is reached
+    assert _bisect(lambda m: True, 0.0, 5e-324, 5e-324, 0)[:3] == (0.0, 5e-324, 0)
