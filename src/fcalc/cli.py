@@ -19,8 +19,9 @@ tuples, which cost little to define.  `expr` imports numpy only for an
 array or interval call, and `suprema` and `stepfn`'s algebra never do,
 so parse, eval, deriv (without --at), sup, cut, root, affine, graph,
 stepint, seq --op limit and ival --op bisect run without it.  Run as a
-program, fc starts numpy's OpenBLAS with one thread unless
-OPENBLAS_NUM_THREADS is set (see main).
+program (run), fc starts numpy's OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is set (see main), and ends without interpreter
+teardown.
 """
 
 from __future__ import annotations
@@ -747,5 +748,23 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The fc program: main() on sys.argv, then the exit code.
+
+    Once stdout and stderr are flushed nothing is left to write, so the
+    process ends with os._exit and skips interpreter teardown, which
+    would free every module and object (README, Start-up).  A failed
+    flush (a closed pipe), an exception and argparse's SystemExit take
+    the normal exit, which reports them as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

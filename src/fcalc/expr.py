@@ -83,47 +83,12 @@ Number = Union[float, "np.ndarray"]
 class Expr:
     """Base node; each concrete node below names its fields in _fields.
 
-    Nodes are built only through __new__, which returns the live node for
-    (class, fields) or sets the fields of a new one and records it.  They
+    Nodes are built only through their class's __new__, which returns the
+    live node with the same key or has _new build and record one.  They
     refuse attribute assignment; caches go straight into __dict__.
     """
 
     _fields: Tuple[str, ...] = ()
-
-    def __new__(cls, *fields):
-        names = cls._fields
-        if len(fields) != len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
-        # Children are keyed by id: a node keeps them alive, so their ids are
-        # theirs while its entry stands, and the table holds no node.
-        kids = fields
-        if cls is Const:
-            fields, kids = (float(fields[0]),), ()
-            key = (cls, _DOUBLE.pack(fields[0]))  # the bit pattern: -0.0 is not 0.0
-        elif cls is Pow:
-            fields, kids = (fields[0], operator.index(fields[1])), fields[:1]
-            key = (cls, id(fields[0]), fields[1])
-        elif cls is Func:
-            kids = fields[1:]
-            key = (cls, fields[0], id(fields[1]))
-        else:  # Var, Neg and the binary nodes
-            key = (cls, id(fields[0]), id(fields[-1])) if fields else (cls,)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            node.__dict__.update(zip(names, fields), _kids=kids)
-            new = _Ref(node, _forget)
-            new.key = key
-            ref = _NODES.setdefault(key, new)  # atomic: of racing threads, one inserts
-            if ref is not new:
-                with _LOCK:  # taken by a racing thread, or by a dead node not yet forgotten
-                    ref = _NODES.get(key)
-                    winner = ref and ref()
-                    if winner is not None:  # another thread's node
-                        return winner
-                    _NODES[key] = new
-        return node
 
     def __reduce__(self):
         # unpickling calls the class, which re-interns; cached programs are not state
@@ -151,13 +116,37 @@ class Expr:
         return to_text(self)
 
 
-_NODES = {}  # (class, fields) -> weak reference to the live node
+# Each class's __new__ looks its key up and leaves a miss to _new.  Keys of
+# two classes never meet: a constant's is its bit pattern, Var's its class,
+# and the others' are tuples that start with their class.  Children are keyed
+# by id: a node keeps them alive, so their ids are theirs while its entry
+# stands, and the table holds no node.
+_NODES = {}  # key -> weak reference to the live node
 _LOCK = threading.Lock()  # taken by inserts only
 _DOUBLE = struct.Struct("d")
 
 
 class _Ref(weakref.ref):
     __slots__ = ("key",)
+
+
+def _new(cls, key, fields):
+    """A new node of cls with the given fields (a dict, which becomes its
+    __dict__), recorded under key; of threads racing to build it, all get
+    the node recorded first."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "__dict__", fields)
+    new = _Ref(node, _forget)
+    new.key = key
+    ref = _NODES.setdefault(key, new)  # atomic: of racing threads, one inserts
+    if ref is not new:
+        with _LOCK:  # taken by a racing thread, or by a dead node not yet forgotten
+            ref = _NODES.get(key)
+            winner = ref and ref()
+            if winner is not None:  # another thread's node
+                return winner
+            _NODES[key] = new
+    return node
 
 
 def _forget(ref):
@@ -169,37 +158,72 @@ def _forget(ref):
 class Const(Expr):
     _fields = ("value",)
 
+    def __new__(cls, value):
+        value = float(value)
+        key = _DOUBLE.pack(value)  # the bit pattern: -0.0 is not 0.0
+        ref = _NODES.get(key)
+        return ref and ref() or _new(cls, key, {"value": value, "_kids": ()})
+
 
 class Var(Expr):
-    pass
+    def __new__(cls):
+        ref = _NODES.get(cls)
+        return ref and ref() or _new(cls, cls, {"_kids": ()})
 
 
 class Neg(Expr):
     _fields = ("arg",)
 
+    def __new__(cls, arg):
+        key = (cls, id(arg))
+        ref = _NODES.get(key)
+        return ref and ref() or _new(cls, key, {"arg": arg, "_kids": (arg,)})
 
-class Add(Expr):
+
+class _Binary(Expr):
     _fields = ("left", "right")
 
-
-class Sub(Expr):
-    _fields = ("left", "right")
-
-
-class Mul(Expr):
-    _fields = ("left", "right")
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        ref = _NODES.get(key)
+        return ref and ref() or _new(cls, key, {"left": left, "right": right,
+                                                "_kids": (left, right)})
 
 
-class Div(Expr):
-    _fields = ("left", "right")
+class Add(_Binary):
+    pass
+
+
+class Sub(_Binary):
+    pass
+
+
+class Mul(_Binary):
+    pass
+
+
+class Div(_Binary):
+    pass
 
 
 class Pow(Expr):
     _fields = ("base", "exponent")
 
+    def __new__(cls, base, exponent):
+        exponent = operator.index(exponent)
+        key = (cls, id(base), exponent)
+        ref = _NODES.get(key)
+        return ref and ref() or _new(cls, key, {"base": base, "exponent": exponent,
+                                                "_kids": (base,)})
+
 
 class Func(Expr):
     _fields = ("name", "arg")
+
+    def __new__(cls, name, arg):
+        key = (cls, name, id(arg))
+        ref = _NODES.get(key)
+        return ref and ref() or _new(cls, key, {"name": name, "arg": arg, "_kids": (arg,)})
 
 
 X = Var()
@@ -383,19 +407,27 @@ def _compile(root):
 
     # A temporary's register is reused once its last reader has run, so no
     # more array intermediates are alive than the tree's shape needs.  The
-    # root's register is never handed on.
-    last = {u: t for t, (_, a, b) in enumerate(code, 1) for u in (a, b)}
-    last[value[root]] = len(code) + 1
-    regs, reg, free, program = [None, *consts], {}, [], []
+    # root's register is never handed on.  last[v] is the instruction that
+    # reads value v last and reg[v] v's register; x and the constants, whose
+    # registers are their own, sit at index 0 and at the lists' ends.
+    end = len(code) + 1
+    last, reg = [0] * (end + len(consts)), [*range(end), *range(len(consts), 0, -1)]
+    for t, (_, a, b) in enumerate(code, 1):
+        last[a] = last[a if b is None else b] = t
+    last[value[root]] = end
+    regs, free, program = [None, *consts], [], []
     for t, (op, a, b) in enumerate(code, 1):
-        i, j = reg.get(a, -a), (-1 if b is None else reg.get(b, -b))
-        free += {reg[u] for u in (a, b) if u in reg and last[u] == t}
+        i, j = reg[a], (-1 if b is None else reg[b])
+        if a > 0 and last[a] == t:
+            free.append(i)
+        if b is not None and b > 0 and b != a and last[b] == t:
+            free.append(j)
         if not free:
             free.append(len(regs))
             regs.append(None)
         reg[t] = k = free.pop()
         program.append((op, i, j, k))
-    return tuple(program), regs[1:], reg.get(value[root], -value[root])
+    return tuple(program), regs[1:], reg[value[root]]
 
 
 class _Backend:
@@ -903,25 +935,24 @@ def to_text(e: Expr, var_name: str = "x") -> str:
 # ---------------------------------------------------------------------------
 # parser: one precedence-climbing loop
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-      (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_]+)
-    | (?P<op>[-+*/^()])
-    | (?P<bad>\S))
-    """,
-    re.VERBOSE,
-)
+# A token is one of the grammar's (an operator, an identifier, a number) or
+# any other character, after optional whitespace; findall gives the tokens'
+# texts alone.  The kinds differ in their first character, so their order
+# is free: the most frequent first.
+_GRAMMAR = r"[-+*/^()]|[A-Za-z_]+|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(rf"\s*({_GRAMMAR}|\S)")
+_GRAMMAR_TOKEN = re.compile(_GRAMMAR)
 
 
-def _tokens(text: str) -> list:
-    """(kind, text, offset) for each token, then ("eof", "", len(text))."""
-    tokens = [(kind := m.lastgroup, m[kind], m.start(kind)) for m in _TOKEN_RE.finditer(text)]
-    for kind, value, offset in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", offset)
-    return tokens + [("eof", "", len(text))]
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The ParseError for token i of text (len(text) past the last one):
+    message there, unless a character anywhere starts no token of the
+    grammar, which is reported first.  Only this path reads offsets."""
+    found = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    for token, offset in found:
+        if not _GRAMMAR_TOKEN.fullmatch(token):
+            return ParseError(f"unexpected character {token!r}", offset)
+    return ParseError(message, found[i][1] if i < len(found) else len(text))
 
 
 def parse(text: str, var_name: str = "x") -> Expr:
@@ -935,10 +966,12 @@ def parse(text: str, var_name: str = "x") -> Expr:
     and "(" or a function name for each open group.  A prefix minus
     applies once its factor, with any ^ exponent, is complete; a binary
     operator first applies the pending ones that bind at least as tightly.
-    Only operator tokens have the texts - + * / ^ ( ), so a token's text
-    alone identifies them.
+    A token's text tells its kind: only operators are - + * / ^ ( ), only
+    numbers start with a digit or with "." and a digit, and "" ends the
+    input.  A character that starts no token is never consumed, so it
+    surfaces as an error, which _error reports first.
     """
-    tokens, i, operands, pending, depth = _tokens(text), 0, [], [], 0
+    tokens, i, operands, pending, depth = _TOKEN.findall(text) + [""], 0, [], [], 0
 
     def reduce(prec):
         while pending and pending[-1] in _INFIX and _PREC[pending[-1]] >= prec:
@@ -947,41 +980,41 @@ def parse(text: str, var_name: str = "x") -> Expr:
 
     while True:
         # operand position: prefix minuses and group openers, then one atom
-        kind, value, offset = tokens[i]
+        value = tokens[i]
         i += 1
         if value in ("-", "("):
             pending.append(Neg if value == "-" else "(")
             depth += value == "("
             continue
-        if kind == "ident" and value != var_name and value in FUNCTIONS:
-            if tokens[i][1] != "(":
-                raise ParseError("expected '('", tokens[i][2])
+        if value in FUNCTIONS and value != var_name:
+            if tokens[i] != "(":
+                raise _error(text, i, "expected '('")
             i += 1
             pending.append(value)
             depth += 1
             continue
-        if kind == "num":
+        if value[:1].isdecimal() or value[1:2].isdecimal():
             operands.append(Const(float(value)))
-        elif kind == "ident" and value == var_name:
+        elif value == var_name:
             operands.append(X)
-        elif kind == "ident":
-            raise ParseError(f"unknown identifier {value!r}", offset)
+        elif value.isidentifier():
+            raise _error(text, i - 1, f"unknown identifier {value!r}")
         else:
-            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
-                             offset)
+            raise _error(text, i - 1, f"unexpected token {value!r}" if value
+                         else "unexpected end of input")
         # operator position: a base is complete, so take its exponent and the
         # prefix minuses before it, then close a group or read an operator
         while True:
-            if tokens[i][1] == "^":
-                minus = tokens[i + 1][1] == "-"
-                kind, value, offset = tokens[i + 1 + minus]
-                if kind != "num" or not value.isdigit():
-                    raise ParseError("expected integer exponent", offset)
+            if tokens[i] == "^":
+                minus = tokens[i + 1] == "-"
+                value = tokens[i + 1 + minus]
+                if not value.isdecimal():
+                    raise _error(text, i + 1 + minus, "expected integer exponent")
                 i += 2 + minus
                 operands[-1] = Pow(operands[-1], -int(value) if minus else int(value))
             while pending and pending[-1] is Neg:
                 operands[-1] = pending.pop()(operands[-1])
-            kind, value, offset = tokens[i]
+            value = tokens[i]
             i += 1
             if value in _BINARY:
                 reduce(_PREC[_BINARY[value]])
@@ -994,9 +1027,7 @@ def parse(text: str, var_name: str = "x") -> Expr:
                     operands[-1] = Func(opener, operands[-1])
                 depth -= 1
                 continue
-            if depth:
-                raise ParseError("expected ')'", offset)
-            if kind != "eof":
-                raise ParseError(f"trailing input {value!r}", offset)
+            if depth or value:
+                raise _error(text, i - 1, "expected ')'" if depth else f"trailing input {value!r}")
             reduce(0)
             return operands[0]

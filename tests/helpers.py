@@ -1,9 +1,12 @@
 """Shared generators for the numerical property tests."""
 
+import re
+
 import numpy as np
 from hypothesis import strategies as st
 
 from fcalc import expr as E
+from fcalc.errors import ParseError
 
 
 def random_polynomial(rng, max_degree=5, scale=1.0, decay=1.0):
@@ -54,6 +57,96 @@ def expr_trees(consts, max_leaves, var=True):
     if var:
         leaves = st.one_of(st.just(E.Var()), leaves)
     return st.recursive(leaves, node, max_leaves=max_leaves)
+
+
+# The parser as it was before tokens became bare texts: a named group per
+# token kind, the kind, text and offset of every token, and any character
+# that starts no token refused before parsing starts.  The reference for
+# E.parse's trees, messages and offsets.
+_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:
+      (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_]+)
+    | (?P<op>[-+*/^()])
+    | (?P<bad>\S))
+    """,
+    re.VERBOSE,
+)
+_PREC = {E.Add: 1, E.Sub: 1, E.Mul: 2, E.Div: 2}
+_BINARY = {"+": E.Add, "-": E.Sub, "*": E.Mul, "/": E.Div}
+
+
+def oracle_tokens(text):
+    """(kind, text, offset) for each token, then ("eof", "", len(text))."""
+    tokens = [(kind := m.lastgroup, m[kind], m.start(kind)) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
+    return tokens + [("eof", "", len(text))]
+
+
+def oracle_parse(text, var_name="x"):
+    """E.parse over oracle_tokens: one precedence-climbing loop."""
+    tokens, i, operands, pending, depth = oracle_tokens(text), 0, [], [], 0
+
+    def reduce(prec):
+        while pending and pending[-1] in _PREC and _PREC[pending[-1]] >= prec:
+            right = operands.pop()
+            operands[-1] = pending.pop()(operands[-1], right)
+
+    while True:
+        kind, value, offset = tokens[i]
+        i += 1
+        if value in ("-", "("):
+            pending.append(E.Neg if value == "-" else "(")
+            depth += value == "("
+            continue
+        if kind == "ident" and value != var_name and value in E.FUNCTIONS:
+            if tokens[i][1] != "(":
+                raise ParseError("expected '('", tokens[i][2])
+            i += 1
+            pending.append(value)
+            depth += 1
+            continue
+        if kind == "num":
+            operands.append(E.Const(float(value)))
+        elif kind == "ident" and value == var_name:
+            operands.append(E.X)
+        elif kind == "ident":
+            raise ParseError(f"unknown identifier {value!r}", offset)
+        else:
+            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
+                             offset)
+        while True:
+            if tokens[i][1] == "^":
+                minus = tokens[i + 1][1] == "-"
+                kind, value, offset = tokens[i + 1 + minus]
+                if kind != "num" or not value.isdigit():
+                    raise ParseError("expected integer exponent", offset)
+                i += 2 + minus
+                operands[-1] = E.Pow(operands[-1], -int(value) if minus else int(value))
+            while pending and pending[-1] is E.Neg:
+                operands[-1] = pending.pop()(operands[-1])
+            kind, value, offset = tokens[i]
+            i += 1
+            if value in _BINARY:
+                reduce(_PREC[_BINARY[value]])
+                pending.append(_BINARY[value])
+                break
+            if depth and value == ")":
+                reduce(0)
+                opener = pending.pop()
+                if opener != "(":
+                    operands[-1] = E.Func(opener, operands[-1])
+                depth -= 1
+                continue
+            if depth:
+                raise ParseError("expected ')'", offset)
+            if kind != "eof":
+                raise ParseError(f"trailing input {value!r}", offset)
+            reduce(0)
+            return operands[0]
 
 
 def mp_eval(e, x, mp):

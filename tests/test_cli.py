@@ -836,6 +836,48 @@ sys.exit(main())
     assert abs(float(runs[0].stdout) - (1 - math.cos(1000)) / 1000) < 1e-6
 
 
+# Run as a program, fc flushes its output and ends with os._exit, skipping
+# interpreter teardown; these runs go through a pipe, as a shell's would.
+@pytest.mark.parametrize("argv, code", [
+    (["graph", "dot"], 0),   # a long output, which must arrive whole
+    (["eval", "--f", "exp(x)/(1+x^2)", "--x", "0.5"], 0),
+    (["--output", "json", "root", "--f", "x^2 + 1", "--a", "0", "--b", "1"], 1),
+    (["root", "--f", "x^2 + 1", "--a", "0", "--b", "1"], 1),
+    (["eval", "--f", "x +", "--x", "1", "--output", "json"], 2),
+    (["eval", "--f", "x"], 2),   # a usage error, from argparse
+    (["--output", "json", "eval", "--x", "1"], 2),
+    (["--help"], 0),
+    (["graph", "dot", "--help"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_the_program_exits_with_mains_code_and_output(argv, code):
+    proc = _fresh("-m", "fcalc.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _cli(argv)
+    assert proc.returncode == code
+    if "json" in argv:   # one object, the error's where the code is not 0
+        assert set(json.loads(proc.stdout)) == {"result", "diagnostics"}
+
+
+@pytest.mark.parametrize("argv, fail, out", [
+    (["eval", "--f", "x", "--x", "2"], False, "2.0\n"),   # os._exit: no teardown
+    (["eval", "--f", "x"], False, "teardown\n"),          # argparse's SystemExit
+    (["eval", "--f", "x", "--x", "2"], True, "teardown\n"),  # an exception
+])
+def test_only_a_clean_run_skips_interpreter_teardown(argv, fail, out):
+    proc = _fresh("-c", f"""
+import atexit, sys
+import fcalc.cli
+atexit.register(print, "teardown")
+sys.argv = ["fc", *{argv!r}]
+if {fail!r}:
+    fcalc.cli.main = lambda: 1 / 0
+fcalc.cli.run()
+""")
+    assert proc.stdout == out
+    assert ("ZeroDivisionError" in proc.stderr) == fail
+    text = Path(__file__).parents[1].joinpath("pyproject.toml").read_text()
+    assert re.search(r'^fc = "fcalc\.cli:run"$', text, re.M)   # the fc script
+
+
 def test_fcalc_loads_each_submodule_on_first_use():
     proc = _fresh("-c", """
 import sys

@@ -9,12 +9,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.errors import DomainError, ParseError, PreconditionError
-from helpers import expr_trees, fields_of, mp_eval, random_smooth_expr, value_instances
+from helpers import (expr_trees, fields_of, mp_eval, oracle_parse, random_smooth_expr,
+                     value_instances)
 
 
 def test_parse_examples():
@@ -381,6 +382,72 @@ def test_compiled_program_has_one_value_per_distinct_subtree():
         assert math.copysign(1.0, E.evaluate(e, 0.0)) == 1.0
 
 
+def _term(terms, op, a, b=None):
+    """The number of the term (op, a, b) over term numbers a and b, in the
+    table terms; a+b and b+a, a*b and b*a are one term."""
+    if op in ("add", "mul") and b < a:
+        a, b = b, a
+    return terms.setdefault((op, a, b), len(terms))
+
+
+def _tree_term(e, terms, memo):
+    """e's term, with u^n by repeated squaring, as _compile computes it."""
+    if e in memo:
+        return memo[e]
+    t = type(e)
+    if t is E.Var:
+        v = _term(terms, "x", None)
+    elif t is E.Const:
+        v = _term(terms, "const", struct.pack("d", e.value))
+    elif t is E.Neg or t is E.Func:
+        v = _term(terms, "neg" if t is E.Neg else e.name, _tree_term(e.arg, terms, memo))
+    elif t is E.Pow:
+        b, n, v = _tree_term(e.base, terms, memo), e.exponent, None
+        if n < 0:
+            b, n = _term(terms, "recip", b), -n
+        if n == 0:
+            v = _term(terms, "one", b)
+        while n:
+            if n & 1:
+                v = b if v is None else _term(terms, "mul", v, b)
+            n >>= 1
+            if n:
+                b = _term(terms, "mul", b, b)
+    else:
+        op = {E.Add: "add", E.Sub: "sub", E.Mul: "mul", E.Div: "div"}[t]
+        v = _term(terms, op, _tree_term(e.left, terms, memo), _tree_term(e.right, terms, memo))
+    memo[e] = v
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees, st.integers(-3, 3), st.integers(0, 2))
+def test_no_register_is_overwritten_before_its_last_read(t, s, k, order):
+    # shared subtrees (t and s twice), u^k for negative k and u^0 (whose
+    # dead base may hold the root), then derivatives, which share more
+    e = E.differentiate(E.Add(E.Mul(E.Pow(t, k), s), E.Div(E.Pow(E.Add(t, s), 0), t)), order)
+    code, regs, out = E._compile(e)
+    # Run the program on term numbers: a register read after another value
+    # took it gives a term that e does not have.
+    terms = {}
+    r = [_term(terms, "x", None)] + [
+        None if c is None else _term(terms, "const", struct.pack("d", c)) for c in regs]
+    root = _tree_term(e, terms, {})
+    done = -1 if r[out] == root else None  # the instruction that computes the root
+    for n, (op, i, j, k) in enumerate(code):
+        assert r[i] is not None and (j < 0 or r[j] is not None)
+        r[k] = _term(terms, op, r[i], None if j < 0 else r[j])
+        assert done is None or k != out  # the root's register is never handed on
+        done = n if r[k] == root and done is None else done
+    assert r[out] == root
+
+
+def test_the_wave_integrands_seventh_derivative_keeps_its_program_size():
+    wave = E.parse("sin(1.2*x)*exp(0-0.9*x^2) + ln(1+1.0*x^2)")
+    code, regs, _ = E._compile(E.differentiate(wave, 7))
+    assert len(code) == 270 and len(regs) <= 31
+
+
 def test_compiled_programs_are_cached_outside_the_value():
     e = E.parse("sin(x) + x^2")
     before = (repr(e), hash(e), E.to_text(e))
@@ -709,6 +776,34 @@ def test_the_variable_name_is_the_only_identifier_besides_functions():
         E.parse("1/x", var_name="n")
     with pytest.raises(ParseError, match=r"unknown identifier 'n' \(at offset 0\)"):
         E.parse("n")
+
+
+# Pieces of the grammar's texts, and characters that start no token: a lone
+# ".", a non-ASCII letter, a superscript two (a digit to str.isdigit, not to
+# the tokenizer), an Arabic-Indic three (a digit to both), a no-break space.
+_PIECES = ["x", "n", "sin", "cos", "exp", "ln", "sqrt", "abs", "e", "_", "foo", "(", ")", "+",
+           "-", "*", "/", "^", "0", "2", "10", "2.5", "1.", ".5", "1e3", "2E-2", ".", " ", "\t",
+           "\u00e9", "\u00b2", "\u0663", "\u00a0", "$"]
+_texts = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+                   st.text(alphabet=sorted(set("".join(_PIECES))), max_size=16),
+                   expr_trees((0.0, -0.0, 0.5, 2.0), max_leaves=8).map(E.to_text))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_texts, st.sampled_from(["x", "n"]))
+@example("x^\u00b2", "x")
+@example("x^\u0663 + \u0663.5", "x")
+@example("2*. + x", "x")
+@example("sin(x) \u00e9", "x")
+def test_parse_agrees_with_the_named_group_tokenizer(text, var_name):
+    try:
+        want = oracle_parse(text, var_name)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            E.parse(text, var_name)
+        assert (str(got.value), got.value.offset) == (str(err), err.offset)
+    else:
+        assert E.parse(text, var_name) is want
 
 
 # ---------------------------------------------------------------------------
