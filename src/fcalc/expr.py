@@ -244,20 +244,26 @@ def _postorder(root, cached: str = None):
     memory alone.  A node holding the attribute `cached` is not yielded,
     and neither is its subtree (unless reached another way).
     """
-    seen, stack = set(), [(None, iter((root,)))]  # a stand-in parent above the root
-    while stack:
-        node, kids = stack[-1]
-        for kid in kids:
+    # nodes[k] is the node whose children iters[k] runs over, below a
+    # stand-in parent of the root; a leaf is yielded without a level
+    seen, nodes, iters = set(), [None], [iter((root,))]
+    while iters:
+        for kid in iters[-1]:
             if kid not in seen and not (cached and hasattr(kid, cached)):
                 seen.add(kid)
                 try:
-                    stack.append((kid, iter(kid._kids)))
+                    kids = kid._kids
                 except AttributeError:
                     raise TypeError(f"not an expression node: {kid!r}") from None
-                break
+                if kids:
+                    nodes.append(kid)
+                    iters.append(iter(kids))
+                    break
+                yield kid
         else:
-            stack.pop()
-            if stack:  # not the stand-in
+            iters.pop()
+            node = nodes.pop()
+            if iters:  # not the stand-in
                 yield node
 
 
@@ -863,7 +869,10 @@ def _rule(e: Expr) -> Expr:
     """
     if isinstance(e, Var):
         return Const(1.0)
-    if all(type(kid._deriv) is Const and kid._deriv.value == 0.0 for kid in e._kids):
+    for kid in e._kids:
+        if type(kid._deriv) is not Const or kid._deriv.value != 0.0:
+            break
+    else:  # no child's derivative is other than 0
         return Const(0.0)
     if isinstance(e, Neg):
         return neg(e.arg._deriv)
