@@ -325,16 +325,20 @@ def _crossing(h: Callable, a: float, b: float, k: float, tol: float) -> Optional
     uniform grid on [a, b].  Returns the midpoint where |h - k| <= tol at
     every grid point; else the first grid point where h = k exactly;
     else the first sign change of h - k, polished by bisect_root's ITP to
-    max(1e-13, (b - a)*1e-13), if |h - k| <= tol there, so a jump of h
-    across k (f' of abs at its kink) is no witness; else None, also where
-    h is undefined at a point of the scan or of the polish.  Needs a < b.
+    max(1e-13, (b - a)*1e-13) from the scan's values at its two ends,
+    if |h - k| <= tol there, so a jump of h across k (f' of abs at its
+    kink) is no witness; else None, also where h is undefined at a point
+    of the scan or of the polish.  The polish evaluates h last at the
+    root it returns, unless that root is an end of its bracket.  Needs
+    a < b.
     """
     if not a < b:
         raise PreconditionError("need a < b")
     xs = np.linspace(a, b, SCAN + 2)[1:-1]
     try:
+        vals = h(xs)
         with np.errstate(invalid="ignore"):  # inf - inf: no crossing there
-            resid = h(xs) - k
+            resid = vals - k
         if np.all(np.abs(resid) <= tol):
             return a + (b - a) / 2
         hit = np.flatnonzero(resid == 0.0)
@@ -345,7 +349,12 @@ def _crossing(h: Callable, a: float, b: float, k: float, tol: float) -> Optional
         if not flips.size:
             return None
         i = int(flips[0])
-        found = bisect_root(h, float(xs[i]), float(xs[i + 1]), k,
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        # the polish reads h at the bracket's ends from the scan, so it
+        # evaluates neither again and sees the sign change the scan saw
+        # (a scalar h may round differently from the array one there)
+        ends = {lo: float(vals[i]), hi: float(vals[i + 1])}
+        found = bisect_root(lambda t: ends[t] if t in ends else h(t), lo, hi, k,
                             tol=max(1e-13, (b - a) * 1e-13))
     except DomainError:
         return None
@@ -426,8 +435,10 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
     solves f^(n+1)(c) = rho and is the _crossing of f^(n+1) and rho on
     (a, x), the midpoint where f^(n+1) is within tol of rho on the whole
     scan, with f^(n+1)(t) read as (n+1)! times the last coefficient of
-    f's jet of order n+1 at t (at the whole scan in one array run).  With
-    no crossing the report carries rho but no witness, with the remainder
+    f's jet of order n+1 at t (at the whole scan in one array run).  The
+    remainder reads f^(n+1)(c) from the jet the polish last computed,
+    where that was at c, so no jet is computed at c twice.  With no
+    crossing the report carries rho but no witness, with the remainder
     taken from rho so the identity still closes.
     """
     require_tol(tol)
@@ -448,10 +459,18 @@ def taylor(f: Expr, a: float, n: int, x: float, tol: float = 1e-9) -> TaylorRepo
         value += ck * h**k
     fx = evaluate(f, x)
     rho = math.factorial(n + 1) / h ** (n + 1) * (fx - value)
-    top = lambda t: math.factorial(n + 1) * jet(f, t, n + 1)[n + 1]  # f^(n+1)
+    last = [None, None]  # the last float top ran at, and f^(n+1)/(n+1)! there
+
+    def top(t):  # f^(n+1)
+        c = jet(f, t, n + 1)[n + 1]
+        if isinstance(t, float):
+            last[:] = t, c
+        return math.factorial(n + 1) * c
+
     witness = _crossing(top, a, x, rho, tol)
     if witness is not None:
-        remainder = jet(f, witness, n + 1)[n + 1] * h ** (n + 1)
+        c = last[1] if last[0] == witness else jet(f, witness, n + 1)[n + 1]
+        remainder = c * h ** (n + 1)
     else:
         remainder = rho / math.factorial(n + 1) * h ** (n + 1)
     converged = abs(value + remainder - fx) <= tol * (1 + abs(fx))

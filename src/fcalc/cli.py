@@ -753,13 +753,20 @@ def run() -> None:
 
     Once stdout and stderr are flushed nothing is left to write, so the
     process ends with os._exit and skips interpreter teardown, which
-    would free every module and object (README, Start-up).  A failed
-    flush (a closed pipe), an exception and argparse's SystemExit take
-    the normal exit, which reports them as before.
+    would free every module and object (README, Start-up).  Where the
+    reader of stdout has gone (a closed pipe), the exit code is 1, with
+    stdout pointed at os.devnull so that the flush at interpreter exit
+    cannot fail again.  A failed flush of stderr, an exception and
+    argparse's SystemExit take the normal exit, which reports them as
+    before.
     """
-    code = main()
     try:
+        code = main()
         sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    try:
         sys.stderr.flush()
     except (OSError, ValueError):
         sys.exit(code)

@@ -526,46 +526,46 @@ def _jet_ops(p):
     DomainError, as the symbolic derivative's division by 0 does; every
     other divisor is a u_0 that p's own op has already refused at 0.
     """
-    div = p["div"]
-
-    def dot(u, v):
-        return sum(map(operator.mul, u, v))
+    div, times = p["div"], operator.mul
 
     def mul(u, v):
         w = [p["mul"](u[0], v[0])]
         if len(u) == 1 or len(v) == 1:  # a constant factor
             c, other = (u[0], v) if len(u) == 1 else (v[0], u)
             return w + [c * a for a in other[1:]]
-        return w + [dot(u[:k + 1], v[k::-1]) for k in range(1, len(u))]
+        rv, n = v[::-1], len(v) - 1  # rv[n - k:] is v_k, ..., v_0
+        return w + [sum(map(times, u, rv[n - k:])) for k in range(1, len(u))]
 
     def quotient(w0, u, v):  # u/v, whose coefficient 0 is w0
-        w = [w0]
+        w, v1 = [w0], v[1:]
         for k in range(1, max(len(u), len(v))):
-            w.append(((u[k] if k < len(u) else 0.0) - dot(v[1:k + 1], w[::-1])) / v[0])
+            w.append(((u[k] if k < len(u) else 0.0) - sum(map(times, v1, reversed(w)))) / v[0])
         return w
 
     def sqrt(u):
-        w = [p["sqrt"](u[0])]
+        w0, w = p["sqrt"](u[0]), []  # w: w_1, w_2, ...
         for k in range(1, len(u)):
-            w.append(div(u[k] - dot(w[1:k], w[k - 1:0:-1]), 2.0 * w[0]))
-        return w
+            w.append(div(u[k] - sum(map(times, w, reversed(w))), 2.0 * w0))
+        return [w0, *w]
 
     def exp(u):
-        du, w = [k * a for k, a in enumerate(u)], [p["exp"](u[0])]
+        du, w = [k * a for k, a in enumerate(u[1:], 1)], [p["exp"](u[0])]
         for k in range(1, len(u)):
-            w.append(dot(du[1:k + 1], w[::-1]) / k)
+            w.append(sum(map(times, du, reversed(w))) / k)
         return w
 
     def ln(u):
-        dw = [p["ln"](u[0])]  # then k*w_k
+        w0, dw = p["ln"](u[0]), []  # dw: k*w_k for k = 1, 2, ...
         for k in range(1, len(u)):
-            dw.append((k * u[k] - dot(dw[1:], u[k - 1:0:-1])) / u[0])
-        return [dw[0], *[d / k for k, d in enumerate(dw[1:], 1)]]
+            dw.append((k * u[k] - sum(map(times, dw, u[k - 1:0:-1]))) / u[0])
+        return [w0, *[d / k for k, d in enumerate(dw, 1)]]
 
     def sincos(u):
-        du, s, c = [k * a for k, a in enumerate(u)], [p["sin"](u[0])], [p["cos"](u[0])]
+        du, s, c = [k * a for k, a in enumerate(u[1:], 1)], [p["sin"](u[0])], [p["cos"](u[0])]
         for k in range(1, len(u)):
-            s, c = s + [dot(du[1:k + 1], c[::-1]) / k], c + [-dot(du[1:k + 1], s[::-1]) / k]
+            sk = sum(map(times, du, reversed(c))) / k
+            c.append(-sum(map(times, du, reversed(s))) / k)
+            s.append(sk)
         return s, c
 
     def abs_(u):

@@ -1,5 +1,7 @@
 """Shared generators for the numerical property tests."""
 
+import itertools
+import operator
 import re
 
 import numpy as np
@@ -147,6 +149,71 @@ def oracle_parse(text, var_name="x"):
                 raise ParseError(f"trailing input {value!r}", offset)
             reduce(0)
             return operands[0]
+
+
+# The jet op table as it was before its recurrences lost the per-term dot
+# call and the reversed copies: the reference for E._jet_ops's coefficients.
+def oracle_jet_ops(p):
+    """E._jet_ops with a dot product per coefficient: the reference whose
+    coefficients the jet tables must equal bit for bit."""
+    div = p["div"]
+
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def mul(u, v):
+        w = [p["mul"](u[0], v[0])]
+        if len(u) == 1 or len(v) == 1:  # a constant factor
+            c, other = (u[0], v) if len(u) == 1 else (v[0], u)
+            return w + [c * a for a in other[1:]]
+        return w + [dot(u[:k + 1], v[k::-1]) for k in range(1, len(u))]
+
+    def quotient(w0, u, v):  # u/v, whose coefficient 0 is w0
+        w = [w0]
+        for k in range(1, max(len(u), len(v))):
+            w.append(((u[k] if k < len(u) else 0.0) - dot(v[1:k + 1], w[::-1])) / v[0])
+        return w
+
+    def sqrt(u):
+        w = [p["sqrt"](u[0])]
+        for k in range(1, len(u)):
+            w.append(div(u[k] - dot(w[1:k], w[k - 1:0:-1]), 2.0 * w[0]))
+        return w
+
+    def exp(u):
+        du, w = [k * a for k, a in enumerate(u)], [p["exp"](u[0])]
+        for k in range(1, len(u)):
+            w.append(dot(du[1:k + 1], w[::-1]) / k)
+        return w
+
+    def ln(u):
+        dw = [p["ln"](u[0])]  # then k*w_k
+        for k in range(1, len(u)):
+            dw.append((k * u[k] - dot(dw[1:], u[k - 1:0:-1])) / u[0])
+        return [dw[0], *[d / k for k, d in enumerate(dw[1:], 1)]]
+
+    def sincos(u):
+        du, s, c = [k * a for k, a in enumerate(u)], [p["sin"](u[0])], [p["cos"](u[0])]
+        for k in range(1, len(u)):
+            s, c = s + [dot(du[1:k + 1], c[::-1]) / k], c + [-dot(du[1:k + 1], s[::-1]) / k]
+        return s, c
+
+    def abs_(u):
+        w = [p["abs"](u[0])]
+        if len(u) > 1:
+            sign = div(u[0], w[0])
+            w += [sign * a for a in u[1:]]
+        return w
+
+    def linear(op):  # add or sub, coefficient by coefficient
+        return lambda u, v: [op(a, b) for a, b in itertools.zip_longest(u, v, fillvalue=0.0)]
+
+    return {"neg": lambda u: [p["neg"](a) for a in u], "add": linear(p["add"]),
+            "sub": linear(p["sub"]), "mul": mul,
+            "div": lambda u, v: quotient(div(u[0], v[0]), u, v),
+            "recip": lambda v: quotient(p["recip"](v[0]), [1.0], v),
+            "one": lambda u: [p["one"](u[0])], "sqrt": sqrt, "exp": exp, "ln": ln,
+            "sin": lambda u: sincos(u)[0], "cos": lambda u: sincos(u)[1], "abs": abs_}
 
 
 def mp_eval(e, x, mp):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcalc import calculus
 from fcalc import expr as E
 from fcalc.calculus import (
+    SCAN,
+    _crossing,
     derivative,
     emvt_witness,
     extreme_point,
@@ -622,3 +625,60 @@ def test_a_kink_hit_by_the_witness_search_is_no_witness(find, message):
 def test_taylor_reports_no_witness_at_a_jump():
     rep = taylor(E.parse("abs(x - 0.3)"), 0.0, 0, 1.0)
     assert rep.witness is None and rep.converged
+
+
+def test_the_polish_starts_from_the_scans_values_where_scalar_and_array_round_apart():
+    # the polish evaluated h again at the scan's bracket with the scalar
+    # backend, which rounds exp(x)^3 some ulps apart from the array one:
+    # with k between the two values at a scan point, the polish saw no sign
+    # change where the scan had seen one, and raised BracketError
+    h = E.parse("exp(x)*exp(x)*exp(x)")
+    xs = np.linspace(0.0, 1.0, SCAN + 2)[1:-1]
+    scan = E.evaluate(h, xs)
+    i = next(i for i, t in enumerate(xs)
+             if abs(E.evaluate(h, float(t)) - scan[i]) > math.ulp(scan[i]))
+    k = float(scan[i] + (E.evaluate(h, float(xs[i])) - scan[i]) / 2)
+    assert scan[i] < k < E.evaluate(h, float(xs[i]))
+    c = _crossing(h, 0.0, 1.0, k, 1e-8)
+    assert xs[i] < c < xs[i + 1] and abs(E.evaluate(h, c) - k) <= 1e-8
+
+
+def test_the_polish_evaluates_neither_end_of_its_scan_bracket():
+    f = E.differentiate(E.parse("(x-0.2985)*(1.4944-x)*exp(0.7209*x)"), 1)
+    points = []
+
+    def h(t):
+        if not isinstance(t, np.ndarray):
+            points.append(t)
+        return E.evaluate(f, t)
+
+    c = _crossing(h, 0.0, 2.0, 0.0, 1e-8)
+    xs = np.linspace(0.0, 2.0, SCAN + 2)[1:-1]
+    i = int(np.searchsorted(xs, c)) - 1
+    assert xs[i] < c < xs[i + 1] and points
+    assert not {float(xs[i]), float(xs[i + 1])} & set(points)
+    assert points[-1] == c  # the residual is read last, at the root
+
+
+@pytest.mark.parametrize("text, n", [("exp(x)", 2), ("sin(1.2*x)*exp(0-0.9*x^2)", 1),
+                                     ("ln(1 + x^2) + x^7", 6)])
+def test_taylor_computes_one_jet_per_point(monkeypatch, text, n):
+    # the polish read f^(n+1) again at both ends of the scan bracket, and
+    # the remainder once more at the witness: three scalar jets too many
+    jets, roots = [], []
+    jet, bisect_root = calculus.jet, calculus.bisect_root
+
+    def counted_jet(e, t, order):
+        jets.append((order, isinstance(t, np.ndarray)))
+        return jet(e, t, order)
+
+    def counted_bisect_root(*args, **kwargs):
+        roots.append(bisect_root(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(calculus, "jet", counted_jet)
+    monkeypatch.setattr(calculus, "bisect_root", counted_bisect_root)
+    rep = taylor(E.parse(text), 0.0, n, 1.0)
+    assert rep.witness is not None and len(roots) == 1 and roots[0].root == rep.witness
+    cuts = roots[0].iterations
+    assert jets == [(n, False), (n + 1, True)] + [(n + 1, False)] * (cuts + 1)

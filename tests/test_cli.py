@@ -674,12 +674,26 @@ def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
 # ---------------------------------------------------------------------------
 # start-up: what a fresh process imports
 
-def _fresh(*args, env=None):
+def _fresh(*args, env=None, stdout=subprocess.PIPE):
     """Run the interpreter with args in a fresh process importing this fcalc,
-    in env (default: this process's environment)."""
+    in env (default: this process's environment), its stdout captured
+    unless given."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fcalc.__file__)))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120,
                           env={**(os.environ if env is None else env), "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("args", [("graph", "dot"), ("eval", "--f", "x", "--x", "2")])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(args):
+    # print raised BrokenPipeError, and the process ended in its traceback
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before fc writes
+    try:
+        proc = _fresh("-m", "fcalc.cli", *args, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 _BLAS = "OPENBLAS_NUM_THREADS"

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from fcalc import expr as E
 from fcalc.errors import DomainError, ParseError, PreconditionError
-from helpers import (expr_trees, fields_of, mp_eval, oracle_parse, random_smooth_expr,
-                     value_instances)
+from helpers import (expr_trees, fields_of, mp_eval, oracle_jet_ops, oracle_parse,
+                     random_smooth_expr, value_instances)
 
 
 def test_parse_examples():
@@ -560,6 +560,53 @@ def test_a_jet_of_a_constant_has_zero_higher_coefficients():
     assert E.jet(E.parse("x^0"), 1.0, 2) == [1.0, 0.0, 0.0]
     out = E.jet(E.parse("2.5"), np.array([0.0, 1.0]), 2)
     assert [c.tolist() for c in out] == [[2.5, 2.5], [0.0, 0.0], [0.0, 0.0]]
+
+
+_ORACLE_JETS = (E._Backend("oracle_jet", lambda: oracle_jet_ops(E._SCALAR.ops), lambda c: [c]),
+                E._Backend("oracle_array_jet", lambda: oracle_jet_ops(E._ARRAY.ops),
+                           lambda c: [c]))
+
+
+# Products of the constants and quarters are mostly exact, so their sums
+# round alike in any order; a sum over an argument with no zero jet
+# coefficient, at a point off the dyadic grid, shows the order.
+_jet_points = st.one_of(_points, st.floats(-4.0, 4.0))
+_DENSE = "(2.5 + exp(x)*sin(x) + x^3)"
+
+
+def _jet_bits(run):
+    """The coefficients' bit patterns, every NaN as one pattern, and their
+    types, or the DomainError's message."""
+    try:
+        out = run()
+    except DomainError as e:
+        return str(e)
+    bits = [np.where(np.isnan(c), np.nan, c).view(np.int64).tolist()
+            for c in map(np.asarray, out)]
+    return bits, [type(c) for c in out]
+
+
+def _assert_jets_equal_the_oracle(f, t, n):
+    want = _jet_bits(lambda: E._run_point(f, t, *_ORACLE_JETS, n))
+    assert _jet_bits(lambda: E.jet(f, t, n)) == want, (E.to_text(f), t, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, st.one_of(_jet_points, st.lists(_jet_points, min_size=1, max_size=4).map(np.array)),
+       st.integers(0, 7))
+def test_jets_equal_the_dot_product_recurrences_bit_for_bit(f, t, n):
+    # the recurrences sum the same products in the same order as the
+    # reference, with no dot call and no reversed copies
+    _assert_jets_equal_the_oracle(f, t, n)
+
+
+@pytest.mark.parametrize("text", [f"{g}{_DENSE}" for g in ("exp", "ln", "sin", "cos", "sqrt")]
+                         + [f"x*{_DENSE}", f"x/{_DENSE}"])
+@pytest.mark.parametrize("t", [0.3, np.array([0.3, -0.7])], ids=["float", "array"])
+def test_jets_of_dense_arguments_equal_the_dot_product_recurrences(text, t):
+    # each recurrence summed backwards differs from the reference here
+    # (sqrt's sum of w_j*w_(k-j) reads the same either way)
+    _assert_jets_equal_the_oracle(E.parse(text), t, 7)
 
 
 def test_unary_minus_binds_looser_than_power():
