@@ -8,13 +8,31 @@ unparseable input.  With --output json a single strict-JSON object with
 exit-1 error object, and a usage error an exit-2 one); identical argv
 and seed give byte-identical output.
 
+One reply path.  main parses the expression flags in x (--f, --g, --F,
+--G) into trees, in flag order, before the handler runs, and fills in
+args.tol, args.seed (FC_SEED overrides --seed) and args.max_iter.  A
+handler takes args alone and returns the library's answer, or a Reply
+where it has more to say: diagnostics, a label, a text line that shows
+something other than the value, or lines after it.  main derives the
+rest:
+  - the text: _fmt of the value, which prints a dict as "key value"
+    pairs and a bool as true or false, after "label: " where there is a
+    label;
+  - with --output json, the object {"result": value, "diagnostics": ...};
+  - the exit code: 1 where the value is False (a verdict that came back
+    false), else 0.
+_write is fc's one write to stdout.  A write that fails gives one
+"error:" line on stderr (none where the reader has gone: a closed pipe)
+and exit 1.
+
 Start-up pays only for the subcommand that runs.  main builds the
 parser with the one subparser that argv names (the whole table for
 --help, no command, or a token before the command that is not a global
 flag).  This module imports the standard library and `errors` alone,
 and json only where it reads or writes JSON, so the parser, --help and
-usage errors load no library module; each handler imports its modules
-when it runs, and their value classes are plain classes and named
+usage errors load no library module; main imports `expr` for a
+subcommand with an expression flag, and each handler imports its
+modules when it runs.  Their value classes are plain classes and named
 tuples, which cost little to define.  `expr` imports numpy only for an
 array or interval call, and `suprema` and `stepfn`'s algebra never do,
 so parse, eval, deriv (without --at), sup, cut, root, affine, graph,
@@ -31,19 +49,9 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from .errors import MathError, ParseError
-
-
-class Config(NamedTuple):
-    tol: float = 1e-9
-    seed: int = 0
-    output: str = "text"
-    max_iter: Optional[int] = None  # None: each operation's own cap
-
-    def cap(self, default: int) -> int:
-        return default if self.max_iter is None else self.max_iter
 
 
 _COMPARATORS = (("<=", lambda u, v: u <= v), (">=", lambda u, v: u >= v),
@@ -112,180 +120,179 @@ def _json_arg(text: str, shape):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return " ".join(f"{key} {_fmt(v)}" for key, v in value.items())
     return str(value)
 
 
+class Reply(NamedTuple):
+    """A handler's answer where its value alone is not all fc prints:
+    the JSON diagnostics, the label before the text line, what that line
+    shows where not the value, and the text lines after it."""
+
+    value: object
+    diagnostics: dict = {}  # read only: the default is shared
+    label: Optional[str] = None
+    shown: object = None  # None: the value
+    lines: Sequence[str] = ()
+
+
+def _output(reply: Reply, json_output: bool) -> str:
+    """What fc writes to stdout for a reply."""
+    if json_output:
+        return _json({"result": reply.value, "diagnostics": reply.diagnostics})
+    line = _fmt(reply.value if reply.shown is None else reply.shown)
+    if reply.label is not None:
+        line = f"{reply.label}: {line}"
+    return "\n".join([line, *reply.lines])
+
+
+def _cap(args, default: int) -> int:
+    """The iteration cap: --max-iter where given, else the operation's own."""
+    return default if args.max_iter is None else args.max_iter
+
+
 # ---------------------------------------------------------------------------
-# handlers: each returns (result, diagnostics, exit_code, text_lines)
+# handlers: each takes args and returns the library's answer or a Reply
 
-def _h_parse(args, cfg):
+def _h_parse(args):
     from . import expr
-    text = expr.to_text(expr.parse(args.text))
-    return text, {}, 0, [text]
+    return expr.to_text(expr.parse(args.text))
 
 
-def _h_eval(args, cfg):
+def _h_eval(args):
+    return args.f(args.x)  # a tree is callable: expr.evaluate(f, x)
+
+
+def _h_deriv(args):
     from . import expr
-    value = expr.evaluate(expr.parse(args.f), args.x)
-    return value, {}, 0, [_fmt(value)]
-
-
-def _h_deriv(args, cfg):
-    from . import expr
-    f = expr.parse(args.f)
     if args.at is None:
-        text = expr.to_text(expr.differentiate(f, args.order))
-        return text, {}, 0, [text]
+        return expr.to_text(expr.differentiate(args.f, args.order))
     from . import calculus  # numpy-backed: only with --at
-    rep = calculus.derivative(f, args.at, args.order, tol=max(cfg.tol, 1e-10))
-    return rep.estimate, rep._asdict(), 0, [_fmt(rep.estimate)]
+    rep = calculus.derivative(args.f, args.at, args.order, tol=max(args.tol, 1e-10))
+    return Reply(rep.estimate, rep._asdict())
 
 
-def _h_limit(args, cfg):
-    from . import calculus, expr
-    rep = calculus.limit(expr.parse(args.f), args.at, args.mode, tol=max(cfg.tol, 1e-10))
-    return rep.estimate, rep._asdict(), 0, [_fmt(rep.estimate)]
+def _h_limit(args):
+    from . import calculus
+    rep = calculus.limit(args.f, args.at, args.mode, tol=max(args.tol, 1e-10))
+    return Reply(rep.estimate, rep._asdict())
 
 
-def _h_sup(args, cfg):
+def _h_sup(args):
     from . import suprema
     pset = suprema.PredicateSet(parse_predicate(args.member), args.seed_point, args.bound)
-    res = suprema.bisect_supremum(pset, cfg.tol, cfg.cap(suprema.MAX_HALVINGS))
-    diag = {"iterations": res.iterations}
-    lines = [_fmt(res.value)]
-    if args.witnesses:
-        wit = suprema.sup_witnesses(pset, res.value, args.witnesses)
-        diag["witnesses"] = wit
-        lines.append("witnesses: " + _fmt(wit))
-    return res.value, diag, 0, lines
+    res = suprema.bisect_supremum(pset, args.tol, _cap(args, suprema.MAX_HALVINGS))
+    if not args.witnesses:
+        return Reply(res.value, {"iterations": res.iterations})
+    wit = suprema.sup_witnesses(pset, res.value, args.witnesses)
+    return Reply(res.value, {"iterations": res.iterations, "witnesses": wit},
+                 lines=["witnesses: " + _fmt(wit)])
 
 
-def _h_cut(args, cfg):
+def _h_cut(args):
     from . import suprema
     c = suprema.Cut(parse_predicate(args.below), args.in_point, args.out_point)
-    value = suprema.cut_point(c, cfg.tol, max_iter=cfg.cap(suprema.MAX_HALVINGS))
-    return value, {}, 0, [_fmt(value)]
+    return suprema.cut_point(c, args.tol, max_iter=_cap(args, suprema.MAX_HALVINGS))
 
 
-def _h_root(args, cfg):
-    from . import expr, suprema
-    f = expr.parse(args.f)
-    res = suprema.ivt_root_result(f, args.a, args.b, args.k, cfg.tol,
-                                  cfg.cap(suprema.MAX_HALVINGS))
-    diag = {"iterations": res.iterations, "bracket": list(res.bracket),
-            "residual": res.residual}
-    return res.root, diag, 0, [_fmt(res.root)]
+def _h_root(args):
+    from . import suprema
+    res = suprema.bisect_root(args.f, args.a, args.b, args.k, args.tol,
+                              _cap(args, suprema.MAX_HALVINGS))
+    return Reply(res.root, {"iterations": res.iterations, "bracket": res.bracket,
+                            "residual": res.residual})
 
 
-def _h_extremum(args, cfg):
-    from . import calculus, expr
-    f = expr.parse(args.f)
-    c, fc = calculus.extreme_point(f, args.a, args.b, cfg.tol)
-    return {"argmax": c, "max": fc}, {}, 0, [f"argmax {_fmt(c)} max {_fmt(fc)}"]
+def _h_extremum(args):
+    from . import calculus
+    c, fc = calculus.extreme_point(args.f, args.a, args.b, args.tol)
+    return {"argmax": c, "max": fc}
 
 
-def _h_witness(args, cfg):  # rolle and mvt
-    from . import calculus, expr
+def _h_witness(args):  # rolle, mvt and emvt
+    from . import calculus
+    if args.command == "emvt":
+        return calculus.emvt_witness(args.f, args.g, args.a, args.b, max(args.tol, 1e-12))
     witness = calculus.rolle_witness if args.command == "rolle" else calculus.mvt_witness
-    c = witness(expr.parse(args.f), args.a, args.b, max(cfg.tol, 1e-12))
-    return c, {}, 0, [_fmt(c)]
+    return witness(args.f, args.a, args.b, max(args.tol, 1e-12))
 
 
-def _h_emvt(args, cfg):
-    from . import calculus, expr
-    f, g = expr.parse(args.f), expr.parse(args.g)
-    c = calculus.emvt_witness(f, g, args.a, args.b, max(cfg.tol, 1e-12))
-    return c, {}, 0, [_fmt(c)]
+def _h_taylor(args):
+    from . import calculus
+    rep = calculus.taylor(args.f, args.at, args.n, args.x, max(args.tol, 1e-12))
+    witness = "none" if rep.witness is None else rep.witness
+    shown = {"value": rep.value, "rho": rep.rho, "witness": witness, "remainder": rep.remainder}
+    return Reply(rep.value, rep._asdict(), shown=shown)
 
 
-def _h_taylor(args, cfg):
-    from . import calculus, expr
-    f = expr.parse(args.f)
-    rep = calculus.taylor(f, args.at, args.n, args.x, max(cfg.tol, 1e-12))
-    diag = rep._asdict()
-    lines = [f"value {_fmt(rep.value)} rho {_fmt(rep.rho)} witness "
-             f"{_fmt(rep.witness) if rep.witness is not None else 'none'} "
-             f"remainder {_fmt(rep.remainder)}"]
-    return rep.value, diag, 0, lines
+def _h_polycheck(args):
+    from . import calculus
+    ok = calculus.polynomial_check(args.f, args.a, args.b, args.n, args.tol)
+    return Reply(ok, label=f"polynomial of degree <= {args.n}")
 
 
-def _h_polycheck(args, cfg):
-    from . import calculus, expr
-    f = expr.parse(args.f)
-    ok = calculus.polynomial_check(f, args.a, args.b, args.n, cfg.tol)
-    return ok, {}, 0 if ok else 1, [f"polynomial of degree <= {args.n}: {str(ok).lower()}"]
+def _h_shape(args):
+    from . import calculus
+    ok, ce = calculus.shape_checks(args.f, args.a, args.b, args.kind, args.tol)
+    lines = ["counterexample: " + _fmt(ce)] if ce else ()
+    return Reply(ok, {"counterexample": ce or None}, label=args.kind, lines=lines)
 
 
-def _h_shape(args, cfg):
-    from . import calculus, expr
-    f = expr.parse(args.f)
-    ok, ce = calculus.shape_checks(f, args.a, args.b, args.kind, cfg.tol)
-    diag = {"counterexample": list(ce) if ce else None}
-    lines = [f"{args.kind}: {str(ok).lower()}"]
-    if ce:
-        lines.append("counterexample: " + _fmt(list(ce)))
-    return ok, diag, 0 if ok else 1, lines
-
-
-def _load_cover(text: str) -> cover.OpenCover:
+def _checked_cover(text: str):
+    """The cover that text holds, whether it covers its target, and a
+    point that it leaves uncovered (None where it covers)."""
     from . import cover
-    return cover.OpenCover.from_json(_json_arg(text, _COVER))
+    c = cover.OpenCover.from_json(_json_arg(text, _COVER))
+    return (c, *cover.verify_cover(c))
 
 
-def _h_cover_verify(args, cfg):
+def _h_cover_verify(args):
     from . import cover
-    c = _load_cover(args.cover)
-    ok, witness = cover.verify_cover(c)
-    diag = {"witness": witness}
-    lines = [f"covers: {str(ok).lower()}"]
-    if ok:
-        diag["length_inequality"] = cover.length_inequality(c)
-    else:
-        lines.append(f"uncovered point: {_fmt(witness)}")
-    return ok, diag, 0 if ok else 1, lines
+    c, ok, witness = _checked_cover(args.cover)
+    if not ok:
+        return Reply(ok, {"witness": witness}, label="covers",
+                     lines=["uncovered point: " + _fmt(witness)])
+    return Reply(ok, {"witness": witness, "length_inequality": cover.length_inequality(c)},
+                 label="covers")
 
 
-def _h_subcover(args, cfg):
-    from . import cover
-    c = _load_cover(args.cover)
-    ok, witness = cover.verify_cover(c)
+def _verified_cover(text: str) -> cover.OpenCover:
+    c, ok, witness = _checked_cover(text)
     if not ok:
         raise MathError(f"not a cover: {witness} is uncovered")
-    idx = cover.finite_subcover(c)
-    return idx, {}, 0, ["indices: " + _fmt(idx)]
+    return c
 
 
-def _h_lebesgue(args, cfg):
+def _h_subcover(args):
     from . import cover
-    c = _load_cover(args.cover)
-    ok, witness = cover.verify_cover(c)
-    if not ok:
-        raise MathError(f"not a cover: {witness} is uncovered")
-    delta = cover.lebesgue_number(c, args.mode, args.sample)
-    return delta, {"mode": args.mode}, 0, [_fmt(delta)]
+    return Reply(cover.finite_subcover(_verified_cover(args.cover)), label="indices")
 
 
-def _h_modulus(args, cfg):
-    from . import cover, expr
-    f = expr.parse(args.f)
-    delta = cover.uniform_modulus(f, args.a, args.b, args.eps, args.grid)
-    return delta, {}, 0, [_fmt(delta)]
+def _h_lebesgue(args):
+    from . import cover
+    delta = cover.lebesgue_number(_verified_cover(args.cover), args.mode, args.sample)
+    return Reply(delta, {"mode": args.mode})
 
 
-def _h_stepapprox(args, cfg):
-    from . import cover, expr
-    f = expr.parse(args.f)
-    phi = cover.step_approximation(f, args.a, args.b, args.eps, delta=args.delta,
-                                   grid=args.grid)
-    err = cover.sup_error(f, phi)
+def _h_modulus(args):
+    from . import cover
+    return cover.uniform_modulus(args.f, args.a, args.b, args.eps, args.grid)
+
+
+def _h_stepapprox(args):
+    from . import cover
+    phi = cover.step_approximation(args.f, args.a, args.b, args.eps, args.delta, args.grid)
+    err = cover.sup_error(args.f, phi)
     result = {"partition": phi.partition.to_json(), "values": list(phi.cell_values),
               "sup_error_bound": err}
-    lines = [f"cells {phi.partition.cell_count} sup_error_bound {_fmt(err)}"]
-    return result, {}, 0, lines
+    return Reply(result, shown={"cells": phi.partition.cell_count, "sup_error_bound": err})
 
 
 def _step_from_args(ptext: str, vtext: str) -> stepfn.StepFunction:
@@ -294,13 +301,12 @@ def _step_from_args(ptext: str, vtext: str) -> stepfn.StepFunction:
                                _json_arg(vtext, _FLOATS))
 
 
-def _h_stepint(args, cfg):
+def _h_stepint(args):
     from . import interval, stepfn
     phi = _step_from_args(args.partition, args.values)
     if args.split_at is not None:
         left, right = stepfn.step_split(phi, args.split_at)
-        result = {"left": stepfn.step_integral(left), "right": stepfn.step_integral(right)}
-        return result, {}, 0, [f"left {_fmt(result['left'])} right {_fmt(result['right'])}"]
+        return {"left": stepfn.step_integral(left), "right": stepfn.step_integral(right)}
     if args.reexpress is not None:
         omega = interval.Partition(_json_arg(args.reexpress, _FLOATS))
         phi = stepfn.step_reexpress(phi, omega)
@@ -311,155 +317,124 @@ def _h_stepint(args, cfg):
                 raise ParseError("--combine add needs --other-partition and --other-values", 0)
             psi = _step_from_args(args.other_partition, args.other_values)
         phi = stepfn.step_combine(phi, psi, op=args.combine, factor=args.factor)
-    value = stepfn.step_integral(phi)
     diag = {"partition": phi.partition.to_json(), "values": list(phi.cell_values)}
-    return value, diag, 0, [_fmt(value)]
+    return Reply(stepfn.step_integral(phi), diag)
 
 
-def _h_darboux(args, cfg):
-    from . import expr, integrate
-    f = expr.parse(args.f)
-    lower, upper = integrate.darboux_bounds(f, args.a, args.b, args.n)
-    return {"lower": lower, "upper": upper}, {}, 0, [f"lower {_fmt(lower)} upper {_fmt(upper)}"]
+def _h_darboux(args):
+    from . import integrate
+    lower, upper = integrate.darboux_bounds(args.f, args.a, args.b, args.n)
+    return {"lower": lower, "upper": upper}
 
 
-def _h_riemann(args, cfg):
-    from . import expr, integrate, interval
-    f = expr.parse(args.f)
+def _h_riemann(args):
+    from . import integrate, interval
     part = interval.Partition(_json_arg(args.partition, _FLOATS))
     points = _json_arg(args.points, _FLOATS) if args.points else None
-    choice = integrate.ChoiceFunction(args.choice, seed=cfg.seed, points=points)
-    value = integrate.riemann_sum(f, part, choice)
-    return value, {}, 0, [_fmt(value)]
+    choice = integrate.ChoiceFunction(args.choice, seed=args.seed, points=points)
+    return integrate.riemann_sum(args.f, part, choice)
 
 
-def _h_integrate(args, cfg):
-    from . import expr, integrate
-    f = expr.parse(args.f)
+def _h_integrate(args):
+    from . import integrate
     if args.check_additivity_at is not None:
-        ok = integrate.integral_additivity_check(f, args.a, args.check_additivity_at,
-                                                 args.b, cfg.tol)
-        return ok, {}, 0 if ok else 1, [f"additivity: {str(ok).lower()}"]
+        ok = integrate.integral_additivity_check(args.f, args.a, args.check_additivity_at,
+                                                 args.b, args.tol)
+        return Reply(ok, label="additivity")
     if args.bounds is not None:
-        ok = integrate.bounds_check(f, args.a, args.b, args.bounds[0], args.bounds[1], cfg.tol)
-        return ok, {}, 0 if ok else 1, [f"bounds: {str(ok).lower()}"]
-    cert = integrate.riemann_integral(f, args.a, args.b, cfg.tol)
+        ok = integrate.bounds_check(args.f, args.a, args.b, *args.bounds, args.tol)
+        return Reply(ok, label="bounds")
+    cert = integrate.riemann_integral(args.f, args.a, args.b, args.tol)
     diag = cert.to_json() if args.certificate else {"converged": cert.converged,
                                                     "levels": len(cert.levels)}
-    return cert.value, diag, 0, [_fmt(cert.value)]
+    return Reply(cert.value, diag)
 
 
-def _h_ftc2(args, cfg):
-    from . import expr, integrate
-    F = expr.parse(args.F)
-    ok = integrate.ftc2_check(F, args.a, args.b, cfg.tol)
-    return ok, {}, 0 if ok else 1, [f"ftc2: {str(ok).lower()}"]
+def _h_ftc2(args):
+    from . import integrate
+    return Reply(integrate.ftc2_check(args.F, args.a, args.b, args.tol), label="ftc2")
 
 
-def _h_imvt(args, cfg):
-    from . import expr, integrate
-    f = expr.parse(args.f)
-    xi = integrate.imvt_witness(f, args.a, args.b, cfg.tol)
-    return xi, {}, 0, [_fmt(xi)]
+def _h_imvt(args):
+    from . import integrate
+    return integrate.imvt_witness(args.f, args.a, args.b, args.tol)
 
 
-def _h_adt(args, cfg):
-    from . import expr, integrate
-    F, G = expr.parse(args.F), expr.parse(args.G)
-    integrate.adt_check(F, G, args.a, args.b, max(cfg.tol, 1e-12))  # raises unless true
-    return True, {}, 0, ["adt: true"]
+def _h_adt(args):
+    from . import integrate
+    integrate.adt_check(args.F, args.G, args.a, args.b, max(args.tol, 1e-12))  # raises unless true
+    return Reply(True, label="adt")
 
 
-def _h_graph(args, cfg):
+def _h_graph(args):
     from . import graph
     g = graph.build()
     if args.gcmd == "scc":
-        ok = graph.check_equivalence(g)
-        return ok, {"nodes": len(g.nodes), "edges": len(g.edges)}, 0 if ok else 1, [
-            f"strongly connected: {str(ok).lower()}"
-        ]
+        return Reply(graph.check_equivalence(g), {"nodes": len(g.nodes), "edges": len(g.edges)},
+                     label="strongly connected")
     if args.gcmd == "dot":
         text = graph.export_dot(g)
-        return text, {}, 0, [text.rstrip("\n")]
+        return Reply(text, shown=text.rstrip("\n"))
     chain = graph.path(g, args.src, args.dst)
     hops = [f"{e.src} -> {e.dst}" for e in chain]
-    result = {"length": len(chain), "edges": hops}
-    return result, {}, 0, [f"length {len(chain)}"] + hops
+    return Reply({"length": len(chain), "edges": hops}, shown={"length": len(chain)}, lines=hops)
 
 
-def _h_affine(args, cfg):
+def _h_affine(args):
     from . import expr, suprema
-    e = suprema.affine_map(args.from_a, args.from_b, args.to_a, args.to_b)
-    text = expr.to_text(e)
-    return text, {}, 0, [text]
+    return expr.to_text(suprema.affine_map(args.from_a, args.from_b, args.to_a, args.to_b))
 
 
-def _h_pwl(args, cfg):
+def _h_pwl(args):
     from . import calculus
     fn = calculus.piecewise_linear(_json_arg(args.nodes, _FLOATS),
                                    _json_arg(args.values, _FLOATS))
-    value = fn(args.x)
-    return value, {}, 0, [_fmt(value)]
+    return fn(args.x)
 
 
-def _h_seq(args, cfg):
+def _h_seq(args):
     from . import expr, interval, sequences
     rule_expr = expr.parse(args.s, var_name="n")
-    s = sequences.Sequence(lambda k: expr.evaluate(rule_expr, float(k)))
+    s = sequences.Sequence(lambda k: rule_expr(float(k)))
     if args.op == "monotone":
-        verdict = sequences.check_monotone(s, args.n)
-        return verdict, {}, 0, [verdict]
+        return sequences.check_monotone(s, args.n)
     if args.op == "cauchy":
         rep = sequences.check_cauchy_window(s, args.eps, args.lo, args.hi)
-        diag = {"pair": list(rep.pair), "gap": rep.gap}
-        return rep.ok, diag, 0 if rep.ok else 1, [
-            f"cauchy: {str(rep.ok).lower()} worst pair {rep.pair} gap {_fmt(rep.gap)}"
-        ]
+        return Reply(rep.ok, {"pair": rep.pair, "gap": rep.gap}, label="cauchy",
+                     shown=f"{_fmt(rep.ok)} worst pair {rep.pair} gap {_fmt(rep.gap)}")
     if args.op == "bound":
-        m = sequences.bound_prefix(s, args.n)
-        return m, {}, 0, [_fmt(m)]
+        return sequences.bound_prefix(s, args.n)
     if args.op == "bw":
         box = interval.Interval(args.box[0], args.box[1])
         sel, ivals = sequences.bw_extract(s, box, args.depth, args.budget)
-        result = {"indices": list(sel.indices),
-                  "intervals": [iv.to_json() for iv in ivals]}
-        return result, {}, 0, ["indices: " + _fmt(list(sel.indices))]
+        result = {"indices": sel.indices, "intervals": [iv.to_json() for iv in ivals]}
+        return Reply(result, label="indices", shown=sel.indices)
     if args.op == "limit":
         if args.upper is None:
             raise ParseError("seq --op limit needs --upper", 0)
-        value = sequences.monotone_limit(s, args.upper, max(cfg.tol, 1e-12), cfg.cap(10**6))
-        return value, {}, 0, [_fmt(value)]
+        return sequences.monotone_limit(s, args.upper, max(args.tol, 1e-12), _cap(args, 10**6))
     if args.op == "diverge":
         sel = sequences.divergence_witness(s, args.eps, args.count, args.budget)
-        return list(sel.indices), {}, 0, ["indices: " + _fmt(list(sel.indices))]
+        return Reply(sel.indices, label="indices")
     box = interval.Interval(args.box[0], args.box[1])  # cauchy-limit
-    value = sequences.cauchy_limit(s, box, max(cfg.tol, 1e-12), args.budget)
-    return value, {}, 0, [_fmt(value)]
+    return sequences.cauchy_limit(s, box, max(args.tol, 1e-12), args.budget)
 
 
-def _h_ival(args, cfg):
+def _h_ival(args):
     from . import expr, interval
     if args.op == "bisect":
-        iv = interval.Interval(*_json_arg(args.interval, _PAIR))
-        left, right = interval.bisect(iv)
-        result = {"left": left.to_json(), "right": right.to_json()}
-        return result, {}, 0, [f"left {left.to_json()} right {right.to_json()}"]
+        left, right = interval.bisect(interval.Interval(*_json_arg(args.interval, _PAIR)))
+        return {"left": left.to_json(), "right": right.to_json()}
     if args.op == "partition":
-        part = interval.uniform_partition(args.a, args.b, args.n)
-        return part.to_json(), {}, 0, [_fmt(part.to_json())]
+        return interval.uniform_partition(args.a, args.b, args.n).to_json()
     if args.op == "refine":
         p = interval.Partition(_json_arg(args.p, _FLOATS))
         q = interval.Partition(_json_arg(args.q, _FLOATS))
-        nodes = interval.refine(p, q).to_json()
-        return nodes, {}, 0, [_fmt(nodes)]
-    lo_rule = expr.parse(args.lo_expr, var_name="n")  # shrink
-    hi_rule = expr.parse(args.hi_expr, var_name="n")
-    seq = interval.NestedSequence(
-        lambda k: interval.Interval(expr.evaluate(lo_rule, float(k)),
-                                    expr.evaluate(hi_rule, float(k)))
-    )
-    value = interval.shrink_to_point(seq, max(cfg.tol, 1e-15), cfg.cap(10**6))
-    return value, {}, 0, [_fmt(value)]
+        return interval.refine(p, q).to_json()
+    lo = expr.parse(args.lo_expr, var_name="n")  # shrink
+    hi = expr.parse(args.hi_expr, var_name="n")
+    seq = interval.NestedSequence(lambda k: interval.Interval(lo(float(k)), hi(float(k))))
+    return interval.shrink_to_point(seq, max(args.tol, 1e-15), _cap(args, 10**6))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +549,7 @@ COMMANDS: Dict[str, Command] = {
                         "calculus.extreme_point", _FAB),
     "rolle": Command(_h_witness, "rolle witness", "calculus.rolle_witness", _FAB),
     "mvt": Command(_h_witness, "mvt witness", "calculus.mvt_witness", _FAB),
-    "emvt": Command(_h_emvt, "Cauchy mean-value witness", "calculus.emvt_witness",
+    "emvt": Command(_h_witness, "Cauchy mean-value witness", "calculus.emvt_witness",
                     {"f": REQ, "g": REQ, "a": REQ, "b": REQ}),
     "taylor": Command(_h_taylor, "Taylor value, normalized error and witness", "calculus.taylor",
                       {"f": REQ, "n": REQ, "at": REQ, "x": REQ}),
@@ -702,13 +677,37 @@ def _json(payload) -> str:
         raise MathError("result is not finite; JSON has no inf or nan") from None
 
 
-def _fail(cfg: Config, kind: str, message: str, code: int) -> int:
+def _json_error(message: str) -> str:
+    return _json({"result": None, "diagnostics": {"error": message}})
+
+
+def _write(text: str) -> bool:
+    """Write text and a newline to stdout and flush it: fc's one write
+    there.  False where that fails; then stdout points at os.devnull, so
+    that no later flush fails again, and stderr gets one error line, or
+    none where the reader of stdout has gone (a closed pipe)."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+        return True
+    except OSError as e:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write to stdout: {e.strerror or e}", file=sys.stderr)
+        return False
+
+
+def _fail(json_output: bool, kind: str, message: str, code: int) -> int:
     """Report an error as the JSON error object or one stderr line."""
-    if cfg.output == "json":
-        print(_json({"result": None, "diagnostics": {"error": message}}))
-    else:
-        print(f"{kind}: {message}", file=sys.stderr)
+    if json_output:
+        return code if _write(_json_error(message)) else 1
+    print(f"{kind}: {message}", file=sys.stderr)
     return code
+
+
+_EXPR_FLAGS = ("f", "g", "F", "G")  # the flags that hold an expression in x
 
 
 def main(argv=None) -> int:
@@ -725,47 +724,44 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]
-        tol = getattr(args, "tol", command.tol)
-        if not 0 < tol < math.inf:
+        args.tol = getattr(args, "tol", command.tol)
+        if not 0 < args.tol < math.inf:
             parser.error("--tol must be positive and finite")
     except SystemExit as e:
         # argparse has printed usage to stderr; JSON output still gets its object
         if hasattr(e, "usage_error") and _asks_for_json(argv):
-            print(_json({"result": None, "diagnostics": {"error": e.usage_error}}))
+            _write(_json_error(e.usage_error))
         raise
-    cfg = Config(tol=tol, seed=int(os.environ.get("FC_SEED", getattr(args, "seed", 0))),
-                 output=getattr(args, "output", "text"), max_iter=getattr(args, "max_iter", None))
+    args.seed = int(os.environ.get("FC_SEED", getattr(args, "seed", 0)))
+    args.max_iter = getattr(args, "max_iter", None)
+    json_output = getattr(args, "output", "text") == "json"
     try:
-        result, diagnostics, code, lines = command.handler(args, cfg)
-        if cfg.output == "json":
-            lines = [_json({"result": result, "diagnostics": diagnostics})]
+        for flag in command.flags:  # in flag order, before the handler runs
+            if flag in _EXPR_FLAGS:
+                from . import expr
+                setattr(args, flag, expr.parse(getattr(args, flag)))
+        reply = command.handler(args)
+        if not isinstance(reply, Reply):
+            reply = Reply(reply)
+        text = _output(reply, json_output)
     except ParseError as e:
-        return _fail(cfg, "parse error", str(e), 2)
+        return _fail(json_output, "parse error", str(e), 2)
     except MathError as e:
-        return _fail(cfg, "error", str(e), 1)
-    for line in lines:
-        print(line)
-    return code
+        return _fail(json_output, "error", str(e), 1)
+    code = 1 if reply.value is False else 0
+    return code if _write(text) else 1
 
 
 def run() -> None:
     """The fc program: main() on sys.argv, then the exit code.
 
-    Once stdout and stderr are flushed nothing is left to write, so the
-    process ends with os._exit and skips interpreter teardown, which
-    would free every module and object (README, Start-up).  Where the
-    reader of stdout has gone (a closed pipe), the exit code is 1, with
-    stdout pointed at os.devnull so that the flush at interpreter exit
-    cannot fail again.  A failed flush of stderr, an exception and
-    argparse's SystemExit take the normal exit, which reports them as
-    before.
+    main has flushed stdout, so once stderr is flushed nothing is left to
+    write, and the process ends with os._exit, which skips interpreter
+    teardown: that would free every module and object (README,
+    Start-up).  A failed flush of stderr, an exception and argparse's
+    SystemExit take the normal exit, which reports them as before.
     """
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    code = main()
     try:
         sys.stderr.flush()
     except (OSError, ValueError):

@@ -33,7 +33,7 @@ import math
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
-from .expr import Expr, Var, add, const, evaluate, mul, sub
+from .expr import Expr, Var, add, const, mul, sub
 from .interval import require_tol
 
 
@@ -268,13 +268,9 @@ def bisect_root(
     return RootResult(root, iterations, (lo, hi), 0.0 if lo == hi else fn(root) - k)
 
 
-def ivt_root_result(f: Expr, a: float, b: float, k: float, tol: float, max_iter: int = MAX_HALVINGS) -> RootResult:
-    return bisect_root(lambda t: evaluate(f, t), a, b, k, tol, max_iter)
-
-
 def ivt_root(f: Expr, a: float, b: float, k: float = 0.0, tol: float = 1e-12) -> float:
     """Point c in [a, b] with f(c) = k, given a sign-change bracket."""
-    return ivt_root_result(f, a, b, k, tol).root
+    return bisect_root(f, a, b, k, tol).root
 
 
 def affine_map(a0: float, b0: float, a: float, b: float) -> Expr:

@@ -260,13 +260,13 @@ def value_instances():
 
     Callable fields hold builtins, so every value pickles.
     """
-    from fcalc import calculus, cli, graph, integrate, interval, sequences, stepfn, suprema
+    from fcalc import calculus, graph, integrate, interval, sequences, stepfn, suprema
 
     part = interval.Partition((0, 0.5, 1))
     level = integrate.CertificateLevel(4, 0.25, 0.5)
     return [
         calculus.LimitReport(1.0, 0.0, True), calculus.TaylorReport(2.5, 0.5, None, 0.1, True),
-        cli.Config(), graph.Principle("MCP", "monotone convergence", (1, 2)),
+        graph.Principle("MCP", "monotone convergence", (1, 2)),
         graph.ImplicationEdge("MCP", "CA", "theorem 2"), integrate.ChoiceFunction("random", 3),
         level, integrate.IntegralCertificate(0.375, [level], True), interval.Interval(0, 1),
         part, interval.NestedSequence(abs), sequences.Sequence(float),

@@ -24,7 +24,7 @@ from fcalc.graph import CLOSING_EDGES, build, check_equivalence, export_dot, pat
 from fcalc.integrate import riemann_integral
 from fcalc.interval import Interval, OpenInterval, Partition
 from fcalc.stepfn import StepFunction, step_combine, step_integral, step_reexpress, step_split
-from fcalc.suprema import PredicateSet, bisect_supremum, ivt_root_result
+from fcalc.suprema import PredicateSet, bisect_root, bisect_supremum
 from helpers import (mp_diff, random_partition, random_polynomial, random_smooth_expr,
                      validate_lebesgue)
 
@@ -45,7 +45,7 @@ def test_criterion_01_supremum():
 
 def test_criterion_02_ivt_root():
     f = E.parse("x^3 - x - 2")
-    res = ivt_root_result(f, 1.0, 2.0, 0.0, 1e-10)
+    res = bisect_root(f, 1.0, 2.0, 0.0, 1e-10)
     assert abs(E.evaluate(f, res.root)) <= 1e-8
     width = res.bracket[1] - res.bracket[0]
     assert width <= 1e-10

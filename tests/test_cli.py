@@ -495,6 +495,321 @@ def test_unbounded_darboux_bound_is_a_json_error_object(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the reply path: the recorded output of one argv per branch of every
+# handler, the false verdicts among them
+
+_COVER = '{"target": [0, 1], "pieces": [[-0.1, 0.6], [0.4, 1.1]]}'
+_GAPPED_COVER = '{"target": [0, 1], "pieces": [[-0.1, 0.4], [0.5, 1.1]]}'
+_STEP = ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 3]"]
+
+# argv, exit code, stdout as text, stdout with --output json
+_GOLDEN = [
+    (["parse", "--text", "sin(x)^2 - 1/x"], 0,
+     "sin(x)^2 - 1.0/x\n",
+     '{"diagnostics": {}, "result": "sin(x)^2 - 1.0/x"}\n'),
+    (["eval", "--f", "exp(x)/(1+x^2)", "--x", "0.5"], 0,
+     "1.3189770165601025\n",
+     '{"diagnostics": {}, "result": 1.3189770165601025}\n'),
+    (["deriv", "--f", "sin(x)*x^3", "--order", "2"], 0,
+     "-sin(x)*x^3 + 3.0*x^2*cos(x) + (2.0*x*3.0*sin(x) + cos(x)*(3.0*x^2))\n",
+     ('{"diagnostics": {}, '
+      '"result": "-sin(x)*x^3 + 3.0*x^2*cos(x) + (2.0*x*3.0*sin(x) + cos(x)*(3.0*x^2))"}\n')),
+    (["deriv", "--f", "sin(x)", "--at", "0.5"], 0,
+     "0.8775825618903728\n",
+     ('{"diagnostics": {"converged": true, "estimate": 0.8775825618903728, "left": null, '
+      '"right": null, "spread": 0.0, "steps_used": 0}, "result": 0.8775825618903728}\n')),
+    (["limit", "--f", "sin(x)/x", "--at", "0"], 0,
+     "0.9999999998807907\n",
+     ('{"diagnostics": {"converged": true, "estimate": 0.9999999998807907, '
+      '"left": 0.9999999998807907, "right": 0.9999999998807907, '
+      '"spread": 2.3841861818141297e-10, "steps_used": 9}, "result": 0.9999999998807907}\n')),
+    (["sup", "--member", "x*x < 2", "--seed-point", "0", "--bound", "2"], 0,
+     "1.4142135614529252\n",
+     '{"diagnostics": {"iterations": 31}, "result": 1.4142135614529252}\n'),
+    (["sup", "--member", "x*x < 2", "--seed-point", "0", "--bound", "2", "--witnesses", "3"], 0,
+     "1.4142135614529252\nwitnesses: [1.0, 1.0, 1.25]\n",
+     ('{"diagnostics": {"iterations": 31, "witnesses": [1.0, 1.0, 1.25]}, '
+      '"result": 1.4142135614529252}\n')),
+    (["cut", "--below", "x*x < 2", "--in-point", "0", "--out-point", "2"], 0,
+     "1.4142135622955503\n",
+     '{"diagnostics": {}, "result": 1.4142135622955503}\n'),
+    (["root", "--f", "x^3 - x - 2", "--a", "1", "--b", "2"], 0,
+     "1.5213797068045676\n",
+     ('{"diagnostics": {"bracket": [1.5213797068045676, 1.5213797068045676], "iterations": 7, '
+      '"residual": 0.0}, "result": 1.5213797068045676}\n')),
+    (["extremum", "--f", "x*(1-x)", "--a", "0", "--b", "1"], 0,
+     "argmax 0.49999237060546875 max 0.24999999994179234\n",
+     ('{"diagnostics": {}, "result": {"argmax": 0.49999237060546875, '
+      '"max": 0.24999999994179234}}\n')),
+    (["rolle", "--f", "x^2 - x", "--a", "0", "--b", "1"], 0,
+     "0.5\n",
+     '{"diagnostics": {}, "result": 0.5}\n'),
+    (["mvt", "--f", "x^3", "--a", "0", "--b", "1"], 0,
+     "0.5773502691896065\n",
+     '{"diagnostics": {}, "result": 0.5773502691896065}\n'),
+    (["emvt", "--f", "x^2", "--g", "x^3", "--a", "1", "--b", "2"], 0,
+     "1.5555555555555556\n",
+     '{"diagnostics": {}, "result": 1.5555555555555556}\n'),
+    (["taylor", "--f", "exp(x)", "--n", "2", "--at", "0", "--x", "1"], 0,
+     ("value 2.5 rho 1.3096909707542705 witness 0.2697912091966389 remainder 0.2182818284590416"
+      "8\n"),
+     ('{"diagnostics": {"converged": true, "remainder": 0.21828182845904168, '
+      '"rho": 1.3096909707542705, "value": 2.5, "witness": 0.2697912091966389}, '
+      '"result": 2.5}\n')),
+    (["polycheck", "--f", "x^2 - 1", "--a", "0", "--b", "1", "--n", "2"], 0,
+     "polynomial of degree <= 2: true\n",
+     '{"diagnostics": {}, "result": true}\n'),
+    (["polycheck", "--f", "sin(x)", "--a", "0", "--b", "1", "--n", "2"], 1,
+     "polynomial of degree <= 2: false\n",
+     '{"diagnostics": {}, "result": false}\n'),
+    (["shape", "--f", "x^2", "--a", "0", "--b", "1", "--kind", "convex"], 0,
+     "convex: true\n",
+     '{"diagnostics": {"counterexample": null}, "result": true}\n'),
+    (["shape", "--f", "abs(x)", "--a", "-1", "--b", "1", "--kind", "increasing"], 1,
+     "increasing: false\ncounterexample: [-1.0, -0.96875]\n",
+     '{"diagnostics": {"counterexample": [-1.0, -0.96875]}, "result": false}\n'),
+    (["cover-verify", "--cover", _COVER], 0,
+     "covers: true\n",
+     '{"diagnostics": {"length_inequality": true, "witness": null}, "result": true}\n'),
+    (["cover-verify", "--cover", _GAPPED_COVER], 1,
+     "covers: false\nuncovered point: 0.4\n",
+     '{"diagnostics": {"witness": 0.4}, "result": false}\n'),
+    (["subcover", "--cover", _COVER], 0,
+     "indices: [0, 1]\n",
+     '{"diagnostics": {}, "result": [0, 1]}\n'),
+    (["lebesgue", "--cover", _COVER], 0,
+     "0.19999999999999996\n",
+     '{"diagnostics": {"mode": "exact"}, "result": 0.19999999999999996}\n'),
+    (["modulus", "--f", "sin(x)", "--a", "0", "--b", "3", "--eps", "0.01"], 0,
+     "0.005903275034549349\n",
+     '{"diagnostics": {}, "result": 0.005903275034549349}\n'),
+    (["stepapprox", "--f", "x", "--a", "0", "--b", "1", "--eps", "0.25"], 0,
+     "cells 5 sup_error_bound 0.20000000000000007\n",
+     ('{"diagnostics": {}, "result": {"partition": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], '
+      '"sup_error_bound": 0.20000000000000007, "values": [0.0, 0.2, 0.4, 0.6, 0.8]}}\n')),
+    ([*_STEP], 0,
+     "2.0\n",
+     '{"diagnostics": {"partition": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}, "result": 2.0}\n'),
+    ([*_STEP, "--split-at", "0.25"], 0,
+     "left 0.25 right 1.75\n",
+     '{"diagnostics": {}, "result": {"left": 0.25, "right": 1.75}}\n'),
+    ([*_STEP, "--reexpress", "[0, 0.25, 0.5, 1]"], 0,
+     "2.0\n",
+     ('{"diagnostics": {"partition": [0.0, 0.25, 0.5, 1.0], "values": [1.0, 1.0, 3.0]}, '
+      '"result": 2.0}\n')),
+    ([*_STEP, "--combine", "add", "--other-partition", "[0, 1]", "--other-values", "[3]"], 0,
+     "5.0\n",
+     '{"diagnostics": {"partition": [0.0, 0.5, 1.0], "values": [4.0, 6.0]}, "result": 5.0}\n'),
+    ([*_STEP, "--combine", "scale", "--factor", "2"], 0,
+     "4.0\n",
+     '{"diagnostics": {"partition": [0.0, 0.5, 1.0], "values": [2.0, 6.0]}, "result": 4.0}\n'),
+    ([*_STEP, "--combine", "negate"], 0,
+     "-2.0\n",
+     '{"diagnostics": {"partition": [0.0, 0.5, 1.0], "values": [-1.0, -3.0]}, "result": -2.0}\n'),
+    (["darboux", "--f", "x^2", "--a", "0", "--b", "1", "--n", "8"], 0,
+     "lower 0.27343749999999994 upper 0.3984375000000001\n",
+     ('{"diagnostics": {}, "result": {"lower": 0.27343749999999994, '
+      '"upper": 0.3984375000000001}}\n')),
+    (["riemann", "--f", "x^2", "--partition", "[0, 0.25, 0.5, 1]"], 0,
+     "0.3203125\n",
+     '{"diagnostics": {}, "result": 0.3203125}\n'),
+    (["riemann", "--f", "x^2", "--partition", "[0, 0.25, 0.5, 1]", "--choice", "random",
+      "--seed", "3"], 0,
+     "0.4295899000171191\n",
+     '{"diagnostics": {}, "result": 0.4295899000171191}\n'),
+    (["integrate", "--f", "x^2", "--a", "0", "--b", "1"], 0,
+     "0.33333333333333337\n",
+     '{"diagnostics": {"converged": true, "levels": 1}, "result": 0.33333333333333337}\n'),
+    (["integrate", "--f", "x^2", "--a", "0", "--b", "1", "--tol", "1e-3", "--certificate"], 0,
+     "0.33333333333333337\n",
+     ('{"diagnostics": {"converged": true, "levels": [{"cells": 64, '
+      '"lower": 0.333333333333333, "upper": 0.3333333333333337}], '
+      '"value": 0.33333333333333337}, "result": 0.33333333333333337}\n')),
+    (["integrate", "--f", "x^2", "--a", "0", "--b", "1", "--check-additivity-at", "0.5"], 0,
+     "additivity: true\n",
+     '{"diagnostics": {}, "result": true}\n'),
+    (["integrate", "--f", "x^2", "--a", "0", "--b", "1", "--bounds", "0", "1"], 0,
+     "bounds: true\n",
+     '{"diagnostics": {}, "result": true}\n'),
+    (["ftc2", "--F", "x^3", "--a", "0", "--b", "1"], 0,
+     "ftc2: true\n",
+     '{"diagnostics": {}, "result": true}\n'),
+    (["imvt", "--f", "x^2", "--a", "0", "--b", "1"], 0,
+     "0.5773502691896066\n",
+     '{"diagnostics": {}, "result": 0.5773502691896066}\n'),
+    (["adt", "--F", "x^2", "--G", "x^2 + 1", "--a", "0", "--b", "1"], 0,
+     "adt: true\n",
+     '{"diagnostics": {}, "result": true}\n'),
+    (["graph", "path", "MVT", "CVT"], 0,
+     "length 3\nMVT -> FTC1&IAT\nFTC1&IAT -> ADT\nADT -> CVT\n",
+     ('{"diagnostics": {}, "result": {"edges": ["MVT -> FTC1&IAT", "FTC1&IAT -> ADT", '
+      '"ADT -> CVT"], "length": 3}}\n')),
+    (["graph", "scc"], 0,
+     "strongly connected: true\n",
+     '{"diagnostics": {"edges": 41, "nodes": 31}, "result": true}\n'),
+    (["graph", "dot"], 0,
+     ('digraph principles {\n  "AP&CCC";\n  "MCP";\n  "AP&NIPs";\n  "AP&NIPw";\n  "BWP";\n'
+      '  "ES";\n  "I1";\n  "I2";\n  "I3";\n  "IVT";\n  "I4";\n  "CA";\n  "EVT";\n  "RT";\n'
+      '  "eMVT";\n  "MVT";\n  "TT_L";\n  "PCP";\n  "CFT";\n  "IFT";\n  "CVT";\n  "I5";\n'
+      '  "AP&LCL";\n  "AP&UCT";\n  "UAS";\n  "CC&BVT";\n  "CC&DIT";\n  "CC&RIT";\n'
+      '  "FTC1&IAT";\n  "FTC2";\n  "ADT";\n'
+      '  "AP&CCC" -> "MCP" [label="Theorem 1 (convergence), AP&CCC => MCP"];\n'
+      '  "MCP" -> "AP&NIPs" [label="Theorem 1 (convergence), MCP => AP&NIPs"];\n'
+      '  "AP&NIPs" -> "AP&NIPw" [label="Theorem 1 (convergence), AP&NIPs => AP&NIPw"];\n'
+      '  "AP&NIPw" -> "BWP" [label="Theorem 1 (convergence), AP&NIPw => BWP"];\n'
+      '  "BWP" -> "AP&CCC" [label="Theorem 1 (convergence), BWP => AP&CCC"];\n'
+      '  "AP&NIPw" -> "ES" [label="Theorem 2 (connectedness), AP&NIPw => ES"];\n'
+      '  "ES" -> "I1" [label="Theorem 2 (connectedness), ES => I1"];\n'
+      '  "I1" -> "I2" [label="Theorem 2 (connectedness), I1 => I2"];\n'
+      '  "I2" -> "I3" [label="Theorem 2 (connectedness), I2 => I3"];\n'
+      '  "I3" -> "IVT" [label="Theorem 2 (connectedness), I3 => IVT"];\n'
+      '  "IVT" -> "I4" [label="Theorem 2 (connectedness), IVT => I4"];\n'
+      '  "I4" -> "CA" [label="Theorem 2 (connectedness), I4 => CA"];\n'
+      '  "CA" -> "MCP" [label="Theorem 2 (connectedness), CA => MCP"];\n'
+      '  "BWP" -> "EVT" [label="Theorem 3 (differentiability), BWP&ES => EVT"];\n'
+      '  "ES" -> "EVT" [label="Theorem 3 (differentiability), BWP&ES => EVT"];\n'
+      '  "EVT" -> "RT" [label="Theorem 3 (differentiability), EVT => RT"];\n'
+      '  "RT" -> "eMVT" [label="Theorem 3 (differentiability), RT => eMVT"];\n'
+      '  "eMVT" -> "MVT" [label="Theorem 3 (differentiability), eMVT => MVT"];\n'
+      '  "MVT" -> "TT_L" [label="Theorem 3 (differentiability), MVT => TT_L"];\n'
+      '  "TT_L" -> "PCP" [label="Theorem 3 (differentiability), TT_L => PCP"];\n'
+      '  "TT_L" -> "CFT" [label="Theorem 3 (differentiability), TT_L => CFT"];\n'
+      '  "TT_L" -> "IFT" [label="Theorem 3 (differentiability), TT_L => IFT"];\n'
+      '  "PCP" -> "CVT" [label="Theorem 3 (differentiability), PCP => CVT"];\n'
+      '  "CFT" -> "CVT" [label="Theorem 3 (differentiability), CFT => CVT"];\n'
+      '  "IFT" -> "CVT" [label="Theorem 3 (differentiability), IFT => CVT"];\n'
+      '  "CVT" -> "I1" [label="Theorem 3 (differentiability), CVT => I1"];\n'
+      '  "AP&NIPw" -> "I5" [label="Theorem 4 (compactness), AP&NIPw => I5"];\n'
+      '  "I5" -> "AP&LCL" [label="Theorem 4 (compactness), I5 => AP&LCL"];\n'
+      '  "AP&LCL" -> "AP&UCT" [label="Theorem 4 (compactness), AP&LCL => AP&UCT"];\n'
+      '  "AP&UCT" -> "UAS" [label="Theorem 4 (compactness), AP&UCT => UAS"];\n'
+      '  "UAS" -> "CC&BVT" [label="Theorem 4 (compactness), UAS => CC&BVT"];\n'
+      '  "CC&BVT" -> "MCP" [label="Theorem 4 (compactness), CC&BVT => MCP"];\n'
+      '  "UAS" -> "CC&DIT" [label="Theorem 5 (integration), UAS => CC&DIT"];\n'
+      '  "UAS" -> "CC&RIT" [label="Theorem 5 (integration), UAS => CC&RIT"];\n'
+      '  "CC&DIT" -> "CC&BVT" [label="Theorem 5 (integration), CC&DIT => CC&BVT"];\n'
+      '  "CC&RIT" -> "CC&BVT" [label="Theorem 5 (integration), CC&RIT => CC&BVT"];\n'
+      '  "MVT" -> "FTC1&IAT" [label="Theorem 5 (integration), MVT => FTC1&IAT"];\n'
+      '  "MVT" -> "FTC2" [label="Theorem 5 (integration), MVT => FTC2"];\n'
+      '  "FTC1&IAT" -> "ADT" [label="Theorem 5 (integration), FTC1&IAT => ADT"];\n'
+      '  "FTC2" -> "ADT" [label="Theorem 5 (integration), FTC2 => ADT"];\n'
+      '  "ADT" -> "CVT" [label="Theorem 5 (integration), ADT => CVT"];\n}\n'),
+     ('{"diagnostics": {}, '
+      '"result": "digraph principles {\\n  \\"AP&CCC\\";\\n  \\"MCP\\";\\n  \\"AP&NIPs\\";\\n  '
+      '\\"AP&NIPw\\";\\n  \\"BWP\\";\\n  \\"ES\\";\\n  \\"I1\\";\\n  \\"I2\\";\\n  \\"I3\\";\\n'
+      '  \\"IVT\\";\\n  \\"I4\\";\\n  \\"CA\\";\\n  \\"EVT\\";\\n  \\"RT\\";\\n  \\"eMVT\\";\\n'
+      '  \\"MVT\\";\\n  \\"TT_L\\";\\n  \\"PCP\\";\\n  \\"CFT\\";\\n  \\"IFT\\";\\n  \\"CVT\\";'
+      '\\n  \\"I5\\";\\n  \\"AP&LCL\\";\\n  \\"AP&UCT\\";\\n  \\"UAS\\";\\n  \\"CC&BVT\\";\\n  '
+      '\\"CC&DIT\\";\\n  \\"CC&RIT\\";\\n  \\"FTC1&IAT\\";\\n  \\"FTC2\\";\\n  \\"ADT\\";\\n  '
+      '\\"AP&CCC\\" -> \\"MCP\\" [label=\\"Theorem 1 (convergence), '
+      'AP&CCC => MCP\\"];\\n  \\"MCP\\" -> \\"AP&NIPs\\" [label=\\"Theorem 1 (convergence), '
+      'MCP => AP&NIPs\\"];\\n  \\"AP&NIPs\\" -> \\"AP&NIPw\\" [label=\\"Theorem 1 (convergence)'
+      ", "
+      'AP&NIPs => AP&NIPw\\"];\\n  \\"AP&NIPw\\" -> \\"BWP\\" [label=\\"Theorem 1 (convergence)'
+      ', AP&NIPw => BWP\\"];\\n  \\"BWP\\" -> \\"AP&CCC\\" [label=\\"Theorem 1 (convergence), '
+      'BWP => AP&CCC\\"];\\n  \\"AP&NIPw\\" -> \\"ES\\" [label=\\"Theorem 2 (connectedness), '
+      'AP&NIPw => ES\\"];\\n  \\"ES\\" -> \\"I1\\" [label=\\"Theorem 2 (connectedness), '
+      'ES => I1\\"];\\n  \\"I1\\" -> \\"I2\\" [label=\\"Theorem 2 (connectedness), '
+      'I1 => I2\\"];\\n  \\"I2\\" -> \\"I3\\" [label=\\"Theorem 2 (connectedness), '
+      'I2 => I3\\"];\\n  \\"I3\\" -> \\"IVT\\" [label=\\"Theorem 2 (connectedness), '
+      'I3 => IVT\\"];\\n  \\"IVT\\" -> \\"I4\\" [label=\\"Theorem 2 (connectedness), '
+      'IVT => I4\\"];\\n  \\"I4\\" -> \\"CA\\" [label=\\"Theorem 2 (connectedness), '
+      'I4 => CA\\"];\\n  \\"CA\\" -> \\"MCP\\" [label=\\"Theorem 2 (connectedness), '
+      'CA => MCP\\"];\\n  \\"BWP\\" -> \\"EVT\\" [label=\\"Theorem 3 (differentiability), '
+      'BWP&ES => EVT\\"];\\n  \\"ES\\" -> \\"EVT\\" [label=\\"Theorem 3 (differentiability), '
+      'BWP&ES => EVT\\"];\\n  \\"EVT\\" -> \\"RT\\" [label=\\"Theorem 3 (differentiability), '
+      'EVT => RT\\"];\\n  \\"RT\\" -> \\"eMVT\\" [label=\\"Theorem 3 (differentiability), '
+      'RT => eMVT\\"];\\n  \\"eMVT\\" -> \\"MVT\\" [label=\\"Theorem 3 (differentiability), '
+      'eMVT => MVT\\"];\\n  \\"MVT\\" -> \\"TT_L\\" [label=\\"Theorem 3 (differentiability), '
+      'MVT => TT_L\\"];\\n  \\"TT_L\\" -> \\"PCP\\" [label=\\"Theorem 3 (differentiability), '
+      'TT_L => PCP\\"];\\n  \\"TT_L\\" -> \\"CFT\\" [label=\\"Theorem 3 (differentiability), '
+      'TT_L => CFT\\"];\\n  \\"TT_L\\" -> \\"IFT\\" [label=\\"Theorem 3 (differentiability), '
+      'TT_L => IFT\\"];\\n  \\"PCP\\" -> \\"CVT\\" [label=\\"Theorem 3 (differentiability), '
+      'PCP => CVT\\"];\\n  \\"CFT\\" -> \\"CVT\\" [label=\\"Theorem 3 (differentiability), '
+      'CFT => CVT\\"];\\n  \\"IFT\\" -> \\"CVT\\" [label=\\"Theorem 3 (differentiability), '
+      'IFT => CVT\\"];\\n  \\"CVT\\" -> \\"I1\\" [label=\\"Theorem 3 (differentiability), '
+      'CVT => I1\\"];\\n  \\"AP&NIPw\\" -> \\"I5\\" [label=\\"Theorem 4 (compactness), '
+      'AP&NIPw => I5\\"];\\n  \\"I5\\" -> \\"AP&LCL\\" [label=\\"Theorem 4 (compactness), '
+      'I5 => AP&LCL\\"];\\n  \\"AP&LCL\\" -> \\"AP&UCT\\" [label=\\"Theorem 4 (compactness), '
+      'AP&LCL => AP&UCT\\"];\\n  \\"AP&UCT\\" -> \\"UAS\\" [label=\\"Theorem 4 (compactness), '
+      'AP&UCT => UAS\\"];\\n  \\"UAS\\" -> \\"CC&BVT\\" [label=\\"Theorem 4 (compactness), '
+      'UAS => CC&BVT\\"];\\n  \\"CC&BVT\\" -> \\"MCP\\" [label=\\"Theorem 4 (compactness), '
+      'CC&BVT => MCP\\"];\\n  \\"UAS\\" -> \\"CC&DIT\\" [label=\\"Theorem 5 (integration), '
+      'UAS => CC&DIT\\"];\\n  \\"UAS\\" -> \\"CC&RIT\\" [label=\\"Theorem 5 (integration), '
+      'UAS => CC&RIT\\"];\\n  \\"CC&DIT\\" -> \\"CC&BVT\\" [label=\\"Theorem 5 (integration), '
+      'CC&DIT => CC&BVT\\"];\\n  \\"CC&RIT\\" -> \\"CC&BVT\\" [label=\\"Theorem 5 (integration)'
+      ", "
+      'CC&RIT => CC&BVT\\"];\\n  \\"MVT\\" -> \\"FTC1&IAT\\" [label=\\"Theorem 5 (integration),'
+      ' MVT => FTC1&IAT\\"];\\n  \\"MVT\\" -> \\"FTC2\\" [label=\\"Theorem 5 (integration), '
+      'MVT => FTC2\\"];\\n  \\"FTC1&IAT\\" -> \\"ADT\\" [label=\\"Theorem 5 (integration), '
+      'FTC1&IAT => ADT\\"];\\n  \\"FTC2\\" -> \\"ADT\\" [label=\\"Theorem 5 (integration), '
+      'FTC2 => ADT\\"];\\n  \\"ADT\\" -> \\"CVT\\" [label=\\"Theorem 5 (integration), '
+      'ADT => CVT\\"];\\n}\\n"}\n')),
+    (["affine", "--from-a", "0", "--from-b", "1", "--to-a", "3", "--to-b", "5"], 0,
+     "2.0*x + 3.0\n",
+     '{"diagnostics": {}, "result": "2.0*x + 3.0"}\n'),
+    (["pwl", "--nodes", "[0, 1]", "--values", "[0, 10]", "--x", "0.5"], 0,
+     "5.0\n",
+     '{"diagnostics": {}, "result": 5.0}\n'),
+    (["seq", "--op", "monotone", "--s", "1 - 1/n"], 0,
+     "strictly-increasing\n",
+     '{"diagnostics": {}, "result": "strictly-increasing"}\n'),
+    (["seq", "--op", "cauchy", "--s", "1/n", "--lo", "1000", "--hi", "2000"], 0,
+     "cauchy: true worst pair (1000, 2000) gap 0.0005\n",
+     '{"diagnostics": {"gap": 0.0005, "pair": [1000, 2000]}, "result": true}\n'),
+    (["seq", "--op", "cauchy", "--s", "sin(n)"], 1,
+     "cauchy: false worst pair (11, 33) gap 1.9999020666579708\n",
+     '{"diagnostics": {"gap": 1.9999020666579708, "pair": [11, 33]}, "result": false}\n'),
+    (["seq", "--op", "bound", "--s", "sin(n)", "--n", "50"], 0,
+     "0.9999902065507035\n",
+     '{"diagnostics": {}, "result": 0.9999902065507035}\n'),
+    (["seq", "--op", "bw", "--s", "sin(n)", "--box", "-1", "1", "--depth", "4"], 0,
+     "indices: [1, 2, 7, 8]\n",
+     ('{"diagnostics": {}, "result": {"indices": [1, 2, 7, 8], "intervals": [[-1.0, 1.0], '
+      "[0.0, 1.0], [0.5, 1.0], [0.75, 1.0]]}}\n")),
+    (["seq", "--op", "limit", "--s", "1 - 1/n", "--upper", "1", "--tol", "1e-4"], 0,
+     "0.99993896484375\n",
+     '{"diagnostics": {}, "result": 0.99993896484375}\n'),
+    (["seq", "--op", "diverge", "--s", "n", "--eps", "1", "--count", "3"], 0,
+     "indices: [1, 2, 3, 4]\n",
+     '{"diagnostics": {}, "result": [1, 2, 3, 4]}\n'),
+    (["seq", "--op", "cauchy-limit", "--s", "1/n", "--box", "0", "1", "--tol", "1e-3"], 0,
+     "0.00048828125\n",
+     '{"diagnostics": {}, "result": 0.00048828125}\n'),
+    (["ival", "--op", "bisect", "--interval", "[0, 1]"], 0,
+     "left [0.0, 0.5] right [0.5, 1.0]\n",
+     '{"diagnostics": {}, "result": {"left": [0.0, 0.5], "right": [0.5, 1.0]}}\n'),
+    (["ival", "--op", "partition", "--a", "0", "--b", "1", "--n", "4"], 0,
+     "[0.0, 0.25, 0.5, 0.75, 1.0]\n",
+     '{"diagnostics": {}, "result": [0.0, 0.25, 0.5, 0.75, 1.0]}\n'),
+    (["ival", "--op", "refine", "--p", "[0, 0.5, 1]", "--q", "[0, 0.25, 1]"], 0,
+     "[0.0, 0.25, 0.5, 1.0]\n",
+     '{"diagnostics": {}, "result": [0.0, 0.25, 0.5, 1.0]}\n'),
+    (["ival", "--op", "shrink", "--lo-expr", "0 - 1/n", "--hi-expr", "1/n", "--tol", "1e-4"], 0,
+     "0.0\n",
+     '{"diagnostics": {}, "result": 0.0}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, json_text", _GOLDEN,
+                         ids=[" ".join(argv) for argv, *_ in _GOLDEN])
+def test_each_reply_branch_prints_its_recorded_output(capsys, argv, code, text, json_text):
+    assert run(capsys, *argv) == (code, text, "")
+    assert run(capsys, *argv, "--output", "json") == (code, json_text, "")
+
+
+def test_the_recorded_outputs_cover_every_subcommand_and_op():
+    names = [argv[0] for argv, *_ in _GOLDEN]
+    assert set(names) == set(COMMANDS)
+    for name, command in COMMANDS.items():
+        if "op" in command.flags:
+            ops = {argv[argv.index("--op") + 1] for argv, *_ in _GOLDEN if argv[0] == name}
+            assert ops == set(command.flags["op"]["choices"]), name
+    graph_ops = _subcommands(_SUBPARSERS["graph"]).choices
+    assert {argv[1] for argv, *_ in _GOLDEN if argv[0] == "graph"} == set(graph_ops)
+
+
+# ---------------------------------------------------------------------------
 # fuzzing the CLI contract: exit code 0, 1 or 2, no traceback, strict JSON
 
 def _cli(argv):
@@ -694,6 +1009,21 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(args):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["eval", "--f", "x", "--x", "2"],
+    ["--output", "json", "eval", "--f", "x", "--x", "2"],
+    ["graph", "dot"],
+    ["--output", "json", "root", "--f", "x^2 + 1", "--a", "0", "--b", "1"],  # the error object
+], ids=" ".join)
+def test_a_failed_write_to_stdout_is_one_error_line_and_exit_1(argv):
+    # print raised OSError (no space left on device), and the process ended in its traceback
+    with open("/dev/full", "w") as full:
+        proc = _fresh("-m", "fcalc.cli", *argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write to stdout: No space left on device\n")
 
 
 _BLAS = "OPENBLAS_NUM_THREADS"

@@ -18,7 +18,6 @@ from fcalc.suprema import (
     bisect_supremum,
     cut_point,
     ivt_root,
-    ivt_root_result,
     sup_witnesses,
     supremum,
 )
@@ -131,7 +130,7 @@ def test_cut_point_random_rationals():
 
 def test_ivt_root_examples():
     f = parse("x^3 - x - 2")
-    res = ivt_root_result(f, 1.0, 2.0, 0.0, 1e-10)
+    res = bisect_root(f, 1.0, 2.0, 0.0, 1e-10)
     assert abs(evaluate(f, res.root)) <= 1e-8
     assert res.bracket[1] - res.bracket[0] <= 1e-10
     assert 1.0 <= res.root <= 2.0
@@ -148,7 +147,7 @@ def _halvings(a, b, tol):
 def test_ivt_root_takes_at_most_one_cut_more_than_halving():
     # ITP's projection keeps the bracket within twice halving's width
     tol = 1e-6
-    res = ivt_root_result(parse("x^3 - x - 2"), 1.0, 2.0, 0.0, tol)
+    res = bisect_root(parse("x^3 - x - 2"), 1.0, 2.0, 0.0, tol)
     assert res.iterations <= _halvings(1.0, 2.0, tol)
     assert abs(res.root - 1.5213797068045676) <= tol
 
@@ -162,7 +161,7 @@ def test_ivt_root_takes_at_most_one_cut_more_than_halving():
 ])
 def test_ivt_root_is_superlinear_on_smooth_functions(text, a, b, root):
     # halving takes 33 to 36 cuts to 1e-10 on these brackets
-    res = ivt_root_result(parse(text), a, b, 0.0, 1e-10)
+    res = bisect_root(parse(text), a, b, 0.0, 1e-10)
     assert res.iterations <= 12 and abs(res.root - root) <= 1e-10
 
 
@@ -172,7 +171,7 @@ def test_ivt_root_closes_on_a_root_next_to_an_end():
     # regula falsi rounds onto it and the cut fell back to halving (19
     # cuts); a cut kept tol/2 from the end closes the bracket at once
     f = differentiate(parse("(x-0.2985)*(1.4944-x)*exp(0.7209*x)"), 1)
-    res = ivt_root_result(f, 1.0188374269005847, 1.0211686159844056, 0.0, 1.1959e-13)
+    res = bisect_root(f, 1.0188374269005847, 1.0211686159844056, 0.0, 1.1959e-13)
     assert res.iterations <= 10 and abs(res.root - 1.0198390112908) <= 1e-12
 
 
@@ -188,7 +187,7 @@ def test_ivt_root_meets_the_bound_where_regula_falsi_stalls():
 
 
 def test_ivt_root_exact_hit_terminates():
-    res = ivt_root_result(parse("x"), -1.0, 1.0, 0.0, 1e-12)
+    res = bisect_root(parse("x"), -1.0, 1.0, 0.0, 1e-12)
     assert res.root == 0.0 and res.residual == 0.0
 
 
@@ -284,7 +283,7 @@ def test_a_root_bracket_may_come_in_either_order():
     # [2, 1] used to bisect as if 2 < 1 and return 1.5, with residual 0.875
     f = parse("x^3 - x - 1")
     for a, b in ((1.0, 2.0), (2.0, 1.0)):
-        res = ivt_root_result(f, a, b, 0.0, 1e-12)
+        res = bisect_root(f, a, b, 0.0, 1e-12)
         assert abs(res.root - 1.324717957244746) <= 1e-12
         assert res.bracket[0] <= res.bracket[1]
 
