@@ -8,7 +8,8 @@ are defined on one closed cell about c, and takes the limit of f^(n)
 there.  taylor reads f's Taylor coefficients from one run of f's own
 program on jets (expr.jet), with no derivative tree.  A limit is f(c)
 where f is defined on a closed cell about c, proven by a finite interval
-enclosure (_defined_about); only where it is not are the filter bases
+enclosure of that one cell on floats (_defined_about), so a limit or
+derivative there needs no numpy; only where it is not are the filter bases
 behind one- and two-sided limits sampled, on a geometric schedule of
 punctured windows with a fixed number of points in each.
 
@@ -43,8 +44,6 @@ import bisect as _bisect
 import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .errors import (
     DivergenceError,
     DomainError,
@@ -52,14 +51,17 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, jet, mul, sub
+from .expr import (Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul, isub, jet,
+                   mul, sub)
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
+
+np = _Numpy(globals())  # numpy, imported on first use: limits where f is defined need none
 
 WINDOW0 = 1e-2         # first punctured window of the limit scan, halved each step
 WINDOWS = 30           # windows the limit scan tries
 SAMPLES_PER_STEP = 8   # points in each punctured window
-CELLS = 12             # closed cells about c, of radii (1 + |c|)*16^-k for k = 1..CELLS
+CELL = 16.0 ** -12     # radius of the closed cell about c, relative to 1 + |c|
 SCAN = 512             # interior grid points _crossing scans for every witness
 MAX_DEPTH = 52         # deepest bisection of extreme_point and _holds
 
@@ -96,21 +98,24 @@ def _require_point(c: float) -> None:
 
 
 def _defined_about(trees, c: float, mode: str) -> bool:
-    """Is there one closed cell about c on which every tree is defined?
+    """Is every tree defined on the closed cell about c?
 
-    The cells reach (1 + |c|)*16^-k from c, k = 1..CELLS, on the side or
-    sides that mode picks; each tree is enclosed on all of them in one
-    call.  A finite enclosure means the tree is defined, and finite, on the
-    whole cell, so it is continuous there.
+    The cell reaches (1 + |c|)*CELL from c on the side or sides that mode
+    picks, and each tree is enclosed on it on floats.  A finite enclosure
+    means the tree is defined, and finite, on the whole cell, so it is
+    continuous there.  Natural interval extensions are inclusion isotone
+    (Moore, Interval Analysis, 1966), so a finite enclosure on any larger
+    cell about c implies one on this one: trying larger cells first could
+    prove nothing more.
     """
-    r = (1 + abs(c)) * 16.0 ** -np.arange(1, CELLS + 1)
-    lo = np.full(CELLS, c) if mode == "right" else c - r
-    hi = np.full(CELLS, c) if mode == "left" else c + r
-    ok = np.ones(CELLS, dtype=bool)
+    r = (1 + abs(c)) * CELL
+    lo = c if mode == "right" else c - r
+    hi = c if mode == "left" else c + r
     for tree in trees:
         inf, sup = enclose(tree, lo, hi)
-        ok &= np.isfinite(inf) & np.isfinite(sup)
-    return bool(ok.any())
+        if not (math.isfinite(inf) and math.isfinite(sup)):
+            return False
+    return True
 
 
 def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> LimitReport:

@@ -33,10 +33,11 @@ and json only where it reads or writes JSON, so the parser, --help and
 usage errors load no library module; main imports `expr` for a
 subcommand with an expression flag, and each handler imports its
 modules when it runs.  Their value classes are plain classes and named
-tuples, which cost little to define.  `expr` imports numpy only for an
-array or interval call, and `suprema` and `stepfn`'s algebra never do,
-so parse, eval, deriv (without --at), sup, cut, root, affine, graph,
-stepint, seq --op limit and ival --op bisect run without it.  Run as a
+tuples, which cost little to define.  `expr` and `calculus` import numpy
+only for an array call or an enclosure of array cells, and `suprema` and
+`stepfn`'s algebra never do, so parse, eval, deriv, limit (both where f
+is defined about the point), sup, cut, root, affine, graph, stepint, seq
+--op limit and ival --op bisect run without it.  Run as a
 program (run), fc starts numpy's OpenBLAS with one thread unless
 OPENBLAS_NUM_THREADS is set (see main), and ends without interpreter
 teardown.
@@ -460,6 +461,14 @@ class _Parser(argparse.ArgumentParser):
             e.usage_error = message
             raise
 
+    def _print_message(self, message, file=None):
+        # the help goes to stdout through _write, whose failure exits 1
+        if message and file in (None, sys.stdout):
+            if not _write(message, end=""):
+                sys.exit(1)
+        else:
+            super()._print_message(message, file)
+
 
 def _asks_for_json(argv) -> bool:
     """Does argv select --output json?  Read by hand after argparse failed."""
@@ -681,13 +690,13 @@ def _json_error(message: str) -> str:
     return _json({"result": None, "diagnostics": {"error": message}})
 
 
-def _write(text: str) -> bool:
-    """Write text and a newline to stdout and flush it: fc's one write
-    there.  False where that fails; then stdout points at os.devnull, so
-    that no later flush fails again, and stderr gets one error line, or
-    none where the reader of stdout has gone (a closed pipe)."""
+def _write(text: str, end: str = "\n") -> bool:
+    """Write text and end to stdout and flush it: fc's one write there.
+    False where that fails; then stdout points at os.devnull, so that no
+    later flush fails again, and stderr gets one error line, or none
+    where the reader of stdout has gone (a closed pipe)."""
     try:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text + end)
         sys.stdout.flush()
         return True
     except OSError as e:
@@ -727,12 +736,18 @@ def main(argv=None) -> int:
         args.tol = getattr(args, "tol", command.tol)
         if not 0 < args.tol < math.inf:
             parser.error("--tol must be positive and finite")
+        seed = os.environ.get("FC_SEED")
+        if seed is not None:  # read as argparse reads --seed
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                parser.error(f"FC_SEED: invalid int value: {seed!r}")
     except SystemExit as e:
         # argparse has printed usage to stderr; JSON output still gets its object
         if hasattr(e, "usage_error") and _asks_for_json(argv):
             _write(_json_error(e.usage_error))
         raise
-    args.seed = int(os.environ.get("FC_SEED", getattr(args, "seed", 0)))
+    args.seed = getattr(args, "seed", 0)
     args.max_iter = getattr(args, "max_iter", None)
     json_output = getattr(args, "output", "text") == "json"
     try:

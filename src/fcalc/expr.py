@@ -24,26 +24,30 @@ loop, so nesting depth is bounded by memory alone.
 
 Evaluation value-numbers a tree once into a backend-neutral
 straight-line program of op names, and binds that program once per
-backend (``math`` floats, numpy arrays, and pairs of numpy arrays for
-interval enclosures) to the backend's op table; both are cached on the
-root node outside its fields, so equality, hashing, printing
-and pickling never see them.  Value numbering gives each node one slot,
+backend (``math`` floats, numpy arrays, and pairs of floats or of numpy
+arrays for interval enclosures) to the backend's op table; both are
+cached on the root node outside its fields, so equality, hashing,
+printing and pickling never see them.  Value numbering gives each node one slot,
 and an instruction is keyed by its op and its operands' slots, so a+b and
 b+a share one.  Integer powers become repeated squaring (u^0 an op that
 reads u and gives 1, so u's domain still counts), and registers are
 reused after a value's last reader, so few array temporaries are alive at
 once.  The two point backends share one set of domain checks, and both
 follow IEEE 754 (``exp`` overflow gives inf, ``sin`` and ``cos`` of +-inf
-give NaN); the interval backend (``enclose``) marks a cell where an op
+give NaN).  The two interval backends (``enclose``: one cell on floats,
+many on arrays) share one set of rules, written once over a namespace of
+primitives bound to ``math`` or to numpy, and mark a cell where an op
 leaves its domain instead of raising.  The two jet backends (``jet``)
 lift the point tables to Taylor coefficients, so one run of the same
 program gives f(t), f'(t), ..., f^(n)(t)/n! at once.  ``differentiate``
 caches d/dx on each node in the same way, so shared subtrees stay shared
 and a derivative is taken once.
 
-numpy is imported on first use, by an array or interval call.  The
-grammar, the printer, ``differentiate`` and the scalar backends never
-need it, so ``fc parse`` and ``fc eval`` start without it.
+numpy is imported on first use, by an array call or an enclosure of
+array cells.  The grammar, the printer, ``differentiate``, the scalar
+backends and one-cell enclosures never need it, so ``fc parse``, ``fc
+eval``, and ``fc deriv --at`` and ``fc limit`` where f is defined about
+the point, start without it.
 """
 
 from __future__ import annotations
@@ -66,16 +70,20 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
 
 class _Numpy:
-    """Stands for numpy until the first attribute read, which imports numpy
-    and rebinds this module's np to it."""
+    """Stands for numpy in a module until the first attribute read, which
+    imports numpy and rebinds the module's np to it, so later reads cost
+    what they would with numpy imported up front."""
+
+    def __init__(self, namespace):
+        self.namespace = namespace
 
     def __getattr__(self, name):
-        global np
-        import numpy as np
-        return getattr(np, name)
+        import numpy
+        self.namespace["np"] = numpy
+        return getattr(numpy, name)
 
 
-np = _Numpy()
+np = _Numpy(globals())
 
 Number = Union[float, "np.ndarray"]
 
@@ -491,8 +499,9 @@ def _point_ops(functions, hit):
 
 
 def _ieee(fn, value):
-    """fn, giving IEEE 754's value where math raises instead: NaN for sin
-    and cos of +-inf, inf for exp past the double range."""
+    """fn, giving value where math raises instead: IEEE 754's NaN for sin
+    and cos of +-inf and inf for exp past the double range, and NaN for
+    log and sqrt outside their domain."""
     def op(v):
         try:
             return fn(v)
@@ -590,27 +599,29 @@ _SCALAR_JET = _Backend("jet", lambda: _jet_ops(_SCALAR.ops), lambda c: [c])
 _ARRAY_JET = _Backend("array_jet", lambda: _jet_ops(_ARRAY.ops), lambda c: [c])
 
 
-# Interval backend.  A value is a pair (lo, hi) of arrays (of numpy scalars,
-# for constants) enclosing a function over cells.  Every result is rounded
-# outward by one ulp, which is rigorous for the correctly rounded + - * /
-# sqrt and for exp, ln, sin, cos as long as numpy's are faithfully rounded
-# (error below one ulp).  The step gives np.nextafter's results bit for bit:
-# on arrays of at least _STEP_MIN elements it moves each int64 bit pattern
-# by one (a finite double's neighbour away from zero is the next pattern),
-# and only the elements where that is wrong (zeros, infinities, NaN) go
-# through np.nextafter; scalars and smaller arrays take one np.nextafter
-# call, which costs less there.  Inputs are not widened, and neg and abs
-# are exact.  A point constant c, held as (c, c) with one finite nonzero
-# float object at both ends (as _pair builds it), times a value or divided
-# by one takes two operations and two steps: the sign of c says which
-# product or quotient is the lower end, so the bits equal the four-operation
-# hull's.  The exception is a NaN bound in, which may come out on one bound
-# only; that still marks the cell.  A square computes each end's square
-# once.  NaN marks "undefined somewhere on the cell": an op that leaves its
-# domain on part of a cell yields NaN, and every op maps a NaN bound to a
-# NaN bound, so the mark survives to the end, where enclose() turns the
-# cell into (-inf, inf).  enclose() runs a program over blocks of at most
-# _BLOCK cells, so its temporaries stay in cache.
+# Interval backends.  A value is a pair (lo, hi) enclosing a function over
+# cells: of arrays (of numpy scalars, for constants) on the array table, of
+# floats on the float table.  One set of rules, _interval_ops, is bound to
+# numpy's primitives and to math's.  Every result is rounded outward by one
+# ulp, which is rigorous for the correctly rounded + - * / sqrt and for exp,
+# ln, sin, cos as long as numpy's and math's are faithfully rounded (error
+# below one ulp).  On arrays the step gives np.nextafter's results bit for
+# bit: on arrays of at least _STEP_MIN elements it moves each int64 bit
+# pattern by one (a finite double's neighbour away from zero is the next
+# pattern), and only the elements where that is wrong (zeros, infinities,
+# NaN) go through np.nextafter; scalars and smaller arrays take one
+# np.nextafter call, which costs less there.  Inputs are not widened, and
+# neg and abs are exact.  A point constant c, held as (c, c) with one finite
+# nonzero float object at both ends (as the lifts build it), times a value
+# or divided by one takes two operations and two steps: the sign of c says
+# which product or quotient is the lower end, so the bits equal the
+# four-operation hull's.  The exception is a NaN bound in, which may come
+# out on one bound only; that still marks the cell.  A square computes each
+# end's square once.  NaN marks "undefined somewhere on the cell": an op
+# that leaves its domain on part of a cell yields NaN, and every op maps a
+# NaN bound to a NaN bound, so the mark survives to the end, where enclose()
+# turns the cell into (-inf, inf).  enclose() runs a program over blocks of
+# at most _BLOCK cells, so its temporaries stay in cache.
 
 _STEP_MIN = 1024  # measured: below this one np.nextafter call is faster
 _BLOCK = 1 << 13  # cells per run of an interval program
@@ -646,105 +657,138 @@ def _up(v):
     return np.nextafter(v, np.inf) if v.size < _STEP_MIN else _step(v, np.inf)
 
 
-def _hull(p, q, r, s):
-    return (_down(np.minimum(np.minimum(p, q), np.minimum(r, s))),
-            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
-
-
-def iadd(u, v):
-    """Enclosure of u + v for (lo, hi) pairs."""
-    return _down(u[0] + v[0]), _up(u[1] + v[1])
-
-
-def isub(u, v):
-    """Enclosure of u - v for (lo, hi) pairs."""
-    return _down(u[0] - v[1]), _up(u[1] - v[0])
-
-
 def _point(u):
     """Is u a point constant (c, c): one finite, nonzero float object?"""
     c = u[0]
     return c is u[1] and isinstance(c, float) and 0.0 < abs(c) < math.inf
 
 
-def imul(u, v):
-    """Enclosure of u * v for (lo, hi) pairs; u * u (the same object) is a
-    square, which is never negative.  A point constant goes first, as
-    compiled programs put it, to take the two-product path."""
-    (a, b), (c, d) = u, v
-    if u is v:
-        # even-power rule: x*x on a cell straddling 0 starts at 0, not at -a*b
-        aa, bb = a * a, b * b
-        lo = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(aa, bb))
-        return np.maximum(_down(lo), 0.0), _up(np.maximum(aa, bb))
-    if _point(u):  # a*c <= a*d when a > 0, and the other way round when a < 0
-        p, q = a * c, a * d
-        return (_down(p), _up(q)) if a > 0.0 else (_down(q), _up(p))
-    return _hull(a * c, a * d, b * c, b * d)
-
-
-def _idiv(u, v):
-    (a, b), (c, d) = u, v
-    zero = (c <= 0.0) & (d >= 0.0)  # the divisor reaches 0
-    c = np.where(zero, np.nan, c)
-    if _point(u):  # a/d <= a/c when a > 0, and the other way round when a < 0
-        p, q = a / c, a / np.where(zero, np.nan, d)
-        return (_down(q), _up(p)) if a > 0.0 else (_down(p), _up(q))
-    return _hull(a / c, a / d, b / c, b / d)
-
-
-def _iabs(u):
-    a, b = u
-    return np.where(a > 0.0, a, np.where(b < 0.0, -b, 0.0)), np.maximum(-a, b)
-
-
 _TWO_PI = 2.0 * math.pi
 
 
-def _may_contain(a, b, phase):
-    """Might [a, b] contain phase + 2*pi*k for an integer k?
+def _interval_ops(where, minimum, maximum, down, up, isnan, floor, ceil, abs,
+                  sin, cos, exp, log, sqrt):
+    """The interval op table over one number type, written once over its
+    primitives, which the ops read as closure variables: where(m, a, b),
+    minimum and maximum (a NaN operand wins, b on a tie), down and up (one
+    ulp toward -inf and inf), isnan, floor, ceil, abs, and the elementary
+    functions, with NaN and inf where they leave their domain or range."""
+    nan = math.nan
 
-    math.pi is not pi and the quotients round, so the test widens both
-    ends by far more than the error (a few ulps of the quotient): it may
-    answer yes wrongly, never no.  NaN ends answer no.
-    """
-    qa, qb = (a - phase) / _TWO_PI, (b - phase) / _TWO_PI
-    return (np.floor(qb + 1e-15 * (1.0 + np.abs(qb)))
-            >= np.ceil(qa - 1e-15 * (1.0 + np.abs(qa))))
+    def hull(p, q, r, s):
+        return (down(minimum(minimum(p, q), minimum(r, s))),
+                up(maximum(maximum(p, q), maximum(r, s))))
 
+    def mul(u, v):
+        # u * u (the same object) is a square, which is never negative; a
+        # point constant goes first, as compiled programs put it
+        (a, b), (c, d) = u, v
+        if u is v:
+            # even-power rule: x*x on a cell straddling 0 starts at 0, not at -a*b
+            aa, bb = a * a, b * b
+            lo = where((a <= 0.0) & (b >= 0.0), 0.0, minimum(aa, bb))
+            return maximum(down(lo), 0.0), up(maximum(aa, bb))
+        if _point(u):  # a*c <= a*d when a > 0, and the other way round when a < 0
+            p, q = a * c, a * d
+            return (down(p), up(q)) if a > 0.0 else (down(q), up(p))
+        return hull(a * c, a * d, b * c, b * d)
 
-def _periodic(fn, peak):
-    """Interval sin or cos: maxima at peak + 2 pi k, minima half a period on."""
-    def op(u):
-        a, b = u
-        fa, fb = fn(a), fn(b)
-        lo = np.where(_may_contain(a, b, peak + math.pi), -1.0,
-                      np.maximum(_down(np.minimum(fa, fb)), -1.0))
-        hi = np.where(_may_contain(a, b, peak), 1.0, np.minimum(_up(np.maximum(fa, fb)), 1.0))
-        return lo, hi
-    return op
+    def div(u, v):
+        (a, b), (c, d) = u, v
+        # a divisor that may reach 0, or is marked, becomes NaN at both
+        # ends, so no quotient divides by 0 (which raises on floats)
+        away = (c > 0.0) | (d < 0.0)
+        c, d = where(away, c, nan), where(away, d, nan)
+        if _point(u):  # a/d <= a/c when a > 0, and the other way round when a < 0
+            p, q = a / c, a / d
+            return (down(q), up(p)) if a > 0.0 else (down(p), up(q))
+        return hull(a / c, a / d, b / c, b / d)
+
+    def may_contain(a, b, phase):
+        # Might [a, b] contain phase + 2*pi*k for an integer k?  math.pi is
+        # not pi and the quotients round, so both ends widen by far more
+        # than the error (a few ulps of the quotient): it may answer yes
+        # wrongly, never no.  NaN ends answer no.
+        qa, qb = (a - phase) / _TWO_PI, (b - phase) / _TWO_PI
+        return floor(qb + 1e-15 * (1.0 + abs(qb))) >= ceil(qa - 1e-15 * (1.0 + abs(qa)))
+
+    def periodic(fn, peak):  # sin or cos: maxima at peak + 2 pi k, minima half a period on
+        def op(u):
+            a, b = u
+            fa, fb = fn(a), fn(b)
+            lo = where(may_contain(a, b, peak + math.pi), -1.0,
+                       maximum(down(minimum(fa, fb)), -1.0))
+            hi = where(may_contain(a, b, peak), 1.0, minimum(up(maximum(fa, fb)), 1.0))
+            return lo, hi
+        return op
+
+    return {
+        "neg": lambda u: (-u[1], -u[0]),
+        "add": lambda u, v: (down(u[0] + v[0]), up(u[1] + v[1])),
+        "sub": lambda u, v: (down(u[0] - v[1]), up(u[1] - v[0])),
+        "mul": mul,
+        "div": div,
+        "recip": lambda v: div((1.0, 1.0), v),
+        "one": lambda u: (where(isnan(u[0]) | isnan(u[1]), nan, 1.0),) * 2,
+        "sin": periodic(sin, math.pi / 2),
+        "cos": periodic(cos, 0.0),
+        "exp": lambda u: (maximum(down(exp(u[0])), 0.0), up(exp(u[1]))),
+        "ln": lambda u: (down(log(where(u[0] > 0.0, u[0], nan))), up(log(u[1]))),
+        "sqrt": lambda u: (maximum(down(sqrt(u[0])), 0.0), up(sqrt(u[1]))),
+        "abs": lambda u: (where(u[0] > 0.0, u[0], where(u[1] < 0.0, -u[1], 0.0)),
+                          maximum(-u[0], u[1])),
+    }
 
 
 def _pair(c):
-    c = np.float64(c)  # numpy scalars, so constant-only ops give inf, not ZeroDivisionError
+    c = np.float64(c)  # a numpy scalar, which _down and _up step
     return (c, c)
 
 
-_INTERVAL = _Backend("interval", lambda: {
-    "neg": lambda u: (-u[1], -u[0]),
-    "add": iadd,
-    "sub": isub,
-    "mul": imul,
-    "div": _idiv,
-    "recip": lambda v: _idiv((1.0, 1.0), v),
-    "one": lambda u: (np.where(np.isnan(u[0]) | np.isnan(u[1]), np.nan, 1.0),) * 2,
-    "sin": _periodic(np.sin, math.pi / 2),
-    "cos": _periodic(np.cos, 0.0),
-    "exp": lambda u: (np.maximum(_down(np.exp(u[0])), 0.0), _up(np.exp(u[1]))),
-    "ln": lambda u: (_down(np.log(np.where(u[0] > 0.0, u[0], np.nan))), _up(np.log(u[1]))),
-    "sqrt": lambda u: (np.maximum(_down(np.sqrt(u[0])), 0.0), _up(np.sqrt(u[1]))),
-    "abs": _iabs,
-}, _pair)
+_INTERVAL = _Backend("interval", lambda: _interval_ops(
+    np.where, np.minimum, np.maximum, _down, _up, np.isnan, np.floor, np.ceil, np.abs,
+    np.sin, np.cos, np.exp, np.log, np.sqrt), _pair)
+
+
+# np.minimum and np.maximum on floats: a NaN operand wins (Python's min(1,
+# nan) is 1), and b on a tie, so 0.0 and -0.0 come out as numpy's do
+def _fmin(a, b):
+    return a if a < b or a != a else b
+
+
+def _fmax(a, b):
+    return a if a > b or a != a else b
+
+
+def _fround(fn):
+    """math.floor or math.ceil, with inf and NaN given back (math raises)."""
+    return lambda v: fn(v) if -math.inf < v < math.inf else v
+
+
+# math.log gives NaN at 0, where numpy gives -inf, but only on a cell that
+# its lower end has marked already.
+_FLOAT_INTERVAL = _Backend("float_interval", lambda: _interval_ops(
+    lambda m, a, b: a if m else b, _fmin, _fmax,
+    lambda v: math.nextafter(v, -math.inf), lambda v: math.nextafter(v, math.inf),
+    math.isnan, _fround(math.floor), _fround(math.ceil), abs,
+    _ieee(math.sin, math.nan), _ieee(math.cos, math.nan), _ieee(math.exp, math.inf),
+    _ieee(math.log, math.nan), _ieee(math.sqrt, math.nan)), lambda c: (c, c))
+
+
+def iadd(u, v):
+    """Enclosure of u + v for (lo, hi) pairs of arrays."""
+    return _INTERVAL.ops["add"](u, v)
+
+
+def isub(u, v):
+    """Enclosure of u - v for (lo, hi) pairs of arrays."""
+    return _INTERVAL.ops["sub"](u, v)
+
+
+def imul(u, v):
+    """Enclosure of u * v for (lo, hi) pairs of arrays; u * u (the same
+    object) is a square, and a point constant goes first."""
+    return _INTERVAL.ops["mul"](u, v)
 
 
 def evaluate(e: Expr, x: Number) -> Number:
@@ -799,21 +843,25 @@ def _run_jet(backend, e, t, n):
     return out + [0.0] * (n + 1 - len(out))  # a constant's higher coefficients are 0
 
 
-def enclose(e: Expr, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def enclose(e: Expr, lo: Number, hi: Number) -> Tuple[Number, Number]:
     """Enclosures of e over the cells [lo[i], hi[i]] (arrays of one shape,
-    lo <= hi).
+    lo <= hi), or over the one cell [lo, hi] (floats).
 
-    Returns arrays (inf, sup) with inf <= e(x) <= sup for every x in a
-    cell: the natural interval extension of the tree, rounded outward by
-    one ulp per op (on the bit patterns of large arrays, with results
-    equal to np.nextafter's).  A cell on which some op leaves its domain
-    (a divisor reaching 0, ln reaching <= 0, sqrt reaching < 0, 0 to a
-    negative power) gets the unbounded enclosure (-inf, inf) instead of
-    raising.  Negation is exact, so enclose(-e) is (-sup, -inf) bit for
-    bit.  The program runs over blocks of at most _BLOCK cells, so its
-    temporaries stay in cache; every op works cell by cell, so the
-    results equal those of one run over all cells.
+    Returns (inf, sup) with inf <= e(x) <= sup for every x in a cell, as
+    arrays or as floats: the natural interval extension of the tree,
+    rounded outward by one ulp per op (on the bit patterns of large
+    arrays, with results equal to np.nextafter's).  A cell on which some
+    op leaves its domain (a divisor reaching 0, ln reaching <= 0, sqrt
+    reaching < 0, 0 to a negative power) gets the unbounded enclosure
+    (-inf, inf) instead of raising.  Negation is exact, so enclose(-e) is
+    (-sup, -inf) bit for bit.  Float ends run the float table, on math
+    and Python floats, with no numpy; arrays run over blocks of at most
+    _BLOCK cells, so the temporaries stay in cache, and every op works
+    cell by cell, so the results equal those of one run over all cells.
     """
+    if isinstance(lo, (float, int)) and isinstance(hi, (float, int)):
+        low, high = _FLOAT_INTERVAL.run(e, (float(lo), float(hi)))
+        return (-math.inf, math.inf) if low != low or high != high else (low, high)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     inf, sup = np.empty(lo.shape), np.empty(lo.shape)
     flat_lo, flat_hi, flat_inf, flat_sup = (a.reshape(-1) for a in (lo, hi, inf, sup))

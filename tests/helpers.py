@@ -44,15 +44,15 @@ def random_partition(rng, a=0.0, b=1.0, max_interior=8):
     return tuple(nodes)
 
 
-def expr_trees(consts, max_leaves, var=True):
-    """Hypothesis strategy for arbitrary trees over x (unless var is false)
-    and the given constants."""
+def expr_trees(consts, max_leaves, var=True, functions=E.FUNCTIONS):
+    """Hypothesis strategy for arbitrary trees over x (unless var is false),
+    the given constants and the given functions."""
     def node(children):
         return st.one_of(
             st.builds(E.Neg, children),
             *[st.builds(n, children, children) for n in (E.Add, E.Sub, E.Mul, E.Div)],
             st.builds(E.Pow, children, st.integers(-3, 5)),
-            st.builds(E.Func, st.sampled_from(E.FUNCTIONS), children),
+            st.builds(E.Func, st.sampled_from(functions), children),
         )
 
     leaves = st.sampled_from(consts).map(E.Const)

@@ -140,6 +140,30 @@ def test_limit_of_a_function_defined_about_c_is_its_value():
         limit(E.parse("sqrt(x)"), 0.0, "left")
 
 
+# points near the constants, where a tree's poles and domain edges lie, at
+# distances on the scale of each of the twelve cells
+_NEAR_EDGES = st.builds(lambda p, k, s: p + s * 16.0 ** -k, st.sampled_from([0.0, 1.0, -1.0, 0.3]),
+                        st.integers(1, 13), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5, 0.3), max_leaves=8),
+       st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.3, 1e-300, 1e300]), st.floats(-4.0, 4.0),
+                 _NEAR_EDGES),
+       st.sampled_from(["left", "right", "two-sided"]))
+def test_the_smallest_cell_decides_as_any_of_twelve_nested_cells_would(f, c, mode):
+    # natural interval extensions are inclusion isotone: f encloses finitely
+    # on the cell of radius (1 + |c|)*16^-12 exactly where it does on one of
+    # the cells of radius (1 + |c|)*16^-k, k = 1..12, that contain it
+    def finite(radius):
+        r = (1 + abs(c)) * radius
+        inf, sup = E.enclose(f, c if mode == "right" else c - r, c if mode == "left" else c + r)
+        return math.isfinite(inf) and math.isfinite(sup)
+
+    assert calculus.CELL == 16.0 ** -12
+    assert calculus._defined_about((f,), c, mode) == any(finite(16.0 ** -k) for k in range(1, 13))
+
+
 def test_derivative_checks_its_premise_and_falls_back_to_the_limit():
     # f = sqrt(x)^0 is undefined about -1, though its symbolic f'' folds to 0
     with pytest.raises(DivergenceError, match="about c = -1.0"):

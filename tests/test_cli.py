@@ -184,6 +184,18 @@ def test_fc_seed_env_overrides_flag(capsys, monkeypatch):
     assert env_out == flag_out
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_an_fc_seed_that_is_no_integer_is_a_usage_error(output):
+    # int() raised ValueError, and the process ended in its traceback with exit 1
+    proc = _fresh("-m", "fcalc.cli", "--output", output, "eval", "--f", "x", "--x", "1",
+                  env={**os.environ, "FC_SEED": "abc"})
+    message = "FC_SEED: invalid int value: 'abc'"
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"fc: error: {message}\n") and "Traceback" not in proc.stderr
+    want = {"result": None, "diagnostics": {"error": message}} if output == "json" else None
+    assert (json.loads(proc.stdout) if proc.stdout else None) == want
+
+
 def test_registry_every_op_has_exactly_one_subcommand():
     parser = build_parser()
     subactions = [a for a in parser._actions
@@ -1017,6 +1029,7 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(args):
     ["--output", "json", "eval", "--f", "x", "--x", "2"],
     ["graph", "dot"],
     ["--output", "json", "root", "--f", "x^2 + 1", "--a", "0", "--b", "1"],  # the error object
+    ["--help"],  # argparse's help, whose lost write exited 0
 ], ids=" ".join)
 def test_a_failed_write_to_stdout_is_one_error_line_and_exit_1(argv):
     # print raised OSError (no space left on device), and the process ended in its traceback
@@ -1108,6 +1121,8 @@ def test_a_nan_riemann_sum_warns_nothing():
      "--other-values", "[3]"],
     ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--split-at", "0.25"],
     ["--help"],
+    ["deriv", "--f", "exp(0.5*x)*cos(2*x)", "--at", "0.3"],  # f defined about c: a float cell
+    ["limit", "--f", "x^2", "--at", "1"],
 ], ids=" ".join)
 def test_subcommands_without_arrays_never_import_numpy(argv):
     proc = _fresh("-c", f"""
