@@ -2,27 +2,28 @@
 
 A cover holds its pieces once, as two read-only float arrays of left
 and right endpoints, and builds one structure, `_Reach`, once: keys
-sorted with a running maximum of their values.  Keyed by the left
-endpoints with the right endpoints as values, reach(x) is the largest
-right endpoint over pieces with lo < x (lo <= x for closed cell
-queries), attained by the lowest-index such piece.  Some piece contains
-x exactly when reach(x) > x, and two points x <= y share a piece
-exactly when reach(x) > y.
+sorted with a running maximum of their values, from one sort of the
+keys.  Keyed by the left endpoints with the right endpoints as values,
+reach(x) is the largest right endpoint over pieces with lo < x (lo <= x
+for closed cell queries).  Some piece contains x exactly when
+reach(x) > x, and two points x <= y share a piece exactly when
+reach(x) > y.  Queries read values only; the lowest-index piece
+attaining each reach is worked out only for finite_subcover.
 
 verify_cover and finite_subcover are one greedy walk from the left end
-of the target along reach: an exact constructive Heine-Borel sweep,
-never a sampling argument.  Every piece's next hop, reach at its right
-end, comes from one vectorised query, so the walk follows integer
-indices.  The exact Lebesgue number is the minimum slack reach - x over
-breakpoints and reach - q over cells (p, q) between them, all answered
-by one vectorised query.
+of the target along reach, cached on the cover: an exact constructive
+Heine-Borel sweep, never a sampling argument.  Every step's next hop,
+the count of left ends below its reach, comes from one vectorised
+query, so the walk follows integer positions.  The exact Lebesgue
+number is the minimum slack reach - x over breakpoints and reach - q
+over cells (p, q) between them, all answered by one vectorised query.
 
 The conservative min-half-radius formula is kept as `paper` mode.  A
 sample t is bound by t - lo on pieces whose split key (the last double
 where t - lo <= hi - t after rounding) is at least t, and by hi - t on
 the others, so two more reach structures keyed by split key, one giving
-the largest hi and one the smallest lo, answer every sample of a round
-with two searchsorted calls.
+the largest hi and one the smallest lo, share one sort of the split
+keys and answer every sample of a round with two searchsorted calls.
 
 uniform_modulus (a certified window cover) and sup_error decide from
 interval enclosures (expr.enclose), never from samples.
@@ -30,6 +31,7 @@ interval enclosures (expr.enclose), never from samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -48,11 +50,15 @@ class OpenCover:
     """Open pieces (lo, hi) over a closed target, held as the read-only
     endpoint arrays los and his.  pieces may be any sequence of (lo, hi)
     pairs: JSON lists, OpenIntervals or a (P, 2) array.  verified caches
-    the verdict of verify_cover."""
+    the verdict of verify_cover, and _walk the greedy walk behind it."""
 
     def __init__(self, target: Interval, pieces):
         try:
-            ends = np.asarray(pieces, dtype=float) if len(pieces) else np.empty((0, 2))
+            if (type(pieces) in (list, tuple) and {*map(type, pieces)} <= {list, tuple}
+                    and {*map(len, pieces)} <= {2}):  # pairs, in one pass, as np.asarray reads them
+                ends = np.fromiter(itertools.chain.from_iterable(pieces), float).reshape(-1, 2)
+            else:
+                ends = np.asarray(pieces, dtype=float) if len(pieces) else np.empty((0, 2))
         except (TypeError, ValueError):  # ragged, or not numbers
             ends = None
         if ends is None or ends.shape[1:] != (2,):
@@ -78,6 +84,8 @@ class OpenCover:
     def _reach(self) -> "_Reach":
         return _Reach(self.los, self.his)
 
+    _walk = cached_property(lambda self: _greedy_walk(self))
+
     def __repr__(self):
         return f"OpenCover({self.target!r}, {self.to_json()['pieces']!r})"
 
@@ -86,42 +94,53 @@ class _Reach:
     """Keys sorted with a running maximum of their values.
 
     Calling it with x (a float or an array) returns the largest value
-    over keys < x, or keys <= x when closed, and the lowest index
-    attaining it; -inf and -1 where there is none.
+    over keys < x, or keys <= x when closed: -inf where there is none,
+    NaN where all are NaN.  Of tied values the lowest index wins, and its
+    bits (a zero's sign, a NaN's payload) are returned.  idx[k] is that
+    index over the first k sorted keys (-1 for none), worked out when
+    first read.  Both depend only on the set of keys below x, never on
+    the order of tied keys, so order may be any sort of the keys.
     """
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray):
-        by_key = np.argsort(keys, kind="stable")
-        by_value = np.argsort(-values, kind="stable")  # highest first, ties by index
-        rank = np.empty_like(by_value)
-        rank[by_value] = np.arange(len(values))
-        best = by_value[np.minimum.accumulate(rank[by_key])]
-        self.keys = keys[by_key]
-        self.values = np.concatenate(([-math.inf], values[best]))
-        self.idx = np.concatenate(([-1], best))
+    def __init__(self, keys: np.ndarray, values: np.ndarray, order: np.ndarray = None):
+        self._order = np.argsort(keys) if order is None else order
+        self.keys, self._by_key = keys[self._order], values[self._order]
+        self.values = np.concatenate(([-math.inf], np.fmax.accumulate(self._by_key)))
+        if (odd := (self.values == 0) | np.isnan(self.values)).any():  # ties may differ in bits
+            self.values[odd] = values[self.idx[odd]]
 
     def __call__(self, x, closed: bool = False):
-        k = np.searchsorted(self.keys, x, side="right" if closed else "left")
-        return self.values[k], self.idx[k]
+        return self.values[np.searchsorted(self.keys, x, side="right" if closed else "left")]
+
+    @cached_property
+    def idx(self) -> np.ndarray:
+        # the running maximum changes at segment starts, and only pieces
+        # of the current segment attain it; offsetting each segment below
+        # the last lets one running minimum find the lowest index in each
+        run, n = self.values[1:], self._order.size
+        offset = np.cumsum(np.r_[True, (run[1:] != run[:-1]) & ~np.isnan(run[1:])]) * (n + 1)
+        attains = (self._by_key == run) | np.isnan(run)
+        return np.r_[-1, np.minimum.accumulate(np.where(attains, self._order, n) - offset) + offset]
 
 
 def _greedy_walk(cover: OpenCover) -> Tuple[List[int], Optional[float]]:
-    """Chain of pieces from the left end of the target, each reaching
+    """Chain from the left end of the target, each step reaching
     furthest right from the current reach r, and the first uncovered
-    point (None once a piece passes the right end).  r strictly
-    increases through right endpoints, so the walk ends within
-    len(pieces) steps; from piece i it is his[i], whose hop is queried
-    for every piece at once."""
-    hop_hi, hop_i = (v.tolist() for v in cover._reach(cover.his))
+    point (None once a step passes the right end).  r strictly increases
+    through right endpoints, so the walk ends within len(pieces) steps.
+    A step is a position k in the sorted keys, the number of keys below
+    r: the reach there is his[k], and the keys below that number hop[k],
+    all found by one query.  reach.idx names the piece of each step."""
+    reach = cover._reach
+    his, hop = reach.values.tolist(), np.searchsorted(reach.keys, reach.values).tolist()
     r, b = cover.target.lo, cover.target.hi
-    hi, i = (v.item() for v in cover._reach(r))
-    chain: List[int] = []
-    while hi > r:
-        chain.append(i)
-        if hi > b:
-            return chain, None
-        r, hi, i = hi, hop_hi[i], hop_i[i]
-    return chain, r
+    k, steps = int(np.searchsorted(reach.keys, r)), []
+    while his[k] > r:
+        steps.append(k)
+        if his[k] > b:
+            return steps, None
+        r, k = his[k], hop[k]
+    return steps, r
 
 
 def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
@@ -130,7 +149,7 @@ def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
     Returns (True, None) or (False, witness) with an uncovered point.
     The verdict is cached on the cover.
     """
-    _, gap = _greedy_walk(cover)
+    _, gap = cover._walk
     cover.verified = gap is None
     return cover.verified, gap
 
@@ -150,10 +169,10 @@ def finite_subcover(cover: OpenCover) -> List[int]:
     """Greedy left-to-right subcover; minimal cardinality for interval covers."""
     if cover.verified is not True:
         raise CoverError("cover must be verified before extracting a subcover")
-    chain, gap = _greedy_walk(cover)
+    steps, gap = cover._walk
     if gap is not None:
         raise CoverError(f"sweep stalled at {gap}; endpoint pathology in a verified cover")
-    return chain
+    return cover._reach.idx[steps].tolist()
 
 
 def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) -> float:
@@ -177,24 +196,26 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
 
 
 def _breakpoints(cover: OpenCover) -> np.ndarray:
-    """Sorted distinct target ends and piece endpoints inside the target."""
+    """Sorted distinct target ends and piece endpoints inside the target;
+    of 0.0 and -0.0 the first listed (a, b, lo0, hi0, lo1, ...) stays."""
     a, b = cover.target.lo, cover.target.hi
     v = np.concatenate(([a, b], np.stack((cover.los, cover.his), 1).ravel()))
-    # stable, so of equal values such as 0.0 and -0.0 the first listed stays
-    v = np.sort(v[(v >= a) & (v <= b)], kind="stable")
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+    s = np.sort(v := v[(v >= a) & (v <= b)])  # np.unique would import numpy.ma (~1.3 MB)
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    s[s == 0] = v[np.argmax(v == 0)]  # no-op where no end is 0
+    return s
 
 
 def _lebesgue_exact(cover: OpenCover) -> float:
     b = cover.target.hi
     breaks = _breakpoints(cover)
-    at, _ = cover._reach(breaks)
+    at = cover._reach(breaks)
     uncovered = breaks[~(at > breaks)]
     if uncovered.size:
         raise CoverError(f"point {float(uncovered[0])} of a verified cover is uncovered")
     # no endpoint lies inside a cell, so the piece holding its left end
     # holds the whole closed cell
-    over, _ = cover._reach(breaks[:-1], closed=True)
+    over = cover._reach(breaks[:-1], closed=True)
     slack = np.concatenate(((at - breaks)[at <= b], (over - breaks[1:])[over <= b]))
     return float(slack.min()) if slack.size else cover.target.length
 
@@ -210,7 +231,7 @@ def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]
     breaks = _breakpoints(cover)
     p, q = breaks[:-1], breaks[1:]
     xs = np.concatenate((breaks, q - np.minimum(delta * 1e-3, (q - p) / 2)))
-    reach, _ = cover._reach(xs)
+    reach = cover._reach(xs)
     inside = reach > xs
 
     def free(cs):
@@ -275,12 +296,13 @@ def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
     keys = _split_keys(los, his)
     # a sample's radius is its largest tent min(t - lo, hi - t) over the
     # pieces, which is positive exactly on pieces containing t
-    by_hi, by_lo = _Reach(keys, his), _Reach(-keys, -los)
+    # one sort of the split keys; reversed, it sorts -keys
+    by_hi, by_lo = _Reach(keys, his, order := np.argsort(keys)), _Reach(-keys, -los, order[::-1])
     n = max(2, sample)
     while True:
         ts = np.linspace(a, b, n)
-        hi, _ = by_hi(ts)                   # largest hi over keys < t
-        lo = -by_lo(-ts, closed=True)[0]    # smallest lo over keys >= t
+        hi = by_hi(ts)                   # largest hi over keys < t
+        lo = -by_lo(-ts, closed=True)    # smallest lo over keys >= t
         radii = np.maximum(np.maximum(ts - lo, hi - ts), 0.0)
         if not radii.all():
             raise CoverError(f"sample point {float(ts[radii == 0][0])} of a verified cover "

@@ -845,7 +845,8 @@ def _run_jet(backend, e, t, n):
 
 def enclose(e: Expr, lo: Number, hi: Number) -> Tuple[Number, Number]:
     """Enclosures of e over the cells [lo[i], hi[i]] (arrays of one shape,
-    lo <= hi), or over the one cell [lo, hi] (floats).
+    lo <= hi), or over the one cell [lo, hi] (floats).  A reversed cell
+    (lo > hi) raises PreconditionError; a NaN end marks its cell.
 
     Returns (inf, sup) with inf <= e(x) <= sup for every x in a cell, as
     arrays or as floats: the natural interval extension of the tree,
@@ -860,11 +861,17 @@ def enclose(e: Expr, lo: Number, hi: Number) -> Tuple[Number, Number]:
     cell by cell, so the results equal those of one run over all cells.
     """
     if isinstance(lo, (float, int)) and isinstance(hi, (float, int)):
+        if lo > hi:
+            raise PreconditionError(f"enclose needs lo <= hi, got the cell [{lo}, {hi}]")
         low, high = _FLOAT_INTERVAL.run(e, (float(lo), float(hi)))
         return (-math.inf, math.inf) if low != low or high != high else (low, high)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     inf, sup = np.empty(lo.shape), np.empty(lo.shape)
     flat_lo, flat_hi, flat_inf, flat_sup = (a.reshape(-1) for a in (lo, hi, inf, sup))
+    if np.count_nonzero(flat_lo > flat_hi):  # cheaper than .any() on small arrays
+        k = int(np.argmax(flat_lo > flat_hi))
+        raise PreconditionError(f"enclose needs lo <= hi, got the cell "
+                                f"[{flat_lo[k]}, {flat_hi[k]}] at flat index {k}")
     with np.errstate(all="ignore"):
         for start in range(0, flat_lo.size, _BLOCK):
             cells = slice(start, start + _BLOCK)

@@ -1,6 +1,7 @@
 """Shared generators for the numerical property tests."""
 
 import itertools
+import math
 import operator
 import re
 
@@ -251,8 +252,21 @@ def validate_lebesgue(cover, delta, pairs=10**4, seed=0):
     xs = rng.uniform(a, b, pairs)
     cs = np.clip(xs + rng.uniform(-delta, delta, pairs) * (1 - 1e-12), a, b)
     close = np.abs(xs - cs) < delta
-    reach, _ = cover._reach(np.minimum(xs, cs))
+    reach = cover._reach(np.minimum(xs, cs))
     return int(np.sum(close & ~(reach > np.maximum(xs, cs))))
+
+
+def oracle_reach(keys, values, x, closed=False):
+    """(value, index) of cover._Reach by its definition, one key at a
+    time: the largest value over keys < x (keys <= x when closed), NaN
+    values counting only where every such value is NaN, and the lowest
+    index attaining it, whose value's bits are returned; (-inf, -1) where
+    no key qualifies.  A NaN key is never below x."""
+    best, index = -math.inf, -1
+    for i, (k, v) in enumerate(zip(keys, values)):
+        if (k <= x if closed else k < x) and (index < 0 or v > best or (best != best and v == v)):
+            best, index = v, i
+    return best, index
 
 
 def value_instances():

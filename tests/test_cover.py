@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fcalc import expr as E
 from fcalc.cover import (
     OpenCover,
+    _Reach,
     binding_pair,
     finite_subcover,
     lebesgue_number,
@@ -19,7 +21,7 @@ from fcalc.cover import (
 )
 from fcalc.errors import CoverError, MathError, PreconditionError
 from fcalc.interval import Interval, OpenInterval
-from helpers import expr_trees, validate_lebesgue
+from helpers import expr_trees, oracle_reach, validate_lebesgue
 
 
 def cover_of(target, pieces):
@@ -512,10 +514,196 @@ def test_json_interval_and_array_covers_agree(cov):
     data = cov.to_json()
     forms = [OpenCover.from_json(data),
              OpenCover(cov.target, [OpenInterval(lo, hi) for lo, hi in data["pieces"]]),
-             OpenCover(cov.target, np.array(data["pieces"]).reshape(-1, 2))]
+             OpenCover(cov.target, np.array(data["pieces"]).reshape(-1, 2)),
+             OpenCover(cov.target, tuple(map(tuple, data["pieces"])))]
     assert len({_answers(c) for c in forms}) == 1
     for c in forms:  # infinite, NaN, reversed and empty pieces come back bit for bit
+        assert (_bits(c.los), _bits(c.his)) == (_bits(cov.los), _bits(cov.his))
         back = OpenCover.from_json(c.to_json())
         assert back.target == cov.target
         assert (_bits(back.los), _bits(back.his)) == (_bits(cov.los), _bits(cov.his))
         assert [_bits(p) for p in back.pieces] == [_bits(p) for p in cov.pieces]
+
+
+# Golden digest of cover answers: seeded random covers whose ends lie on
+# coarse grids (so ends tie), with signed zeros, infinite, empty and NaN
+# pieces and some chains broken, plus hand-made covers whose reach values
+# tie at 0.0 and -0.0.  Every answer is hashed through repr, so a changed
+# bit, a sign of zero or a different piece index changes the digest.
+_GOLDEN_COVERS_DIGEST = "3dc9419f7b074d3647e56f1cfd05d695116ce2715c9d6cd5932d895bad30d074"
+_HAND_COVERS = [
+    ([0, 1], [(-0.0, 0.5), (-0.1, 0.0), (0.0, 1.1), (-0.1, -0.0), (-0.2, 0.6), (0.5, 1.1)]),
+    ([-1, 0.5], [(-2, -0.0), (-3, 0.0), (0.0, 1)]),
+    ([-1, 0.5], [(-3, 0.0), (-2, -0.0), (-0.0, 1)]),
+    ([-1, 0.5], [(-2, -0.0), (-3, 0.0), (-0.5, 1), (-0.0, 1)]),
+    ([-1, 0], [(-2, -0.0), (-3, 0.0), (-0.5, 0.0)]),
+    ([-0.5, 0.5], [(-1, 0.0), (-1, -0.0), (-0.0, 1), (0.0, 1), (-0.25, 0.25), (-0.25, 0.25)]),
+    ([0, 1], [(-0.5, 0.5), (-0.5, 0.5), (0.25, 1.5), (0.25, 1.5), (0.5, 0.5), (0.25, 0.75)]),
+    ([0, 0], [(-0.0, 0.0), (-1, 0.0), (-1, 1)]),
+]
+
+
+def _golden_cover(rng, n, grid):
+    """A shuffled chain over a random target plus n random pieces, ends on
+    a grid of 1/grid; zeros get a random sign, a few pieces are made
+    infinite, empty or NaN, and one chain link in four is dropped."""
+    a = int(rng.integers(-grid, grid)) / grid
+    b = a + int(rng.integers(0, 2 * grid)) / grid
+    step = max(1, round((b - a) * grid / 6))
+    pieces, x = [], a - int(rng.integers(1, 3)) / grid
+    while x <= b:
+        w = int(rng.integers(2 * step, 4 * step))
+        pieces.append((x, x + w / grid))
+        x += (w - int(rng.integers(1, 2 * step))) / grid
+    if rng.uniform() < 0.25:
+        del pieces[int(rng.integers(len(pieces)))]
+    lo = np.round(rng.uniform(a - 0.3, b + 0.1, n) * grid) / grid
+    hi = lo + np.round(rng.exponential(0.3, n) * grid) / grid
+    pieces += list(zip(lo.tolist(), hi.tolist()))
+    inf, nan = math.inf, math.nan
+    odd = [(-inf, a), (b, inf), (-inf, inf), (nan, b), (a, nan), (b, a), (a, a), (inf, inf)]
+    for k in rng.integers(len(pieces), size=min(2, n)):
+        pieces[k] = odd[int(rng.integers(len(odd)))]
+    ends = np.array(pieces, dtype=float).reshape(-1, 2)[rng.permutation(len(pieces))]
+    ends[ends == 0] *= rng.choice([1.0, -1.0], size=int(np.sum(ends == 0)))
+    return OpenCover(Interval(a, b), ends.tolist())
+
+
+def _golden_answers(cov):
+    out = [verify_cover(cov)]
+    if not cov.verified:
+        return out + [binding_pair(cov, 0.1)]
+    out.append(finite_subcover(cov))
+    if cov.target.lo == cov.target.hi:
+        return out
+    delta = lebesgue_number(cov, "exact")
+    out.append(delta)
+    for sample in (2, 16):
+        try:
+            out.append(lebesgue_number(cov, "paper", sample=sample))
+        except CoverError as e:
+            out.append(str(e))
+    return out + [binding_pair(cov, f * delta) for f in (1.0, 1.01, 1.5)]
+
+
+def _golden_cover_digest():
+    rng = np.random.default_rng(2027)
+    covers = [cover_of(t, p) for t, p in _HAND_COVERS]
+    for n in (0, 1, 3, 8, 30, 120, 400):
+        for grid in (4, 16, 1024):
+            covers += [_golden_cover(rng, n, grid) for _ in range(4)]
+    digest = hashlib.sha256()
+    for cov in covers:
+        digest.update(repr(_golden_answers(cov)).encode())
+    return digest.hexdigest()
+
+
+def test_cover_answers_equal_the_recorded_digest():
+    assert _golden_cover_digest() == _GOLDEN_COVERS_DIGEST
+
+
+def _asarray_ends(pieces):
+    """The endpoint array np.asarray reads from pieces, or None where it
+    is no (P, 2) array: the rule every form of pieces is held to."""
+    try:
+        ends = np.asarray(pieces, dtype=float) if len(pieces) else np.empty((0, 2))
+    except (TypeError, ValueError):
+        return None
+    return ends if ends.shape[1:] == (2,) else None
+
+
+_ITEMS = st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60), st.booleans(), st.none(),
+                   st.sampled_from(["0.5", " 7 ", "1e3", "inf", "ab", "", b"2", 1j, [1.0], [],
+                                    np.float32(0.1), np.array(2.5), np.array([2.5])]))
+_PIECES = st.one_of(st.lists(_ITEMS, max_size=3), st.tuples(_ITEMS, _ITEMS),
+                    st.builds(OpenInterval, st.floats(), st.floats()),
+                    st.sampled_from(["ab", "12", b"12", {0: 1, 2: 3}, {1, 2}, 7, None, range(2),
+                                     np.array([1.0, 2.0]), [[0, 1], [2, 3]], ([0, 1],)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PIECES, max_size=5), st.booleans())
+def test_cover_pieces_are_read_as_np_asarray_reads_them(pieces, as_tuple):
+    # lists of pairs take a one-pass path; it accepts and refuses exactly
+    # what np.asarray does (ragged, 3-element, non-numeric and nested
+    # pieces are refused) and gives the same bits
+    pieces = tuple(pieces) if as_tuple else pieces
+    want = _asarray_ends(pieces)
+    if want is None:
+        with pytest.raises(PreconditionError, match="pairs"):
+            OpenCover(Interval(0, 1), pieces)
+        return
+    cov = OpenCover(Interval(0, 1), pieces)
+    assert (_bits(cov.los), _bits(cov.his)) == (_bits(want[:, 0]), _bits(want[:, 1]))
+
+
+@pytest.mark.parametrize("pieces", [[[10 ** 400, 1]], [(0, 1), (1, -10 ** 400)]])
+def test_an_integer_beyond_the_double_range_raises_overflow_as_np_asarray_does(pieces):
+    with pytest.raises(OverflowError):
+        np.asarray(pieces, dtype=float)
+    with pytest.raises(OverflowError):
+        OpenCover(Interval(0, 1), pieces)
+
+
+_REACH_KEYS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, math.inf, -math.inf, math.nan]),
+                        st.floats())
+_REACH_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf, -math.inf, math.nan,
+                                           -math.nan]), st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_REACH_KEYS, _REACH_VALUES), max_size=50))
+def test_reach_matches_brute_force_bit_for_bit(pairs):
+    # at every key, between keys and at +-inf, open and closed: the value
+    # (its bits, so signed zeros and NaN payloads count) and the lowest
+    # index attaining it
+    keys, values = (np.array([p[j] for p in pairs], dtype=float) for j in (0, 1))
+    reach = _Reach(keys, values)
+    ks = sorted(set(keys[~np.isnan(keys)].tolist()))
+    xs = [x for x in ks + [p / 2 + q / 2 for p, q in zip(ks, ks[1:])] + [-math.inf, math.inf]
+          if x == x]
+    for closed in (False, True):
+        got = reach(np.array(xs), closed)
+        at = np.searchsorted(reach.keys, xs, side="right" if closed else "left")
+        for x, value, index in zip(xs, got.tolist(), reach.idx[at].tolist()):
+            want = oracle_reach(keys.tolist(), values.tolist(), x, closed)
+            assert (_bits(value), index) == (_bits(want[0]), want[1]), (x, closed)
+            assert _bits(reach(x, closed)) == _bits(value)
+
+
+def test_each_key_set_is_sorted_once(monkeypatch):
+    # one argsort for the cover's reach (the walk, the exact Lebesgue
+    # number and binding_pair share it) and one of paper mode's split keys
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorts.append(len(a))
+                        or argsort(a, *args, **kw))
+    cov = cover_of([0, 1], [(-0.1, 0.6), (0.4, 1.1), (0.45, 0.55)])
+    assert verify_cover(cov)[0] and finite_subcover(cov) == [0, 1]
+    lebesgue_number(cov, "exact")
+    binding_pair(cov, 0.3)
+    assert sorts == [3]
+    lebesgue_number(cov, "paper")
+    assert sorts == [3, 3]
+
+
+def test_the_walk_is_taken_once_per_cover():
+    cov = cover_of(*TWO_PIECE)
+    assert verify_cover(cov) == (True, None)
+    walk = cov._walk
+    chain = finite_subcover(cov)
+    assert cov._walk is walk and chain == [0, 1]
+    chain.append(7)  # the caller's copy
+    assert finite_subcover(cov) == [0, 1]
+
+
+def test_breakpoints_keep_the_first_listed_zero():
+    # of 0.0 and -0.0 the first in the order a, b, lo0, hi0, lo1, ... stays
+    from fcalc.cover import _breakpoints
+
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 40, 300, 3000):
+        ends = rng.choice([-0.5, 0.0, -0.0, 0.25, 0.75, 2.0], size=(n, 2))
+        for a in (-1.0, -0.0, 0.0):
+            v = [x for x in [a, 1.0] + ends.ravel().tolist() if a <= x <= 1.0]
+            want = sorted(dict.fromkeys(v))  # equal keys keep the first listed
+            assert _bits(_breakpoints(OpenCover(Interval(a, 1), ends))) == _bits(want)

@@ -740,7 +740,7 @@ def test_enclose_in_blocks_equals_one_run(text):
     for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
         lo = rng.uniform(-1.0, 2.0, n)
         hi = lo + rng.exponential(0.5, n)
-        lo[: n // 10] = 0.0
+        lo[: n // 10] = np.minimum(hi[: n // 10], 0.0)  # cells stay lo <= hi
         with np.errstate(all="ignore"):
             inf, sup = E._INTERVAL.run(e, (lo, hi))   # one run over all cells
         undefined = np.isnan(inf) | np.isnan(sup)     # a constant tree gives scalars
@@ -845,6 +845,28 @@ def test_float_enclosures_contain_mpmath_values(e, u, v, rng):
             if math.isfinite(x):
                 value = mp_eval(e, mp.mpf(x), mp)
                 assert inf <= value <= sup, (E.to_text(e), lo, hi, x)
+
+
+@pytest.mark.parametrize("text, lo, hi", [("1/(x-1)", 2.0, 1.0), ("1/x", 1.0, 0.0),
+                                          ("x", 5e-324, -5e-324), ("3", 1, 0)])
+def test_enclose_refuses_a_reversed_cell_on_both_tables(text, lo, hi):
+    # refused on either table before any op runs: on floats 1/x over
+    # [1, 0] would divide by 0
+    f = E.parse(text)
+    with pytest.raises(PreconditionError, match=rf"lo <= hi, got the cell \[{lo}, {hi}\]$"):
+        E.enclose(f, lo, hi)
+    cell = rf"\[{float(lo)}, {float(hi)}\] at flat index 2"
+    with pytest.raises(PreconditionError, match=rf"lo <= hi, got the cell {cell}"):
+        E.enclose(f, np.array([[0.0, 0.5], [lo, 0.5]]), np.array([[0.5, 0.5], [hi, 0.5]]))
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (2.0, math.nan), (math.nan, math.nan)])
+def test_a_nan_end_still_marks_the_cell_unbounded(lo, hi):
+    f = E.parse("1/(x-1)")
+    assert E.enclose(f, lo, hi) == (-math.inf, math.inf)
+    inf, sup = E.enclose(f, np.array([lo, 2.0]), np.array([hi, 3.0]))
+    assert (inf[0], sup[0]) == (-math.inf, math.inf)
+    assert (inf[1], sup[1]) == E.enclose(f, 2.0, 3.0) and 0.4 < inf[1] < sup[1] < 1.1
 
 
 _MARKED = [(math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)]
