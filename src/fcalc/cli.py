@@ -8,13 +8,16 @@ unparseable input.  With --output json a single strict-JSON object with
 exit-1 error object, and a usage error an exit-2 one); identical argv
 and seed give byte-identical output.
 
-One reply path.  main parses the expression flags in x (--f, --g, --F,
---G) into trees, in flag order, before the handler runs, and fills in
-args.tol, args.seed (FC_SEED overrides --seed) and args.max_iter.  A
-handler takes args alone and returns the library's answer, or a Reply
-where it has more to say: diagnostics, a label, a text line that shows
-something other than the value, or lines after it.  main derives the
-rest:
+One parse step and one reply path.  main parses every expression flag
+(_EXPR_FLAGS), in flag order, before the handler runs: --text, --f,
+--g, --F and --G into trees in x, --s, --lo-expr and --hi-expr into
+trees in n, and --member and --below into expr.Predicate.  No handler
+parses an expression; each hands the trees to the library as they are
+(a tree is callable).  main also fills in args.tol, args.seed (FC_SEED
+overrides --seed) and args.max_iter.  A handler takes args alone and
+returns the library's answer, or a Reply where it has more to say:
+diagnostics, a label, a text line that shows something other than the
+value, or lines after it.  main derives the rest:
   - the text: _fmt of the value, which prints a dict as "key value"
     pairs and a bool as true or false, after "label: " where there is a
     label;
@@ -37,10 +40,10 @@ tuples, which cost little to define.  `expr` and `calculus` import numpy
 only for an array call or an enclosure of array cells, and `suprema` and
 `stepfn`'s algebra never do, so parse, eval, deriv, limit (both where f
 is defined about the point), sup, cut, root, affine, graph, stepint, seq
---op limit and ival --op bisect run without it.  Run as a
-program (run), fc starts numpy's OpenBLAS with one thread unless
-OPENBLAS_NUM_THREADS is set (see main), and ends without interpreter
-teardown.
+--op monotone, cauchy, bound, limit and diverge and ival --op bisect,
+partition, refine and shrink run without it.  Run as a program (run),
+fc starts numpy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS
+is set (see main), and ends without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -53,22 +56,6 @@ import sys
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from .errors import MathError, ParseError
-
-
-_COMPARATORS = (("<=", lambda u, v: u <= v), (">=", lambda u, v: u >= v),
-                ("<", lambda u, v: u < v), (">", lambda u, v: u > v))
-
-
-def parse_predicate(text: str) -> Callable[[float], bool]:
-    """Comparison over the expression grammar, e.g. 'x*x < 2'."""
-    from . import expr
-    for sym, op in _COMPARATORS:
-        pos = text.find(sym)
-        if pos >= 0:
-            lhs = expr.parse(text[:pos])
-            rhs = expr.parse(text[pos + len(sym):])
-            return lambda t: bool(op(expr.evaluate(lhs, t), expr.evaluate(rhs, t)))
-    raise ParseError("predicate needs a comparison (<, <=, >, >=)", 0)
 
 
 _FLOATS = [float]
@@ -163,8 +150,7 @@ def _cap(args, default: int) -> int:
 # handlers: each takes args and returns the library's answer or a Reply
 
 def _h_parse(args):
-    from . import expr
-    return expr.to_text(expr.parse(args.text))
+    return str(args.text)  # expr.to_text
 
 
 def _h_eval(args):
@@ -188,7 +174,7 @@ def _h_limit(args):
 
 def _h_sup(args):
     from . import suprema
-    pset = suprema.PredicateSet(parse_predicate(args.member), args.seed_point, args.bound)
+    pset = suprema.PredicateSet(args.member, args.seed_point, args.bound)
     res = suprema.bisect_supremum(pset, args.tol, _cap(args, suprema.MAX_HALVINGS))
     if not args.witnesses:
         return Reply(res.value, {"iterations": res.iterations})
@@ -199,7 +185,7 @@ def _h_sup(args):
 
 def _h_cut(args):
     from . import suprema
-    c = suprema.Cut(parse_predicate(args.below), args.in_point, args.out_point)
+    c = suprema.Cut(args.below, args.in_point, args.out_point)
     return suprema.cut_point(c, args.tol, max_iter=_cap(args, suprema.MAX_HALVINGS))
 
 
@@ -394,35 +380,34 @@ def _h_pwl(args):
 
 
 def _h_seq(args):
-    from . import expr, interval, sequences
-    rule_expr = expr.parse(args.s, var_name="n")
-    s = sequences.Sequence(lambda k: rule_expr(float(k)))
+    from . import interval, sequences
     if args.op == "monotone":
-        return sequences.check_monotone(s, args.n)
+        return sequences.check_monotone(args.s, args.n)
     if args.op == "cauchy":
-        rep = sequences.check_cauchy_window(s, args.eps, args.lo, args.hi)
+        rep = sequences.check_cauchy_window(args.s, args.eps, args.lo, args.hi)
         return Reply(rep.ok, {"pair": rep.pair, "gap": rep.gap}, label="cauchy",
                      shown=f"{_fmt(rep.ok)} worst pair {rep.pair} gap {_fmt(rep.gap)}")
     if args.op == "bound":
-        return sequences.bound_prefix(s, args.n)
+        return sequences.bound_prefix(args.s, args.n)
     if args.op == "bw":
         box = interval.Interval(args.box[0], args.box[1])
-        sel, ivals = sequences.bw_extract(s, box, args.depth, args.budget)
+        sel, ivals = sequences.bw_extract(args.s, box, args.depth, args.budget)
         result = {"indices": sel.indices, "intervals": [iv.to_json() for iv in ivals]}
         return Reply(result, label="indices", shown=sel.indices)
     if args.op == "limit":
         if args.upper is None:
             raise ParseError("seq --op limit needs --upper", 0)
-        return sequences.monotone_limit(s, args.upper, max(args.tol, 1e-12), _cap(args, 10**6))
+        return sequences.monotone_limit(args.s, args.upper, max(args.tol, 1e-12),
+                                        _cap(args, 10**6))
     if args.op == "diverge":
-        sel = sequences.divergence_witness(s, args.eps, args.count, args.budget)
+        sel = sequences.divergence_witness(args.s, args.eps, args.count, args.budget)
         return Reply(sel.indices, label="indices")
     box = interval.Interval(args.box[0], args.box[1])  # cauchy-limit
-    return sequences.cauchy_limit(s, box, max(args.tol, 1e-12), args.budget)
+    return sequences.cauchy_limit(args.s, box, max(args.tol, 1e-12), args.budget)
 
 
 def _h_ival(args):
-    from . import expr, interval
+    from . import interval
     if args.op == "bisect":
         left, right = interval.bisect(interval.Interval(*_json_arg(args.interval, _PAIR)))
         return {"left": left.to_json(), "right": right.to_json()}
@@ -432,10 +417,8 @@ def _h_ival(args):
         p = interval.Partition(_json_arg(args.p, _FLOATS))
         q = interval.Partition(_json_arg(args.q, _FLOATS))
         return interval.refine(p, q).to_json()
-    lo = expr.parse(args.lo_expr, var_name="n")  # shrink
-    hi = expr.parse(args.hi_expr, var_name="n")
-    seq = interval.NestedSequence(lambda k: interval.Interval(lo(float(k)), hi(float(k))))
-    return interval.shrink_to_point(seq, max(args.tol, 1e-15), _cap(args, 10**6))
+    return interval.shrink_to_point(args.lo_expr, args.hi_expr,  # shrink
+                                    max(args.tol, 1e-15), _cap(args, 10**6))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +699,10 @@ def _fail(json_output: bool, kind: str, message: str, code: int) -> int:
     return code
 
 
-_EXPR_FLAGS = ("f", "g", "F", "G")  # the flags that hold an expression in x
+# what each expression flag holds: a tree in x or in n, or a predicate in x
+_EXPR_FLAGS = {**dict.fromkeys(("text", "f", "g", "F", "G"), "x"),
+               **dict.fromkeys(("s", "lo-expr", "hi-expr"), "n"),
+               "member": "predicate", "below": "predicate"}
 
 
 def main(argv=None) -> int:
@@ -752,9 +738,13 @@ def main(argv=None) -> int:
     json_output = getattr(args, "output", "text") == "json"
     try:
         for flag in command.flags:  # in flag order, before the handler runs
-            if flag in _EXPR_FLAGS:
+            holds = _EXPR_FLAGS.get(flag)
+            if holds:
                 from . import expr
-                setattr(args, flag, expr.parse(getattr(args, flag)))
+                dest = flag.replace("-", "_")
+                text = getattr(args, dest)
+                setattr(args, dest, expr.parse_predicate(text) if holds == "predicate"
+                        else expr.parse(text, holds))
         reply = command.handler(args)
         if not isinstance(reply, Reply):
             reply = Reply(reply)

@@ -59,7 +59,7 @@ class OpenCover:
                 ends = np.fromiter(itertools.chain.from_iterable(pieces), float).reshape(-1, 2)
             else:
                 ends = np.asarray(pieces, dtype=float) if len(pieces) else np.empty((0, 2))
-        except (TypeError, ValueError):  # ragged, or not numbers
+        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, beyond doubles
             ends = None
         if ends is None or ends.shape[1:] != (2,):
             raise PreconditionError("cover pieces must be (lo, hi) pairs")

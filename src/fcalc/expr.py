@@ -10,7 +10,9 @@ Grammar (whitespace insignificant)::
 with ident one of sin, cos, exp, ln, sqrt, abs.  Unary minus binds looser
 than ``^``, as usual: -x^2 is -(x^2), and (-x)^2 reads as written.
 Exponents are integer literals only, so symbolic differentiation stays
-closed form.
+closed form.  A predicate (``parse_predicate``) is two expressions joined
+by one of <=, >=, <, >; it is a ``Predicate`` of two trees, which calls
+as the comparison.
 
 Nodes are frozen and interned: building one returns the live node with
 the same class and fields, so equal trees are one object, ``==`` is
@@ -62,7 +64,7 @@ import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import DomainError, ParseError, PreconditionError
 
@@ -1095,3 +1097,35 @@ def parse(text: str, var_name: str = "x") -> Expr:
                 raise _error(text, i - 1, "expected ')'" if depth else f"trailing input {value!r}")
             reduce(0)
             return operands[0]
+
+
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+
+
+class Predicate(NamedTuple):
+    """A comparison of two trees; called at x, the bool of comparing
+    evaluate(lhs, x) with evaluate(rhs, x) by op, one of <=, >=, <, >."""
+
+    lhs: Expr
+    op: str
+    rhs: Expr
+
+    def __call__(self, x: float) -> bool:
+        return bool(_COMPARATORS[self.op](evaluate(self.lhs, x), evaluate(self.rhs, x)))
+
+
+def parse_predicate(text: str, var_name: str = "x") -> Predicate:
+    """Parse a comparison of two expressions, e.g. 'x*x < 2'.
+
+    text splits at the first comparator found, looking for <=, >=, < and
+    > in that order.  Offsets of a ParseError count from the start of
+    text: the right side is parsed with what comes before it blanked out,
+    which the grammar reads as whitespace.
+    """
+    for op in _COMPARATORS:
+        pos = text.find(op)
+        if pos >= 0:
+            end = pos + len(op)
+            return Predicate(parse(text[:pos], var_name), op,
+                             parse(" " * end + text[end:], var_name))
+    raise ParseError("predicate needs a comparison (<, <=, >, >=)", 0)

@@ -1,11 +1,12 @@
-"""Closed/open intervals, partitions, nested-interval iteration, and
-`refine_cells`, the one adaptive cell loop behind every enclosure decision."""
+"""Closed/open intervals, partitions, nested-interval iteration (whose
+end rules may be trees in n), and `refine_cells`, the one adaptive cell
+loop behind every enclosure decision."""
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import IterationCapError, NestingError, PreconditionError
 
@@ -125,18 +126,6 @@ class Partition:
         return list(self.nodes)
 
 
-class NestedSequence(NamedTuple):
-    """Lazily produced interval sequence; rule(k) for k = 1, 2, ...
-
-    The rule must be pure.  Nesting is checked as intervals are emitted.
-    """
-
-    rule: Callable[[int], Interval]
-
-    def __call__(self, k: int) -> Interval:
-        return self.rule(k)
-
-
 def require_finite(a: float, b: float) -> None:
     """PreconditionError unless a, b and the length b - a are finite."""
     if not math.isfinite(b - a):
@@ -221,16 +210,20 @@ def is_refinement(coarse: Partition, fine: Partition) -> bool:
     return set(coarse.nodes) <= set(fine.nodes) and coarse.a == fine.a and coarse.b == fine.b
 
 
-def shrink_to_point(s: NestedSequence, tol: float, max_iter: int = 10**6) -> float:
-    """Iterate a nested sequence until its length drops below tol.
+def shrink_to_point(lo: Callable[[int], float], hi: Callable[[int], float], tol: float,
+                    max_iter: int = 10**6) -> float:
+    """Iterate the nested intervals [lo(k), hi(k)], k = 1, 2, ..., until
+    their length drops below tol.
 
-    Returns the midpoint of the final interval; any point of the true
-    intersection lies within tol of it.  Detects nesting violations, and
-    raises IterationCapError when lengths refuse to shrink (the fat
-    intersection case has no canonical point to return).
+    lo and hi are pure rules from index to real: trees in n or any
+    callables.  Returns the midpoint of the final interval; any point of
+    the true intersection lies within tol of it.  Checks nesting as the
+    intervals are built, and raises IterationCapError when lengths refuse
+    to shrink (the fat intersection case has no canonical point to
+    return).
     """
     require_tol(tol)
-    current = s(1)
+    current = Interval(lo(1), hi(1))
     k = 1
     while current.length >= tol:
         if k >= max_iter:
@@ -238,7 +231,7 @@ def shrink_to_point(s: NestedSequence, tol: float, max_iter: int = 10**6) -> flo
                 f"interval length {current.length} still >= tol after {k} iterations"
             )
         k += 1
-        nxt = s(k)
+        nxt = Interval(lo(k), hi(k))
         if not current.contains_interval(nxt):
             raise NestingError(f"interval {k} is not contained in interval {k - 1}")
         current = nxt

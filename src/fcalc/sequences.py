@@ -1,6 +1,8 @@
 """Lazily evaluated real sequences and their convergence diagnostics.
 
-Sequences are pure rules from positive indices to reals.  The
+A sequence is a pure rule from positive indices to reals, passed as it
+is: a tree in n (expr.parse(text, "n"), which evaluates at float(k)) or
+any callable from index to real.  Each routine reads float(s(k)).  The
 subsequence machinery follows the halving construction: keep the half
 with more hits among a finite index budget, which is the computable
 proxy for "contains infinitely many terms".
@@ -10,20 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import BudgetError, IterationCapError, PreconditionError
 from .interval import Interval, bisect, require_tol
 from .suprema import _linspace
-
-
-class Sequence(NamedTuple):
-    """A sequence is a pure rule index -> real, indices starting at 1."""
-
-    rule: Callable[[int], float]
-
-    def __call__(self, k: int) -> float:
-        return float(self.rule(k))
 
 
 class SubsequenceSelector(namedtuple("SubsequenceSelector", "indices")):
@@ -47,12 +40,6 @@ class CauchyWindowReport(NamedTuple):
     gap: float
 
 
-def _as_rule(s) -> Callable[[int], float]:
-    if isinstance(s, Sequence):
-        return s.rule
-    return s
-
-
 def check_monotone(s, n: int) -> str:
     """Classify the first n terms by adjacent comparisons.
 
@@ -60,12 +47,11 @@ def check_monotone(s, n: int) -> str:
     """
     if n < 2:
         raise PreconditionError("need n >= 2 terms to classify")
-    rule = _as_rule(s)
     strict = True
     weak = True
-    prev = float(rule(1))
+    prev = float(s(1))
     for k in range(2, n + 1):
-        cur = float(rule(k))
+        cur = float(s(k))
         if not prev < cur:
             strict = False
         if not prev <= cur:
@@ -89,8 +75,7 @@ def check_cauchy_window(s, eps: float, lo: int, hi: int) -> CauchyWindowReport:
         raise PreconditionError("eps must be positive")
     if lo > hi or lo < 1:
         raise PreconditionError("window needs 1 <= lo <= hi")
-    rule = _as_rule(s)
-    values = [float(rule(k)) for k in range(lo, hi + 1)]
+    values = [float(s(k)) for k in range(lo, hi + 1)]
     diffs = [v2 - v1 for v1, v2 in zip(values, values[1:])]
     monotone = all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
     if monotone:
@@ -109,14 +94,13 @@ def bound_prefix(s, n: int) -> float:
     """Max of |s_k| over k <= n; the all-zero prefix is bounded by 1."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    rule = _as_rule(s)
-    m = max(abs(float(rule(k))) for k in range(1, n + 1))
+    m = max(abs(float(s(k))) for k in range(1, n + 1))
     return m if m > 0.0 else 1.0
 
 
-def _cache_values(rule, budget: int) -> np.ndarray:
+def _cache_values(s, budget: int) -> np.ndarray:
     import numpy as np
-    return np.fromiter((float(rule(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
+    return np.fromiter((float(s(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
 
 
 def bw_extract(
@@ -139,8 +123,7 @@ def bw_extract(
         raise PreconditionError("depth must be in 1..60")
     if budget < depth:
         raise PreconditionError("budget must be at least depth")
-    rule = _as_rule(s)
-    values = _cache_values(rule, budget) if _cache is None else _cache
+    values = _cache_values(s, budget) if _cache is None else _cache
     inside = (values >= box.lo) & (values <= box.hi)
     if not inside.all():
         bad = int(np.argmin(inside)) + 1
@@ -182,11 +165,10 @@ def monotone_limit(s, upper: float, tol: float, max_index: int = 10**6) -> float
     true limit lies in [returned, returned + tol].
     """
     require_tol(tol)
-    rule = _as_rule(s)
     m = 1
     while True:
         window = _scan_indices(m, 2 * m)
-        vals = [float(rule(k)) for k in window]
+        vals = [float(s(k)) for k in window]
         for k, v in zip(window, vals):
             if v > upper:
                 raise PreconditionError(f"upper bound violated at k={k}: {v} > {upper}")
@@ -209,9 +191,8 @@ def divergence_witness(s, eps: float, count: int, budget: int) -> SubsequenceSel
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    rule = _as_rule(s)
     indices = [1]
-    base = float(rule(1))
+    base = float(s(1))
     for k in range(1, count + 1):
         target = base + k * eps
         lo = indices[-1] + 1
@@ -219,21 +200,21 @@ def divergence_witness(s, eps: float, count: int, budget: int) -> SubsequenceSel
             raise BudgetError("budget exhausted; the sequence may be Cauchy at this eps")
         # grow hi by doubling until the target is met (monotone rule)
         hi = lo
-        while float(rule(hi)) < target:
+        while float(s(hi)) < target:
             if hi >= budget:
                 raise BudgetError("budget exhausted; the sequence may be Cauchy at this eps")
             hi = min(2 * hi, budget)
         # smallest qualifying index in [lo, hi]
         while lo < hi:
             mid = (lo + hi) // 2
-            if float(rule(mid)) >= target:
+            if float(s(mid)) >= target:
                 hi = mid
             else:
                 lo = mid + 1
         indices.append(lo)
     sel = SubsequenceSelector(tuple(indices))
     for k in range(1, count + 1):
-        if float(rule(sel.indices[k])) < base + k * eps - 1e-12:
+        if float(s(sel.indices[k])) < base + k * eps - 1e-12:
             raise BudgetError("located indices fail the growth inequality")
     return sel
 
@@ -248,8 +229,7 @@ def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:
     require_tol(tol)
     if budget < 1:
         raise PreconditionError("budget must be at least 1")
-    rule = _as_rule(s)
-    values = _cache_values(rule, budget)
+    values = _cache_values(s, budget)
     if values.max() == values.min():
         return float(values[0])  # constant sequence: its value, exactly
     # probe: find some window [w, 2w] whose spread is below tol

@@ -2,8 +2,7 @@
 
 Node values do not matter for the integral, so they are not stored;
 calling a StepFunction at a node returns the left cell's value by
-convention (the right cell at the left endpoint).  Only `sample`, which
-takes an array, needs numpy, and it imports it.
+convention (the right cell at the left endpoint).
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class StepFunction(namedtuple("StepFunction", "partition cell_values")):
             return self.cell_values[0]
         i = _bisect.bisect_left(nodes, x)  # first node >= x, so x in (nodes[i-1], nodes[i]]
         return self.cell_values[i - 1]
-
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        import numpy as np
-        nodes = np.asarray(self.partition.nodes)
-        idx = np.searchsorted(nodes, xs, side="left")
-        idx = np.clip(idx, 1, len(nodes) - 1)
-        return np.asarray(self.cell_values)[idx - 1]
 
     def __neg__(self) -> "StepFunction":
         return step_combine(self, op="negate")

@@ -19,7 +19,10 @@ the cap is looked at.  A predicate may also report an exact hit, which
 collapses the bracket to a point (a root's residual can be exactly
 zero).  The public functions only check preconditions, choose the
 predicate and package the result: the supremum keeps "is a member", the
-cut "is below", the root "has the sign of the left end".
+cut "is below", the root "has the sign of the left end".  The oracles
+of a PredicateSet and a Cut are callables from a float to a bool: an
+expr.Predicate (two trees and a comparator, which fc sup and fc cut
+pass) or any function; the root's f is a tree or any callable.
 
 A membership oracle cannot decide "is an upper bound", so midpoints
 that test non-member are *treated* as upper bounds.  That is sound for

@@ -274,7 +274,7 @@ def value_instances():
 
     Callable fields hold builtins, so every value pickles.
     """
-    from fcalc import calculus, graph, integrate, interval, sequences, stepfn, suprema
+    from fcalc import calculus, expr, graph, integrate, interval, sequences, stepfn, suprema
 
     part = interval.Partition((0, 0.5, 1))
     level = integrate.CertificateLevel(4, 0.25, 0.5)
@@ -283,7 +283,7 @@ def value_instances():
         graph.Principle("MCP", "monotone convergence", (1, 2)),
         graph.ImplicationEdge("MCP", "CA", "theorem 2"), integrate.ChoiceFunction("random", 3),
         level, integrate.IntegralCertificate(0.375, [level], True), interval.Interval(0, 1),
-        part, interval.NestedSequence(abs), sequences.Sequence(float),
+        part, expr.Predicate(expr.X, "<", expr.Const(2.0)),
         sequences.SubsequenceSelector((1, 3)), sequences.CauchyWindowReport(True, (1, 2), 0.0),
         stepfn.StepFunction(part, (2, 3)), suprema.PredicateSet(bool, 0.0, 2.0),
         suprema.Cut(bool, 0.0, 2.0), suprema.SupremumResult(1.0, 3, [(0.0, 2.0)]),

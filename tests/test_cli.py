@@ -810,6 +810,29 @@ def test_each_reply_branch_prints_its_recorded_output(capsys, argv, code, text, 
     assert run(capsys, *argv, "--output", "json") == (code, json_text, "")
 
 
+# argv, exit code, stderr as text, stdout with --output json: parse errors
+# report offsets into the whole flag's text, and every expression flag is
+# parsed before the handler runs, whatever the --op
+_GOLDEN_PARSE_ERRORS = [
+    (["sup", "--member", "x < 2 +", "--seed-point", "0", "--bound", "2"], 2,
+     "parse error: unexpected end of input (at offset 7)\n",
+     '{"diagnostics": {"error": "unexpected end of input (at offset 7)"}, "result": null}\n'),
+    (["sup", "--member", "x < 2 @", "--seed-point", "0", "--bound", "2"], 2,
+     "parse error: unexpected character '@' (at offset 6)\n",
+     """{"diagnostics": {"error": "unexpected character '@' (at offset 6)"}, "result": null}\n"""),
+    (["ival", "--op", "bisect", "--interval", "[0, 1]", "--lo-expr", "1/"], 2,
+     "parse error: unexpected end of input (at offset 2)\n",
+     '{"diagnostics": {"error": "unexpected end of input (at offset 2)"}, "result": null}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, json_text", _GOLDEN_PARSE_ERRORS,
+                         ids=[" ".join(argv) for argv, *_ in _GOLDEN_PARSE_ERRORS])
+def test_each_parse_error_prints_its_recorded_output(capsys, argv, code, err, json_text):
+    assert run(capsys, *argv) == (code, "", err)
+    assert run(capsys, *argv, "--output", "json") == (code, json_text, "")
+
+
 def test_the_recorded_outputs_cover_every_subcommand_and_op():
     names = [argv[0] for argv, *_ in _GOLDEN]
     assert set(names) == set(COMMANDS)
@@ -1114,7 +1137,14 @@ def test_a_nan_riemann_sum_warns_nothing():
     ["graph", "dot"],
     ["graph", "scc"],
     ["seq", "--op", "limit", "--s", "1 - 1/n", "--upper", "1", "--tol", "1e-5"],
+    ["seq", "--op", "monotone", "--s", "1 - 1/n"],
+    ["seq", "--op", "cauchy", "--s", "1/n", "--lo", "1000", "--hi", "2000"],
+    ["seq", "--op", "bound", "--s", "sin(n)", "--n", "50"],
+    ["seq", "--op", "diverge", "--s", "n", "--eps", "1", "--count", "3"],
     ["ival", "--op", "bisect", "--interval", "[0, 1]"],
+    ["ival", "--op", "shrink", "--lo-expr", "0 - 1/n", "--hi-expr", "1/n", "--tol", "1e-4"],
+    ["ival", "--op", "partition", "--a", "0", "--b", "1", "--n", "4"],
+    ["ival", "--op", "refine", "--p", "[0, 0.5, 1]", "--q", "[0, 0.25, 1]"],
     ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--output", "json"],
     ["stepint", "--partition", "[0, 0.5, 1]", "--values", "[1, 2]", "--reexpress",
      "[0, 0.25, 0.5, 1]", "--combine", "add", "--other-partition", "[0, 1]",

@@ -638,11 +638,13 @@ def test_cover_pieces_are_read_as_np_asarray_reads_them(pieces, as_tuple):
 
 
 @pytest.mark.parametrize("pieces", [[[10 ** 400, 1]], [(0, 1), (1, -10 ** 400)]])
-def test_an_integer_beyond_the_double_range_raises_overflow_as_np_asarray_does(pieces):
-    with pytest.raises(OverflowError):
+def test_an_integer_beyond_the_double_range_is_a_precondition_error(pieces):
+    with pytest.raises(OverflowError):  # where np.asarray raises a bare OverflowError
         np.asarray(pieces, dtype=float)
-    with pytest.raises(OverflowError):
+    with pytest.raises(PreconditionError, match="pairs"):
         OpenCover(Interval(0, 1), pieces)
+    with pytest.raises(PreconditionError, match="pairs"):  # the array path too
+        OpenCover(Interval(0, 1), np.array(pieces, dtype=object))
 
 
 _REACH_KEYS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, math.inf, -math.inf, math.nan]),

@@ -59,6 +59,13 @@ def test_parse_errors_carry_offsets():
         E.parse("x 1")
 
 
+def test_predicate_errors_carry_offsets_into_the_whole_text():
+    for text, offset in [("x < 2 +", 7), ("x < 2 @", 6), ("x @ < 2", 2), ("x <= ", 5), ("x", 0)]:
+        with pytest.raises(ParseError) as err:
+            E.parse_predicate(text)
+        assert err.value.offset == offset, text
+
+
 def test_differentiate_examples():
     assert E.evaluate(E.differentiate(E.parse("x^3"), 1), 2.0) == 12.0
     d = E.differentiate(E.parse("4.25"), 1)
@@ -1140,7 +1147,27 @@ def test_deep_chains_parse_print_evaluate_and_differentiate(steps, x):
         assert got == pytest.approx(slope, rel=1e-9, abs=1e-300)
 
 
+_printable_trees = expr_trees((0.0, 0.5, 1.0, 2.0, 1.2), max_leaves=10)
+
+
 @settings(max_examples=100, deadline=None)
-@given(expr_trees((0.0, 0.5, 1.0, 2.0, 1.2), max_leaves=10))
+@given(_printable_trees)
 def test_printed_text_reads_back_as_the_same_tree(e):
     assert E.parse(E.to_text(e)) is e
+
+
+@settings(max_examples=100, deadline=None)
+@given(_printable_trees, _printable_trees, st.sampled_from(["<=", ">=", "<", ">"]),
+       st.lists(_points, min_size=1, max_size=4))
+def test_a_printed_comparison_reads_back_as_its_predicate(u, v, op, xs):
+    p = E.parse_predicate(f"{E.to_text(u)} {op} {E.to_text(v)}")
+    assert p == E.Predicate(u, op, v)
+    for x in xs:
+        try:
+            left, right = E.evaluate(u, x), E.evaluate(v, x)
+        except DomainError:
+            with pytest.raises(DomainError):
+                p(x)
+            continue
+        want = {"<=": left <= right, ">=": left >= right, "<": left < right, ">": left > right}
+        assert p(x) is want[op]

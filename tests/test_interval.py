@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fcalc.errors import IterationCapError, NestingError, PreconditionError
 from fcalc.interval import (
     Interval,
-    NestedSequence,
     OpenInterval,
     Partition,
     bisect,
@@ -16,6 +15,7 @@ from fcalc.interval import (
     shrink_to_point,
     uniform_partition,
 )
+from fcalc.expr import parse
 from helpers import random_partition
 
 
@@ -40,8 +40,7 @@ def _routines_with_a_tol():
         "ivt_root": lambda t: P.ivt_root(parse("x^3 - x - 1"), 1.0, 2.0, 0.0, t),
         "supremum": lambda t: P.supremum(P.PredicateSet(lambda v: v * v < 2, 0.0, 2.0), t),
         "cut_point": lambda t: P.cut_point(P.Cut(lambda v: v < 0.5, 0.0, 1.0), t),
-        "shrink_to_point": lambda t: shrink_to_point(
-            NestedSequence(lambda k: Interval(0.0, 1.0 / k)), t),
+        "shrink_to_point": lambda t: shrink_to_point(lambda k: 0.0, lambda k: 1.0 / k, t),
         "monotone_limit": lambda t: S.monotone_limit(lambda n: 1 - 1 / n, 1.0, t),
         "cauchy_limit": lambda t: S.cauchy_limit(lambda n: 1 / n, Interval(0.0, 1.0), t),
     }
@@ -150,25 +149,23 @@ def test_partition_covers_interval():
 
 
 def test_shrink_to_point_examples():
-    geometric = NestedSequence(lambda k: Interval(0.0, 2.0 ** (1 - k)))
-    assert abs(shrink_to_point(geometric, 1e-9)) <= 1e-9
+    assert abs(shrink_to_point(lambda k: 0.0, lambda k: 2.0 ** (1 - k), 1e-9)) <= 1e-9
     # lengths 2/k reach 1e-6 only past index 2e6, so raise the cap
-    symmetric = NestedSequence(lambda k: Interval(1 - 1 / k, 1 + 1 / k))
-    assert abs(shrink_to_point(symmetric, 1e-6, max_iter=3 * 10**6) - 1.0) <= 1e-6
+    symmetric = shrink_to_point(lambda k: 1 - 1 / k, lambda k: 1 + 1 / k, 1e-6,
+                                max_iter=3 * 10**6)
+    assert abs(symmetric - 1.0) <= 1e-6
+    # end rules may be trees in n, which evaluate at float(k)
+    assert shrink_to_point(parse("0 - 1/n", "n"), parse("1/n", "n"), 1e-4) == 0.0
 
 
 def test_shrink_to_point_fat_intersection_hits_cap():
-    constant = NestedSequence(lambda k: Interval(3.0, 5.0))
     with pytest.raises(IterationCapError):
-        shrink_to_point(constant, 1e-9, max_iter=10_000)
+        shrink_to_point(lambda k: 3.0, lambda k: 5.0, 1e-9, max_iter=10_000)
 
 
 def test_shrink_to_point_detects_nesting_violation():
-    def rule(k):
-        return Interval(0.0, 1.0) if k == 1 else Interval(0.5, 2.0)
-
-    with pytest.raises(NestingError):
-        shrink_to_point(NestedSequence(rule), 1e-9)
+    with pytest.raises(NestingError):  # [0, 1], then [0.5, 2]
+        shrink_to_point(lambda k: 0.0 if k == 1 else 0.5, lambda k: 1.0 if k == 1 else 2.0, 1e-9)
 
 
 def test_interval_validation():

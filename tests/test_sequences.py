@@ -3,9 +3,9 @@ import math
 import pytest
 
 from fcalc.errors import BudgetError, PreconditionError
+from fcalc.expr import parse
 from fcalc.interval import Interval
 from fcalc.sequences import (
-    Sequence,
     SubsequenceSelector,
     bound_prefix,
     bw_extract,
@@ -15,6 +15,22 @@ from fcalc.sequences import (
     divergence_witness,
     monotone_limit,
 )
+
+
+def test_a_tree_in_n_is_a_rule_as_it_is():
+    # a tree evaluates at float(k), as the lambda the CLI once wrapped it in did
+    def both(routine, text, *args):
+        tree = parse(text, var_name="n")
+        return routine(tree, *args), routine(lambda k: tree(float(k)), *args)
+
+    for routine, text, *args in [
+        (check_monotone, "1 - 1/n", 100), (check_cauchy_window, "sin(n)", 1e-3, 1, 100),
+        (bound_prefix, "sin(n)", 50), (bw_extract, "sin(n)", Interval(-1, 1), 4, 10**4),
+        (monotone_limit, "1 - 1/n", 1.0, 1e-4), (divergence_witness, "n", 1.0, 3, 10**4),
+        (cauchy_limit, "1/n", Interval(0, 1), 1e-3),
+    ]:
+        tree_answer, lambda_answer = both(routine, text, *args)
+        assert tree_answer == lambda_answer, routine.__name__
 
 
 def test_check_monotone_examples():
@@ -47,8 +63,7 @@ def test_selector_invariants_enforced():
 
 
 def test_bw_extract_alternating_left_tie():
-    s = Sequence(lambda k: (-1.0) ** k)
-    sel, intervals = bw_extract(s, Interval(-1, 1), 10, 10**4)
+    sel, intervals = bw_extract(lambda k: (-1.0) ** k, Interval(-1, 1), 10, 10**4)
     assert all((-1.0) ** k == -1.0 for k in sel.indices)
     assert intervals[-1].contains(-1.0)
     for k, iv in enumerate(intervals, start=1):
