@@ -12,11 +12,13 @@ attaining each reach is worked out only for finite_subcover.
 
 verify_cover and finite_subcover are one greedy walk from the left end
 of the target along reach, cached on the cover: an exact constructive
-Heine-Borel sweep, never a sampling argument.  Every step's next hop,
-the count of left ends below its reach, comes from one vectorised
-query, so the walk follows integer positions.  The exact Lebesgue
-number is the minimum slack reach - x over breakpoints and reach - q
-over cells (p, q) between them, all answered by one vectorised query.
+Heine-Borel sweep, never a sampling argument, and the only verdict:
+the queries that need a cover raise CoverError where it leaves a gap.
+Every step's next hop, the count of left ends below its reach, comes
+from one vectorised query, so the walk follows integer positions.
+The exact Lebesgue number is the minimum slack reach - x over
+breakpoints and reach - q over cells (p, q) between them, all answered
+by one vectorised query.
 
 The conservative min-half-radius formula is kept as `paper` mode.  A
 sample t is bound by t - lo on pieces whose split key (the last double
@@ -49,8 +51,8 @@ MAX_SAMPLE = 1 << 20   # most sample points the paper-mode Lebesgue number tries
 class OpenCover:
     """Open pieces (lo, hi) over a closed target, held as the read-only
     endpoint arrays los and his.  pieces may be any sequence of (lo, hi)
-    pairs: JSON lists, OpenIntervals or a (P, 2) array.  verified caches
-    the verdict of verify_cover, and _walk the greedy walk behind it."""
+    pairs: JSON lists, OpenIntervals or a (P, 2) array.  _walk caches the
+    greedy walk, whose gap is the verdict of verify_cover."""
 
     def __init__(self, target: Interval, pieces):
         try:
@@ -66,7 +68,6 @@ class OpenCover:
         ends = ends.T.copy()  # the cover's own, contiguous
         ends.flags.writeable = False
         self.target, (self.los, self.his) = target, ends
-        self.verified: Optional[bool] = None
 
     @classmethod
     def from_json(cls, data) -> "OpenCover":
@@ -147,11 +148,18 @@ def verify_cover(cover: OpenCover) -> Tuple[bool, Optional[float]]:
     """Exact covering check by sweeping reachability left to right.
 
     Returns (True, None) or (False, witness) with an uncovered point.
-    The verdict is cached on the cover.
+    The walk behind it is cached on the cover.
     """
     _, gap = cover._walk
-    cover.verified = gap is None
-    return cover.verified, gap
+    return gap is None, gap
+
+
+def _steps(cover: OpenCover) -> List[int]:
+    """The steps of the cover's walk; CoverError where it leaves a gap."""
+    steps, gap = cover._walk
+    if gap is not None:
+        raise CoverError(f"not a cover: {gap} is uncovered")
+    return steps
 
 
 def length_inequality(cover: OpenCover) -> bool:
@@ -159,20 +167,14 @@ def length_inequality(cover: OpenCover) -> bool:
 
     An empty piece (reversed, NaN or (inf, inf)) has length 0.
     """
-    if cover.verified is not True:
-        raise CoverError("cover must be verified before using length_inequality")
+    _steps(cover)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, which fmax drops
         return sum(np.fmax(cover.his - cover.los, 0.0).tolist()) > cover.target.length
 
 
 def finite_subcover(cover: OpenCover) -> List[int]:
     """Greedy left-to-right subcover; minimal cardinality for interval covers."""
-    if cover.verified is not True:
-        raise CoverError("cover must be verified before extracting a subcover")
-    steps, gap = cover._walk
-    if gap is not None:
-        raise CoverError(f"sweep stalled at {gap}; endpoint pathology in a verified cover")
-    return cover._reach.idx[steps].tolist()
+    return cover._reach.idx[_steps(cover)].tolist()
 
 
 def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) -> float:
@@ -183,8 +185,7 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
     sample of points, each assigned its deepest containing piece.  When
     no pair of target points fails, the target length is returned.
     """
-    if cover.verified is not True:
-        raise CoverError("cover must be verified before computing a Lebesgue number")
+    _steps(cover)
     a, b = cover.target.lo, cover.target.hi
     if a == b:
         raise PreconditionError("target must be nondegenerate")

@@ -52,7 +52,7 @@ class NonCutError(MathError):
 
 
 class CoverError(MathError):
-    """A cover failed verification or was used before verification."""
+    """A cover failed verification."""
 
 
 class PreconditionError(MathError):

@@ -820,11 +820,11 @@ def jet(e: Expr, t: Number, n: int) -> list:
 
 
 def _run_point(e, x, scalar, array, n=None):
-    """e's program run at a float x on scalar's table, or at a numpy
+    """e's program run at a float or int x on scalar's table, or at a numpy
     array x on array's, whose results come back as arrays of x's shape.
     With an order n the tables are jet tables: x goes in, and e comes
     out, as a jet of order n."""
-    if not isinstance(x, float):
+    if not isinstance(x, (float, int)):
         numpy = sys.modules.get("numpy")  # while numpy is not loaded, x is no array
         if numpy is not None and isinstance(x, numpy.ndarray):
             x = numpy.asarray(x, dtype=float)

@@ -195,8 +195,9 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     IterationCapError when cells of depth max_level (width
     (b-a)/2^max_level) are still too wide, or past the cell budget of
     refine_cells: an unbounded or wildly oscillatory integrand never
-    closes its bracket.  Raises DomainError or PreconditionError at once
-    when f is undefined or not finite at a cell midpoint.
+    closes its bracket, nor does a tol below the bracket's rounding.
+    Raises DomainError or PreconditionError at once when f is undefined
+    or not finite at a cell midpoint.
     """
     require_tol(tol)
     require_interval(a, b)
@@ -229,9 +230,13 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
 
     if refine_cells(a, b, judge, max_level):
         return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
-    raise IterationCapError(f"bracket width {upper - lower} still above {tol} with cells of "
-                            f"depth {max_level} or {CELL_BUDGET} cells in all; integrand "
-                            "may be unbounded or wildly oscillatory")
+    width = upper - lower
+    # a finite bracket within 2^-44 of its larger end (about 256 ulps) is rounding
+    cause = ("tol is below the rounding of the bracket"
+             if math.isfinite(width) and width <= 2.0 ** -44 * max(abs(lower), abs(upper))
+             else "integrand may be unbounded or wildly oscillatory")
+    raise IterationCapError(f"bracket width {width} still above {tol} with cells of depth "
+                            f"{max_level} or {CELL_BUDGET} cells in all; {cause}")
 
 
 def integral_additivity_check(f: Expr, a: float, c: float, b: float,

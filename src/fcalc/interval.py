@@ -65,39 +65,21 @@ class OpenInterval(namedtuple("OpenInterval", "lo hi")):
         return [self.lo, self.hi]
 
 
-class Partition:
+class Partition(namedtuple("Partition", "nodes")):
     """Strictly increasing finite node set containing both endpoints.
 
     A degenerate interval [a, a] has the single-node partition (a,).
-    Immutable; not a tuple, as len() counts its nodes.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ()
 
-    def __init__(self, nodes: Tuple[float, ...]):
+    def __new__(cls, nodes: Tuple[float, ...]):
         if len(nodes) < 1:
             raise PreconditionError("partition needs at least one node")
         for u, v in zip(nodes, nodes[1:]):
             if not u < v:
                 raise PreconditionError("partition nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", tuple(float(v) for v in nodes))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: a Partition is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.nodes == other.nodes if type(other) is Partition else NotImplemented
-
-    def __hash__(self):
-        return hash(self.nodes)
-
-    def __repr__(self):
-        return f"Partition(nodes={self.nodes!r})"
-
-    def __reduce__(self):
-        return Partition, (self.nodes,)
+        return tuple.__new__(cls, (tuple(float(v) for v in nodes),))
 
     @property
     def a(self) -> float:
@@ -106,9 +88,6 @@ class Partition:
     @property
     def b(self) -> float:
         return self.nodes[-1]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     @property
     def cell_count(self) -> int:

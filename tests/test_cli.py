@@ -812,7 +812,8 @@ def test_each_reply_branch_prints_its_recorded_output(capsys, argv, code, text, 
 
 # argv, exit code, stderr as text, stdout with --output json: parse errors
 # report offsets into the whole flag's text, and every expression flag is
-# parsed before the handler runs, whatever the --op
+# parsed before the handler runs, whatever the --op; errors of the library
+# print the same way
 _GOLDEN_PARSE_ERRORS = [
     (["sup", "--member", "x < 2 +", "--seed-point", "0", "--bound", "2"], 2,
      "parse error: unexpected end of input (at offset 7)\n",
@@ -823,6 +824,13 @@ _GOLDEN_PARSE_ERRORS = [
     (["ival", "--op", "bisect", "--interval", "[0, 1]", "--lo-expr", "1/"], 2,
      "parse error: unexpected end of input (at offset 2)\n",
      '{"diagnostics": {"error": "unexpected end of input (at offset 2)"}, "result": null}\n'),
+    # the library refuses a non-cover with the text the CLI prints
+    (["subcover", "--cover", _GAPPED_COVER], 1,
+     "error: not a cover: 0.4 is uncovered\n",
+     '{"diagnostics": {"error": "not a cover: 0.4 is uncovered"}, "result": null}\n'),
+    (["lebesgue", "--cover", _GAPPED_COVER], 1,
+     "error: not a cover: 0.4 is uncovered\n",
+     '{"diagnostics": {"error": "not a cover: 0.4 is uncovered"}, "result": null}\n'),
 ]
 
 

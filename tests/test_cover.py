@@ -77,8 +77,8 @@ def test_length_inequality_examples():
     cov = cover_of([0, 0], [(-0.5, 0.5)])
     verify_cover(cov)
     assert length_inequality(cov)
-    with pytest.raises(CoverError):
-        length_inequality(cover_of(*TWO_PIECE))  # not verified yet
+    with pytest.raises(CoverError, match=r"^not a cover: 0\.4 is uncovered$"):
+        length_inequality(cover_of([0, 1], [(-0.1, 0.4), (0.5, 1.1)]))  # not a cover
 
 
 @pytest.mark.filterwarnings("error")
@@ -87,6 +87,20 @@ def test_length_inequality_counts_an_empty_piece_as_length_zero(empty):
     cov = OpenCover(Interval(0, 1), [(-1, 2), empty])
     assert verify_cover(cov)[0]
     assert length_inequality(cov)  # total length 3, not 3 - 10, nan or inf - inf
+
+
+@pytest.mark.parametrize("query", [length_inequality, finite_subcover, lebesgue_number])
+def test_queries_read_the_verdict_from_the_walk_whether_or_not_verify_ran(query):
+    for verify_first in (False, True):
+        gapped = cover_of([0, 1], [(-0.1, 0.4), (0.5, 1.1)])
+        covered = cover_of(*TWO_PIECE)
+        if verify_first:
+            assert verify_cover(gapped) == (False, 0.4) and verify_cover(covered) == (True, None)
+        with pytest.raises(CoverError, match=r"^not a cover: 0\.4 is uncovered$"):
+            query(gapped)
+        assert query(covered) == {length_inequality: True, finite_subcover: [0, 1],
+                                  lebesgue_number: 0.6 - 0.4}[query]
+    assert not hasattr(covered, "verified")
 
 
 def test_finite_subcover_examples():
@@ -478,7 +492,7 @@ def test_cover_queries_match_brute_force_oracle(cov):
     assert verify_cover(cov) == _oracle_verify(cov)
     assert binding_pair(cov, 0.25) == _oracle_binding_pair(cov, 0.25)
     assert validate_lebesgue(cov, 0.25, 300, 1) == _oracle_validate(cov, 0.25, 300, 1)
-    if not cov.verified:
+    if not verify_cover(cov)[0]:
         return
     assert finite_subcover(cov) == _oracle_subcover(cov)
     if cov.target.lo == cov.target.hi:
@@ -495,9 +509,9 @@ def test_cover_queries_match_brute_force_oracle(cov):
 def _answers(cov):
     """Every cover query's answer, as text, so that signed zeros count."""
     out = [verify_cover(cov), binding_pair(cov, 0.25), validate_lebesgue(cov, 0.25, 300, 1)]
-    if cov.verified:
+    if verify_cover(cov)[0]:
         out.append(finite_subcover(cov))
-    if cov.verified and cov.target.lo < cov.target.hi:
+    if verify_cover(cov)[0] and cov.target.lo < cov.target.hi:
         delta = lebesgue_number(cov, "exact")
         out += [delta, lebesgue_number(cov, "paper", sample=8), binding_pair(cov, 1.01 * delta),
                 validate_lebesgue(cov, delta, 300, 2)]
@@ -571,7 +585,7 @@ def _golden_cover(rng, n, grid):
 
 def _golden_answers(cov):
     out = [verify_cover(cov)]
-    if not cov.verified:
+    if not verify_cover(cov)[0]:
         return out + [binding_pair(cov, 0.1)]
     out.append(finite_subcover(cov))
     if cov.target.lo == cov.target.hi:

@@ -264,6 +264,21 @@ def test_evaluate_dispatches_on_the_type_of_x(text):
         assert np.allclose(out, expected, rtol=1e-15, atol=0.0)  # math and numpy may differ
 
 
+def test_integer_points_give_the_float_points_bits_on_a_tree_in_n():
+    # ints skip the numpy lookup; bools and numpy integers convert as before
+    e = E.parse("2.1234 - 1/n + sin(n)/n^2", "n")
+
+    def bits(v):
+        assert type(v) is float
+        return struct.pack("<d", v)
+
+    for x in (1, 7, 10**6, -3, True, np.int64(7), np.int64(-3)):
+        assert bits(E.evaluate(e, x)) == bits(E.evaluate(e, float(x)))
+        assert [*map(bits, E.jet(e, x, 3))] == [*map(bits, E.jet(e, float(x), 3))]
+    with pytest.raises(DomainError):
+        E.evaluate(e, False)  # 1/0, as at 0.0
+
+
 # Constants and points are short decimals: math and numpy may round exp and
 # ln differently in the last place, and a random tree that cancels such a
 # result against a nearby value would amplify that without bound.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
+from fcalc import interval
 from fcalc.errors import (DivergenceError, DomainError, IterationCapError, MathError,
                           PreconditionError)
 from fcalc.integrate import (
@@ -222,6 +223,18 @@ def test_riemann_integral_level_cap():
     for max_level in (0, -1):   # one round on [a, b] itself, then the cap
         with pytest.raises(IterationCapError):
             riemann_integral(E.parse("sin(x)"), 0.0, 1000.0, 1e-2, max_level=max_level)
+
+
+@pytest.mark.parametrize("text, a, b, tol, blame", [
+    ("2", 0.0, 1.0, 1e-15, "tol is below the rounding of the bracket"),
+    ("sin(1/x)", 1e-6, 1.0, 1e-10, "integrand may be unbounded or wildly oscillatory"),
+])
+def test_riemann_integral_blames_rounding_only_for_a_bracket_within_its_ulps(
+        monkeypatch, text, a, b, tol, blame):
+    # 2 keeps a bracket of 2.66e-15 from its first round on: no cell count closes it
+    monkeypatch.setattr(interval, "CELL_BUDGET", 1 << 12)
+    with pytest.raises(IterationCapError, match=f"cells in all; {blame}$"):
+        riemann_integral(E.parse(text), a, b, tol)
 
 
 def test_integral_additivity_examples():
