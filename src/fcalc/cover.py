@@ -28,7 +28,14 @@ the largest hi and one the smallest lo, share one sort of the split
 keys and answer every sample of a round with two searchsorted calls.
 
 uniform_modulus (a certified window cover) and sup_error decide from
-interval enclosures (expr.enclose), never from samples.
+interval enclosures (expr.enclose), never from samples.  A window's
+radius is the largest on a fixed grid of exponents whose enclosure fits.
+Enclosures are inclusion isotone, so fitting is monotone along the grid,
+and the answer is one grid point whatever the search that finds it:
+each centre runs a secant search on the logarithm of its deviation,
+enclosing only the centres still open, and ends at the point 14 rounds
+of bisection over all centres at once would reach, in a third to a half
+of the enclosures.
 """
 
 from __future__ import annotations
@@ -318,34 +325,67 @@ def _lebesgue_half_radius(cover: OpenCover, sample: int) -> float:
 
 
 # A radius below 2^-46 of max(b - a, |a|, |b|) collapses (so that midpoints stay
-# distinct doubles); at most _MAX_CENTRES windows, and _MAX_CELLS step cells.
-_FLOOR_BITS, _ROUNDS, _MAX_CENTRES, _MAX_CELLS = 46, 14, 1 << 16, 1 << 20
+# distinct doubles); radii lie on a grid of 2^_ROUNDS + 1 exponents, searched by
+# _SECANTS secant rounds before bisection; at most _MAX_CENTRES windows, and
+# _MAX_CELLS step cells.
+_FLOOR_BITS, _ROUNDS, _SECANTS, _MAX_CENTRES, _MAX_CELLS = 46, 14, 10, 1 << 16, 1 << 20
 
 
-def _window_radii(f: Expr, ts: np.ndarray, a: float, b: float, half_eps: float) -> np.ndarray:
-    """Certified radii for the window centres ts, searched all at once: w
-    fits at t when enclose(f) over [t - w, t + w] clipped to [a, b] lies
+def _window_radii(f: Expr, ts: np.ndarray, a: float, b: float, half_eps: float,
+                  first: np.ndarray = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Certified radii for the window centres ts, and their grid indices.
+
+    w fits at t when enclose(f) over [t - w, t + w] clipped to [a, b] lies
     within half_eps of the enclosure of f(t) both ways, which proves
-    |f(x) - f(t)| < half_eps there.  Enclosures are inclusion isotone, so
-    after w = b - a each round bisects k in w = (b - a) 2^-k, one enclose."""
-    cap = b - a
+    |f(x) - f(t)| < half_eps there.  The radii tried are w = (b - a) 2^-k
+    at k = j (depth + 1) 2^-_ROUNDS for j = 0 .. 2^_ROUNDS, and each centre
+    gets the one at its smallest j that fits, the same one that _ROUNDS
+    rounds of bisection over k find: enclosures are inclusion isotone, so
+    fits is monotone in j.  Each centre keeps a bracket (j fails at lo,
+    fits at hi; hi = 2^_ROUNDS, never probed, stands for none), and each
+    round encloses only the centres whose bracket is open, at one j each:
+    first (the float array of indices to try first, 0 by default), then a
+    secant step on (j, log2 of the deviation over half_eps) through the
+    last two probes, the first step assuming that the deviation halves
+    with w, rounded up and kept inside the bracket, an eighth of its width
+    from the end the last probe did not set: where a clipped window makes
+    the deviation flat, a bare secant creeps towards that end a few grid
+    points a round.  A step that is not finite, and every step after
+    _SECANTS rounds, takes the bracket's midpoint.
+    """
+    cap, top = b - a, 1 << _ROUNDS
     depth = max(0, _FLOOR_BITS + math.floor(math.log2(cap / max(cap, abs(a), abs(b)))))
-    flo, fhi = enclose(f, ts, ts)
-
-    def fits(w):
-        lo, hi = enclose(f, np.maximum(a, ts - w), np.minimum(b, ts + w))
-        return (hi - flo < half_eps) & (fhi - lo < half_eps)
-
-    # k fits at hi and fails at lo, except where both are 0 (w = b - a fits)
-    lo, hi = np.zeros(ts.size), np.where(fits(cap), 0.0, depth + 1.0)
-    for _ in range(_ROUNDS):
-        k = (lo + hi) / 2
-        ok = fits(cap * np.exp2(-k))
-        lo, hi = np.where(ok, lo, k), np.where(ok, k, hi)
-    if np.any(hi > depth):
-        raise MathError(f"no window fits near {float(ts[hi > depth][0])}: "
+    step, found = (depth + 1) / top, np.empty(ts.size)
+    with np.errstate(all="ignore"):  # log2 of 0, and secants through infinities, only steer
+        fl, fh = enclose(f, ts, ts)
+        c, t, lo, hi = np.arange(ts.size), ts, np.full(ts.size, -1.0), np.full(ts.size, float(top))
+        j = np.zeros(ts.size) if first is None else first
+        for r in itertools.count():
+            w = cap * np.exp2(j * -step)
+            low, high = enclose(f, np.maximum(a, t - w), np.minimum(b, t + w))
+            dev = np.maximum(high - fl, fh - low)
+            fit = dev < half_eps
+            lo, hi, y = np.where(fit, lo, j), np.where(fit, j, hi), np.log2(dev / half_eps)
+            if r == 0:
+                pj, py = j - 1 / step, y + 1
+            found[c] = hi  # the open ones are written again when they close
+            if not (keep := np.flatnonzero(hi - lo > 1)).size:
+                break
+            if keep.size < c.size:
+                c, t, fl, fh, lo, hi, j, y, pj, py = (
+                    v[keep] for v in (c, t, fl, fh, lo, hi, j, y, pj, py))
+            nxt = np.floor((lo + hi) / 2)
+            if r < _SECANTS:
+                est = np.ceil((pj * y - j * py) / (y - py))
+                ok, m = np.isfinite(est), np.floor((hi - lo) / 8)
+                est = np.where(j == hi, np.maximum(est, lo + m), np.minimum(est, hi - m))
+                nxt = np.where(ok, np.minimum(np.maximum(est, lo + 1), hi - 1), nxt)
+            pj, py, j = j, y, nxt
+    k = found * step
+    if np.any(k > depth):
+        raise MathError(f"no window fits near {float(ts[k > depth][0])}: "
                         "f is undefined, unbounded or too steep there")
-    return cap * np.exp2(-hi)
+    return cap * np.exp2(-k), found
 
 
 def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256) -> float:
@@ -363,14 +403,15 @@ def uniform_modulus(f: Expr, a: float, b: float, eps: float, grid: int = 256) ->
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise PreconditionError("need finite a < b")
     ts = np.linspace(a, b, grid)
-    r = _window_radii(f, ts, a, b, eps / 2)
+    r, j = _window_radii(f, ts, a, b, eps / 2)
     while (gap := np.flatnonzero(np.diff(ts) > np.minimum(r[:-1], r[1:]))).size:
         if ts.size + gap.size > _MAX_CENTRES:
             raise MathError(f"window collapsed near {float(ts[gap[np.argmin(r[gap])]])}: "
                             f"more than {_MAX_CENTRES} windows needed")
         mids = ts[gap] + (ts[gap + 1] - ts[gap]) / 2
-        ts = np.insert(ts, gap + 1, mids)
-        r = np.insert(r, gap + 1, _window_radii(f, mids, a, b, eps / 2))
+        # a midpoint's radius is first tried at the smaller of its neighbours'
+        mr, mj = _window_radii(f, mids, a, b, eps / 2, np.maximum(j[gap], j[gap + 1]))
+        ts, r, j = (np.insert(v, gap + 1, m) for v, m in ((ts, mids), (r, mr), (j, mj)))
     cover = OpenCover(Interval(a, b), np.stack((ts - r, ts + r), 1))
     ok, witness = verify_cover(cover)
     if not ok:

@@ -195,7 +195,10 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     IterationCapError when cells of depth max_level (width
     (b-a)/2^max_level) are still too wide, or past the cell budget of
     refine_cells: an unbounded or wildly oscillatory integrand never
-    closes its bracket, nor does a tol below the bracket's rounding.
+    closes its bracket.  Nor does a tol below the bracket's rounding, so
+    a round that leaves a finite bracket within rounding (2^-44 of its
+    larger end, about 256 ulps), narrower than the round before's by at
+    most one ulp of that end, raises at once.
     Raises DomainError or PreconditionError at once when f is undefined
     or not finite at a cell midpoint.
     """
@@ -208,8 +211,19 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     lower, upper = -math.inf, math.inf
     levels: List[CertificateLevel] = []
 
+    def rounding():
+        width = upper - lower
+        return math.isfinite(width) and width <= 2.0 ** -44 * max(abs(lower), abs(upper))
+
+    def refuse():
+        cause = ("tol is below the rounding of the bracket" if rounding()
+                 else "integrand may be unbounded or wildly oscillatory")
+        return IterationCapError(f"bracket width {upper - lower} still above {tol} with cells of "
+                                 f"depth {max_level} or {CELL_BUDGET} cells in all; {cause}")
+
     def judge(lo, hi):
         nonlocal frozen, frozen_low, frozen_high, lower, upper
+        width = upper - lower
         # in enclose's blocks, so the temporaries stay in cache however many
         # cells are open
         parts = [_cell_integrals(f, f2, lo[i:i + _BLOCK], hi[i:i + _BLOCK])
@@ -220,6 +234,9 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         levels.append(CertificateLevel(frozen + lo.size, lower, upper))
         if upper - lower <= tol:
             return None
+        # stalled within rounding: narrowed by at most an ulp of its larger end
+        if upper - lower >= width - math.ulp(max(abs(lower), abs(upper))) and rounding():
+            raise refuse()
         with np.errstate(over="ignore"):  # a width past the double range is inf: not done
             done = high - low <= tol * (hi - lo) / (b - a)
         if done.any():
@@ -230,13 +247,7 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
 
     if refine_cells(a, b, judge, max_level):
         return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
-    width = upper - lower
-    # a finite bracket within 2^-44 of its larger end (about 256 ulps) is rounding
-    cause = ("tol is below the rounding of the bracket"
-             if math.isfinite(width) and width <= 2.0 ** -44 * max(abs(lower), abs(upper))
-             else "integrand may be unbounded or wildly oscillatory")
-    raise IterationCapError(f"bracket width {width} still above {tol} with cells of depth "
-                            f"{max_level} or {CELL_BUDGET} cells in all; {cause}")
+    raise refuse()
 
 
 def integral_additivity_check(f: Expr, a: float, c: float, b: float,

@@ -294,3 +294,29 @@ def value_instances():
 def fields_of(value):
     """The field names of a value of value_instances(), in order."""
     return getattr(type(value), "_fields", None) or type(value).__slots__
+
+
+def bisect_window_radii(f, ts, a, b, half_eps):
+    """cover._window_radii's radii as 14 rounds of bisection over the
+    exponent k find them, for all centres at once: the search's oracle."""
+    from fcalc import cover
+    from fcalc.errors import MathError
+
+    cap = b - a
+    depth = max(0, cover._FLOOR_BITS + math.floor(math.log2(cap / max(cap, abs(a), abs(b)))))
+    flo, fhi = E.enclose(f, ts, ts)
+
+    def fits(w):
+        lo, hi = E.enclose(f, np.maximum(a, ts - w), np.minimum(b, ts + w))
+        return (hi - flo < half_eps) & (fhi - lo < half_eps)
+
+    # k fits at hi and fails at lo, except where both are 0 (w = b - a fits)
+    lo, hi = np.zeros(ts.size), np.where(fits(cap), 0.0, depth + 1.0)
+    for _ in range(cover._ROUNDS):
+        k = (lo + hi) / 2
+        ok = fits(cap * np.exp2(-k))
+        lo, hi = np.where(ok, lo, k), np.where(ok, k, hi)
+    if np.any(hi > depth):
+        raise MathError(f"no window fits near {float(ts[hi > depth][0])}: "
+                        "f is undefined, unbounded or too steep there")
+    return cap * np.exp2(-hi)

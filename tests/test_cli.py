@@ -75,6 +75,14 @@ def test_math_failure_exits_1(capsys):
     assert "sign change" in err
 
 
+def test_a_tol_below_the_rounding_of_the_bracket_exits_1(capsys):
+    # the bracket of 2 is 2.66e-15 wide from its first round on
+    code, out, err = run(capsys, "integrate", "--f", "2", "--a", "0", "--b", "1", "--tol", "1e-15")
+    assert (code, out) == (1, "")
+    assert err == ("error: bracket width 2.6645352591003757e-15 still above 1e-15 with cells of "
+                   "depth 24 or 4194304 cells in all; tol is below the rounding of the bracket\n")
+
+
 def test_false_check_exits_1(capsys):
     code, out, _ = run(capsys, "shape", "--f", "sin(x)", "--a", "0", "--b", "1",
                        "--kind", "constant")

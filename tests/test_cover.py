@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcalc import cover
 from fcalc import expr as E
 from fcalc.cover import (
     OpenCover,
@@ -21,7 +22,7 @@ from fcalc.cover import (
 )
 from fcalc.errors import CoverError, MathError, PreconditionError
 from fcalc.interval import Interval, OpenInterval
-from helpers import expr_trees, oracle_reach, validate_lebesgue
+from helpers import bisect_window_radii, expr_trees, oracle_reach, validate_lebesgue
 
 
 def cover_of(target, pieces):
@@ -329,6 +330,73 @@ def test_uniform_modulus_fails_fast_where_f_blows_up(text, a, b):
     with pytest.raises(MathError):
         uniform_modulus(E.parse(text), a, b, 0.1)
     assert time.process_time() - start < 1.0
+
+
+def _radii_or_message(search, *args):
+    try:
+        return search(*args)
+    except MathError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr_trees((0.0, 1.0, -1.0, 2.5), max_leaves=6), st.floats(-2.0, 2.0),
+       st.floats(0.01, 2.0), st.sampled_from([0.001, 0.05, 0.2, 1.0]), st.integers(2, 40),
+       st.lists(st.integers(0, (1 << 14) - 1), min_size=39, max_size=39))
+def test_window_radii_equal_the_bisection_bit_for_bit(f, a, width, eps, n, seeds):
+    # the search ends at the smallest grid point that fits, wherever it
+    # starts: at w = b - a, at the neighbours' index a midpoint is seeded
+    # with in uniform_modulus, or at any index at all
+    b = a + width
+    ts = np.linspace(a, b, n)
+    mids = ts[:-1] + np.diff(ts) / 2
+    found = _radii_or_message(cover._window_radii, f, ts, a, b, eps / 2)
+    neighbours = None if isinstance(found, str) else np.maximum(found[1][:-1], found[1][1:])
+    for centres, first in ((ts, None), (mids, neighbours), (mids, np.array(seeds[:n - 1], float))):
+        want = _radii_or_message(bisect_window_radii, f, centres, a, b, eps / 2)
+        got = _radii_or_message(lambda *args: cover._window_radii(*args)[0],
+                                f, centres, a, b, eps / 2, first)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("call, most, value", [
+    (lambda f: uniform_modulus(f, 0.0, 3.0, 0.01), 20, 0.005903275034549349),
+    (lambda f: uniform_modulus(f, 0.3, 2.3, 0.05), 10, 0.04482427876910544),
+    (lambda f: step_approximation(f, 0.3, 3.3, 0.02, grid=512).partition.nodes[1], 8,
+     0.3140845070422535),
+])
+def test_window_radii_take_few_enclosures(monkeypatch, call, most, value):
+    # the modulus calls of the perfbench covers workload, which took 48, 16
+    # and 16 array enclosures when every radius took 14 rounds of bisection,
+    # and the values those rounds gave
+    calls = []
+    monkeypatch.setattr(cover, "enclose", lambda *args: calls.append(1) or E.enclose(*args))
+    assert call(E.parse("sin(x)")) == value
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("text, a, b, eps, searches", [
+    ("exp(-((x-0.3)*100000)^2)", 0.0, 1.0, 0.1, 14), ("1/x", -1.0, 1.0, 0.1, 2),
+    ("ln(x)", 0.0, 1.0, 0.1, 1),
+])
+def test_window_radii_cost_at_most_an_enclosure_more_where_secants_fail(
+        monkeypatch, text, a, b, eps, searches):
+    # where the deviation jumps or is unbounded, the secant steps fall back
+    # to bisection; 14 rounds of bisection took 16 enclosures a search
+    calls, real = [], cover._window_radii
+    monkeypatch.setattr(cover, "enclose", lambda *args: calls.append(1) or E.enclose(*args))
+    monkeypatch.setattr(cover, "_window_radii",
+                        lambda *args: calls.append(0) or real(*args))
+    try:
+        uniform_modulus(E.parse(text), a, b, eps)
+    except MathError:
+        pass
+    assert calls.count(0) == searches
+    assert calls.count(1) <= 17 * searches
 
 
 @settings(max_examples=60, deadline=5000)

@@ -237,6 +237,22 @@ def test_riemann_integral_blames_rounding_only_for_a_bracket_within_its_ulps(
         riemann_integral(E.parse(text), a, b, tol)
 
 
+@pytest.mark.parametrize("text, width", [("2", "2.6645352591003757e-15"),
+                                         ("exp(x)", "3.1086244689504383e-15")])
+def test_riemann_integral_refuses_a_tol_below_rounding_fast(text, width):
+    # the bracket stalls within rounding after a few rounds; spending the
+    # whole cell budget first took about 1 s
+    import time
+
+    f = E.parse(text)
+    start = time.process_time()
+    with pytest.raises(IterationCapError) as err:
+        riemann_integral(f, 0.0, 1.0, 1e-15)
+    assert time.process_time() - start < 0.1
+    assert str(err.value) == (f"bracket width {width} still above 1e-15 with cells of depth 24 "
+                              f"or {1 << 22} cells in all; tol is below the rounding of the bracket")
+
+
 def test_integral_additivity_examples():
     f = E.parse("x^2")
     assert integral_additivity_check(f, 0.0, 0.3, 1.0, 1e-5)
