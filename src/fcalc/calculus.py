@@ -204,10 +204,13 @@ def derivative(f: Expr, c: float, n: int = 1, tol: float = 1e-6) -> LimitReport:
         raise PreconditionError("derivative order must be nonnegative")
     if n == 0:
         return LimitReport(evaluate(f, c), 0.0, True)
-    if not _defined_about([differentiate(f, k) for k in range(n)], c, "two-sided"):
+    derivs = [f]  # f, ..., f^(n), each from the one before
+    for _ in range(n):
+        derivs.append(differentiate(derivs[-1], 1))
+    if not _defined_about(derivs[:-1], c, "two-sided"):
         which = "f" if n == 1 else f"f or a derivative of order below {n}"
         raise DivergenceError(f"{which} is undefined or overflows on every cell about c = {c!r}")
-    return limit(differentiate(f, n), c, tol=tol)
+    return limit(derivs[-1], c, tol=tol)
 
 
 def _cell_bounds(g: Expr, dg: Expr, lo: np.ndarray,

@@ -141,11 +141,6 @@ def _output(reply: Reply, json_output: bool) -> str:
     return "\n".join([line, *reply.lines])
 
 
-def _cap(args, default: int) -> int:
-    """The iteration cap: --max-iter where given, else the operation's own."""
-    return default if args.max_iter is None else args.max_iter
-
-
 # ---------------------------------------------------------------------------
 # handlers: each takes args and returns the library's answer or a Reply
 
@@ -162,20 +157,20 @@ def _h_deriv(args):
     if args.at is None:
         return expr.to_text(expr.differentiate(args.f, args.order))
     from . import calculus  # numpy-backed: only with --at
-    rep = calculus.derivative(args.f, args.at, args.order, tol=max(args.tol, 1e-10))
+    rep = calculus.derivative(args.f, args.at, args.order, tol=args.tol)
     return Reply(rep.estimate, rep._asdict())
 
 
 def _h_limit(args):
     from . import calculus
-    rep = calculus.limit(args.f, args.at, args.mode, tol=max(args.tol, 1e-10))
+    rep = calculus.limit(args.f, args.at, args.mode, tol=args.tol)
     return Reply(rep.estimate, rep._asdict())
 
 
 def _h_sup(args):
     from . import suprema
     pset = suprema.PredicateSet(args.member, args.seed_point, args.bound)
-    res = suprema.bisect_supremum(pset, args.tol, _cap(args, suprema.MAX_HALVINGS))
+    res = suprema.bisect_supremum(pset, args.tol)
     if not args.witnesses:
         return Reply(res.value, {"iterations": res.iterations})
     wit = suprema.sup_witnesses(pset, res.value, args.witnesses)
@@ -186,13 +181,12 @@ def _h_sup(args):
 def _h_cut(args):
     from . import suprema
     c = suprema.Cut(args.below, args.in_point, args.out_point)
-    return suprema.cut_point(c, args.tol, max_iter=_cap(args, suprema.MAX_HALVINGS))
+    return suprema.cut_point(c, args.tol)
 
 
 def _h_root(args):
     from . import suprema
-    res = suprema.bisect_root(args.f, args.a, args.b, args.k, args.tol,
-                              _cap(args, suprema.MAX_HALVINGS))
+    res = suprema.bisect_root(args.f, args.a, args.b, args.k, args.tol)
     return Reply(res.root, {"iterations": res.iterations, "bracket": res.bracket,
                             "residual": res.residual})
 
@@ -206,14 +200,14 @@ def _h_extremum(args):
 def _h_witness(args):  # rolle, mvt and emvt
     from . import calculus
     if args.command == "emvt":
-        return calculus.emvt_witness(args.f, args.g, args.a, args.b, max(args.tol, 1e-12))
+        return calculus.emvt_witness(args.f, args.g, args.a, args.b, args.tol)
     witness = calculus.rolle_witness if args.command == "rolle" else calculus.mvt_witness
-    return witness(args.f, args.a, args.b, max(args.tol, 1e-12))
+    return witness(args.f, args.a, args.b, args.tol)
 
 
 def _h_taylor(args):
     from . import calculus
-    rep = calculus.taylor(args.f, args.at, args.n, args.x, max(args.tol, 1e-12))
+    rep = calculus.taylor(args.f, args.at, args.n, args.x, args.tol)
     witness = "none" if rep.witness is None else rep.witness
     shown = {"value": rep.value, "rho": rep.rho, "witness": witness, "remainder": rep.remainder}
     return Reply(rep.value, rep._asdict(), shown=shown)
@@ -341,7 +335,7 @@ def _h_imvt(args):
 
 def _h_adt(args):
     from . import integrate
-    integrate.adt_check(args.F, args.G, args.a, args.b, max(args.tol, 1e-12))  # raises unless true
+    integrate.adt_check(args.F, args.G, args.a, args.b, args.tol)  # raises unless true
     return Reply(True, label="adt")
 
 
@@ -389,13 +383,12 @@ def _h_seq(args):
     if args.op == "limit":
         if args.upper is None:
             raise ParseError("seq --op limit needs --upper", 0)
-        return sequences.monotone_limit(args.s, args.upper, max(args.tol, 1e-12),
-                                        _cap(args, 10**6))
+        return sequences.monotone_limit(args.s, args.upper, args.tol, args.max_iter)
     if args.op == "diverge":
         sel = sequences.divergence_witness(args.s, args.eps, args.count, args.budget)
         return Reply(sel.indices, label="indices")
     box = interval.Interval(args.box[0], args.box[1])  # cauchy-limit
-    return sequences.cauchy_limit(args.s, box, max(args.tol, 1e-12), args.budget)
+    return sequences.cauchy_limit(args.s, box, args.tol, args.budget)
 
 
 def _h_ival(args):
@@ -409,8 +402,7 @@ def _h_ival(args):
         p = interval.Partition(_json_arg(args.p, _FLOATS))
         q = interval.Partition(_json_arg(args.q, _FLOATS))
         return interval.refine(p, q).to_json()
-    return interval.shrink_to_point(args.lo_expr, args.hi_expr,  # shrink
-                                    max(args.tol, 1e-15), _cap(args, 10**6))
+    return interval.shrink_to_point(args.lo_expr, args.hi_expr, args.tol, args.max_iter)  # shrink
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +600,12 @@ OP_REGISTRY: Dict[str, str] = {op: name for name, command in COMMANDS.items()
 # the flags every subcommand takes, each with one value
 _GLOBAL_FLAGS = {
     "--tol": {"type": float,
-              "help": "default tolerance (1e-9; 1e-6 for integrate, ftc2, imvt, deriv --at)"},
+              "help": "tolerance, passed to the library as given (1e-9; 1e-6 for integrate, "
+                      "ftc2, imvt, deriv --at)"},
     "--seed": {"type": int, "help": "seed of riemann --choice random (0; FC_SEED overrides)"},
     "--output": {"choices": ("text", "json")},
-    "--max-iter": {"type": int, "help": "iteration cap of sup, cut, root (2099 cuts), seq "
-                                        "--op limit and ival --op shrink (10^6)"},
+    "--max-iter": {"type": int, "help": "iteration cap of seq --op limit and ival --op shrink "
+                                        "(10^6)"},
 }
 
 
@@ -727,7 +720,7 @@ def main(argv=None) -> int:
             _write(_json_error(e.usage_error))
         raise
     args.seed = getattr(args, "seed", 0)
-    args.max_iter = getattr(args, "max_iter", None)
+    args.max_iter = getattr(args, "max_iter", 10**6)  # the cap of seq --op limit and shrink
     json_output = getattr(args, "output", "text") == "json"
     try:
         for flag in command.flags:  # in flag order, before the handler runs

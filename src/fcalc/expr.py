@@ -958,17 +958,23 @@ _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 _INFIX = {cls: op if op in "*/" else f" {op} " for op, cls in _BINARY.items()}
 
 
+# the text of a non-finite constant, by its repr: the grammar has no inf or nan
+_NON_FINITE = {"inf": "1e400", "-inf": "-1e400", "nan": "(1e400 - 1e400)"}
+
+
 def _prec(e: Expr) -> int:
     if isinstance(e, Const) and math.copysign(1.0, e.value) < 0:  # -0.0 prints a minus too
         return _PREC[Neg]
     return _PREC.get(type(e), 5)
 
 
-def to_text(e: Expr, var_name: str = "x") -> str:
+def to_text(e: Expr) -> str:
     """Render to grammar-conformant text; parse(to_text(e)) evaluates like e.
 
     Each node's text is built from its children's, which are dropped
-    after their last reader.
+    after their last reader.  The grammar has no inf or nan, so a
+    non-finite constant prints as text that evaluates to it: 1e400 for
+    inf, -1e400 for -inf and (1e400 - 1e400) for NaN.
     """
     nodes = list(_postorder(e))
     readers = collections.Counter(kid for node in nodes for kid in node._kids)
@@ -982,9 +988,9 @@ def to_text(e: Expr, var_name: str = "x") -> str:
     for node in nodes:
         t = type(node)
         if t is Const:
-            text = repr(node.value)
+            text = _NON_FINITE.get(repr(node.value), repr(node.value))
         elif t is Var:
-            text = var_name
+            text = "x"
         elif t is Neg:
             # unary minus binds looser than ^, so Neg(Pow(x, 2)) prints -x^2
             text = f"-{wrap(node.arg, _PREC[Neg])}"
@@ -1114,7 +1120,7 @@ class Predicate(NamedTuple):
         return bool(_COMPARATORS[self.op](evaluate(self.lhs, x), evaluate(self.rhs, x)))
 
 
-def parse_predicate(text: str, var_name: str = "x") -> Predicate:
+def parse_predicate(text: str) -> Predicate:
     """Parse a comparison of two expressions, e.g. 'x*x < 2'.
 
     text splits at the first comparator found, looking for <=, >=, < and
@@ -1126,6 +1132,5 @@ def parse_predicate(text: str, var_name: str = "x") -> Predicate:
         pos = text.find(op)
         if pos >= 0:
             end = pos + len(op)
-            return Predicate(parse(text[:pos], var_name), op,
-                             parse(" " * end + text[end:], var_name))
+            return Predicate(parse(text[:pos]), op, parse(" " * end + text[end:]))
     raise ParseError("predicate needs a comparison (<, <=, >, >=)", 0)

@@ -39,6 +39,7 @@ from .errors import DivergenceError, IterationCapError, PreconditionError
 from .expr import _BLOCK, Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, sub
 from .interval import CELL_BUDGET, Partition, refine_cells, require_interval, require_tol
 
+MAX_LEVEL = 24  # the depth of riemann_integral's finest cells
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory
 _ONE_24TH = (math.nextafter(1 / 24, 0.0), math.nextafter(1 / 24, 1.0))
 
@@ -182,8 +183,7 @@ def _sum_bound(values, toward: float) -> float:
         return toward
 
 
-def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
-                     max_level: int = 24) -> IntegralCertificate:
+def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6) -> IntegralCertificate:
     """Adaptively refined certified integral of f over [a, b].
 
     Each round encloses the integral over every unfrozen cell (see
@@ -192,8 +192,8 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
     stops once it is at most tol wide.  Otherwise a cell whose enclosure
     is at most tol*w/(b-a) wide is frozen and the others are bisected
     (by interval.refine_cells, at least 64 open cells a round).  Raises
-    IterationCapError when cells of depth max_level (width
-    (b-a)/2^max_level) are still too wide, or past the cell budget of
+    IterationCapError when cells of depth MAX_LEVEL (width
+    (b-a)/2^MAX_LEVEL) are still too wide, or past the cell budget of
     refine_cells: an unbounded or wildly oscillatory integrand never
     closes its bracket.  Nor does a tol below the bracket's rounding, so
     a round that leaves a finite bracket within rounding (2^-44 of its
@@ -219,7 +219,7 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
         cause = ("tol is below the rounding of the bracket" if rounding()
                  else "integrand may be unbounded or wildly oscillatory")
         return IterationCapError(f"bracket width {upper - lower} still above {tol} with cells of "
-                                 f"depth {max_level} or {CELL_BUDGET} cells in all; {cause}")
+                                 f"depth {MAX_LEVEL} or {CELL_BUDGET} cells in all; {cause}")
 
     def judge(lo, hi):
         nonlocal frozen, frozen_low, frozen_high, lower, upper
@@ -245,7 +245,7 @@ def riemann_integral(f: Expr, a: float, b: float, tol: float = 1e-6,
             frozen_high = _sum_bound(np.append(high[done], frozen_high), math.inf)
         return ~done
 
-    if refine_cells(a, b, judge, max_level):
+    if refine_cells(a, b, judge, MAX_LEVEL):
         return IntegralCertificate(lower + (upper - lower) / 2, levels, True)
     raise refuse()
 

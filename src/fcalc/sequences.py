@@ -18,6 +18,8 @@ from .errors import BudgetError, IterationCapError, PreconditionError
 from .interval import Interval, bisect, require_tol
 from .suprema import _linspace
 
+_SCAN_POINTS = 4096  # indices monotone_limit reads in each doubling window
+
 
 class SubsequenceSelector(namedtuple("SubsequenceSelector", "indices")):
     """Strictly increasing indices; N_k >= k holds for any subsequence."""
@@ -71,7 +73,7 @@ def check_cauchy_window(s, eps: float, lo: int, hi: int) -> CauchyWindowReport:
     The maximizing pair is (argmin, argmax); for a monotone window it is
     the endpoint pair (lo, hi), which monotonicity alone justifies.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise PreconditionError("eps must be positive")
     if lo > hi or lo < 1:
         raise PreconditionError("window needs 1 <= lo <= hi")
@@ -103,13 +105,8 @@ def _cache_values(s, budget: int) -> np.ndarray:
     return np.fromiter((float(s(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
 
 
-def bw_extract(
-    s,
-    box: Interval,
-    depth: int,
-    budget: int,
-    _cache: np.ndarray = None,
-) -> Tuple[SubsequenceSelector, List[Interval]]:
+def bw_extract(s, box: Interval, depth: int,
+               budget: int) -> Tuple[SubsequenceSelector, List[Interval]]:
     """Halving subsequence extraction inside a bounding box.
 
     Produces `depth` nested intervals, each half of its predecessor and
@@ -118,12 +115,17 @@ def bw_extract(
     N_k with s(N_k) in interval k.  Interval k has length
     length(box)/2^(k-1).
     """
-    import numpy as np
     if depth < 1 or depth > 60:
         raise PreconditionError("depth must be in 1..60")
-    if budget < depth:
+    return _halving(_cache_values(s, budget), box, depth)
+
+
+def _halving(values: np.ndarray, box: Interval,
+             depth: int) -> Tuple[SubsequenceSelector, List[Interval]]:
+    """bw_extract over the terms values[k - 1] = s(k), k up to the budget."""
+    import numpy as np
+    if values.size < depth:
         raise PreconditionError("budget must be at least depth")
-    values = _cache_values(s, budget) if _cache is None else _cache
     inside = (values >= box.lo) & (values <= box.hi)
     if not inside.all():
         bad = int(np.argmin(inside)) + 1
@@ -150,11 +152,11 @@ def bw_extract(
     return SubsequenceSelector(tuple(indices)), intervals
 
 
-def _scan_indices(lo: int, hi: int, limit: int = 4096) -> List[int]:
-    if hi - lo + 1 <= limit:
+def _scan_indices(lo: int, hi: int) -> List[int]:
+    if hi - lo + 1 <= _SCAN_POINTS:
         return list(range(lo, hi + 1))
     # the grid never decreases, so dropping repeats keeps it sorted
-    return list(dict.fromkeys(map(int, _linspace(lo, hi, limit))))
+    return list(dict.fromkeys(map(int, _linspace(lo, hi, _SCAN_POINTS))))
 
 
 def monotone_limit(s, upper: float, tol: float, max_index: int = 10**6) -> float:
@@ -189,7 +191,7 @@ def divergence_witness(s, eps: float, count: int, budget: int) -> SubsequenceSel
     s(N_{k+1}) >= s(N_1) + k*eps.  Monotonicity lets each threshold be
     located by doubling plus index bisection instead of a linear scan.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise PreconditionError("eps must be positive")
     indices = [1]
     base = float(s(1))
@@ -223,8 +225,9 @@ def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:
     """Limit of a Cauchy sequence via halving subsequence extraction.
 
     Verifies tol-Cauchyness on a doubling probe window first, then runs
-    bw_extract to depth ceil(log2(length(box)/tol)) + 1 and returns the
-    midpoint of the last interval.
+    bw_extract's halving on the same terms to depth
+    ceil(log2(length(box)/tol)) + 1 and returns the midpoint of the last
+    interval.
     """
     require_tol(tol)
     if budget < 1:
@@ -246,5 +249,5 @@ def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:
     if box.length <= tol:
         return box.midpoint
     depth = min(60, int(math.ceil(math.log2(box.length / tol))) + 1)
-    _, intervals = bw_extract(s, box, depth, budget, _cache=values)
+    _, intervals = _halving(values, box, depth)
     return intervals[-1].midpoint

@@ -9,20 +9,22 @@ the cut cut at the midpoint; the root cuts at the ITP point (Oliveira &
 Takahashi, 2020), which interpolates the residuals at the ends and is
 never more than one cut behind halving.  The kernel stops once hi - lo <
 tol, or earlier when no double lies strictly between lo and hi (so a tol
-below the double spacing returns a bracket of two adjacent doubles), and
-raises IterationCapError after max_iter cuts.  The bracket must be
-finite, with a width that is a double, so the default cap, MAX_HALVINGS,
-is never reached: the width is below 2^1024, a cut leaves at most twice
-the width a halving would, and doubles are at least 2^-1074 apart, so
-1025 + 1074 cuts leave two adjacent doubles, which end the loop before
-the cap is looked at.  A predicate may also report an exact hit, which
-collapses the bracket to a point (a root's residual can be exactly
-zero).  The public functions only check preconditions, choose the
-predicate and package the result: the supremum keeps "is a member", the
-cut "is below", the root "has the sign of the left end".  The oracles
-of a PredicateSet and a Cut are callables from a float to a bool: an
-expr.Predicate (two trees and a comparator, which fc sup and fc cut
-pass) or any function; the root's f is a tree or any callable.
+below the double spacing returns a bracket of two adjacent doubles).
+The bracket must be finite, with a width that is a double, so the
+kernel's own cap, MAX_HALVINGS = 1025 + 1074 cuts, is never reached: the
+width is below 2^1024, a cut leaves at most twice the width a halving
+would, and doubles are at least 2^-1074 apart, so that many cuts leave
+two adjacent doubles, which end the loop before the cap is looked at.
+The kernel still checks it, and raises IterationCapError past it, so a
+cut rule that broke the argument could not loop forever.  A predicate
+may also report an exact hit, which collapses the bracket to a point (a
+root's residual can be exactly zero).  The public functions only check
+preconditions, choose the predicate and package the result: the
+supremum keeps "is a member", the cut "is below", the root "has the sign
+of the left end".  The oracles of a PredicateSet and a Cut are callables
+from a float to a bool: an expr.Predicate (two trees and a comparator,
+which fc sup and fc cut pass) or any function; the root's f is a tree or
+any callable.
 
 A membership oracle cannot decide "is an upper bound", so midpoints
 that test non-member are *treated* as upper bounds.  That is sound for
@@ -85,7 +87,7 @@ def _check_bracket(lo: float, hi: float) -> None:
 
 
 def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float,
-            max_iter: int, cut: Optional[Callable[[float, float, int], float]] = None
+            cut: Optional[Callable[[float, float, int], float]] = None
             ) -> Tuple[float, float, int, List[Tuple[float, float]]]:
     """Cut [lo, hi] keeping inside(lo) true and inside(hi) false.
 
@@ -102,8 +104,8 @@ def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol
         m = lo + (hi - lo) / 2
         if m <= lo or m >= hi:
             break  # no double lies strictly between lo and hi
-        if iterations >= max_iter:
-            raise IterationCapError(f"bisection exceeded {max_iter} iterations")
+        if iterations >= MAX_HALVINGS:
+            raise IterationCapError(f"bisection exceeded {MAX_HALVINGS} iterations")
         if cut is not None:
             c = cut(lo, hi, iterations)
             m = c if lo < c < hi else m
@@ -119,7 +121,7 @@ def _bisect(inside: Callable[[float], Optional[bool]], lo: float, hi: float, tol
     return lo, hi, iterations, trace
 
 
-def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS) -> SupremumResult:
+def bisect_supremum(pset: PredicateSet, tol: float) -> SupremumResult:
     """Supremum by midpoint-membership bisection.
 
     Keeps [a_k, b_k] with a_k a member and b_k treated as an upper
@@ -136,12 +138,12 @@ def bisect_supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS
         return SupremumResult(pset.bound, 0, [(pset.bound, pset.bound)])
     # bool(): an oracle's None means "not a member", never an exact hit
     a, _, iterations, trace = _bisect(lambda m: bool(pset.member(m)), pset.seed, pset.bound,
-                                      tol, max_iter)
+                                      tol)
     return SupremumResult(a, iterations, trace)
 
 
-def supremum(pset: PredicateSet, tol: float, max_iter: int = MAX_HALVINGS) -> float:
-    return bisect_supremum(pset, tol, max_iter).value
+def supremum(pset: PredicateSet, tol: float) -> float:
+    return bisect_supremum(pset, tol).value
 
 
 def sup_witnesses(pset: PredicateSet, sup_value: float, count: int) -> List[float]:
@@ -170,7 +172,7 @@ def sup_witnesses(pset: PredicateSet, sup_value: float, count: int) -> List[floa
     return witnesses
 
 
-def cut_point(cut: Cut, tol: float, max_iter: int = MAX_HALVINGS) -> float:
+def cut_point(cut: Cut, tol: float) -> float:
     """Boundary point of a downward-closed predicate, by bisection.
 
     A probe grid checks downward closure first: a `below` hit above a
@@ -194,7 +196,7 @@ def cut_point(cut: Cut, tol: float, max_iter: int = MAX_HALVINGS) -> float:
             f"predicate holds at {grid[last_true]} but fails below it at {grid[first_false]}"
         )
     a, b, _, _ = _bisect(lambda m: bool(cut.below(m)), grid[last_true], grid[first_false],
-                         tol, max_iter)
+                         tol)
     return a + (b - a) / 2
 
 
@@ -215,7 +217,6 @@ def bisect_root(
     b: float,
     k: float = 0.0,
     tol: float = 1e-12,
-    max_iter: int = MAX_HALVINGS,
 ) -> RootResult:
     """Sign-change bracketing for fn(x) = k on [a, b], cut by ITP.
 
@@ -266,7 +267,7 @@ def bisect_root(
         return min(max(x, lo + tol / 2, math.nextafter(lo, hi)), hi - tol / 2,
                    math.nextafter(hi, lo))
 
-    lo, hi, iterations, _ = _bisect(same_side_as_a, a, b, tol, max_iter, itp)
+    lo, hi, iterations, _ = _bisect(same_side_as_a, a, b, tol, itp)
     root = lo + (hi - lo) / 2
     return RootResult(root, iterations, (lo, hi), 0.0 if lo == hi else fn(root) - k)
 
@@ -278,7 +279,10 @@ def ivt_root(f: Expr, a: float, b: float, k: float = 0.0, tol: float = 1e-12) ->
 
 def affine_map(a0: float, b0: float, a: float, b: float) -> Expr:
     """Expression for the affine map sending [a0, b0] onto [a, b]."""
-    if a0 >= b0:
+    if not a0 < b0:  # NaN too
         raise PreconditionError("affine_map needs a0 < b0")
     slope = (b - a) / (b0 - a0)
+    # finite b - a and b0 - a0 need finite ends; b0 - a0 = inf gives slope 0
+    if not (math.isfinite(slope) and math.isfinite(b0 - a0)):
+        raise PreconditionError("affine_map needs finite ends and a finite slope")
     return add(mul(const(slope), sub(Var(), const(a0))), const(a))

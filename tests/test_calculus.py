@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,14 @@ def test_derivative_checks_its_premise_and_falls_back_to_the_limit():
     # f' = x/abs(x) is undefined at the kink, so its limit is sampled
     with pytest.raises(OneSidedDisagreementError):
         derivative(E.parse("abs(x)"), 0.0)
+
+
+def test_a_high_order_derivative_differentiates_once_per_order():
+    # differentiate(f, k) for each k < n would walk k cached levels each time,
+    # quadratic in the order
+    start = time.process_time()
+    assert derivative(E.parse("x^2"), 1.0, 4000).estimate == 0.0
+    assert time.process_time() - start < 0.5
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -462,6 +463,34 @@ def test_deriv_at_a_point_defaults_to_the_derivative_tolerance(capsys):
 _FAB = ["--f", "x", "--a", "0", "--b", "1"]
 
 
+# a command per library operation that takes a tol, with its required flags
+_TOL_OPS = [
+    (["deriv", "--f", "x", "--at", "1"], "calculus", "derivative"),
+    (["limit", "--f", "x", "--at", "1"], "calculus", "limit"),
+    (["sup", "--member", "x < 1", "--seed-point", "0", "--bound", "2"], "suprema",
+     "bisect_supremum"),
+    (["cut", "--below", "x < 1", "--in-point", "0", "--out-point", "2"], "suprema", "cut_point"),
+    (["root", *_FAB], "suprema", "bisect_root"),
+    (["extremum", *_FAB], "calculus", "extreme_point"),
+    (["rolle", *_FAB], "calculus", "rolle_witness"),
+    (["mvt", *_FAB], "calculus", "mvt_witness"),
+    (["emvt", *_FAB, "--g", "x"], "calculus", "emvt_witness"),
+    (["taylor", "--f", "x", "--n", "1", "--at", "0", "--x", "1"], "calculus", "taylor"),
+    (["polycheck", *_FAB, "--n", "1"], "calculus", "polynomial_check"),
+    (["shape", *_FAB, "--kind", "convex"], "calculus", "shape_checks"),
+    (["integrate", *_FAB], "integrate", "riemann_integral"),
+    (["integrate", *_FAB, "--bounds", "0", "1"], "integrate", "bounds_check"),
+    (["integrate", *_FAB, "--check-additivity-at", "0.5"], "integrate",
+     "integral_additivity_check"),
+    (["ftc2", "--F", "x", "--a", "0", "--b", "1"], "integrate", "ftc2_check"),
+    (["imvt", *_FAB], "integrate", "imvt_witness"),
+    (["adt", "--F", "x", "--G", "x", "--a", "0", "--b", "1"], "integrate", "adt_check"),
+    (["seq", "--op", "limit", "--s", "1/n", "--upper", "1"], "sequences", "monotone_limit"),
+    (["seq", "--op", "cauchy-limit", "--s", "1/n"], "sequences", "cauchy_limit"),
+    (["ival", "--op", "shrink"], "interval", "shrink_to_point"),
+]
+
+
 @pytest.mark.parametrize("argv, module, name, tol", [
     (["integrate", *_FAB], "integrate", "riemann_integral", 1e-6),
     (["integrate", *_FAB, "--bounds", "0", "1"], "integrate", "bounds_check", 1e-6),
@@ -472,17 +501,31 @@ _FAB = ["--f", "x", "--a", "0", "--b", "1"]
     (["deriv", "--f", "x", "--at", "1"], "calculus", "derivative", 1e-6),
     (["extremum", *_FAB], "calculus", "extreme_point", 1e-9),
     (["integrate", *_FAB, "--tol", "1e-3"], "integrate", "riemann_integral", 1e-3),
+    # a tol below the spacing of the doubles near 1, so that any floor on it shows
+    *[([*argv, "--tol", "1e-16"], module, name, 1e-16) for argv, module, name in _TOL_OPS],
 ])
 def test_each_subcommand_passes_its_default_tol_to_the_library(
         capsys, monkeypatch, argv, module, name, tol):
-    seen = []
+    module = importlib.import_module(f"fcalc.{module}")
+    signature, seen = inspect.signature(getattr(module, name)), []
 
     def spy(*args, **kwargs):
-        seen.append(kwargs.get("tol", args[-1]))
+        seen.append(signature.bind(*args, **kwargs).arguments["tol"])
         raise MathError("stop")
 
-    monkeypatch.setattr(importlib.import_module(f"fcalc.{module}"), name, spy)
+    monkeypatch.setattr(module, name, spy)
     assert run(capsys, *argv) == (1, "", "error: stop\n") and seen == [tol]
+
+
+def test_the_tol_table_covers_every_command_whose_operations_take_a_tol():
+    def takes_tol(op):
+        module, name = op.split(".")
+        fn = getattr(importlib.import_module(f"fcalc.{module}"), name)
+        return "tol" in inspect.signature(fn).parameters
+
+    commands = {name for name, command in COMMANDS.items()
+                if any(map(takes_tol, command.ops.split()))}
+    assert {argv[0] for argv, _, _ in _TOL_OPS} == commands
 
 
 def test_bisection_reaches_adjacent_doubles_below_a_tiny_tol(capsys):
@@ -493,18 +536,32 @@ def test_bisection_reaches_adjacent_doubles_below_a_tiny_tol(capsys):
     assert abs(float(out)) <= 1e-300
 
 
-@pytest.mark.parametrize("argv", [
-    ["sup", "--member", "x*x<2", "--seed-point", "0", "--bound", "2"],
-    ["cut", "--below", "x*x<2", "--in-point", "0", "--out-point", "2"],
-    ["root", "--f", "x^2 - 2", "--a", "0", "--b", "2"],
+@pytest.mark.parametrize("argv, error", [
+    (["seq", "--op", "limit", "--s", "1 - 1/n", "--upper", "1"],
+     "no tol-flat window found up to index 3"),
+    (["ival", "--op", "shrink"], "interval length 0.3333333333333333 still >= tol after 3 "
+     "iterations"),
 ])
-def test_max_iter_caps_sup_cut_and_root(capsys, argv):
+def test_max_iter_caps_seq_limit_and_ival_shrink(capsys, argv, error):
+    argv = [*argv, "--tol", "1e-2"]
     code, out, _ = run(capsys, "--output", "json", *argv, "--max-iter", "3")
     payload = json.loads(out, parse_constant=_reject_constant)
-    assert code == 1 and payload["result"] is None
-    assert payload["diagnostics"]["error"] == "bisection exceeded 3 iterations"
+    assert code == 1 and payload["result"] is None and payload["diagnostics"]["error"] == error
     code, out, _ = run(capsys, "--output", "json", *argv)
     assert code == 0 and isinstance(json.loads(out)["result"], float)
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["adt", "--F", "x", "--G", "x - 1e-13*x", "--a", "0", "--b", "1", "--tol", "1e-14"],
+     "", "error: F' and G' differ by more than 1e-14 on [0.0, 0.015625]\n"),
+    (["deriv", "--f", "abs(x)^2", "--at", "0", "--tol", "1e-12"],
+     "", "error: one-sided limits disagree: left=-2.3283064365386964e-11 "
+     "right=2.3283064365386964e-11 (tol=1e-12)\n"),
+    (["taylor", "--f", "exp(x)", "--n", "2", "--at", "0", "--x", "1", "--tol", "1e-14"],
+     "value 2.5 rho 1.3096909707542705 witness none remainder 0.2182818284590451\n", ""),
+], ids=["adt", "deriv", "taylor"])
+def test_a_tol_below_the_usual_range_is_answered_as_asked(capsys, argv, out, err):
+    assert run(capsys, *argv) == (1 if err else 0, out, err)
 
 
 def test_unbounded_darboux_bound_is_a_json_error_object(capsys):
@@ -1023,6 +1080,13 @@ def test_cli_contract_holds_for_generated_argv(argv):
     (["deriv", "--f", "sqrt(x)^0", "--order", "2", "--at", "-1"], None),  # printed 0.0
     (["seq", "--op", "cauchy-limit", "--s", "n", "--box", "1", "1", "--budget", "0"],
      "error: budget must be at least 1\n"),
+    # a NaN eps, a NaN end, and a slope past the double range
+    (["seq", "--op", "diverge", "--s", "n", "--eps", "nan"], "error: eps must be positive\n"),
+    (["seq", "--op", "cauchy", "--s", "1/n", "--eps", "nan"], "error: eps must be positive\n"),
+    (["affine", "--from-a", "0", "--from-b", "nan", "--to-a", "0", "--to-b", "1"],
+     "error: affine_map needs a0 < b0\n"),
+    (["affine", "--from-a", "0", "--from-b", "1e-320", "--to-a", "0", "--to-b", "1e300"],
+     "error: affine_map needs finite ends and a finite slope\n"),
 ])
 def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
     # numpy warned: "Mean of empty slice", inf - inf in the spread and the

@@ -360,9 +360,10 @@ def test_scalar_array_and_direct_walk_agree_on_random_trees(e, x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_trees, _points)
+@given(expr_trees(_CONSTS + (math.inf, -math.inf, math.nan), max_leaves=10), _points)
 def test_printed_text_parses_back_to_the_same_values(e, x):
-    # Neg over Pow prints -x^2 and Pow over Neg (-x)^2; both must read back
+    # Neg over Pow prints -x^2 and Pow over Neg (-x)^2; both must read back,
+    # and so must the texts of the non-finite constants, which have no literal
     assert _agree(_outcome(E.evaluate, E.parse(E.to_text(e)), x), _outcome(_walk, e, x))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcalc import expr as E
-from fcalc import interval
+from fcalc import integrate, interval
 from fcalc.errors import (DivergenceError, DomainError, IterationCapError, MathError,
                           PreconditionError)
 from fcalc.integrate import (
@@ -217,12 +217,14 @@ def test_riemann_integral_closes_after_rounds_that_neither_freeze_nor_narrow():
     assert cert.levels[-1].lower <= 1 - math.cos(1000.0) <= cert.levels[-1].upper
 
 
-def test_riemann_integral_level_cap():
+def test_riemann_integral_level_cap(monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_LEVEL", 8)
     with pytest.raises(IterationCapError):
-        riemann_integral(E.parse("sin(1/x)"), 1e-6, 1.0, 1e-10, max_level=8)
+        riemann_integral(E.parse("sin(1/x)"), 1e-6, 1.0, 1e-10)
     for max_level in (0, -1):   # one round on [a, b] itself, then the cap
+        monkeypatch.setattr(integrate, "MAX_LEVEL", max_level)
         with pytest.raises(IterationCapError):
-            riemann_integral(E.parse("sin(x)"), 0.0, 1000.0, 1e-2, max_level=max_level)
+            riemann_integral(E.parse("sin(x)"), 0.0, 1000.0, 1e-2)
 
 
 @pytest.mark.parametrize("text, a, b, tol, blame", [

@@ -239,7 +239,7 @@ def test_ivt_root_never_takes_more_than_one_cut_over_halving(c, p, tol):
     # arithmetic's; where the cuts come within some dozens of ulps of the
     # root, each rounds to a double, which may cost ITP a second cut
     f = lambda x: x**p - c
-    halvings = _bisect(lambda m: f(m) < 0, 0.0, c + 1.0, tol, MAX_HALVINGS)[2]
+    halvings = _bisect(lambda m: f(m) < 0, 0.0, c + 1.0, tol)[2]
     res = bisect_root(f, 0.0, c + 1.0, 0.0, tol)
     spacing = math.ulp(c ** (1 / p))
     assert res.iterations <= halvings + (1 if tol >= 1024 * spacing else 2)
@@ -290,7 +290,7 @@ def test_a_root_bracket_may_come_in_either_order():
 
 def test_the_bisection_kernel_refuses_a_reversed_bracket():
     with pytest.raises(PreconditionError, match="lo <= hi"):
-        _bisect(lambda m: True, 2.0, 1.0, 1e-9, MAX_HALVINGS)
+        _bisect(lambda m: True, 2.0, 1.0, 1e-9)
 
 
 def test_default_cap_reaches_adjacent_doubles_from_any_finite_bracket():
@@ -306,5 +306,5 @@ def test_default_cap_reaches_adjacent_doubles_from_any_finite_bracket():
         res = bisect_root(fn, -big, big, 0.0, 5e-324)
         lo, hi = res.bracket
         assert res.iterations <= MAX_HALVINGS and (lo == hi or math.nextafter(lo, hi) == hi)
-    # adjacent doubles need no cut, so not even a cap of 0 is reached
-    assert _bisect(lambda m: True, 0.0, 5e-324, 5e-324, 0)[:3] == (0.0, 5e-324, 0)
+    # adjacent doubles need no cut
+    assert _bisect(lambda m: True, 0.0, 5e-324, 5e-324)[:3] == (0.0, 5e-324, 0)
