@@ -8,10 +8,11 @@ are defined on one closed cell about c, and takes the limit of f^(n)
 there.  taylor reads f's Taylor coefficients from one run of f's own
 program on jets (expr.jet), with no derivative tree.  A limit is f(c)
 where f is defined on a closed cell about c, proven by a finite interval
-enclosure of that one cell on floats (_defined_about), so a limit or
-derivative there needs no numpy; only where it is not are the filter bases
-behind one- and two-sided limits sampled, on a geometric schedule of
-punctured windows with a fixed number of points in each.
+enclosure of that one cell on floats (_defined_about); only where it is
+not are the filter bases behind one- and two-sided limits sampled, on a
+geometric schedule of punctured windows with a fixed number of points in
+each, evaluated and averaged on Python floats.  So no limit or derivative
+at a point needs numpy.
 
 Every mean-value witness (Rolle, MVT, eMVT, Taylor and
 integrate.imvt_witness) is a point c where some function h (a tree, or
@@ -33,9 +34,10 @@ extreme_point is interval branch and bound on those bounds (Hansen &
 Walster, Global Optimization Using Interval Analysis, 2004); one judge,
 _holds, proves a derivative within [low, high] on every cell or finds a
 cell where it lies wholly outside, for polynomial_check (f^(n+1)),
-shape_checks (f' or f'') and integrate.adt_check (F' - G').  Each raises
-IterationCapError when the depth cap or the cell budget of refine_cells
-leaves the question open.
+shape_checks (f' or f'') and integrate.adt_check (F' - G'); a derivative
+that folds to a constant within the bounds is decided on one float cell,
+with no numpy.  Each raises IterationCapError when the depth cap or the
+cell budget of refine_cells leaves the question open.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import (Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul, isub, jet,
-                   mul, sub)
+from .expr import (Const, Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul, isub,
+                   jet, mul, sub)
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
 
-np = _Numpy(globals())  # numpy, imported on first use: limits where f is defined need none
+np = _Numpy(globals())  # numpy, imported on first use: no limit at a point needs it
 
 WINDOW0 = 1e-2         # first punctured window of the limit scan, halved each step
 WINDOWS = 30           # windows the limit scan tries
@@ -83,13 +85,27 @@ class TaylorReport(NamedTuple):
     converged: bool
 
 
-def _window_offsets(delta: float, mode: str, m: int) -> np.ndarray:
+def _window_offsets(delta: float, mode: str, m: int) -> list:
     if mode == "two-sided":
         half = max(1, m // 2)
-        offs = delta * np.arange(1, half + 1) / half
-        return np.concatenate([-offs[::-1], offs])
-    offs = delta * np.arange(1, m + 1) / m
-    return offs if mode == "right" else -offs
+        offs = [delta * k / half for k in range(1, half + 1)]
+        return [-o for o in reversed(offs)] + offs
+    offs = [delta * k / m for k in range(1, m + 1)]
+    return offs if mode == "right" else [-o for o in offs]
+
+
+def _mean(vals: list) -> float:
+    """np.mean of 8 floats, or of fewer, bit for bit: numpy's pairwise sum
+    adds 8 values as ((v0+v1)+(v2+v3))+((v4+v5)+(v6+v7)) and fewer left to
+    right, in both cases onto 0.0, so a sum of -0.0s is 0.0."""
+    if len(vals) == 8:
+        v0, v1, v2, v3, v4, v5, v6, v7 = vals
+        total = 0.0 + (((v0 + v1) + (v2 + v3)) + ((v4 + v5) + (v6 + v7)))
+    else:
+        total = 0.0
+        for v in vals:
+            total += v
+    return total / len(vals)
 
 
 def _require_point(c: float) -> None:
@@ -124,10 +140,11 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
     Where f is defined on a closed cell about c (_defined_about), it is
     continuous there, so the limit is f(c), exact, with no step taken.
     Elsewhere the filter base is sampled: punctured windows of WINDOW0
-    halved up to WINDOWS times, SAMPLES_PER_STEP points each, until
-    successive window means differ by less than tol and the last window's
-    spread is below tol; two-sided mode also requires the one-sided means
-    to agree within tol, else OneSidedDisagreementError.  DivergenceError
+    halved up to WINDOWS times, SAMPLES_PER_STEP points each, evaluated
+    one at a time on floats, until successive window means (np.mean's
+    bits, _mean) differ by less than tol and the last window's spread is
+    below tol; two-sided mode also requires the one-sided means to agree
+    within tol, else OneSidedDisagreementError.  DivergenceError
     where no window converges, or where the window falls below the double
     spacing at c.  Where f is undefined at a point of a window, the scan
     tries the next, smaller window, and where f is undefined in the last
@@ -143,6 +160,7 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
     prev = None
     est = spread = math.nan
     left_est = right_est = undefined = None
+    half = SAMPLES_PER_STEP // 2
     why = f"no convergence after {WINDOWS} steps"
     for j in range(WINDOWS):
         delta = WINDOW0 * 0.5**j
@@ -152,34 +170,31 @@ def limit(f: Expr, c: float, mode: str = "two-sided", tol: float = 1e-6) -> Limi
             why = (f"no convergence: stopped at step {j + 1} of {WINDOWS}, where the "
                    f"window fell below the double spacing at c = {c!r}")
             break
-        pts = c + _window_offsets(delta, mode, SAMPLES_PER_STEP)
-        below = pts < c
-        with np.errstate(all="ignore"):  # inf - inf gives NaN, which never converges
-            try:
-                vals = evaluate(f, pts)
-            except DomainError as e:
-                undefined, prev = (pts[below], delta, e), None
-                continue
-            undefined = None
-            est = float(np.mean(vals))
-            spread = float(np.max(vals) - np.min(vals))
-            if mode == "two-sided":
-                left_est = float(np.mean(vals[below]))
-                right_est = float(np.mean(vals[~below]))
+        vals = []
+        try:  # left to right, so the points before a failure are defined
+            for o in _window_offsets(delta, mode, SAMPLES_PER_STEP):
+                vals.append(evaluate(f, c + o))
+        except DomainError as e:
+            undefined, prev = (len(vals), delta, e), None
+            continue
+        undefined = None
+        est = _mean(vals)
+        # inf - inf gives NaN, which never converges; max and min, unlike
+        # numpy's, need not return a NaN among the values
+        spread = (math.nan if math.isnan(est) and any(map(math.isnan, vals))
+                  else max(vals) - min(vals))
+        if mode == "two-sided":  # the points left of c are the first half
+            left_est, right_est = _mean(vals[:half]), _mean(vals[half:])
         if prev is not None and abs(est - prev) < tol and spread < tol:
             if mode == "two-sided" and abs(left_est - right_est) >= tol:
                 raise OneSidedDisagreementError(left_est, right_est, tol)
             return LimitReport(est, spread, True, j + 1, left_est, right_est)
         prev = est
     if undefined is not None:
-        left, delta, e = undefined
+        defined, delta, e = undefined
         side = mode
         if mode == "two-sided":
-            try:
-                evaluate(f, left)
-                side = "right"
-            except DomainError:
-                side = "left"
+            side = "left" if defined < half else "right"
         raise DivergenceError(f"no {mode} limit: f is undefined {side} of c = {c!r}, "
                               f"within {delta!r} of it ({e})")
     if mode == "two-sided" and left_est is not None and abs(left_est - right_est) >= tol:
@@ -294,8 +309,14 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
     is spent on g, and so even where g is a constant decided on the first
     round's 64 cells.  Raises IterationCapError, naming the leftmost cell
     still open and g's enclosure there, when cells of depth MAX_DEPTH, or
-    the cell budget of refine_cells, leave the question open.
+    the cell budget of refine_cells, leave the question open.  Where g is
+    a constant within [low, high] and f's enclosure on [a, b] is finite,
+    f is defined on all of [a, b], so the rounds could neither raise nor
+    find a cell outside: (True, None) at once, on floats.
     """
+    if (isinstance(g, Const) and low <= g.value <= high
+            and all(map(math.isfinite, enclose(f, a, b)))):
+        return True, None
     dg = differentiate(g, 1)
     verdict = True, None
     left = None  # the leftmost open cell of the last round, and g's enclosure there

@@ -36,12 +36,13 @@ and json only where it reads or writes JSON, so the parser, --help and
 usage errors load no library module; main imports `expr` for a
 subcommand with an expression flag, and each handler imports its
 modules when it runs.  Their value classes are plain classes and named
-tuples, which cost little to define.  `expr` and `calculus` import numpy
-only for an array call or an enclosure of array cells, and `suprema` and
-`stepfn`'s algebra never do, so parse, eval, deriv, limit (both where f
-is defined about the point), sup, cut, root, affine, graph, stepint, seq
---op monotone, cauchy, bound, limit and diverge and ival --op bisect,
-partition, refine and shrink run without it.  Run as a program (run),
+tuples, which cost little to define.  `expr`, `calculus` and `integrate`
+import numpy only for an array call or an enclosure of array cells, and
+`suprema` and `stepfn`'s algebra never do, so parse, eval, deriv, limit,
+sup, cut, root, affine, graph, stepint, seq --op monotone, cauchy, bound,
+limit and diverge, ival --op bisect, partition, refine and shrink, and
+polycheck, shape and adt where the derivative they test folds to a
+constant, run without it.  Run as a program (run),
 fc starts numpy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS
 is set (see main), and ends without interpreter teardown.
 """
@@ -156,7 +157,7 @@ def _h_deriv(args):
     from . import expr
     if args.at is None:
         return expr.to_text(expr.differentiate(args.f, args.order))
-    from . import calculus  # numpy-backed: only with --at
+    from . import calculus
     rep = calculus.derivative(args.f, args.at, args.order, tol=args.tol)
     return Reply(rep.estimate, rep._asdict())
 

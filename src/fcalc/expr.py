@@ -48,8 +48,7 @@ and a derivative is taken once.
 numpy is imported on first use, by an array call or an enclosure of
 array cells.  The grammar, the printer, ``differentiate``, the scalar
 backends and one-cell enclosures never need it, so ``fc parse``, ``fc
-eval``, and ``fc deriv --at`` and ``fc limit`` where f is defined about
-the point, start without it.
+eval``, ``fc deriv --at`` and ``fc limit`` start without it.
 """
 
 from __future__ import annotations

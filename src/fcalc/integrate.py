@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .calculus import _crossing, _holds, extreme_point
 from .errors import DivergenceError, IterationCapError, PreconditionError
-from .expr import _BLOCK, Expr, const, differentiate, enclose, evaluate, iadd, imul, isub, sub
+from .expr import (_BLOCK, Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul,
+                   isub, sub)
 from .interval import CELL_BUDGET, Partition, refine_cells, require_interval, require_tol
+
+np = _Numpy(globals())  # numpy, imported on first use: adt_check of equal derivatives needs none
 
 MAX_LEVEL = 24  # the depth of riemann_integral's finest cells
 _CHUNK_CELLS = 1 << 18  # cells per Darboux partial sum: bounds a call's memory

@@ -35,6 +35,7 @@ the supremum of the connected component of the seed.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import BracketError, IterationCapError, NonCutError, PreconditionError
@@ -278,11 +279,17 @@ def ivt_root(f: Expr, a: float, b: float, k: float = 0.0, tol: float = 1e-12) ->
 
 
 def affine_map(a0: float, b0: float, a: float, b: float) -> Expr:
-    """Expression for the affine map sending [a0, b0] onto [a, b]."""
+    """Expression for the affine map sending [a0, b0] onto [a, b].
+
+    PreconditionError unless a0 < b0, every end is finite and the slope
+    is finite and, where a != b, a normal double."""
     if not a0 < b0:  # NaN too
         raise PreconditionError("affine_map needs a0 < b0")
     slope = (b - a) / (b0 - a0)
     # finite b - a and b0 - a0 need finite ends; b0 - a0 = inf gives slope 0
     if not (math.isfinite(slope) and math.isfinite(b0 - a0)):
         raise PreconditionError("affine_map needs finite ends and a finite slope")
+    # a slope that underflows to 0, or into the subnormals, loses the map's digits
+    if a != b and abs(slope) < sys.float_info.min:
+        raise PreconditionError("affine_map needs a slope in the normal double range")
     return add(mul(const(slope), sub(Var(), const(a0))), const(a))

@@ -86,6 +86,30 @@ def test_limit_names_the_step_where_the_window_rounds_onto_c(c, mode, step, side
         f"double spacing at c = {c!r} (estimate nan, spread nan)")
 
 
+@pytest.mark.parametrize("f, mode", [("sin(1.5*x)/x", "two-sided"),
+                                     ("(exp(1.7*x) - 1)/x", "right")])
+def test_limit_window_means_are_numpys_bit_for_bit(f, mode):
+    # the scan sums its scalar values on floats in numpy's order
+    f = E.parse(f)
+    rep = limit(f, 0.0, mode)
+    delta = calculus.WINDOW0 * 0.5 ** (rep.steps_used - 1)
+    k = np.array([-4, -3, -2, -1, 1, 2, 3, 4]) / 4 if mode == "two-sided" else np.arange(1, 9) / 8
+    pts = 0.0 + delta * k
+    vals = np.array([E.evaluate(f, float(t)) for t in pts])
+    assert (rep.estimate, rep.spread) == (float(np.mean(vals)), float(vals.max() - vals.min()))
+    ahead = 0.0  # left to right: another order, which gives other bits here
+    for v in vals:
+        ahead += v
+    assert ahead / 8 != rep.estimate
+    if mode == "two-sided":
+        assert (rep.left, rep.right) == (float(np.mean(vals[pts < 0])),
+                                         float(np.mean(vals[pts > 0])))
+        v = vals[:4]
+        assert ((v[0] + v[1]) + (v[2] + v[3])) / 4 != rep.left
+    else:
+        assert (rep.left, rep.right) == (None, None)
+
+
 def test_limit_algebra_numerically():
     rng = np.random.default_rng(31)
     for _ in range(50):

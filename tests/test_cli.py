@@ -1087,6 +1087,11 @@ def test_cli_contract_holds_for_generated_argv(argv):
      "error: affine_map needs a0 < b0\n"),
     (["affine", "--from-a", "0", "--from-b", "1e-320", "--to-a", "0", "--to-b", "1e300"],
      "error: affine_map needs finite ends and a finite slope\n"),
+    # slopes that underflow to 0 and into the subnormals: printed 0.0 and 1e-310*x
+    (["affine", "--from-a", "0", "--from-b", "1e300", "--to-a", "0", "--to-b", "1e-300"],
+     "error: affine_map needs a slope in the normal double range\n"),
+    (["affine", "--from-a", "0", "--from-b", "1e300", "--to-a", "0", "--to-b", "1e-10"],
+     "error: affine_map needs a slope in the normal double range\n"),
 ])
 def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
     # numpy warned: "Mean of empty slice", inf - inf in the spread and the
@@ -1233,6 +1238,16 @@ def test_a_nan_riemann_sum_warns_nothing():
     ["--help"],
     ["deriv", "--f", "exp(0.5*x)*cos(2*x)", "--at", "0.3"],  # f defined about c: a float cell
     ["limit", "--f", "x^2", "--at", "1"],
+    # the window scan samples on floats
+    ["limit", "--f", "sin(2*x)/x", "--at", "0"],
+    ["limit", "--f", "sin(2*x)/x", "--at", "0", "--mode", "left"],
+    ["limit", "--f", "sin(2*x)/x", "--at", "0", "--mode", "right"],
+    ["deriv", "--f", "x*abs(x)", "--at", "0"],
+    # a derivative that folds to a constant is decided on one float cell
+    ["polycheck", "--f", "1.5 + 1.2*x - 1.7*x^2 + 0.6*x^3", "--a", "-0.5", "--b", "1.5",
+     "--n", "3"],
+    ["shape", "--f", "x^2", "--a", "0", "--b", "1", "--kind", "convex"],
+    ["adt", "--F", "x^2", "--G", "x^2 + 3", "--a", "0", "--b", "1"],
 ], ids=" ".join)
 def test_subcommands_without_arrays_never_import_numpy(argv):
     proc = _fresh("-c", f"""

@@ -256,6 +256,9 @@ def test_affine_map_examples():
     assert evaluate(shift, -1.0) == 0.0 and evaluate(shift, 1.0) == 1.0
     with pytest.raises(PreconditionError):
         affine_map(1, 1, 0, 1)
+    assert evaluate(affine_map(0, 1e300, 2, 2), 5.0) == 2.0  # slope 0 onto one point
+    with pytest.raises(PreconditionError, match="normal double range"):
+        affine_map(0, 1e300, 0, 1e-10)  # slope 1e-310: subnormal
 
 
 def test_affine_map_composes_to_identity():
