@@ -34,10 +34,10 @@ extreme_point is interval branch and bound on those bounds (Hansen &
 Walster, Global Optimization Using Interval Analysis, 2004); one judge,
 _holds, proves a derivative within [low, high] on every cell or finds a
 cell where it lies wholly outside, for polynomial_check (f^(n+1)),
-shape_checks (f' or f'') and integrate.adt_check (F' - G'); a derivative
-that folds to a constant within the bounds is decided on one float cell,
-with no numpy.  Each raises IterationCapError when the depth cap or the
-cell budget of refine_cells leaves the question open.
+shape_checks (f' or f'') and integrate.adt_check (F' - G'); one float
+cell, all of [a, b], decides with no numpy wherever its enclosure of the
+derivative proves the bounds.  Each raises IterationCapError when the
+depth cap or the cell budget of refine_cells leaves the question open.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     OneSidedDisagreementError,
     PreconditionError,
 )
-from .expr import (Const, Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul, isub,
+from .expr import (Expr, _Numpy, const, differentiate, enclose, evaluate, iadd, imul, isub,
                    jet, mul, sub)
 from .interval import CELL_BUDGET, refine_cells, require_finite, require_interval, require_tol
 from .suprema import bisect_root
@@ -309,13 +309,15 @@ def _holds(f: Expr, g: Expr, a: float, b: float, low: float,
     is spent on g, and so even where g is a constant decided on the first
     round's 64 cells.  Raises IterationCapError, naming the leftmost cell
     still open and g's enclosure there, when cells of depth MAX_DEPTH, or
-    the cell budget of refine_cells, leave the question open.  Where g is
-    a constant within [low, high] and f's enclosure on [a, b] is finite,
-    f is defined on all of [a, b], so the rounds could neither raise nor
-    find a cell outside: (True, None) at once, on floats.
+    the cell budget of refine_cells, leave the question open.  First one
+    float cell decides wherever its enclosure proves the bound: where g's
+    enclosure on [a, b] lies within [low, high] and f's is finite, f is
+    defined on all of [a, b] and every cell's bounds lie within g's, so
+    the rounds could neither raise nor find a cell outside: (True, None)
+    at once, on floats.
     """
-    if (isinstance(g, Const) and low <= g.value <= high
-            and all(map(math.isfinite, enclose(f, a, b)))):
+    g_low, g_high = enclose(g, a, b)
+    if low <= g_low and g_high <= high and all(map(math.isfinite, enclose(f, a, b))):
         return True, None
     dg = differentiate(g, 1)
     verdict = True, None
@@ -510,8 +512,9 @@ def polynomial_check(f: Expr, a: float, b: float, n: int, tol: float = 1e-9) -> 
     """Is f a polynomial of degree at most n on [a, b]?
 
     Yes once _holds proves f^(n+1) within [-tol, tol] on [a, b] (at once
-    where it folds to the constant 0, as for every polynomial tree, and on
-    one point), no once it finds a cell where it lies wholly outside.
+    where one float cell proves it, as where it folds to the constant 0
+    for every polynomial tree, and on one point), no once it finds a cell
+    where it lies wholly outside.
     Raises DomainError where f is undefined at a cell midpoint, and
     IterationCapError where _holds leaves the question open.
     """

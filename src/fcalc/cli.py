@@ -41,10 +41,11 @@ import numpy only for an array call or an enclosure of array cells, and
 `suprema` and `stepfn`'s algebra never do, so parse, eval, deriv, limit,
 sup, cut, root, affine, graph, stepint, seq --op monotone, cauchy, bound,
 limit and diverge, ival --op bisect, partition, refine and shrink, and
-polycheck, shape and adt where the derivative they test folds to a
-constant, run without it.  Run as a program (run),
-fc starts numpy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS
-is set (see main), and ends without interpreter teardown.
+polycheck, shape and adt where one float enclosure of the derivative
+they test on all of [a, b] proves its bound, run without it.  Run as a
+program (run), fc starts numpy's OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is set (see main), and ends without interpreter
+teardown.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _h_sup(args):
     res = suprema.bisect_supremum(pset, args.tol)
     if not args.witnesses:
         return Reply(res.value, {"iterations": res.iterations})
-    wit = suprema.sup_witnesses(pset, res.value, args.witnesses)
+    wit = suprema.sup_witnesses(res, args.witnesses)
     return Reply(res.value, {"iterations": res.iterations, "witnesses": wit},
                  lines=["witnesses: " + _fmt(wit)])
 

@@ -16,9 +16,13 @@ Heine-Borel sweep, never a sampling argument, and the only verdict:
 the queries that need a cover raise CoverError where it leaves a gap.
 Every step's next hop, the count of left ends below its reach, comes
 from one vectorised query, so the walk follows integer positions.
-The exact Lebesgue number is the minimum slack reach - x over
-breakpoints and reach - q over cells (p, q) between them, all answered
-by one vectorised query.
+One walk answers the verdict and the subcover, and one sweep of reach
+at the breakpoints (the target's ends and the piece ends inside it)
+answers both the exact Lebesgue number, the minimum slack reach - x
+where the reach ends inside the target, and its binding pair, the first
+breakpoint with slack below delta.  Between consecutive breakpoints no
+piece end lies, so a cell's slack is its right end's and needs no query
+of its own.  Every query refuses a non-cover.
 
 The conservative min-half-radius formula is kept as `paper` mode.  A
 sample t is bound by t - lo on pieces whose split key (the last double
@@ -199,6 +203,8 @@ def lebesgue_number(cover: OpenCover, mode: str = "exact", sample: int = 256) ->
     if mode == "exact":
         return _lebesgue_exact(cover)
     if mode == "paper":
+        if sample > MAX_SAMPLE:
+            raise PreconditionError(f"paper mode samples at most {MAX_SAMPLE} points")
         return _lebesgue_half_radius(cover, sample)
     raise PreconditionError(f"unknown mode {mode!r}")
 
@@ -214,44 +220,40 @@ def _breakpoints(cover: OpenCover) -> np.ndarray:
     return s
 
 
+def _reach_at_breaks(cover: OpenCover) -> Tuple[np.ndarray, np.ndarray]:
+    breaks = _breakpoints(cover)
+    return breaks, cover._reach(breaks)
+
+
 def _lebesgue_exact(cover: OpenCover) -> float:
     b = cover.target.hi
-    breaks = _breakpoints(cover)
-    at = cover._reach(breaks)
+    breaks, at = _reach_at_breaks(cover)
     uncovered = breaks[~(at > breaks)]
     if uncovered.size:
         raise CoverError(f"point {float(uncovered[0])} of a verified cover is uncovered")
-    # no endpoint lies inside a cell, so the piece holding its left end
-    # holds the whole closed cell
-    over = cover._reach(breaks[:-1], closed=True)
-    slack = np.concatenate(((at - breaks)[at <= b], (over - breaks[1:])[over <= b]))
+    # no endpoint lies inside a cell (p, q), so the pieces with lo <= p are
+    # those with lo < q: the reach over a closed cell is the reach at its
+    # right end, and the breakpoints' slack is the cells' slack too
+    slack = (at - breaks)[at <= b]
     return float(slack.min()) if slack.size else cover.target.length
 
 
 def binding_pair(cover: OpenCover, delta: float) -> Optional[Tuple[float, float]]:
     """A target pair within delta sharing no piece, or None.
 
-    Directed search at the binding overlap: checks each breakpoint both
-    exactly and from just inside the cell to its left, pairing x with
-    its reach (capped at the target end) and with x + delta less a hair.
+    The first breakpoint x whose reach ends inside the target less than
+    delta beyond x, paired with that reach: a pair exists exactly where
+    delta exceeds the exact Lebesgue number and some breakpoint's reach
+    ends inside the target.  CoverError on a non-cover.
     """
+    _steps(cover)
     b = cover.target.hi
-    breaks = _breakpoints(cover)
-    p, q = breaks[:-1], breaks[1:]
-    xs = np.concatenate((breaks, q - np.minimum(delta * 1e-3, (q - p) / 2)))
-    reach = cover._reach(xs)
-    inside = reach > xs
-
-    def free(cs):
-        return inside & (cs >= xs) & (cs - xs < delta) & (cs <= b) & ~(reach > cs)
-
-    ys, zs = np.minimum(reach, b), xs + delta * (1 - 1e-12)
-    hit_y, hit_z = free(ys), free(zs)
-    hits = np.flatnonzero(hit_y | hit_z)
+    breaks, at = _reach_at_breaks(cover)
+    hits = np.flatnonzero((at <= b) & (at - breaks < delta))
     if not hits.size:
         return None
     k = hits[0]
-    return float(xs[k]), float(ys[k] if hit_y[k] else zs[k])
+    return float(breaks[k]), float(np.minimum(at[k], b))
 
 
 _SIGN = np.int64(-1 << 63)  # the sign bit alone

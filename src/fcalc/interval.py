@@ -166,6 +166,8 @@ def uniform_partition(a: float, b: float, n: int) -> Partition:
     """The n+1 nodes a + k*(b-a)/n, computed directly to bound drift."""
     if n < 1:
         raise PreconditionError("uniform_partition needs n >= 1")
+    if n > CELL_BUDGET:
+        raise PreconditionError(f"uniform_partition needs n <= {CELL_BUDGET}")
     if a > b:
         raise PreconditionError("uniform_partition needs a <= b")
     if a == b:

@@ -2,7 +2,10 @@
 
 A sequence is a pure rule from positive indices to reals, passed as it
 is: a tree in n (expr.parse(text, "n"), which evaluates at float(k)) or
-any callable from index to real.  Each routine reads float(s(k)).  The
+any callable from index to real.  Each routine reads float(s(k)), and
+refuses a term that is not a finite real, naming its index (_finite):
+term by term where it reads one at a time, once per list or array where
+it reads many.  The
 subsequence machinery follows the halving construction: keep the half
 with more hits among a finite index budget, which is the computable
 proxy for "contains infinitely many terms".
@@ -14,6 +17,7 @@ import math
 from collections import namedtuple
 from typing import List, NamedTuple, Tuple
 
+from . import interval
 from .errors import BudgetError, IterationCapError, PreconditionError
 from .interval import Interval, bisect, require_tol
 from .suprema import _linspace
@@ -36,6 +40,21 @@ class SubsequenceSelector(namedtuple("SubsequenceSelector", "indices")):
         return tuple.__new__(cls, (indices,))
 
 
+def _finite(k: int, v: float) -> float:
+    """v, the term s(k), where it is a finite real; else PreconditionError."""
+    if math.isfinite(v):
+        return v
+    raise PreconditionError(f"term {k} = {v} is not a finite real")
+
+
+def _finite_list(ks, vals: List[float]) -> List[float]:
+    """vals, the terms at the indices ks, where all are finite reals."""
+    if not math.isfinite(sum(vals)):  # or finite terms overflowed the sum
+        for k, v in zip(ks, vals):
+            _finite(k, v)
+    return vals
+
+
 class CauchyWindowReport(NamedTuple):
     ok: bool
     pair: Tuple[int, int]
@@ -51,9 +70,9 @@ def check_monotone(s, n: int) -> str:
         raise PreconditionError("need n >= 2 terms to classify")
     strict = True
     weak = True
-    prev = float(s(1))
+    prev = _finite(1, float(s(1)))
     for k in range(2, n + 1):
-        cur = float(s(k))
+        cur = _finite(k, float(s(k)))
         if not prev < cur:
             strict = False
         if not prev <= cur:
@@ -77,7 +96,10 @@ def check_cauchy_window(s, eps: float, lo: int, hi: int) -> CauchyWindowReport:
         raise PreconditionError("eps must be positive")
     if lo > hi or lo < 1:
         raise PreconditionError("window needs 1 <= lo <= hi")
-    values = [float(s(k)) for k in range(lo, hi + 1)]
+    if hi - lo + 1 > interval.CELL_BUDGET:
+        raise PreconditionError(f"window needs at most {interval.CELL_BUDGET} terms")
+    window = range(lo, hi + 1)
+    values = _finite_list(window, [float(s(k)) for k in window])
     diffs = [v2 - v1 for v1, v2 in zip(values, values[1:])]
     monotone = all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
     if monotone:
@@ -96,13 +118,19 @@ def bound_prefix(s, n: int) -> float:
     """Max of |s_k| over k <= n; the all-zero prefix is bounded by 1."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    m = max(abs(float(s(k))) for k in range(1, n + 1))
+    m = max(abs(_finite(k, float(s(k)))) for k in range(1, n + 1))
     return m if m > 0.0 else 1.0
 
 
 def _cache_values(s, budget: int) -> np.ndarray:
     import numpy as np
-    return np.fromiter((float(s(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
+    if budget > interval.CELL_BUDGET:
+        raise PreconditionError(f"budget must be at most {interval.CELL_BUDGET}")
+    values = np.fromiter((float(s(k)) for k in range(1, budget + 1)), dtype=float, count=budget)
+    if not (finite := np.isfinite(values)).all():
+        k = int(np.argmin(finite))
+        _finite(k + 1, float(values[k]))
+    return values
 
 
 def bw_extract(s, box: Interval, depth: int,
@@ -170,7 +198,7 @@ def monotone_limit(s, upper: float, tol: float, max_index: int = 10**6) -> float
     m = 1
     while True:
         window = _scan_indices(m, 2 * m)
-        vals = [float(s(k)) for k in window]
+        vals = _finite_list(window, [float(s(k)) for k in window])
         for k, v in zip(window, vals):
             if v > upper:
                 raise PreconditionError(f"upper bound violated at k={k}: {v} > {upper}")
@@ -194,7 +222,7 @@ def divergence_witness(s, eps: float, count: int, budget: int) -> SubsequenceSel
     if not eps > 0:  # NaN too
         raise PreconditionError("eps must be positive")
     indices = [1]
-    base = float(s(1))
+    base = _finite(1, float(s(1)))
     for k in range(1, count + 1):
         target = base + k * eps
         lo = indices[-1] + 1
@@ -202,23 +230,19 @@ def divergence_witness(s, eps: float, count: int, budget: int) -> SubsequenceSel
             raise BudgetError("budget exhausted; the sequence may be Cauchy at this eps")
         # grow hi by doubling until the target is met (monotone rule)
         hi = lo
-        while float(s(hi)) < target:
+        while _finite(hi, float(s(hi))) < target:
             if hi >= budget:
                 raise BudgetError("budget exhausted; the sequence may be Cauchy at this eps")
             hi = min(2 * hi, budget)
         # smallest qualifying index in [lo, hi]
         while lo < hi:
             mid = (lo + hi) // 2
-            if float(s(mid)) >= target:
+            if _finite(mid, float(s(mid))) >= target:
                 hi = mid
             else:
                 lo = mid + 1
         indices.append(lo)
-    sel = SubsequenceSelector(tuple(indices))
-    for k in range(1, count + 1):
-        if float(s(sel.indices[k])) < base + k * eps - 1e-12:
-            raise BudgetError("located indices fail the growth inequality")
-    return sel
+    return SubsequenceSelector(tuple(indices))
 
 
 def cauchy_limit(s, box: Interval, tol: float, budget: int = 10**6) -> float:

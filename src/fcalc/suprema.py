@@ -26,6 +26,10 @@ from a float to a bool: an expr.Predicate (two trees and a comparator,
 which fc sup and fc cut pass) or any function; the root's f is a tree or
 any callable.
 
+Each answer is computed once: sup_witnesses reads its members from the
+supremum's own trace, and cut_point's probe grid reuses the answers of
+its two sample checks at the grid's ends.
+
 A membership oracle cannot decide "is an upper bound", so midpoints
 that test non-member are *treated* as upper bounds.  That is sound for
 downward-closed or interval-like sets; for a general set the result is
@@ -147,30 +151,18 @@ def supremum(pset: PredicateSet, tol: float) -> float:
     return bisect_supremum(pset, tol).value
 
 
-def sup_witnesses(pset: PredicateSet, sup_value: float, count: int) -> List[float]:
-    """Members c_1..c_count with |c_n - sup_value| < 1/n.
+def sup_witnesses(result: SupremumResult, count: int) -> List[float]:
+    """Members c_1..c_count with |c_n - result.value| < 1/n.
 
-    Scans the bisection trace of member endpoints a_k, which climb to
-    the supremum.
+    c_n is the first member on the supremum's own trace, then its value,
+    within 1/n of the value: the member ends a_k climb to it, and the
+    value itself is a member, so there always is one.
     """
     if count < 1:
         raise PreconditionError("count must be positive")
-    tol = min(1.0 / (2 * count), 1e-3)
-    res = bisect_supremum(pset, tol)
-    members = [a for a, _ in res.trace] + [res.value]
-    witnesses = []
-    for n in range(1, count + 1):
-        found = None
-        for a in members:
-            if abs(a - sup_value) < 1.0 / n:
-                found = a
-                break
-        if found is None:
-            raise PreconditionError(
-                f"no member within 1/{n} of {sup_value}; supremum value looks inaccurate"
-            )
-        witnesses.append(found)
-    return witnesses
+    members = [a for a, _ in result.trace] + [result.value]
+    return [next(a for a in members if abs(a - result.value) < 1.0 / n)
+            for n in range(1, count + 1)]
 
 
 def cut_point(cut: Cut, tol: float) -> float:
@@ -188,8 +180,8 @@ def cut_point(cut: Cut, tol: float) -> float:
     if lo >= hi:
         raise NonCutError("sample_in above sample_out contradicts downward closure")
     _check_bracket(lo, hi)
-    grid = _linspace(lo, hi, CUT_PROBES)
-    flags = [bool(cut.below(t)) for t in grid]
+    grid = _linspace(lo, hi, CUT_PROBES)  # from sample_in to sample_out, checked above
+    flags = [True, *(bool(cut.below(t)) for t in grid[1:-1]), False]
     last_true = max(i for i, f in enumerate(flags) if f)
     first_false = min(i for i, f in enumerate(flags) if not f)
     if first_false < last_true:

@@ -31,6 +31,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_sup_witnesses_run_one_bisection(monkeypatch, capsys):
+    # the witnesses are read from the supremum's own trace
+    from fcalc import suprema
+
+    brackets, bisect = [], suprema._bisect
+    monkeypatch.setattr(suprema, "_bisect",
+                        lambda inside, lo, hi, *rest: brackets.append((lo, hi))
+                        or bisect(inside, lo, hi, *rest))
+    code, out, _ = run(capsys, "sup", "--member", "x*x < 2", "--seed-point", "0", "--bound",
+                       "2", "--witnesses", "3")
+    assert code == 0 and brackets == [(0.0, 2.0)]
+    assert out.splitlines()[1] == "witnesses: [1.0, 1.0, 1.25]"
+
+
 def test_sup_example(capsys):
     import math
 
@@ -1092,6 +1106,25 @@ def test_cli_contract_holds_for_generated_argv(argv):
      "error: affine_map needs a slope in the normal double range\n"),
     (["affine", "--from-a", "0", "--from-b", "1e300", "--to-a", "0", "--to-b", "1e-10"],
      "error: affine_map needs a slope in the normal double range\n"),
+    # terms that are not finite reals: printed indices, 1.0, inf and neither
+    (["seq", "--op", "diverge", "--s", "(1e400-1e400)*n", "--eps", "1", "--count", "3"],
+     "error: term 1 = nan is not a finite real\n"),
+    (["seq", "--op", "diverge", "--s", "1e400*n", "--eps", "1", "--count", "3"],
+     "error: term 1 = inf is not a finite real\n"),
+    (["seq", "--op", "bound", "--s", "(1e400-1e400)*n", "--n", "5"],
+     "error: term 1 = nan is not a finite real\n"),
+    (["seq", "--op", "bound", "--s", "1e400*n", "--n", "5"],
+     "error: term 1 = inf is not a finite real\n"),
+    (["seq", "--op", "monotone", "--s", "(1e400-1e400)*n"],
+     "error: term 1 = nan is not a finite real\n"),
+    # sizes past a cap are refused before anything is allocated: numpy
+    # raised a MemoryError for 7 TiB
+    (["seq", "--op", "bw", "--s", "1/n", "--budget", "1000000000000"],
+     "error: budget must be at most 4194304\n"),
+    (["seq", "--op", "cauchy-limit", "--s", "1/n", "--budget", "1000000000000"],
+     "error: budget must be at most 4194304\n"),
+    (["lebesgue", "--cover", '{"target": [0, 1], "pieces": [[-1, 2]]}', "--mode", "paper",
+      "--sample", "1000000000000"], "error: paper mode samples at most 1048576 points\n"),
 ])
 def test_non_finite_points_and_an_empty_budget_fail_without_warnings(argv, err):
     # numpy warned: "Mean of empty slice", inf - inf in the spread and the
@@ -1243,11 +1276,15 @@ def test_a_nan_riemann_sum_warns_nothing():
     ["limit", "--f", "sin(2*x)/x", "--at", "0", "--mode", "left"],
     ["limit", "--f", "sin(2*x)/x", "--at", "0", "--mode", "right"],
     ["deriv", "--f", "x*abs(x)", "--at", "0"],
-    # a derivative that folds to a constant is decided on one float cell
+    # a derivative that folds to a constant is decided on one float cell,
     ["polycheck", "--f", "1.5 + 1.2*x - 1.7*x^2 + 0.6*x^3", "--a", "-0.5", "--b", "1.5",
      "--n", "3"],
     ["shape", "--f", "x^2", "--a", "0", "--b", "1", "--kind", "convex"],
     ["adt", "--F", "x^2", "--G", "x^2 + 3", "--a", "0", "--b", "1"],
+    # so is one whose enclosure on all of [a, b] proves the bound
+    ["shape", "--f", "exp(x)", "--a", "0", "--b", "1", "--kind", "increasing"],
+    ["shape", "--f", "exp(x)", "--a", "0", "--b", "1", "--kind", "convex"],
+    ["shape", "--f", "x^3 - x", "--a", "1", "--b", "2", "--kind", "increasing"],
 ], ids=" ".join)
 def test_subcommands_without_arrays_never_import_numpy(argv):
     proc = _fresh("-c", f"""

@@ -558,10 +558,12 @@ def _grid_covers(draw):
 @given(_grid_covers())
 def test_cover_queries_match_brute_force_oracle(cov):
     assert verify_cover(cov) == _oracle_verify(cov)
-    assert binding_pair(cov, 0.25) == _oracle_binding_pair(cov, 0.25)
     assert validate_lebesgue(cov, 0.25, 300, 1) == _oracle_validate(cov, 0.25, 300, 1)
     if not verify_cover(cov)[0]:
+        with pytest.raises(CoverError, match="not a cover"):
+            binding_pair(cov, 0.25)
         return
+    assert binding_pair(cov, 0.25) == _oracle_binding_pair(cov, 0.25)
     assert finite_subcover(cov) == _oracle_subcover(cov)
     if cov.target.lo == cov.target.hi:
         return
@@ -574,9 +576,38 @@ def test_cover_queries_match_brute_force_oracle(cov):
         assert lebesgue_number(cov, "paper", sample=sample) == _oracle_half_radius(cov, sample)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_grid_covers(), st.sampled_from([0.5, 1.01, 1.5, 3.0]))
+def test_binding_pair_exists_exactly_past_the_exact_lebesgue_number(cov, factor):
+    # a pair within d sharing no piece, inside the target, exactly where d
+    # exceeds the exact Lebesgue number and some breakpoint's reach ends
+    # inside the target
+    a, b = cov.target
+    if not verify_cover(cov)[0] or a == b:
+        return
+    delta = lebesgue_number(cov, "exact")
+    binds = any(_containing(cov, x)[0] <= b for x in _oracle_breaks(cov))
+    for d in (delta, math.nextafter(delta, math.inf), factor * delta):
+        pair = binding_pair(cov, d)
+        if d > delta and binds:
+            x, y = pair
+            assert a <= x <= y <= b and y - x < d and not _shared(cov, x, y)
+        else:
+            assert pair is None
+
+
+def _or_error(query, *args):
+    """The query's answer, or the text of the CoverError it raises."""
+    try:
+        return query(*args)
+    except CoverError as e:
+        return str(e)
+
+
 def _answers(cov):
     """Every cover query's answer, as text, so that signed zeros count."""
-    out = [verify_cover(cov), binding_pair(cov, 0.25), validate_lebesgue(cov, 0.25, 300, 1)]
+    out = [verify_cover(cov), _or_error(binding_pair, cov, 0.25),
+           validate_lebesgue(cov, 0.25, 300, 1)]
     if verify_cover(cov)[0]:
         out.append(finite_subcover(cov))
     if verify_cover(cov)[0] and cov.target.lo < cov.target.hi:
@@ -612,7 +643,7 @@ def test_json_interval_and_array_covers_agree(cov):
 # pieces and some chains broken, plus hand-made covers whose reach values
 # tie at 0.0 and -0.0.  Every answer is hashed through repr, so a changed
 # bit, a sign of zero or a different piece index changes the digest.
-_GOLDEN_COVERS_DIGEST = "3dc9419f7b074d3647e56f1cfd05d695116ce2715c9d6cd5932d895bad30d074"
+_GOLDEN_COVERS_DIGEST = "933fba083cf8438fca447a164cd9ea7478cfc8d937505dd4e4d335d1d8cb4bb2"
 _HAND_COVERS = [
     ([0, 1], [(-0.0, 0.5), (-0.1, 0.0), (0.0, 1.1), (-0.1, -0.0), (-0.2, 0.6), (0.5, 1.1)]),
     ([-1, 0.5], [(-2, -0.0), (-3, 0.0), (0.0, 1)]),
@@ -654,17 +685,13 @@ def _golden_cover(rng, n, grid):
 def _golden_answers(cov):
     out = [verify_cover(cov)]
     if not verify_cover(cov)[0]:
-        return out + [binding_pair(cov, 0.1)]
+        return out + [_or_error(binding_pair, cov, 0.1)]
     out.append(finite_subcover(cov))
     if cov.target.lo == cov.target.hi:
         return out
     delta = lebesgue_number(cov, "exact")
     out.append(delta)
-    for sample in (2, 16):
-        try:
-            out.append(lebesgue_number(cov, "paper", sample=sample))
-        except CoverError as e:
-            out.append(str(e))
+    out += [_or_error(lebesgue_number, cov, "paper", sample) for sample in (2, 16)]
     return out + [binding_pair(cov, f * delta) for f in (1.0, 1.01, 1.5)]
 
 
@@ -768,6 +795,19 @@ def test_each_key_set_is_sorted_once(monkeypatch):
     assert sorts == [3]
     lebesgue_number(cov, "paper")
     assert sorts == [3, 3]
+
+
+def test_the_exact_lebesgue_number_and_binding_pair_query_reach_once(monkeypatch):
+    # both read the one sweep of reach at the breakpoints
+    cov = cover_of([0, 1], [(-0.1, 0.6), (0.4, 1.1), (0.45, 0.55)])
+    assert verify_cover(cov)[0]
+    queries, query = [], cover._Reach.__call__
+    monkeypatch.setattr(cover._Reach, "__call__",
+                        lambda self, *args, **kw: queries.append(args) or query(self, *args, **kw))
+    assert lebesgue_number(cov, "exact") == pytest.approx(0.2)
+    assert len(queries) == 1
+    assert binding_pair(cov, 0.3) == (0.4, 0.6)
+    assert len(queries) == 2
 
 
 def test_the_walk_is_taken_once_per_cover():

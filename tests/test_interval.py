@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcalc import interval
 from fcalc.errors import IterationCapError, NestingError, PreconditionError
 from fcalc.interval import (
     Interval,
@@ -115,6 +116,13 @@ def test_uniform_partition_endpoints_exact():
 def test_uniform_partition_rejects_zero_cells():
     with pytest.raises(PreconditionError):
         uniform_partition(0, 1, 0)
+
+
+def test_uniform_partition_refuses_more_cells_than_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(interval, "CELL_BUDGET", 8)
+    assert len(uniform_partition(0, 1, 8).nodes) == 9
+    with pytest.raises(PreconditionError, match="n <= 8"):
+        uniform_partition(0, 1, 9)
 
 
 def test_degenerate_partition():

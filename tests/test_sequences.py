@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fcalc import interval
 from fcalc.errors import BudgetError, PreconditionError
 from fcalc.expr import parse
 from fcalc.interval import Interval
@@ -31,6 +32,43 @@ def test_a_tree_in_n_is_a_rule_as_it_is():
     ]:
         tree_answer, lambda_answer = both(routine, text, *args)
         assert tree_answer == lambda_answer, routine.__name__
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("routine, args", [
+    (check_monotone, (100,)), (check_cauchy_window, (1e-3, 1, 100)), (bound_prefix, (50,)),
+    (bw_extract, (Interval(0, 1), 4, 100)), (monotone_limit, (1e9, 1e-4)),
+    (divergence_witness, (1.0, 5, 100)), (cauchy_limit, (Interval(0, 1), 1e-3, 100)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_a_term_that_is_not_a_finite_real_is_refused_by_its_index(routine, args, bad):
+    with pytest.raises(PreconditionError, match=f"^term 5 = {bad} is not a finite real$"):
+        routine(lambda k: bad if k == 5 else float(k), *args)
+
+
+def test_finite_terms_whose_sum_overflows_are_read():
+    # a window is checked at once by its sum, then term by term where that overflows
+    assert check_cauchy_window(lambda k: 1e308, 1.0, 1, 3).ok
+    assert monotone_limit(lambda k: 1e308, 1e308, 1e-4) == 1e308
+
+
+def test_windows_and_budgets_past_the_cell_budget_are_refused_before_any_term(monkeypatch):
+    monkeypatch.setattr(interval, "CELL_BUDGET", 8)
+    read = []
+
+    def s(k):
+        read.append(k)
+        return 1.0 / k
+
+    assert check_cauchy_window(s, 1.0, 3, 10).ok
+    assert cauchy_limit(s, Interval(0, 1), 0.5, budget=8) < 0.5
+    read.clear()
+    with pytest.raises(PreconditionError, match="at most 8 terms"):
+        check_cauchy_window(s, 1.0, 3, 11)
+    with pytest.raises(PreconditionError, match="budget must be at most 8"):
+        cauchy_limit(s, Interval(0, 1), 0.5, budget=9)
+    with pytest.raises(PreconditionError, match="budget must be at most 8"):
+        bw_extract(s, Interval(0, 1), 2, 9)
+    assert read == []
 
 
 def test_check_monotone_examples():

@@ -52,15 +52,16 @@ def test_supremum_bracketing_property():
 
 def test_sup_witnesses_examples():
     pset = PredicateSet(lambda x: x * x < 2, 0.0, 2.0)
-    sup_value = supremum(pset, 1e-9)
-    wit = sup_witnesses(pset, sup_value, 10)
+    res = bisect_supremum(pset, 1e-9)
+    sup_value = res.value
+    wit = sup_witnesses(res, 10)
     for n, c in enumerate(wit, start=1):
         assert pset.member(c)
         assert abs(c - sup_value) < 1.0 / n
     singleton = PredicateSet(lambda x: x == 0.0, 0.0, 5.0)
-    assert sup_witnesses(singleton, supremum(singleton, 1e-8), 3) == [0.0, 0.0, 0.0]
+    assert sup_witnesses(bisect_supremum(singleton, 1e-8), 3) == [0.0, 0.0, 0.0]
     box = PredicateSet(lambda x: x <= 1, 0.0, 1.0)
-    wit = sup_witnesses(box, 1.0, 5)
+    wit = sup_witnesses(bisect_supremum(box, 1e-9), 5)
     assert all(1 - 1.0 / n < c <= 1.0 for n, c in enumerate(wit, start=1))
 
 
@@ -76,6 +77,23 @@ def test_supremum_preconditions():
 def test_cut_point_examples():
     assert abs(cut_point(Cut(lambda x: x**3 < 2, 0.0, 2.0), 1e-9) - 2 ** (1 / 3)) <= 1e-9
     assert abs(cut_point(Cut(lambda x: x < 0, -1.0, 1.0), 1e-9)) <= 1e-9
+
+
+def test_cut_point_asks_each_sample_once():
+    # the probe grid runs from sample_in to sample_out, whose answers the
+    # sample checks already gave
+    asked = []
+    cut_point(Cut(lambda x: asked.append(x) or x * x < 2, 0.0, 2.0), 1e-9)
+    assert len(asked) == 89 and asked.count(0.0) == asked.count(2.0) == 1
+
+
+def test_sup_witnesses_are_read_from_the_supremum_trace():
+    # the first member on the trace within 1/n of the value, else the value
+    res = bisect_supremum(PredicateSet(lambda x: x * x < 2, 0.0, 2.0), 0.3)
+    assert [a for a, _ in res.trace] == [0.0, 1.0, 1.0, 1.25] and res.value == 1.25
+    assert sup_witnesses(res, 6) == [1.0, 1.0, 1.0, 1.25, 1.25, 1.25]
+    with pytest.raises(PreconditionError):
+        sup_witnesses(res, 0)
 
 
 def test_cut_point_detects_non_monotone_predicate():
